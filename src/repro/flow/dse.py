@@ -32,7 +32,7 @@ from repro.device.boards import Board
 from repro.errors import AOCError, FitError, RoutingError
 from repro.flow.folded import FoldedConfig
 from repro.flow.stages import CacheOption, folded_flow, resolve_cache
-from repro.pipeline.cache import CompileCache, DiskBackend, MemoryBackend, _MISS
+from repro.pipeline.cache import CompileCache, DiskBackend, MemoryBackend, MISS
 from repro.relay.passes import FusedGraph
 from repro.runtime.simulate import simulate_folded
 from repro.schedule import ScheduleRecipe
@@ -363,10 +363,10 @@ def merge_disk_entries(
     for path in sorted(disk.directory.glob("*.pkl")):
         key = path.stem
         value = disk.get(key)
-        if value is _MISS:
+        if value is MISS:
             continue
         for backend in resolved.backends:
-            if backend.get(key) is not _MISS:
+            if backend.get(key) is not MISS:
                 break
         else:
             resolved.store(key, value)

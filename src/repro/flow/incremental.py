@@ -25,13 +25,13 @@ are lowered unconditionally and counted as ``lower_uncached``.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, List, Optional
 
 import repro.ir as ir
 from repro.ir import expr as _e
 from repro.ir.printer import expr_str
 from repro.ir.tensor import IterVar, Tensor
+from repro.pipeline.cache import MISS, MemoryBackend
 from repro.pipeline.fingerprint import fingerprint
 
 __all__ = [
@@ -46,8 +46,7 @@ __all__ = [
 _CACHEABLE_OPTIONS = {"autorun"}
 
 #: process-wide memo: fingerprint -> lowered kernel (LRU, bounded)
-_CACHE: "OrderedDict[str, ir.Kernel]" = OrderedDict()
-_MAX_ENTRIES = 512
+_CACHE = MemoryBackend(512)
 
 _STATS: Dict[str, int] = {"hits": 0, "misses": 0, "uncached": 0}
 
@@ -138,15 +137,12 @@ def _lower_one(sk) -> ir.Kernel:
         _STATS["uncached"] += 1
         return sk.lower()
     cached = _CACHE.get(key)
-    if cached is not None:
-        _CACHE.move_to_end(key)
+    if cached is not MISS:
         _STATS["hits"] += 1
         return cached
     _STATS["misses"] += 1
     kernel = sk.lower()
-    _CACHE[key] = kernel
-    while len(_CACHE) > _MAX_ENTRIES:
-        _CACHE.popitem(last=False)
+    _CACHE.put(key, kernel)
     return kernel
 
 

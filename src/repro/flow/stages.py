@@ -157,6 +157,11 @@ def _verify_stage(
     (RM003) all gate synthesis; the footprint counters
     (``memory_arena_bytes``/``memory_saved_bytes``/...) land on the
     stage trace.
+
+    The report keeps what the certifiers return — the per-kernel
+    certificates and the memory plan with its certificate — so
+    ``python -m repro.report --check`` renders this one stage's output
+    instead of re-running any analyzer.
     """
 
     def fn(ctx: Context):
@@ -173,7 +178,7 @@ def _verify_stage(
             constants=constants,
         )
         if "schedule" in ctx:
-            equiv_report, _ = certify_build(
+            equiv_report, report.certificates = certify_build(
                 ctx.value("schedule"), plan=plan, subject=ctx.pipeline,
                 dynamic_fallback=False,
             )
@@ -183,7 +188,7 @@ def _verify_stage(
         # Plan-less runs (bare-program verification) have no invocation
         # sequence to analyze, so the RM gate has nothing to certify.
         if plan is not None and "fused" in ctx:
-            mem_report, _, _ = check_memory(
+            mem_report, report.memory, report.memory_certificate = check_memory(
                 ctx.value("fused"), plan,
                 program=ctx.value("program"), board=board,
                 subject=ctx.pipeline,

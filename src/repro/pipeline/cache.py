@@ -9,7 +9,9 @@ fresh synthesis would produce.
 
 Two backends compose: an in-process LRU :class:`MemoryBackend` (always
 on by default) and an optional pickle-per-entry :class:`DiskBackend`
-that survives process restarts.  Deterministic synthesis *failures*
+that survives process restarts.  :class:`MemoryBackend` is also the LRU
+behind the per-kernel lower cache (:mod:`repro.flow.incremental`) and
+the equivalence-certificate cache (:mod:`repro.verify.equiv`).  Deterministic synthesis *failures*
 (fit/routing) are cached too, as :class:`CachedFailure` entries, so a
 DSE sweep does not re-synthesize known-infeasible points.
 """
@@ -29,7 +31,8 @@ from repro.errors import ReproError
 #: environment variable enabling the on-disk backend of the default cache
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
-_MISS = object()
+#: what a backend's ``get`` returns for an absent key (``None`` is a value)
+MISS = object()
 
 
 @dataclass
@@ -52,7 +55,7 @@ class MemoryBackend:
 
     def get(self, key: str) -> object:
         if key not in self._store:
-            return _MISS
+            return MISS
         self._store.move_to_end(key)
         return self._store[key]
 
@@ -61,6 +64,9 @@ class MemoryBackend:
         self._store.move_to_end(key)
         while len(self._store) > self.max_entries:
             self._store.popitem(last=False)
+
+    def clear(self) -> None:
+        self._store.clear()
 
     def __len__(self) -> int:
         return len(self._store)
@@ -79,7 +85,7 @@ class DiskBackend:
     def get(self, key: str) -> object:
         path = self._path(key)
         if not path.exists():
-            return _MISS
+            return MISS
         try:
             with path.open("rb") as fh:
                 return pickle.load(fh)
@@ -89,7 +95,7 @@ class DiskBackend:
                 path.unlink()
             except OSError:
                 pass
-            return _MISS
+            return MISS
 
     def put(self, key: str, value: object) -> None:
         # atomic publish: write to a temp file, verify it round-trips,
@@ -141,7 +147,7 @@ class CompileCache:
         """``(found, value)``; a hit is promoted into earlier backends."""
         for i, backend in enumerate(self.backends):
             value = backend.get(key)
-            if value is not _MISS:
+            if value is not MISS:
                 for earlier in self.backends[:i]:
                     earlier.put(key, value)
                 self.hits += 1

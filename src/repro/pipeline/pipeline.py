@@ -416,6 +416,14 @@ register_describer(FoldedPlan, _describe_folded_plan)
 # -- built-in canonicalizers for IR/AOC types (stable fingerprints) ---------
 
 register_canonicalizer(Channel, lambda c: ["channel", c.name, c.depth])
+# The certificates and memory plan a report keeps derive from upstream
+# artifacts that are already fingerprinted, and its counters summarize
+# them; hashing the memory plan's slot tables again would cost a
+# fingerprint several times the rest of the report's.
+register_canonicalizer(
+    VerifyReport,
+    lambda r: ["verify-report", r.subject, r.diagnostics, r.counters],
+)
 register_canonicalizer(
     Kernel,
     lambda k: [

@@ -8,24 +8,25 @@ For the full per-table benches, run ``pytest benchmarks/ --benchmark-only``.
 Subcommands: ``--trace`` prints the per-stage compile trace of one
 deployment (optionally under a demo fault plan); ``--serve`` runs the
 batched multi-replica serving simulation and prints its metrics;
-``--verify`` runs the static verifier (bounds, races, channel protocol,
-OpenCL lint) over one build and exits non-zero on any error-severity
-finding; ``--advise`` runs the static performance advisor (RP rules)
-and the dominance-prune preview over one build — advice-only findings
-exit 0; ``--autofix`` feeds the advisor's machine-readable fixes back
-into the schedule and iterates to an advice-clean fixpoint (or a
-provably-stuck report).  Run with ``--help`` for the full flag
-reference.
+``--check`` runs one build's real flow up to its ``verify`` stage and
+renders that stage's report — every static finding (RB/RR/RC/RL/RE/RM
+errors and warnings, RP advice with its cookbook fix), the equivalence
+certificates, the memory arena map and the dominance-prune preview —
+exiting non-zero on any error-severity finding; ``--autofix`` feeds the
+advisor's machine-readable fixes back into the schedule and iterates to
+an advice-clean fixpoint (or a provably-stuck report).  Run with
+``--help`` for the full flag reference.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Dict, List, Optional, TextIO
+from typing import Dict, List, Optional, TextIO, Tuple
 
-from repro.device import ALL_BOARDS, ARRIA10, STRATIX10_SX
+from repro.device import ALL_BOARDS, ARRIA10, Board, STRATIX10_SX, board_by_name
 from repro.errors import FitError, ReproError, RoutingError
 from repro.flow import LEVELS, deploy_folded, deploy_pipelined
+from repro.flow.stages import MODELS
 from repro.perf import tf_cpu_fps, tf_cudnn_fps, tvm_cpu_fps
 from repro.viz import bar_chart
 
@@ -137,6 +138,30 @@ def _bad_spec(out: TextIO, message: str) -> int:
     return 2
 
 
+class _SpecError(ValueError):
+    """A malformed ``NETWORK[:...]`` spec (the mode exits 2 with USAGE)."""
+
+
+def _parse_spec(spec: str, board_at: int = 1) -> Tuple[str, Board, List[str]]:
+    """``(network, board, parts)`` of a ``NETWORK[:...]`` spec.
+
+    ``parts`` is the ``:``-split spec; the board is ``parts[board_at]``
+    when given and S10SX otherwise.  Raises :class:`_SpecError` naming an
+    unknown network or board.
+    """
+    parts = spec.split(":")
+    if parts[0] not in MODELS:
+        raise _SpecError(f"unknown network {parts[0]!r}; "
+                         f"choose from: {', '.join(sorted(MODELS))}")
+    if len(parts) <= board_at:
+        return parts[0], STRATIX10_SX, parts
+    try:
+        return parts[0], board_by_name(parts[board_at]), parts
+    except KeyError:
+        raise _SpecError(f"unknown board {parts[board_at]!r}; choose from: "
+                         f"{', '.join(b.name for b in ALL_BOARDS)}") from None
+
+
 def trace_deployment(
     spec: str,
     out: TextIO = sys.stdout,
@@ -153,25 +178,16 @@ def trace_deployment(
     resilient degradation ladder, and the recovery events are printed
     after the trace.
     """
-    from repro.device import ALL_BOARDS, board_by_name
-    from repro.flow.stages import MODELS
-
-    parts = spec.split(":")
-    network = parts[0]
-    if network not in MODELS:
-        return _bad_spec(out, f"unknown network {network!r}; "
-                         f"choose from: {', '.join(sorted(MODELS))}")
-    mode = parts[1] if len(parts) > 1 else (
-        "pipelined" if network == "lenet5" else "folded"
-    )
-    if mode not in ("pipelined", "folded"):
-        return _bad_spec(
-            out, f"unknown mode {mode!r}; choose 'pipelined' or 'folded'")
     try:
-        board = board_by_name(parts[2]) if len(parts) > 2 else STRATIX10_SX
-    except KeyError:
-        return _bad_spec(out, f"unknown board {parts[2]!r}; choose from: "
-                         f"{', '.join(b.name for b in ALL_BOARDS)}")
+        network, board, parts = _parse_spec(spec, board_at=2)
+        mode = parts[1] if len(parts) > 1 else (
+            "pipelined" if network == "lenet5" else "folded"
+        )
+        if mode not in ("pipelined", "folded"):
+            raise _SpecError(
+                f"unknown mode {mode!r}; choose 'pipelined' or 'folded'")
+    except _SpecError as e:
+        return _bad_spec(out, str(e))
     if with_faults:
         return _trace_with_faults(network, board, out, as_json)
     try:
@@ -280,309 +296,94 @@ def _trace_with_faults(network, board, out: TextIO, as_json: bool) -> int:
     return 0
 
 
-def verify_deployment(
+def check_deployment(
     spec: str,
     out: TextIO = sys.stdout,
     as_json: bool = False,
 ) -> int:
-    """Statically verify one build and print the diagnostic report.
+    """Run one build's static checks and print the ``verify`` stage report.
 
-    ``spec`` is ``NETWORK[:BOARD]`` — e.g. ``lenet5``,
-    ``resnet18:A10``.  Board defaults to S10SX; mode is pipelined for
-    lenet5 and folded otherwise.  The build stops after codegen — no
-    synthesis is attempted — so even network/board pairs that do not fit
-    (naive ResNet on the Arria 10) can still be verified.  Exit status:
-    0 when the build is verifier-clean (no error-severity findings),
-    1 otherwise, 2 on a bad spec.
-    """
-    import json
-
-    from repro.codegen import generate_opencl
-    from repro.device import ALL_BOARDS, board_by_name
-    from repro.flow.deploy import default_folded_config
-    from repro.flow.folded import lower_folded, plan_folded, schedule_folded
-    from repro.flow.pipelined import (
-        lower_pipelined,
-        plan_pipelined,
-        schedule_pipelined,
-    )
-    from repro.flow.stages import MODELS
-    from repro.relay import fuse_operators
-    from repro.verify import verify_build
-
-    parts = spec.split(":")
-    network = parts[0]
-    if network not in MODELS:
-        return _bad_spec(out, f"unknown network {network!r}; "
-                         f"choose from: {', '.join(sorted(MODELS))}")
-    try:
-        board = board_by_name(parts[1]) if len(parts) > 1 else STRATIX10_SX
-    except KeyError:
-        return _bad_spec(out, f"unknown board {parts[1]!r}; choose from: "
-                         f"{', '.join(b.name for b in ALL_BOARDS)}")
-
-    fused = fuse_operators(MODELS[network]())
-    if network == "lenet5":
-        sched = schedule_pipelined(fused, LEVELS[-1], board, 1.0)
-        program = lower_pipelined(sched)
-        plan = plan_pipelined(fused, sched)
-    else:
-        config = default_folded_config(network, board)
-        sched = schedule_folded(fused, config, board)
-        program = lower_folded(sched)
-        plan = plan_folded(fused, sched)
-    report = verify_build(
-        program, source=generate_opencl(program), plan=plan,
-        subject=f"{network}:{board.name}",
-    )
-    if as_json:
-        out.write(json.dumps(report.to_dict(), indent=2) + "\n")
-    else:
-        out.write(report.format_table() + "\n")
-    return 0 if report.clean else 1
-
-
-def certify_deployment(
-    spec: str,
-    out: TextIO = sys.stdout,
-    as_json: bool = False,
-) -> int:
-    """Equivalence-certify one build's schedules and print the verdicts.
-
-    ``spec`` is ``NETWORK[:BOARD]`` — e.g. ``mobilenet_v1:A10``.  Board
-    defaults to S10SX.  The network is built through the *folded* flow
-    (its kernels carry transform recipes, the certifier's input) and
-    stops after planning — no synthesis — so even network/board pairs
-    that cannot fit still certify.  Every recipe-backed kernel's
-    scheduled lowering is statically proven equivalent to its naive
-    lowering (RE rules, :mod:`repro.verify.equiv`); the run is purely
-    static — an RE006-unknown kernel is reported, not dynamically
-    cross-checked.  Exit status: 0 when every recipe-backed kernel
-    certified (no rejections, no unknowns — hence zero interpreter
-    fallbacks would be needed), 1 otherwise, 2 on a bad spec.
-    """
-    import json
-
-    from repro.device import ALL_BOARDS, board_by_name
-    from repro.flow.deploy import default_folded_config
-    from repro.flow.folded import FoldedConfig, plan_folded, schedule_folded
-    from repro.flow.stages import MODELS
-    from repro.relay import fuse_operators
-    from repro.verify import certify_build
-
-    parts = spec.split(":")
-    network = parts[0]
-    if network not in MODELS:
-        return _bad_spec(out, f"unknown network {network!r}; "
-                         f"choose from: {', '.join(sorted(MODELS))}")
-    try:
-        board = board_by_name(parts[1]) if len(parts) > 1 else STRATIX10_SX
-    except KeyError:
-        return _bad_spec(out, f"unknown board {parts[1]!r}; choose from: "
-                         f"{', '.join(b.name for b in ALL_BOARDS)}")
-
-    fused = fuse_operators(MODELS[network]())
-    try:
-        config = default_folded_config(network, board)
-    except ReproError:
-        # no thesis tiling table (LeNet-class): the generic folded
-        # config still schedules every layer with a recipe
-        config = FoldedConfig()
-    sched = schedule_folded(fused, config, board)
-    plan = plan_folded(fused, sched)
-    report, certs = certify_build(
-        sched, plan=plan, subject=f"{network}:{board.name}",
-        dynamic_fallback=False,
-    )
-    ok = (
-        report.clean
-        and report.counters.get("equiv_rejected", 0) == 0
-        and report.counters.get("equiv_unknown", 0) == 0
-    )
-    if as_json:
-        payload = report.to_dict()
-        payload["certificates"] = {
-            k: c.to_dict() for k, c in sorted(certs.items())
-        }
-        out.write(json.dumps(payload, indent=2) + "\n")
-        return 0 if ok else 1
-    out.write(report.format_table() + "\n\ncertificates:\n")
-    for name, cert in sorted(certs.items()):
-        extra = f" ({cert.detail})" if cert.detail else ""
-        out.write(f"  {name:<40} {cert.status}{extra}\n")
-    out.write(
-        "\nverdict: "
-        + ("all recipe-backed kernels certified equivalent — no "
-           "interpreter cross-checks needed"
-           if ok else "certification INCOMPLETE — see RE findings above")
-        + "\n"
-    )
-    return 0 if ok else 1
-
-
-
-def memory_deployment(
-    spec: str,
-    out: TextIO = sys.stdout,
-    as_json: bool = False,
-) -> int:
-    """Static memory report: liveness, arena map, bytes saved (RM rules).
-
-    ``spec`` is ``NETWORK[:BOARD]`` — e.g. ``mobilenet_v1:A10``.  Board
-    defaults to S10SX.  The network is built through the *folded* flow
-    and stops after planning — no synthesis — so even network/board
-    pairs that cannot fit still get a memory verdict.  Prints the
-    per-value liveness table, the DDR arena map with its reuse pairs,
-    and the resident footprint vs the board's capacity; the JSON form
-    carries the full :class:`~repro.verify.memory.MemoryPlan` and
-    certificate.  Exit status: 0 iff the plan is RM-clean, 1 otherwise,
-    2 on a bad spec.
-    """
-    import json
-
-    from repro.device import ALL_BOARDS, board_by_name
-    from repro.flow.deploy import default_folded_config
-    from repro.flow.folded import FoldedConfig, lower_folded, plan_folded, \
-        schedule_folded
-    from repro.flow.stages import MODELS
-    from repro.relay import fuse_operators
-    from repro.verify.memory import check_memory, format_memory_plan
-
-    parts = spec.split(":")
-    network = parts[0]
-    if network not in MODELS:
-        return _bad_spec(out, f"unknown network {network!r}; "
-                         f"choose from: {', '.join(sorted(MODELS))}")
-    try:
-        board = board_by_name(parts[1]) if len(parts) > 1 else STRATIX10_SX
-    except KeyError:
-        return _bad_spec(out, f"unknown board {parts[1]!r}; choose from: "
-                         f"{', '.join(b.name for b in ALL_BOARDS)}")
-
-    fused = fuse_operators(MODELS[network]())
-    try:
-        config = default_folded_config(network, board)
-    except ReproError:
-        # no thesis tiling table (LeNet-class): the generic folded
-        # config still plans every layer
-        config = FoldedConfig()
-    sched = schedule_folded(fused, config, board)
-    plan = plan_folded(fused, sched)
-    program = lower_folded(sched)
-    report, memory, cert = check_memory(
-        fused, plan, program=program, board=board,
-        subject=f"{network}:{board.name}",
-    )
-    if as_json:
-        payload = report.to_dict()
-        payload["memory"] = memory.to_dict() if memory is not None else None
-        payload["certificate"] = cert.to_dict()
-        out.write(json.dumps(payload, indent=2) + "\n")
-        return 0 if report.clean else 1
-    if memory is not None:
-        out.write(format_memory_plan(memory, fused, board) + "\n\n")
-    out.write(report.format_table() + "\n")
-    out.write(
-        "\nverdict: "
-        + (f"memory plan certified (key {cert.key[:12]}) — "
-           "safe to adopt the arena"
-           if cert.certified else
-           "memory plan REJECTED — see RM findings above")
-        + "\n"
-    )
-    return 0 if report.clean else 1
-
-
-def advise_deployment(
-    spec: str,
-    out: TextIO = sys.stdout,
-    as_json: bool = False,
-) -> int:
-    """Run the static performance advisor over one build.
-
-    ``spec`` is ``NETWORK[:BOARD[:LEVEL]]`` — e.g. ``mobilenet_v1:A10``
-    or ``lenet5:S10SX:base``; LEVEL selects the optimization rung for
-    pipelined networks (lenet5) and defaults to the top one, so
-    ``lenet5:S10SX:base`` advises the deliberately naive schedules.
-    The build stops after codegen (no synthesis).  The report lists
-    every RP finding with the cookbook rewrite that fixes it, plus —
-    for folded networks with a 1x1 conv group — the dominance pruner's
-    preview of how much of the default tiling sweep needs no synthesis.
-    Exit status: 0 when findings are advice-only (or absent), 1 when the
-    build also carries error-severity findings, 2 on a bad spec.
+    ``spec`` is ``NETWORK[:BOARD[:LEVEL]]`` — e.g. ``resnet18:A10`` or
+    ``lenet5:S10SX:base``.  Board defaults to S10SX.  lenet5 builds
+    through the pipelined flow, where LEVEL picks the optimization rung
+    (the top one by default); every other network builds through the
+    folded flow with its thesis tiling.  The flow runs up to its
+    ``verify`` stage and never synthesizes, so builds that cannot fit
+    still check.  The report is that one stage's output: RB/RR/RC/RL
+    findings, RP advice with its cookbook fix, the RE certificates, the
+    RM liveness/arena map and, for folded networks, the dominance-prune
+    preview.  Exit status: 0 when there is no error finding, 1
+    otherwise, 2 on a bad spec.
     """
     import json
 
     from repro.aoc.constants import DEFAULT_CONSTANTS
-    from repro.codegen import generate_opencl
-    from repro.device import ALL_BOARDS, board_by_name
+    from repro.errors import VerificationError
     from repro.flow.deploy import default_folded_config
-    from repro.flow.folded import lower_folded, plan_folded, schedule_folded
-    from repro.flow.pipelined import (
-        lower_pipelined,
-        plan_pipelined,
-        schedule_pipelined,
-    )
-    from repro.flow.stages import MODELS
-    from repro.relay import fuse_operators
-    from repro.verify import (
-        format_advice,
-        format_prune_preview,
-        prune_preview,
-        verify_build,
-    )
-
-    parts = spec.split(":")
-    network = parts[0]
-    if network not in MODELS:
-        return _bad_spec(out, f"unknown network {network!r}; "
-                         f"choose from: {', '.join(sorted(MODELS))}")
-    try:
-        board = board_by_name(parts[1]) if len(parts) > 1 else STRATIX10_SX
-    except KeyError:
-        return _bad_spec(out, f"unknown board {parts[1]!r}; choose from: "
-                         f"{', '.join(b.name for b in ALL_BOARDS)}")
-    level = parts[2] if len(parts) > 2 else LEVELS[-1]
-    if level not in LEVELS:
-        return _bad_spec(out, f"unknown level {level!r}; "
-                         f"choose from: {', '.join(LEVELS)}")
-    if len(parts) > 2 and network != "lenet5":
-        return _bad_spec(out, "optimization levels only apply to the "
-                         "pipelined network (lenet5)")
+    from repro.flow.stages import folded_flow, pipelined_flow
+    from repro.pipeline import Pipeline
+    from repro.verify import format_advice, format_prune_preview, prune_preview
+    from repro.verify.memory import format_memory_plan
 
     try:
-        fused = fuse_operators(MODELS[network]())
+        network, board, parts = _parse_spec(spec)
+        level = parts[2] if len(parts) > 2 else LEVELS[-1]
+        if level not in LEVELS:
+            raise _SpecError(f"unknown level {level!r}; "
+                             f"choose from: {', '.join(LEVELS)}")
+        if len(parts) > 2 and network != "lenet5":
+            raise _SpecError("optimization levels only apply to the "
+                             "pipelined network (lenet5)")
+    except _SpecError as e:
+        return _bad_spec(out, str(e))
+
+    fused = preview = None
+    try:
         if network == "lenet5":
-            sched = schedule_pipelined(fused, level, board, 1.0)
-            program = lower_pipelined(sched)
-            plan = plan_pipelined(fused, sched)
-            preview = None
+            flow = pipelined_flow(network, board, level, cache=False)
         else:
             config = default_folded_config(network, board)
-            sched = schedule_folded(fused, config, board)
-            program = lower_folded(sched)
-            plan = plan_folded(fused, sched)
+            flow = folded_flow(network, board, config, cache=False)
+        names = [s.name for s in flow.stages]
+        result = Pipeline(
+            flow.name, flow.stages[: names.index("verify") + 1]
+        ).run()
+        report, fused = result.value("verify"), result.value("fused")
+        if network != "lenet5":
             preview = prune_preview(
                 fused, board, DEFAULT_CONSTANTS, config.pin_unit_stride
             )
-        report = verify_build(
-            program, source=generate_opencl(program), plan=plan,
-            subject=f"{network}:{board.name}"
-                    + (f":{level}" if network == "lenet5" else ""),
-            board=board,
-        )
+    except VerificationError as e:
+        report = e.report
     except ReproError as e:
         out.write(f"{type(e).__name__}: {e}\n")
         return 1
+    status = 0 if report.clean else 1
+    memory, memory_cert = report.memory, report.memory_certificate
     if as_json:
         payload = report.to_dict()
+        payload["certificates"] = {
+            k: c.to_dict() for k, c in sorted(report.certificates.items())
+        }
+        payload["memory"] = memory.to_dict() if memory is not None else None
+        payload["memory_certificate"] = (
+            memory_cert.to_dict() if memory_cert is not None else None
+        )
         payload["prune_preview"] = preview
         out.write(json.dumps(payload, indent=2) + "\n")
-    else:
-        out.write(format_advice(report) + "\n")
-        if preview is not None:
-            out.write("\n" + format_prune_preview(preview) + "\n")
-    return 0 if report.clean else 1
+        return status
+    out.write(format_advice(report) + "\n")
+    if report.certificates:
+        out.write("\ncertificates:\n")
+        for name, cert in sorted(report.certificates.items()):
+            extra = f" ({cert.detail})" if cert.detail else ""
+            out.write(f"  {name:<40} {cert.status}{extra}\n")
+    if memory is not None:
+        out.write("\n" + format_memory_plan(memory, fused, board) + "\n")
+        out.write(f"  memory plan {memory_cert.status}\n")
+    if preview is not None:
+        out.write("\n" + format_prune_preview(preview) + "\n")
+    return status
 
 
 def autofix_deployment(
@@ -602,20 +403,12 @@ def autofix_deployment(
     """
     import json
 
-    from repro.device import ALL_BOARDS, board_by_name
     from repro.flow.autofix import autofix_network
-    from repro.flow.stages import MODELS
 
-    parts = spec.split(":")
-    network = parts[0]
-    if network not in MODELS:
-        return _bad_spec(out, f"unknown network {network!r}; "
-                         f"choose from: {', '.join(sorted(MODELS))}")
     try:
-        board = board_by_name(parts[1]) if len(parts) > 1 else STRATIX10_SX
-    except KeyError:
-        return _bad_spec(out, f"unknown board {parts[1]!r}; choose from: "
-                         f"{', '.join(b.name for b in ALL_BOARDS)}")
+        network, board, _ = _parse_spec(spec)
+    except _SpecError as e:
+        return _bad_spec(out, str(e))
     try:
         result = autofix_network(network, board)
     except ReproError as e:
@@ -655,8 +448,6 @@ def serve_demo(
 
     import numpy as np
 
-    from repro.device import ALL_BOARDS, board_by_name
-    from repro.flow.stages import MODELS
     from repro.resilience import LifecycleConfig
     from repro.serve import (
         RequestTrace,
@@ -666,16 +457,10 @@ def serve_demo(
         provision_replicas,
     )
 
-    parts = spec.split(":")
-    network = parts[0]
-    if network not in MODELS:
-        return _bad_spec(out, f"unknown network {network!r}; "
-                         f"choose from: {', '.join(sorted(MODELS))}")
     try:
-        board = board_by_name(parts[1]) if len(parts) > 1 else STRATIX10_SX
-    except KeyError:
-        return _bad_spec(out, f"unknown board {parts[1]!r}; choose from: "
-                         f"{', '.join(b.name for b in ALL_BOARDS)}")
+        network, board, parts = _parse_spec(spec)
+    except _SpecError as e:
+        return _bad_spec(out, str(e))
     try:
         n_replicas = int(parts[2]) if len(parts) > 2 else 4
     except ValueError:
@@ -767,38 +552,24 @@ modes:
   --serve SPEC            batched multi-replica serving simulation;
                           SPEC = NETWORK[:BOARD[:REPLICAS]], e.g.
                           mobilenet_v1:S10SX:4
-  --verify SPEC           static verification (bounds, races, channel
-                          protocol, OpenCL lint) of one build, no
-                          synthesis; SPEC = NETWORK[:BOARD], e.g.
-                          resnet18:A10; exits 1 on any error finding
-  --advise SPEC           static performance advisor (RP rules): II
-                          bottleneck attribution, LSU/stride findings,
-                          roofline classification, dominance-prune
+  --check SPEC            one build's static checks, no synthesis (works
+                          on unfittable builds): the verify stage's
+                          bounds/race/channel/lint findings, RP advice
+                          with its cookbook fix, RE equivalence
+                          certificates, the RM liveness/arena map and,
+                          for folded networks, the dominance-prune
                           preview; SPEC = NETWORK[:BOARD[:LEVEL]], e.g.
-                          lenet5:S10SX:base; advice-only findings exit 0
+                          resnet18:A10, lenet5:S10SX:base; exits 1 on
+                          any error finding
   --autofix SPEC          advise->rewrite auto-scheduler: apply the RP
                           findings' machine-readable fixes, re-verify,
                           iterate to an advice-clean fixpoint or a
                           provably-stuck report (no synthesis);
                           SPEC = NETWORK[:BOARD], e.g. mobilenet_v1:A10
-  --certify SPEC          static equivalence certifier (RE rules): prove
-                          every recipe-scheduled kernel computes the
-                          same results as its naive lowering, with no
-                          interpreter runs and no synthesis — works on
-                          unfittable builds; SPEC = NETWORK[:BOARD],
-                          e.g. resnet50:A10; exits 0 only when all
-                          recipe-backed kernels certify
-  --memory SPEC           static memory certifier (RM rules): activation
-                          liveness over the folded plan, the shared DDR
-                          arena map with its reuse pairs, bytes saved vs
-                          naive per-buffer allocation, and the board-
-                          capacity verdict — no synthesis, works on
-                          unfittable builds; SPEC = NETWORK[:BOARD],
-                          e.g. mobilenet_v1:A10; exits 0 iff RM-clean
 
 flags:
   --json                  emit JSON instead of tables
-                          (--trace/--serve/--verify/--advise/--memory)
+                          (--trace/--serve/--check/--autofix)
   --faults                run --trace under the demo fault plan through
                           the resilient degradation ladder
   --overload              drive --serve past pool capacity against a
@@ -819,66 +590,41 @@ def main(out: TextIO = sys.stdout, argv: Optional[List[str]] = None) -> int:
     if "--help" in args or "-h" in args:
         out.write(USAGE)
         return 0
-    if args and args[0] == "--trace":
-        if len(args) < 2:
-            out.write(USAGE)
-            return 2
-        return trace_deployment(
-            args[1], out, as_json="--json" in args[2:],
-            with_faults="--faults" in args[2:],
-        )
-    if args and args[0] == "--verify":
-        if len(args) < 2:
-            out.write(USAGE)
-            return 2
-        return verify_deployment(args[1], out, as_json="--json" in args[2:])
-    if args and args[0] == "--advise":
-        if len(args) < 2:
-            out.write(USAGE)
-            return 2
-        return advise_deployment(args[1], out, as_json="--json" in args[2:])
-    if args and args[0] == "--autofix":
-        if len(args) < 2:
-            out.write(USAGE)
-            return 2
-        return autofix_deployment(args[1], out, as_json="--json" in args[2:])
-    if args and args[0] == "--certify":
-        if len(args) < 2:
-            out.write(USAGE)
-            return 2
-        return certify_deployment(args[1], out, as_json="--json" in args[2:])
-    if args and args[0] == "--memory":
-        if len(args) < 2:
-            out.write(USAGE)
-            return 2
-        return memory_deployment(args[1], out, as_json="--json" in args[2:])
-    if args and args[0] == "--serve":
-        if len(args) < 2:
-            out.write(USAGE)
-            return 2
-        rest = args[2:]
-        n_requests = 48
-        if "--requests" in rest:
-            try:
-                n_requests = int(rest[rest.index("--requests") + 1])
-            except (IndexError, ValueError):
-                out.write(USAGE)
-                return 2
-        chaos = None
-        if "--chaos" in rest:
-            try:
-                chaos = int(rest[rest.index("--chaos") + 1])
-            except (IndexError, ValueError):
-                out.write(USAGE)
-                return 2
-        return serve_demo(
-            args[1], out, as_json="--json" in rest,
-            overload="--overload" in rest, n_requests=n_requests,
-            chaos=chaos,
-        )
-    if args:
+    if not args:
+        return scorecard(out)
+    if len(args) < 2 or args[0] not in ("--trace", "--check", "--autofix",
+                                        "--serve"):
         out.write(USAGE)
         return 2
+    mode, spec, rest = args[0], args[1], args[2:]
+    as_json = "--json" in rest
+    if mode == "--trace":
+        return trace_deployment(spec, out, as_json,
+                                with_faults="--faults" in rest)
+    if mode == "--check":
+        return check_deployment(spec, out, as_json)
+    if mode == "--autofix":
+        return autofix_deployment(spec, out, as_json)
+    n_requests = 48
+    if "--requests" in rest:
+        try:
+            n_requests = int(rest[rest.index("--requests") + 1])
+        except (IndexError, ValueError):
+            out.write(USAGE)
+            return 2
+    chaos = None
+    if "--chaos" in rest:
+        try:
+            chaos = int(rest[rest.index("--chaos") + 1])
+        except (IndexError, ValueError):
+            out.write(USAGE)
+            return 2
+    return serve_demo(spec, out, as_json, overload="--overload" in rest,
+                      n_requests=n_requests, chaos=chaos)
+
+
+def scorecard(out: TextIO) -> int:
+    """The full reproduction scorecard; 0 when the thesis's story holds."""
     out.write("Reproduction report — Chung, 'Optimization of Compiler-"
               "Generated OpenCL CNN Kernels and Runtime for FPGAs'\n")
     final = lenet_ladder(out)

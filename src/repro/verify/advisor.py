@@ -1,9 +1,9 @@
-"""Rendering and aggregation of performance advice (`--advise` backend).
+"""Rendering and aggregation of performance advice.
 
-Turns the RP findings of :mod:`repro.verify.perf` into the
-human-readable report ``python -m repro.report --advise`` prints: each
-finding with its rule ID, and under it the one-line schedule rewrite
-from the cookbook that removes it.  :func:`prune_preview` additionally
+Turns the RP findings of :mod:`repro.verify.perf` into the findings
+table ``python -m repro.report --check`` prints: each finding with its
+rule ID, and under every RP finding the one-line schedule rewrite from
+the cookbook that removes it.  :func:`prune_preview` additionally
 dry-runs the dominance pruner over the default 1x1 tiling grid so the
 report shows how much synthesis a pruned sweep would skip.
 """
@@ -36,22 +36,11 @@ RULES = tuple(sorted(SUGGESTIONS))
 
 
 def format_advice(report: VerifyReport) -> str:
-    """Human-readable advisor section for one verified build."""
-    lines = [f"advice: {report.subject}"]
-    advice = report.advice
-    if not advice:
-        lines.append("  no performance findings — the schedule looks tight")
-    for d in sorted(advice, key=lambda d: (d.rule, d.kernel, d.location)):
-        lines.append("  " + d.format())
-        fix = SUGGESTIONS.get(d.rule)
-        if fix:
-            lines.append(f"      fix: {fix}")
-    if report.errors or report.warnings:
-        lines.append(
-            f"  (plus {len(report.errors)} error(s), "
-            f"{len(report.warnings)} warning(s) — see --verify)"
-        )
-    return "\n".join(lines)
+    """All findings of one verified build, each RP finding with its fix."""
+    text = report.format_table(fixes=SUGGESTIONS)
+    if not report.advice:
+        text += "\n  no performance findings — the schedule looks tight"
+    return text
 
 
 def prune_preview(
@@ -68,7 +57,7 @@ def prune_preview(
     Returns None when the network has no 1x1 convolution group (nothing
     to sweep).  Otherwise a dict with the candidate/kept/pruned counts
     and the per-pruned-tiling reasons, deterministically ordered — the
-    statistics block ``--advise`` prints.
+    statistics block ``--check`` prints.
     """
     from repro.flow.dse import divides_all
 

@@ -179,9 +179,6 @@ def check_bounds(
         report = VerifyReport(subject=kernel.name)
     sets = binding_sets if binding_sets else [{}]
     for bindings in sets:
-        # adopt same-named vars: the plan's bindings may come from an
-        # alpha-equivalent build of a lower-cache-replayed kernel
-        bindings = kernel.bind_by_name(bindings)
         by_name = sorted({v.name: c for v, c in bindings.items()}.items())
         label = ",".join(f"{n}={c}" for n, c in by_name)
         _BoundsChecker(kernel, bindings, report, label).run()

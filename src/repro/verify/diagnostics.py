@@ -12,7 +12,7 @@ Severities:
 ``error``
     A proven defect (out-of-bounds access, write race, protocol
     mismatch, deadlock cycle).  The ``verify`` pipeline stage fails on
-    any error, and the CI verify job fails the build.
+    any error, and the CI static-check job fails the build.
 ``warn``
     A property the verifier could not prove (symbolic extent outside
     the binding set, non-affine index) or a likely inefficiency.
@@ -108,6 +108,14 @@ class VerifyReport:
     diagnostics: List[Diagnostic] = field(default_factory=list)
     #: coverage: accesses proven, kernels/channels checked, lint lines...
     counters: Dict[str, int] = field(default_factory=dict)
+    #: kernel -> :class:`~repro.verify.equiv.EquivCertificate`, kept by
+    #: the ``verify`` stage when the RE certifier ran
+    certificates: Dict[str, object] = field(default_factory=dict)
+    #: the :class:`~repro.verify.memory.MemoryPlan` and its
+    #: :class:`~repro.verify.memory.MemoryCertificate`, kept by the
+    #: ``verify`` stage when the RM certifier ran
+    memory: Optional[object] = None
+    memory_certificate: Optional[object] = None
 
     # ------------------------------------------------------------------
     def extend(self, diags: Iterable[Diagnostic]) -> None:
@@ -170,7 +178,17 @@ class VerifyReport:
             ],
         }
 
-    def format_table(self, max_width: Optional[int] = None) -> str:
+    def format_table(
+        self,
+        max_width: Optional[int] = None,
+        fixes: Optional[Dict[str, str]] = None,
+    ) -> str:
+        """Counters then findings, most severe first.
+
+        ``fixes`` maps a rule ID to a one-line remedy printed under each
+        finding of that rule.
+        """
+        fixes = fixes or {}
         lines = [f"verify: {self.subject}"]
         c = self.summary_counters()
         lines.append(
@@ -186,4 +204,6 @@ class VerifyReport:
             if max_width is not None and len(line) > max_width:
                 line = line[: max_width - 1] + "…"
             lines.append(line)
+            if d.rule in fixes:
+                lines.append(f"      fix: {fixes[d.rule]}")
         return "\n".join(lines)

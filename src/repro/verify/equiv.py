@@ -60,7 +60,6 @@ recipe-less schedules, channel wiring, multi-stage softmax) are
 from __future__ import annotations
 
 import zlib
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -70,6 +69,7 @@ from repro.ir.analysis import Bindings, dependence_distance, eval_int, free_vars
 from repro.ir.functor import ExprMutator, substitute
 from repro.ir.printer import expr_str
 from repro.ir.tensor import IterVar
+from repro.pipeline.cache import MISS, MemoryBackend
 from repro.pipeline.fingerprint import fingerprint
 from repro.runtime.plan import FoldedPlan
 from repro.schedule.lower import lower_stage_body
@@ -178,10 +178,8 @@ class EquivCertificate:
 
 # -- certificate cache (the lower-cache idiom) --------------------------------
 
-_CACHE: "OrderedDict[str, Tuple[EquivCertificate, Tuple[Diagnostic, ...]]]" = (
-    OrderedDict()
-)
-_MAX_ENTRIES = 512
+#: fingerprint -> (certificate, diagnostics) (LRU, bounded)
+_CACHE = MemoryBackend(512)
 
 _STATS: Dict[str, int] = {
     "hits": 0, "misses": 0, "uncached": 0, "dynamic_runs": 0,
@@ -772,8 +770,7 @@ def certify_kernel(
     key = _cert_key(sk, bsets)
     if key is not None:
         hit = _CACHE.get(key)
-        if hit is not None:
-            _CACHE.move_to_end(key)
+        if hit is not MISS:
             _STATS["hits"] += 1
             cert, diags = hit
             return cert, list(diags)
@@ -847,9 +844,7 @@ def certify_kernel(
         detail="; ".join(unknowns),
     )
     if key is not None:
-        _CACHE[key] = (cert, tuple(diags))
-        while len(_CACHE) > _MAX_ENTRIES:
-            _CACHE.popitem(last=False)
+        _CACHE.put(key, (cert, tuple(diags)))
     return cert, list(diags)
 
 

@@ -49,8 +49,9 @@ into it (bit-identical logits — the coloring proof is exactly the
 statement that zero-filling a slot before its defining invocation can
 never destroy a still-needed value), DSE dominance pruning gains a
 ``ddr_bytes`` axis, and the serving layer derives replicas-per-board
-from the same footprint.  ``python -m repro.report --memory
-NETWORK[:BOARD]`` prints the liveness table and arena map standalone.
+from the same footprint.  ``python -m repro.report --check
+NETWORK[:BOARD]`` prints the liveness table and arena map the pipeline's
+``verify`` stage kept.
 """
 
 from __future__ import annotations
@@ -693,7 +694,7 @@ def check_memory(
 
 
 # ---------------------------------------------------------------------------
-# rendering (repro.report --memory)
+# rendering (repro.report --check)
 # ---------------------------------------------------------------------------
 def _human(n: int) -> str:
     for unit in ("B", "KiB", "MiB", "GiB"):
@@ -708,7 +709,7 @@ def format_memory_plan(
     fused=None,
     board: Optional[Board] = None,
 ) -> str:
-    """Liveness table + arena map + verdict, for the ``--memory`` CLI."""
+    """Liveness table + arena map + verdict, for the ``--check`` CLI."""
     lines = [f"memory: {memory.subject or '<plan>'}  (key {memory.key[:12]})"]
     lines.append("  liveness (invocation intervals):")
     lines.append(f"    {'value':<28} {'layer':<16} {'bytes':>10}  live")

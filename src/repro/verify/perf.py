@@ -246,7 +246,8 @@ def _check_roofline(
 def _binding_label(b: Optional[Bindings]) -> str:
     if not b:
         return "static"
+    # a set: adopted bindings hold each name twice (plan var, kernel var)
     dims = sorted(
-        (v.name, c) for v, c in b.items() if v.name.startswith("n_")
-    ) or sorted((v.name, c) for v, c in b.items())
+        {(v.name, c) for v, c in b.items() if v.name.startswith("n_")}
+    ) or sorted({(v.name, c) for v, c in b.items()})
     return ",".join(f"{n}={c}" for n, c in dims)

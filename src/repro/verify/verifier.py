@@ -1,7 +1,8 @@
 """Orchestration: run every analyzer family over one build's artifacts.
 
 :func:`verify_build` is the single entry point used by the pipeline's
-``verify`` stage and by ``repro.report --verify``.  It fans out to
+``verify`` stage, whose report ``repro.report --check`` renders.  It
+fans out to
 
 * :func:`repro.verify.bounds.check_bounds` per kernel (once per binding
   set for folded kernels),
@@ -87,11 +88,13 @@ def verify_build(
     report = VerifyReport(subject=subject or program.name)
     bindings = binding_sets_of(plan) if isinstance(plan, FoldedPlan) else {}
     for kernel in program.kernels:
-        check_bounds(kernel, bindings.get(kernel.name), report)
-        check_races(kernel, bindings.get(kernel.name), report)
+        # adopt same-named vars: a kernel replayed from the lower cache
+        # carries its own alpha-equivalent vars, distinct from the plan's
+        sets = [kernel.bind_by_name(b) for b in bindings.get(kernel.name, ())]
+        check_bounds(kernel, sets, report)
+        check_races(kernel, sets, report)
         if board is not None:
-            check_perf(kernel, bindings.get(kernel.name), report, board,
-                       constants)
+            check_perf(kernel, sets, report, board, constants)
     check_channels(
         program, plan if isinstance(plan, PipelinePlan) else None, report
     )

@@ -273,22 +273,33 @@ class TestHotPathsSkipInterpreter:
 
 
 class TestCertifyCLI:
+    # lenet5's real build is pipelined (no recipe-backed kernels); its
+    # folded certification stays covered by _certify_network above
     def test_certify_exits_clean_for_shipped_builds(self):
         from repro.report import main as report_main
 
         out = io.StringIO()
-        assert report_main(out, ["--certify", "lenet5"]) == 0
+        assert report_main(out, ["--check", "mobilenet_v1:A10"]) == 0
         text = out.getvalue()
+        assert "certificates:" in text
         assert "certified" in text
-        assert "no interpreter cross-checks needed" in text
+        assert "equiv_rejected" not in text and "equiv_unknown" not in text
 
     def test_certify_works_on_unfittable_build(self):
         # naive ResNet does not fit the Arria 10; certification is
         # static and never synthesizes, so it still completes
+        import json
+
         from repro.report import main as report_main
 
         out = io.StringIO()
-        assert report_main(out, ["--certify", "resnet50:A10"]) == 0
+        assert report_main(out, ["--check", "resnet50:A10", "--json"]) == 0
+        payload = json.loads(out.getvalue())
+        assert payload["counters"]["equiv_rejected"] == 0
+        assert payload["counters"]["equiv_unknown"] == 0
+        statuses = {c["status"]
+                    for c in payload["certificates"].values()}
+        assert "certified" in statuses
 
     def test_certify_json_payload(self):
         import json
@@ -296,9 +307,10 @@ class TestCertifyCLI:
         from repro.report import main as report_main
 
         out = io.StringIO()
-        assert report_main(out, ["--certify", "lenet5", "--json"]) == 0
+        assert report_main(out, ["--check", "mobilenet_v1:A10", "--json"]) == 0
         payload = json.loads(out.getvalue())
         assert payload["counters"]["equiv_rejected"] == 0
+        assert payload["counters"]["equiv_dynamic_runs"] == 0
         statuses = {c["status"]
                     for c in payload["certificates"].values()}
         assert "certified" in statuses
@@ -306,9 +318,9 @@ class TestCertifyCLI:
     def test_certify_rejects_bad_specs(self):
         from repro.report import main as report_main
 
-        assert report_main(io.StringIO(), ["--certify", "nosuch"]) == 2
-        assert report_main(io.StringIO(), ["--certify", "lenet5:Z9"]) == 2
-        assert report_main(io.StringIO(), ["--certify"]) == 2
+        assert report_main(io.StringIO(), ["--check", "nosuch"]) == 2
+        assert report_main(io.StringIO(), ["--check", "lenet5:Z9"]) == 2
+        assert report_main(io.StringIO(), ["--check"]) == 2
 
 
 class TestExecuteTraceRow:

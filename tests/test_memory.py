@@ -347,9 +347,9 @@ class TestMemoryCLI:
         from repro.report import main
 
         out = io.StringIO()
-        assert main(out, ["--memory", "lenet5:S10SX"]) == 0
+        assert main(out, ["--check", "lenet5:S10SX"]) == 0
         text = out.getvalue()
-        assert "arena" in text and "certified" in text
+        assert "arena" in text and "memory plan certified" in text
 
     def test_memory_report_json(self):
         import json
@@ -357,14 +357,16 @@ class TestMemoryCLI:
         from repro.report import main
 
         out = io.StringIO()
-        assert main(out, ["--memory", "lenet5:A10", "--json"]) == 0
+        assert main(out, ["--check", "mobilenet_v1:A10", "--json"]) == 0
         payload = json.loads(out.getvalue())
-        assert payload["certificate"]["status"] == "certified"
+        assert payload["memory_certificate"]["status"] == "certified"
         assert payload["memory"]["arena_bytes"] < payload["memory"]["naive_bytes"]
 
+    # the retired analyzer modes (folded into --check) must be rejected
+    # with the usage text too, never silently dispatched
     @pytest.mark.parametrize("mode", [
-        "--trace", "--verify", "--advise", "--autofix",
-        "--certify", "--serve", "--memory",
+        "--trace", "--check", "--autofix", "--serve",
+        "--verify", "--advise", "--certify", "--memory",
     ])
     def test_malformed_spec_exits_2_with_usage(self, mode):
         from repro.report import main
@@ -374,8 +376,8 @@ class TestMemoryCLI:
         assert "usage:" in out.getvalue()
 
     @pytest.mark.parametrize("mode", [
-        "--trace", "--verify", "--advise", "--autofix",
-        "--certify", "--serve", "--memory",
+        "--trace", "--check", "--autofix", "--serve",
+        "--verify", "--advise", "--certify", "--memory",
     ])
     def test_missing_spec_exits_2_with_usage(self, mode):
         from repro.report import main

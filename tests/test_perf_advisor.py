@@ -1,4 +1,4 @@
-"""The static performance advisor: RP rules, trace notes, --advise CLI."""
+"""The static performance advisor: RP rules, trace notes, --check CLI."""
 
 import io
 import json
@@ -152,19 +152,19 @@ class TestTraceNotes:
 class TestAdviseCLI:
     def test_deoptimized_lenet_triggers_rp001(self):
         out = io.StringIO()
-        assert report_main(out, ["--advise", "lenet5:S10SX:base"]) == 0
+        assert report_main(out, ["--check", "lenet5:S10SX:base"]) == 0
         text = out.getvalue()
         assert "[RP001]" in text
         assert "cache_write('register')" in text
 
     def test_folded_network_includes_prune_preview(self):
         out = io.StringIO()
-        assert report_main(out, ["--advise", "mobilenet_v1:A10"]) == 0
+        assert report_main(out, ["--check", "mobilenet_v1:A10"]) == 0
         assert "dominance pruning" in out.getvalue()
 
     def test_json_payload_has_advice_and_preview(self):
         out = io.StringIO()
-        assert report_main(out, ["--advise", "mobilenet_v1:A10", "--json"]) == 0
+        assert report_main(out, ["--check", "mobilenet_v1:A10", "--json"]) == 0
         payload = json.loads(out.getvalue())
         assert any(
             d["severity"] == "advice" for d in payload["diagnostics"]
@@ -173,28 +173,28 @@ class TestAdviseCLI:
 
     def test_unknown_network_exits_two(self):
         out = io.StringIO()
-        assert report_main(out, ["--advise", "nosuch"]) == 2
+        assert report_main(out, ["--check", "nosuch"]) == 2
         assert "unknown network" in out.getvalue()
 
     def test_unknown_board_exits_two(self):
         out = io.StringIO()
-        assert report_main(out, ["--advise", "lenet5:Z99"]) == 2
+        assert report_main(out, ["--check", "lenet5:Z99"]) == 2
 
     def test_level_on_folded_network_exits_two(self):
         out = io.StringIO()
-        assert report_main(out, ["--advise", "resnet18:A10:base"]) == 2
+        assert report_main(out, ["--check", "resnet18:A10:base"]) == 2
 
     def test_missing_spec_prints_usage(self):
         out = io.StringIO()
-        assert report_main(out, ["--advise"]) == 2
-        assert "--advise" in out.getvalue()
+        assert report_main(out, ["--check"]) == 2
+        assert "--check" in out.getvalue()
 
     def test_help_documents_advise_and_verify(self):
         out = io.StringIO()
         assert report_main(out, ["--help"]) == 0
         usage = out.getvalue()
-        assert "--advise" in usage
-        assert "--verify" in usage
+        assert "--check" in usage
+        assert "RP advice" in usage and "bounds/race" in usage
 
 
 if __name__ == "__main__":

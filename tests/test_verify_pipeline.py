@@ -1,4 +1,4 @@
-"""The verify pipeline stage and the ``repro.report --verify`` CLI."""
+"""The verify pipeline stage and the ``repro.report --check`` CLI."""
 
 import io
 import json
@@ -6,12 +6,13 @@ import json
 import pytest
 
 import repro.ir as ir
-from repro.device.boards import ALL_BOARDS, STRATIX10_SX
+from repro.device.boards import ALL_BOARDS, ARRIA10, STRATIX10_SX
 from repro.errors import VerificationError
-from repro.flow import deploy_pipelined
-from repro.flow.stages import _verify_stage
+from repro.flow import default_folded_config, deploy_pipelined, stages
+from repro.flow.stages import _verify_stage, folded_flow
 from repro.pipeline import Pipeline
 from repro.report import main as report_main
+from repro.verify import Diagnostic
 
 
 def _broken_program() -> ir.Program:
@@ -60,44 +61,84 @@ class TestVerifyStage:
         assert rec.counters["accesses_proven"] > 0
         assert rec.counters["channels_matched"] > 0
 
+    def test_repeat_build_reports_identically(self):
+        # the second build replays kernels from the per-kernel lower
+        # cache; their symbolic vars are distinct objects from the new
+        # plan's, and the verdict must not depend on that history
+        def verify_once():
+            flow = folded_flow("mobilenet_v1", ARRIA10,
+                               default_folded_config("mobilenet_v1", ARRIA10),
+                               cache=False)
+            names = [s.name for s in flow.stages]
+            result = Pipeline(flow.name,
+                              flow.stages[: names.index("verify") + 1]).run()
+            return (result.value("verify"),
+                    result.value("program").lower_cache["hits"])
+
+        (first, _), (second, hits) = verify_once(), verify_once()
+        assert hits > 0
+        assert second.diagnostics == first.diagnostics
+        assert second.counters == first.counters
+        assert second.counters["unrolled_stores_disjoint"] == 81
+
 
 class TestReportVerifyCLI:
     def test_clean_network_exits_zero(self):
         out = io.StringIO()
-        assert report_main(out, ["--verify", "lenet5:S10MX"]) == 0
-        assert "clean — no findings" in out.getvalue()
+        assert report_main(out, ["--check", "lenet5:S10MX"]) == 0
+        text = out.getvalue()
+        assert "error=" not in text and "warn=" not in text
+        assert "memory plan certified" in text
 
     def test_unfittable_board_still_verifies(self):
         # resnet18 on the Arria 10 cannot synthesize (FitError), but
-        # --verify stops after codegen, so it must still succeed
+        # --check stops after the verify stage, so it must still succeed
         out = io.StringIO()
-        assert report_main(out, ["--verify", "resnet18:A10"]) == 0
+        assert report_main(out, ["--check", "resnet18:A10"]) == 0
 
     def test_json_output(self):
         out = io.StringIO()
-        assert report_main(out, ["--verify", "mobilenet_v1", "--json"]) == 0
+        assert report_main(out, ["--check", "mobilenet_v1", "--json"]) == 0
         payload = json.loads(out.getvalue())
         assert payload["clean"] is True
-        assert payload["subject"] == "mobilenet_v1:S10SX"
+        assert payload["subject"] == "folded:mobilenet_v1:S10SX"
+
+    def test_error_finding_exits_one_with_the_report(self, monkeypatch):
+        # an error fails the verify stage; --check still renders the
+        # stage's report (taken from the VerificationError) and exits 1
+        real = stages.verify_build
+
+        def seeded(*args, **kwargs):
+            report = real(*args, **kwargs)
+            report.extend([Diagnostic("RB001", "error", "seeded",
+                                      kernel="k_conv1")])
+            return report
+
+        monkeypatch.setattr(stages, "verify_build", seeded)
+        out = io.StringIO()
+        assert report_main(out, ["--check", "mobilenet_v1:A10"]) == 1
+        text = out.getvalue()
+        assert "[RB001] error k_conv1: seeded" in text
+        assert "certificates:" in text and "arena" in text
 
     def test_bad_network_exits_two(self):
         out = io.StringIO()
-        assert report_main(out, ["--verify", "nosuch"]) == 2
+        assert report_main(out, ["--check", "nosuch"]) == 2
 
     def test_bad_board_exits_two(self):
         out = io.StringIO()
-        assert report_main(out, ["--verify", "lenet5:Z99"]) == 2
+        assert report_main(out, ["--check", "lenet5:Z99"]) == 2
 
     def test_missing_spec_exits_two(self):
         out = io.StringIO()
-        assert report_main(out, ["--verify"]) == 2
+        assert report_main(out, ["--check"]) == 2
 
     @pytest.mark.parametrize("network", ["lenet5", "mobilenet_v1", "resnet18"])
     @pytest.mark.parametrize("board", [b.name for b in ALL_BOARDS])
     def test_ci_matrix_is_verifier_clean(self, network, board):
-        # the CI verify job's exact contract: every shipped network x
+        # the CI static-check job's contract: every shipped network x
         # board build carries zero error-severity diagnostics
         out = io.StringIO()
-        assert report_main(out, ["--verify", f"{network}:{board}"]) == 0, (
+        assert report_main(out, ["--check", f"{network}:{board}"]) == 0, (
             out.getvalue()
         )

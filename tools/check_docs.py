@@ -190,13 +190,19 @@ def check_performance_coverage() -> list:
     return findings
 
 
-def check_equiv_rule_coverage() -> list:
-    """Every RE rule has a catalog table row in docs/verification.md.
+#: rule families whose every rule needs a catalog table row -> family name
+TABLE_FAMILIES = {"RE": "equivalence", "RM": "memory"}
+
+
+def check_rule_table_coverage() -> list:
+    """Every RE and RM rule has a catalog table row in docs/verification.md.
 
     The generic rule-catalog lint (``tools/lint.py``) accepts any
-    mention; equivalence rules gate candidate acceptance in the
-    DSE/autofix hot paths, so each one must carry a proper ``| RE00x |``
-    row with severity and meaning.
+    mention.  RE rules gate candidate acceptance in the DSE/autofix hot
+    paths; RM errors fail builds and the certified ``MemoryPlan`` drives
+    the executor's arena, the DSE footprint axis and serving's
+    replicas-per-board packing — so each rule must carry a proper
+    ``| RE00x |`` / ``| RM00x |`` row with severity and meaning.
     """
     import sys
 
@@ -208,38 +214,12 @@ def check_equiv_rule_coverage() -> list:
         return ["docs/verification.md: missing"]
     text = doc.read_text()
     findings = []
-    for rule in sorted(r for r in RULES if r.startswith("RE")):
+    for rule in sorted(r for r in RULES if r[:2] in TABLE_FAMILIES):
         if not re.search(rf"^\|\s*{rule}\s*\|", text, re.MULTILINE):
             findings.append(
-                f"docs/verification.md: equivalence rule {rule} has no "
-                "catalog table row (| RE... | severity | meaning |)"
-            )
-    return findings
-
-
-def check_memory_rule_coverage() -> list:
-    """Every RM rule has a catalog table row in docs/verification.md.
-
-    RM errors fail builds in the verify stage and the certified
-    ``MemoryPlan`` drives the executor's arena allocation, the DSE
-    footprint axis and serving's replicas-per-board packing — so each
-    rule must carry a proper ``| RM00x |`` row, not a bare mention.
-    """
-    import sys
-
-    sys.path.insert(0, str(ROOT / "src"))
-    from repro.verify.diagnostics import RULES
-
-    doc = ROOT / "docs" / "verification.md"
-    if not doc.exists():
-        return ["docs/verification.md: missing"]
-    text = doc.read_text()
-    findings = []
-    for rule in sorted(r for r in RULES if r.startswith("RM")):
-        if not re.search(rf"^\|\s*{rule}\s*\|", text, re.MULTILINE):
-            findings.append(
-                f"docs/verification.md: memory rule {rule} has no "
-                "catalog table row (| RM... | severity | meaning |)"
+                f"docs/verification.md: {TABLE_FAMILIES[rule[:2]]} rule "
+                f"{rule} has no catalog table row "
+                f"(| {rule[:2]}... | severity | meaning |)"
             )
     return findings
 
@@ -252,8 +232,7 @@ def main() -> int:
         findings.extend(check_fences(path, text))
     findings.extend(check_architecture_coverage())
     findings.extend(check_performance_coverage())
-    findings.extend(check_equiv_rule_coverage())
-    findings.extend(check_memory_rule_coverage())
+    findings.extend(check_rule_table_coverage())
     for f in findings:
         print(f)
     print(f"{len(findings)} finding(s) across {len(doc_files())} documents")
