@@ -17,7 +17,10 @@ state — both detected.  A bounded iteration count and a fingerprint-set
 cycle check guard the invariant against a fix that fails to move its
 finding.  Every intermediate configuration is re-verified (never
 synthesized), and the final recipes round-trip through JSON back into a
-bit-identical build via ``recipe_overrides``.
+bit-identical build via ``recipe_overrides``.  Folded and pipelined
+builds run one loop driver; this is the fixpoint strategy of the
+candidate search (:mod:`repro.flow.search`), whose conv-group extents
+and certificate record it shares.
 
 A *stuck* result is structured, not a failure: each blocking finding
 names why no mechanical rewrite exists (a prebuilt kernel, an
@@ -26,14 +29,15 @@ accumulator already cached, a working set that is the whole buffer).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.aoc.constants import AOCConstants, DEFAULT_CONSTANTS
 from repro.codegen import generate_opencl
 from repro.device.boards import Board
 from repro.errors import ReproError
-from repro.flow.artifacts import FoldedSchedule, ScheduledKernel
+from repro.flow.artifacts import ScheduledKernel
+from repro.flow.dse import divides_all
 from repro.flow.folded import (
     FoldedConfig,
     lower_folded,
@@ -46,16 +50,16 @@ from repro.flow.pipelined import (
     plan_pipelined,
     schedule_pipelined,
 )
+from repro.flow.search import CertCounters, GroupId, group_extents, group_of
+from repro.pipeline.fingerprint import fingerprint
 from repro.relay.passes import FusedGraph
 from repro.schedule import ScheduleRecipe
-from repro.verify import certify_build, verify_build
+from repro.verify import VerifyReport, certify_build, verify_build
 from repro.verify.diagnostics import Diagnostic
 
 #: hard bound on rewrite iterations; the lattice argument makes this
 #: generous (each iteration must change at least one knob)
 MAX_ITERATIONS = 16
-
-GroupId = Tuple[str, int, int]
 
 
 @dataclass
@@ -104,7 +108,7 @@ class BlockedFix:
 
 
 @dataclass
-class AutofixResult:
+class AutofixResult(CertCounters):
     """Outcome of one auto-scheduling run.
 
     ``status`` is ``'clean'`` (the advisor has nothing left to say) or
@@ -113,7 +117,10 @@ class AutofixResult:
     case), ``'cycle'`` (a fix failed to move its finding and the
     configuration repeated), ``'iteration-limit'`` or
     ``'verify-error'`` (a rewrite introduced an error-severity finding;
-    never expected, always fatal).
+    never expected, always fatal).  In folded mode the certificate
+    counters describe the final build and sum the dynamic cross-checks
+    of every iteration: the loop accepts rewrites on certificates, so
+    ``cert_dynamic_runs`` is 0 when every rewrite certified.
     """
 
     subject: str
@@ -135,15 +142,6 @@ class AutofixResult:
     roundtrip_ok: Optional[bool] = None
     #: per-iteration narration of the loop
     log: List[str] = field(default_factory=list)
-    #: equivalence-certifier accounting of the final build (folded
-    #: mode): kernels accepted on a static certificate, statically
-    #: undecidable kernels (RE006), kernels outside the fragment, and
-    #: interpreter cross-checks actually run — the loop accepts rewrites
-    #: on certificates, so this is 0 when every rewrite certified
-    certified: int = 0
-    cert_unknown: int = 0
-    cert_uncertified: int = 0
-    cert_dynamic_runs: int = 0
 
     @property
     def clean(self) -> bool:
@@ -222,21 +220,24 @@ class _Plan:
         self.blocked.append(BlockedFix(d.rule, d.kernel, d.location, reason))
 
 
-def _copy_config(config: FoldedConfig) -> FoldedConfig:
-    return FoldedConfig(
-        conv_tilings=dict(config.conv_tilings),
-        dense_unroll=config.dense_unroll,
-        naive=config.naive,
-        pin_unit_stride=config.pin_unit_stride,
-        recipe_deltas=dict(config.recipe_deltas),
-        recipe_overrides=dict(config.recipe_overrides),
-    )
+#: plan_fix(finding, its scheduled kernel, iteration, plan)
+_PlanFix = Callable[[Diagnostic, Optional[ScheduledKernel], int, _Plan], None]
+
+
+def _plan_all(
+    advice: List[Diagnostic],
+    kernels: Dict[str, ScheduledKernel],
+    plan_fix: _PlanFix,
+    iteration: int,
+) -> _Plan:
+    plan = _Plan()
+    for d in advice:
+        plan_fix(d, kernels.get(d.kernel), iteration, plan)
+    return plan
 
 
 def _config_state(config: FoldedConfig) -> str:
     """Fingerprint of the lattice position, for cycle detection."""
-    from repro.pipeline.fingerprint import fingerprint
-
     return fingerprint([
         sorted(
             (k, (t.w2vec, t.c2vec, t.c1vec, t.unroll_ff))
@@ -251,21 +252,86 @@ def _config_state(config: FoldedConfig) -> str:
     ])
 
 
-def _append_delta(
-    config: FoldedConfig, kernel: str, delta: ScheduleRecipe
-) -> None:
-    existing = config.recipe_deltas.get(kernel)
-    config.recipe_deltas[kernel] = existing + delta if existing else delta
+def _append_delta(table: Dict, key: object, delta: ScheduleRecipe) -> None:
+    existing = table.get(key)
+    table[key] = existing + delta if existing else delta
 
 
 def _next_factor(current: int, extents: List[int]) -> Optional[int]:
     """Largest factor below ``current`` dividing every group extent."""
-    from repro.flow.dse import divides_all
-
     for v in range(current - 1, 0, -1):
         if divides_all(v, extents):
             return v
     return None
+
+
+def _step(d: Diagnostic, iteration: int, action: str) -> FixStep:
+    return FixStep(iteration=iteration, rule=d.rule, kernel=d.kernel,
+                   location=d.location, action=action, fix=dict(d.fix))
+
+
+def _unfixable(d: Diagnostic, sk: Optional[ScheduledKernel], plan: _Plan) -> bool:
+    """Block a finding no schedule rewrite can address (True if blocked)."""
+    if d.fix is None:
+        reason = "finding carries no machine-readable fix"
+    elif sk is None:
+        reason = "finding is not attached to a scheduled kernel"
+    elif sk.prebuilt is not None:
+        reason = "kernel is prebuilt IR — no schedule to rewrite"
+    else:
+        return False
+    plan.block(d, reason)
+    return True
+
+
+def _plan_recipe_fix(
+    d: Diagnostic,
+    sk: ScheduledKernel,
+    idx: int,
+    append: Callable[[ScheduleRecipe], None],
+    recipe: str,
+    iteration: int,
+    plan: _Plan,
+) -> bool:
+    """Plan a ``cache_write``/``cache_read`` fix — the moves both modes
+    share — as a recipe delta on stage ``idx`` of ``sk``, described as
+    the kernel's ``recipe``.  False when the fix is another transform."""
+    transform = d.fix.get("transform")
+    stage = sk.schedule.stages[idx]
+    if transform == "cache_write":
+        scope = d.fix.get("args", {}).get("scope", "register")
+        if stage.scratch_scope != "global":
+            plan.block(
+                d, f"accumulator is already cached in "
+                   f"'{stage.scratch_scope}' scope"
+            )
+        else:
+            plan.add(
+                _step(d, iteration, f"cache_write('{scope}') appended to "
+                                    f"the kernel's {recipe}"),
+                ("recipe", sk.name, idx),
+                lambda: append(ScheduleRecipe().cache_write(scope)),
+            )
+        return True
+    if transform == "cache_read":
+        name = d.fix.get("input")
+        if name in stage.cached_reads:
+            plan.block(
+                d, f"'{name}' is already staged through a cached read; its "
+                   f"working set is the whole buffer and no schedule "
+                   f"transform shrinks it"
+            )
+        elif name not in [t.name for t in stage.op.inputs]:
+            plan.block(d, f"'{name}' is not an input of this kernel")
+        else:
+            plan.add(
+                _step(d, iteration, f"cache_read('{name}') appended to the "
+                                    f"kernel's {recipe}"),
+                ("recipe", sk.name, idx),
+                lambda: append(ScheduleRecipe().cache_read(tensor=name)),
+            )
+        return True
+    return False
 
 
 def _plan_folded_fix(
@@ -279,71 +345,29 @@ def _plan_folded_fix(
     allow_shrink: bool = True,
 ) -> None:
     """Map one finding to a config move; record it (or why it is blocked)."""
-    if d.fix is None:
-        plan.block(d, "finding carries no machine-readable fix")
+    if _unfixable(d, sk, plan):
         return
-    if sk is None:
-        plan.block(d, "finding is not attached to a scheduled kernel")
-        return
-    if sk.prebuilt is not None:
-        plan.block(d, "kernel is prebuilt IR — no schedule to rewrite")
+
+    def append(delta: ScheduleRecipe) -> None:
+        _append_delta(config.recipe_deltas, sk.name, delta)
+
+    if _plan_recipe_fix(d, sk, 0, append, "recipe", iteration, plan):
         return
     transform = d.fix.get("transform")
-    stage = sk.schedule.stages[0]
-    step_args = dict(iteration=iteration, rule=d.rule, kernel=d.kernel,
-                     location=d.location, fix=dict(d.fix))
-
-    if transform == "cache_write":
-        scope = d.fix.get("args", {}).get("scope", "register")
-        if stage.scratch_scope != "global":
-            plan.block(
-                d, f"accumulator is already cached in "
-                   f"'{stage.scratch_scope}' scope"
-            )
-            return
-        plan.add(
-            FixStep(action=f"cache_write('{scope}') appended to the "
-                           f"kernel's recipe", **step_args),
-            ("recipe", sk.name),
-            lambda: _append_delta(
-                config, sk.name, ScheduleRecipe().cache_write(scope)
-            ),
-        )
-    elif transform == "pin_unit_stride":
+    if transform == "pin_unit_stride":
         if config.pin_unit_stride:
             plan.block(d, "innermost strides are already pinned "
                           "(pin_unit_stride=True)")
             return
         plan.add(
-            FixStep(action="pin_unit_stride=True (Listing 5.11 workaround)",
-                    **step_args),
+            _step(d, iteration, "pin_unit_stride=True (Listing 5.11 "
+                                "workaround)"),
             ("pin",),
             lambda: setattr(config, "pin_unit_stride", True),
         )
-    elif transform == "cache_read":
-        name = d.fix.get("input")
-        if name in stage.cached_reads:
-            plan.block(
-                d, f"'{name}' is already staged through a cached read; its "
-                   f"working set is the whole buffer and no schedule "
-                   f"transform shrinks it"
-            )
-            return
-        if name not in [t.name for t in stage.op.inputs]:
-            plan.block(d, f"'{name}' is not an input of this kernel")
-            return
-        plan.add(
-            FixStep(action=f"cache_read('{name}') appended to the kernel's "
-                           f"recipe", **step_args),
-            ("recipe", sk.name),
-            lambda: _append_delta(
-                config, sk.name, ScheduleRecipe().cache_read(tensor=name)
-            ),
-        )
     elif transform == "shrink":
-        if not allow_shrink:
-            return  # the single-pass planner leaves tilings alone
-        _plan_shrink(d, sk, config, fused, extents, step_args, plan)
+        if allow_shrink:  # the single-pass planner leaves tilings alone
+            _plan_shrink(d, sk, config, fused, extents, iteration, plan)
     else:
         plan.block(d, f"unknown fix transform {transform!r}")
 
@@ -354,7 +378,7 @@ def _plan_shrink(
     config: FoldedConfig,
     fused: FusedGraph,
     extents: Dict[GroupId, Dict[str, List[int]]],
-    step_args: Dict[str, object],
+    iteration: int,
     plan: _Plan,
 ) -> None:
     fn = next((f for f in fused if f.name == sk.layer), None)
@@ -367,18 +391,13 @@ def _plan_shrink(
             return
         new = config.dense_unroll // 2
         plan.add(
-            FixStep(action=f"dense_unroll {config.dense_unroll} -> {new}",
-                    **step_args),
+            _step(d, iteration, f"dense_unroll {config.dense_unroll} -> {new}"),
             ("dense_unroll",),
             lambda: setattr(config, "dense_unroll", new),
         )
         return
-    if fn.op == "conv2d":
-        gid: GroupId = ("conv", fn.anchor.attrs["field"],
-                        fn.anchor.attrs["stride"])
-    elif fn.op == "depthwise_conv2d":
-        gid = ("dw", fn.anchor.attrs["field"], fn.anchor.attrs["stride"])
-    else:
+    gid = group_of(fn)
+    if gid is None:
         plan.block(d, f"{fn.op} kernel exposes no shrink knob")
         return
     tiling = config.tiling_for(*gid)
@@ -400,35 +419,105 @@ def _plan_shrink(
             plan.block(d, f"{dim} is already 1")
         return
     new = _next_factor(current, dim_ext) or 1
-    gid_, dim_ = gid, dim
 
     def apply() -> None:
-        t = config.tiling_for(*gid_)
-        from repro.topi import ConvTiling
-
-        config.conv_tilings[gid_] = ConvTiling(
-            w2vec=new if dim_ == "w2vec" else t.w2vec,
-            c2vec=new if dim_ == "c2vec" else t.c2vec,
-            c1vec=new if dim_ == "c1vec" else t.c1vec,
-            unroll_ff=t.unroll_ff,
-        )
+        config.conv_tilings[gid] = replace(config.tiling_for(*gid), **{dim: new})
 
     plan.add(
-        FixStep(action=f"{'/'.join(str(p) for p in gid)} {dim} "
-                       f"{current} -> {new}", **step_args),
+        _step(d, iteration, f"{'/'.join(str(p) for p in gid)} {dim} "
+                            f"{current} -> {new}"),
         ("tiling", gid, dim),
         apply,
     )
 
 
-def _group_extents(fused: FusedGraph) -> Dict[GroupId, Dict[str, List[int]]]:
-    from repro.flow.autotune import _group_extents as impl
+# ---------------------------------------------------------------------------
+# the fixpoint driver both modes share
 
-    return impl(fused)
+
+def _fixpoint(
+    result: AutofixResult,
+    max_iterations: int,
+    verify: Callable[[], Tuple[VerifyReport, Dict[str, ScheduledKernel]]],
+    plan_fix: _PlanFix,
+    state: Callable[[], str],
+) -> None:
+    """Iterate verify -> plan -> apply to a fixpoint, a stuck state or
+    the iteration bound, recording the outcome on ``result``.
+
+    ``verify`` re-verifies the current configuration and returns the
+    report plus the build's scheduled kernels by name; ``plan_fix``
+    maps one advice finding onto the iteration's plan; ``state``
+    fingerprints the lattice position for cycle detection.
+    """
+    seen = {state()}
+    for it in range(1, max_iterations + 1):
+        result.iterations = it
+        report, kernels = verify()
+        if report.errors:
+            result.status, result.stuck_reason = "stuck", "verify-error"
+            result.log.append(
+                f"iteration {it}: {len(report.errors)} error finding(s) — "
+                f"aborting"
+            )
+            return
+        advice = report.advice
+        if not advice:
+            result.status = "clean"
+            result.log.append(f"iteration {it}: advice-clean")
+            return
+        plan = _plan_all(advice, kernels, plan_fix, it)
+        if not plan.steps:
+            result.status, result.stuck_reason = "stuck", "blocked"
+            result.blocked = plan.blocked
+            result.remaining = list(advice)
+            result.log.append(
+                f"iteration {it}: {len(advice)} finding(s), none applicable "
+                f"— provably stuck"
+            )
+            return
+        for step, thunk in plan.steps:
+            thunk()
+            result.applied.append(step)
+        result.log.append(
+            f"iteration {it}: {len(advice)} finding(s), "
+            f"{len(plan.steps)} fix(es) applied"
+        )
+        position = state()
+        if position in seen:
+            result.status, result.stuck_reason = "stuck", "cycle"
+            result.remaining = list(advice)
+            result.log.append(
+                f"iteration {it}: configuration repeated — cycle detected"
+            )
+            return
+        seen.add(position)
+    result.status, result.stuck_reason = "stuck", "iteration-limit"
+    result.log.append(f"no fixpoint within {max_iterations} iterations")
 
 
 # ---------------------------------------------------------------------------
 # the folded fixpoint loop
+
+
+def _verify_folded(
+    fused: FusedGraph,
+    board: Board,
+    config: FoldedConfig,
+    constants: AOCConstants,
+    subject: str,
+):
+    """Schedule/lower/codegen/verify one folded configuration (no
+    synthesis): ``(schedule, plan, source, report)``."""
+    sched = schedule_folded(fused, config, board)
+    program = lower_folded(sched)
+    source = generate_opencl(program)
+    plan = plan_folded(fused, sched)
+    report = verify_build(
+        program, source=source, plan=plan, subject=subject,
+        board=board, constants=constants,
+    )
+    return sched, plan, source, report
 
 
 def autofix_folded(
@@ -453,25 +542,17 @@ def autofix_folded(
 
     if config is None:
         config = default_folded_config(fused.graph.name, board)
-    config = _copy_config(config)
+    config = config.copy()
     result = AutofixResult(
         subject=subject or f"{fused.graph.name}:{board.name}", mode="folded",
         config=config,
     )
-    extents = _group_extents(fused)
-    seen = {_config_state(config)}
-    sched: Optional[FoldedSchedule] = None
-    source = ""
+    extents = group_extents(fused)
+    last: Dict[str, object] = {}
 
-    for it in range(1, max_iterations + 1):
-        result.iterations = it
-        sched = schedule_folded(fused, config, board)
-        program = lower_folded(sched)
-        source = generate_opencl(program)
-        plan = plan_folded(fused, sched)
-        report = verify_build(
-            program, source=source, plan=plan, subject=result.subject,
-            board=board, constants=constants,
+    def verify():
+        sched, plan, source, report = _verify_folded(
+            fused, board, config, constants, result.subject
         )
         # translation validation: every rewritten recipe must certify
         # equivalent to the naive lowering (repro.verify.equiv) before
@@ -483,75 +564,22 @@ def autofix_folded(
             sched, plan=plan, subject=result.subject, dynamic_fallback=True,
         )
         report.merge(equiv_report)
-        result.certified = report.counters.get("equiv_certified", 0)
-        result.cert_unknown = report.counters.get("equiv_unknown", 0)
-        result.cert_uncertified = report.counters.get("equiv_uncertified", 0)
-        result.cert_dynamic_runs += report.counters.get(
-            "equiv_dynamic_runs", 0
-        )
-        if report.errors:
-            result.status, result.stuck_reason = "stuck", "verify-error"
-            result.log.append(
-                f"iteration {it}: {len(report.errors)} error finding(s) — "
-                f"aborting"
-            )
-            break
-        advice = report.advice
-        if not advice:
-            result.status = "clean"
-            result.log.append(f"iteration {it}: advice-clean")
-            break
-        plan_ = _Plan()
-        kernels = {sk.name: sk for sk in sched.kernels}
-        for d in advice:
-            _plan_folded_fix(
-                d, kernels.get(d.kernel), config, fused, extents, it, plan_
-            )
-        if not plan_.steps:
-            result.status, result.stuck_reason = "stuck", "blocked"
-            result.blocked = plan_.blocked
-            result.remaining = list(advice)
-            result.log.append(
-                f"iteration {it}: {len(advice)} finding(s), none applicable "
-                f"— provably stuck"
-            )
-            break
-        for step, thunk in plan_.steps:
-            thunk()
-            result.applied.append(step)
-        result.log.append(
-            f"iteration {it}: {len(advice)} finding(s), "
-            f"{len(plan_.steps)} fix(es) applied"
-        )
-        state = _config_state(config)
-        if state in seen:
-            result.status, result.stuck_reason = "stuck", "cycle"
-            result.remaining = list(advice)
-            result.log.append(
-                f"iteration {it}: configuration repeated — cycle detected"
-            )
-            break
-        seen.add(state)
-    else:
-        result.status, result.stuck_reason = "stuck", "iteration-limit"
-        result.log.append(f"no fixpoint within {max_iterations} iterations")
+        result.count_certificates(report.counters)
+        last.update(sched=sched, source=source)
+        return report, {sk.name: sk for sk in sched.kernels}
 
-    if result.status == "stuck" and result.stuck_reason == "blocked":
-        pass  # remaining already recorded
-    elif result.status == "clean" and sched is not None:
-        result.remaining = []
-    if sched is not None:
-        result.recipes = {
-            sk.name: sk.recipe.fingerprint()
-            for sk in sched.kernels if sk.recipe is not None
-        }
-        result.recipes_json = {
-            sk.name: sk.recipe.to_json()
-            for sk in sched.kernels if sk.recipe is not None
-        }
+    def plan_fix(d, sk, it, plan):
+        _plan_folded_fix(d, sk, config, fused, extents, it, plan)
+
+    _fixpoint(result, max_iterations, verify, plan_fix,
+              lambda: _config_state(config))
+    if last:
+        recipes = [sk for sk in last["sched"].kernels if sk.recipe is not None]
+        result.recipes = {sk.name: sk.recipe.fingerprint() for sk in recipes}
+        result.recipes_json = {sk.name: sk.recipe.to_json() for sk in recipes}
         if result.stuck_reason != "verify-error":
             result.roundtrip_ok = _roundtrip_folded(
-                fused, board, config, result.recipes_json, source
+                fused, board, config, result.recipes_json, last["source"]
             )
     return result
 
@@ -564,7 +592,7 @@ def _roundtrip_folded(
     source: str,
 ) -> bool:
     """Replay the serialized recipes and compare generated source."""
-    replay = _copy_config(config)
+    replay = config.copy()
     replay.recipe_deltas = {}
     replay.recipe_overrides = {
         k: ScheduleRecipe.from_json(v) for k, v in recipes_json.items()
@@ -587,24 +615,21 @@ def plan_recipe_fixes(
     coordinates.  Returns the possibly-rewritten config and whether any
     fix applied.
     """
-    config = _copy_config(config)
-    sched = schedule_folded(fused, config, board)
-    program = lower_folded(sched)
-    report = verify_build(
-        program, source=generate_opencl(program),
-        plan=plan_folded(fused, sched), subject=fused.graph.name,
-        board=board, constants=constants,
+    config = config.copy()
+    sched, _, _, report = _verify_folded(
+        fused, board, config, constants, fused.graph.name
     )
-    plan_ = _Plan()
-    kernels = {sk.name: sk for sk in sched.kernels}
-    for d in report.advice:
-        _plan_folded_fix(
-            d, kernels.get(d.kernel), config, fused, {}, 1, plan_,
-            allow_shrink=False,
-        )
-    for _, thunk in plan_.steps:
+
+    def plan_fix(d, sk, it, plan):
+        _plan_folded_fix(d, sk, config, fused, {}, it, plan,
+                         allow_shrink=False)
+
+    plan = _plan_all(
+        report.advice, {sk.name: sk for sk in sched.kernels}, plan_fix, 1
+    )
+    for _, thunk in plan.steps:
         thunk()
-    return config, bool(plan_.steps)
+    return config, bool(plan.steps)
 
 
 # ---------------------------------------------------------------------------
@@ -629,65 +654,34 @@ def autofix_pipelined(
     schedules expose no shrink knob``) and the loop converges to clean
     or provably stuck.
     """
-    from repro.pipeline.fingerprint import fingerprint
-
     deltas: Dict[Tuple[str, int], ScheduleRecipe] = {}
     result = AutofixResult(
         subject=subject or f"{fused.graph.name}:{board.name}:{level}",
         mode="pipelined",
     )
-    seen = {fingerprint([])}
 
-    for it in range(1, max_iterations + 1):
-        result.iterations = it
+    def verify():
         sched = schedule_pipelined(fused, level, board, 1.0)
         kernels = {sk.name: sk for sk in sched.kernels}
         for (kname, idx), delta in deltas.items():
             delta.apply(kernels[kname].schedule, stage_index=idx)
         program = lower_pipelined(sched)
-        source = generate_opencl(program)
-        plan = plan_pipelined(fused, sched)
         report = verify_build(
-            program, source=source, plan=plan, subject=result.subject,
+            program, source=generate_opencl(program),
+            plan=plan_pipelined(fused, sched), subject=result.subject,
             board=board, constants=constants,
         )
-        if report.errors:
-            result.status, result.stuck_reason = "stuck", "verify-error"
-            break
-        advice = report.advice
-        if not advice:
-            result.status = "clean"
-            result.log.append(f"iteration {it}: advice-clean")
-            break
-        plan_ = _Plan()
-        for d in advice:
-            _plan_pipelined_fix(d, kernels.get(d.kernel), deltas, it, plan_)
-        if not plan_.steps:
-            result.status, result.stuck_reason = "stuck", "blocked"
-            result.blocked = plan_.blocked
-            result.remaining = list(advice)
-            result.log.append(
-                f"iteration {it}: {len(advice)} finding(s), none applicable "
-                f"— provably stuck"
-            )
-            break
-        for step, thunk in plan_.steps:
-            thunk()
-            result.applied.append(step)
-        result.log.append(
-            f"iteration {it}: {len(advice)} finding(s), "
-            f"{len(plan_.steps)} fix(es) applied"
-        )
-        state = fingerprint(
+        return report, kernels
+
+    def plan_fix(d, sk, it, plan):
+        _plan_pipelined_fix(d, sk, deltas, it, plan)
+
+    def state() -> str:
+        return fingerprint(
             sorted((k, i, r.fingerprint()) for (k, i), r in deltas.items())
         )
-        if state in seen:
-            result.status, result.stuck_reason = "stuck", "cycle"
-            result.remaining = list(advice)
-            break
-        seen.add(state)
-    else:
-        result.status, result.stuck_reason = "stuck", "iteration-limit"
+
+    _fixpoint(result, max_iterations, verify, plan_fix, state)
 
     def label(k: str, i: int) -> str:
         return k if i == 0 else f"{k}#{i}"
@@ -722,62 +716,22 @@ def _plan_pipelined_fix(
     iteration: int,
     plan: _Plan,
 ) -> None:
-    if d.fix is None:
-        plan.block(d, "finding carries no machine-readable fix")
+    if _unfixable(d, sk, plan):
         return
-    if sk is None:
-        plan.block(d, "finding is not attached to a scheduled kernel")
-        return
-    if sk.prebuilt is not None:
-        plan.block(d, "kernel is prebuilt IR — no schedule to rewrite")
-        return
-    transform = d.fix.get("transform")
     idx = _stage_for_finding(sk, d)
-    stage = sk.schedule.stages[idx]
-    step_args = dict(iteration=iteration, rule=d.rule, kernel=d.kernel,
-                     location=d.location, fix=dict(d.fix))
 
     def append(delta: ScheduleRecipe) -> None:
-        existing = deltas.get((sk.name, idx))
-        deltas[(sk.name, idx)] = existing + delta if existing else delta
+        _append_delta(deltas, (sk.name, idx), delta)
 
-    if transform == "cache_write":
-        scope = d.fix.get("args", {}).get("scope", "register")
-        if stage.scratch_scope != "global":
-            plan.block(
-                d, f"accumulator is already cached in "
-                   f"'{stage.scratch_scope}' scope"
-            )
-            return
-        plan.add(
-            FixStep(action=f"cache_write('{scope}') appended to the "
-                           f"kernel's stage-{idx} recipe", **step_args),
-            ("recipe", sk.name, idx),
-            lambda: append(ScheduleRecipe().cache_write(scope)),
-        )
-    elif transform == "cache_read":
-        name = d.fix.get("input")
-        if name in stage.cached_reads:
-            plan.block(
-                d, f"'{name}' is already staged through a cached read; its "
-                   f"working set is the whole buffer"
-            )
-            return
-        if name not in [t.name for t in stage.op.inputs]:
-            plan.block(d, f"'{name}' is not an input of this kernel")
-            return
-        plan.add(
-            FixStep(action=f"cache_read('{name}') appended to the kernel's "
-                           f"stage-{idx} recipe", **step_args),
-            ("recipe", sk.name, idx),
-            lambda: append(ScheduleRecipe().cache_read(tensor=name)),
-        )
-    elif transform == "pin_unit_stride":
-        plan.block(d, "pipelined kernels have static strides; nothing to pin")
-    elif transform == "shrink":
-        plan.block(d, "pipelined schedules expose no shrink knob")
-    else:
-        plan.block(d, f"unknown fix transform {transform!r}")
+    if _plan_recipe_fix(d, sk, idx, append, f"stage-{idx} recipe",
+                        iteration, plan):
+        return
+    transform = d.fix.get("transform")
+    plan.block(d, {
+        "pin_unit_stride": "pipelined kernels have static strides; "
+                           "nothing to pin",
+        "shrink": "pipelined schedules expose no shrink knob",
+    }.get(transform, f"unknown fix transform {transform!r}"))
 
 
 # ---------------------------------------------------------------------------

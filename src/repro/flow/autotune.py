@@ -8,38 +8,44 @@ modelled FPS while still fitting and routing, and stops at a fixed point.
 
 This is the "design space explorer [that] would benefit the performance
 of [the] work by maximizing overall network performance ... rather than
-the performance of individual layers" (thesis Section 4.11).
+the performance of individual layers" (thesis Section 4.11).  It is the
+ascent strategy over :mod:`repro.flow.search`, whose evaluator judges
+every trial configuration.
 """
 
 from __future__ import annotations
 
-import shutil
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+import functools
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.aoc.constants import AOCConstants, DEFAULT_CONSTANTS
 from repro.device.boards import Board
 from repro.errors import AOCError, FitError
-from repro.flow.dse import (
-    _open_worker_cache,
-    _run_pool,
-    divides_all,
-    merge_disk_entries,
-    shared_cache_dir,
+from repro.flow.dse import divides_all
+from repro.flow.folded import FoldedConfig, plan_folded, schedule_folded
+from repro.flow.search import (
+    CertCounters,
+    GroupId,
+    cache_counts,
+    evaluate,
+    fork_map,
+    group_extents,
 )
-from repro.flow.folded import FoldedConfig
-from repro.flow.stages import CacheOption, folded_flow, resolve_cache
-from repro.pipeline.cache import CompileCache
+from repro.flow.stages import CacheOption, resolve_cache
 from repro.relay.passes import FusedGraph
-from repro.runtime.simulate import simulate_folded
 from repro.topi import ConvTiling
-
-GroupId = Tuple[str, int, int]
 
 
 @dataclass
-class TuneResult:
-    """Outcome of one auto-tuning run."""
+class TuneResult(CertCounters):
+    """Outcome of one auto-tuning run.
+
+    The certificate counters describe the winning configuration: the
+    tuned schedules are accepted on static certificates, with an
+    RE006-unknown kernel allowed exactly one dynamic cross-check, so
+    ``cert_dynamic_runs`` is 0 when every recipe-backed kernel certified.
+    """
 
     config: FoldedConfig
     fps: float
@@ -59,59 +65,11 @@ class TuneResult:
     #: kernel name -> recipe fingerprint under the winning configuration,
     #: i.e. the (tiling, recipe) identity each tuned point resolves to
     recipes: Dict[str, str] = field(default_factory=dict)
-    #: equivalence-certifier accounting of the winning configuration
-    #: (repro.verify.equiv): the tuned schedules are accepted on static
-    #: certificates, so ``cert_dynamic_runs`` is 0 when every
-    #: recipe-backed kernel certified
-    certified: int = 0
-    cert_unknown: int = 0
-    cert_uncertified: int = 0
-    cert_dynamic_runs: int = 0
-
-
-def _group_extents(fused: FusedGraph) -> Dict[GroupId, Dict[str, List[int]]]:
-    """Per conv group, the extents each tiling dimension must divide."""
-    out: Dict[GroupId, Dict[str, List[int]]] = {}
-    for fn in fused:
-        if fn.op == "conv2d":
-            a = fn.anchor.attrs
-            gid: GroupId = ("conv", a["field"], a["stride"])
-            c1 = fn.anchor.inputs[0].out_shape[0]
-            k, _, wo = fn.anchor.out_shape
-        elif fn.op == "depthwise_conv2d":
-            a = fn.anchor.attrs
-            gid = ("dw", a["field"], a["stride"])
-            c1 = fn.anchor.inputs[0].out_shape[0]
-            k, _, wo = fn.anchor.out_shape
-        else:
-            continue
-        entry = out.setdefault(gid, {"w2": [], "c2": [], "c1": []})
-        entry["w2"].append(wo)
-        entry["c2"].append(k)
-        entry["c1"].append(c1)
-    return out
 
 
 def _candidates(extents: Sequence[int], cap: int = 32) -> List[int]:
     """Divisibility-preserving factors for one tiling dimension."""
     return [f for f in (1, 2, 4, 7, 8, 14, 16, 32) if f <= cap and divides_all(f, extents)]
-
-
-def _evaluate(
-    fused: FusedGraph,
-    board: Board,
-    config: FoldedConfig,
-    constants: AOCConstants,
-    cache: CacheOption = None,
-) -> Tuple[Optional[float], Optional[str]]:
-    """``(fps, None)`` on success, ``(None, reason)`` on any AOC failure."""
-    flow = folded_flow(fused.graph.name, board, config, constants, cache=cache)
-    try:
-        result = flow.run(seed={"graph": fused.graph, "fused": fused})
-    except AOCError as e:
-        return None, f"{type(e).__name__}: {e}"
-    fps = simulate_folded(result.value("bitstream"), result.value("plan")).fps
-    return fps, None
 
 
 def _dims_for(gid: GroupId, ext: Dict[str, List[int]]) -> Dict[str, List[int]]:
@@ -126,56 +84,20 @@ def _dims_for(gid: GroupId, ext: Dict[str, List[int]]) -> Dict[str, List[int]]:
     return dims
 
 
-def _with_dim(current: ConvTiling, dim: str, value: int) -> ConvTiling:
-    """``current`` with one tiling dimension replaced."""
-    return ConvTiling(
-        w2vec=value if dim == "w2vec" else current.w2vec,
-        c2vec=value if dim == "c2vec" else current.c2vec,
-        c1vec=value if dim == "c1vec" else current.c1vec,
-        unroll_ff=current.unroll_ff,
-    )
+def _moves(
+    config: FoldedConfig, extents: Dict[GroupId, Dict[str, List[int]]]
+) -> Iterator[Tuple[GroupId, ConvTiling, ConvTiling]]:
+    """``(group, current, trial)`` one-dimension moves, in ascent order.
 
-
-def _warm_task(config: FoldedConfig) -> bool:
-    """Pool worker: build one trial config into the shared disk cache."""
-    from repro.flow import dse
-
-    fused, board, constants, cache_dir = dse._WORKER_CTX
-    cache = _open_worker_cache(cache_dir)
-    fps, _ = _evaluate(
-        fused, board, config, constants,
-        cache if cache is not None else False,
-    )
-    return fps is not None
-
-
-def _prewarm_round(
-    fused: FusedGraph,
-    board: Board,
-    constants: AOCConstants,
-    resolved: Optional[CompileCache],
-    trial_configs: List[FoldedConfig],
-    workers: int,
-) -> None:
-    """Synthesize a round's trial configurations across a process pool.
-
-    Results land in a disk cache shared with (or merged into) the
-    caller's resolved cache, so the serial ascent that follows replays
-    each trial's ``synthesize`` stage as a cache hit.  Purely a warming
-    pass: the ascent's decisions never depend on it.
+    ``current`` is read from ``config`` before each move, so an ascent
+    that updates ``config`` between moves sees its accepted tilings.
     """
-    if not trial_configs or resolved is None:
-        return
-    cache_dir, ephemeral = shared_cache_dir(resolved)
-    try:
-        _run_pool(
-            _warm_task, (fused, board, constants, cache_dir),
-            trial_configs, workers,
-        )
-    finally:
-        if ephemeral:
-            merge_disk_entries(resolved, cache_dir)
-            shutil.rmtree(cache_dir, ignore_errors=True)
+    for gid, ext in extents.items():
+        for dim, options in _dims_for(gid, ext).items():
+            for value in options:
+                current = config.tiling_for(*gid)
+                if value != getattr(current, dim):
+                    yield gid, current, replace(current, **{dim: value})
 
 
 def autotune_folded(
@@ -190,7 +112,7 @@ def autotune_folded(
 ) -> TuneResult:
     """Greedy coordinate-ascent tiling search over all conv groups.
 
-    Every candidate build goes through the staged compile pipeline;
+    Every candidate build goes through :func:`repro.flow.search.evaluate`;
     revisited configurations (coordinate ascent retries them often)
     replay ``synthesize`` from the compile cache, and the returned
     :class:`TuneResult` reports the hit/miss counts.  With ``prune``,
@@ -201,194 +123,104 @@ def autotune_folded(
 
     ``workers > 1`` parallelizes candidate *synthesis*, not the search:
     before each round, the trials that round will consider (enumerated
-    against the round-entry configuration) are built across a process
-    pool into a cache shared with this run, so the serial ascent mostly
-    replays them as hits.  The ascent itself — and therefore the chosen
-    configuration — is identical to ``workers=1``.  Pre-warming needs a
-    real cache to rendezvous in, so it is skipped under ``cache=False``.
+    against the round-entry configuration) are built across
+    :func:`repro.flow.search.fork_map`'s pool into a cache shared with
+    this run, so the serial ascent mostly replays them as hits.  The
+    ascent itself — and therefore the chosen configuration — is
+    identical to ``workers=1``.  Pre-warming needs a real cache to
+    rendezvous in, so it is skipped under ``cache=False``.
     """
+    from repro.verify import certify_build
+    from repro.verify.dominance import decide, profile_conv_tiling
+
     resolved = resolve_cache(cache)
     eval_cache: CacheOption = resolved if resolved is not None else False
-    stats0 = resolved.stats() if resolved is not None else {"hits": 0, "misses": 0}
-    config = start or FoldedConfig()
-    config = FoldedConfig(
-        conv_tilings=dict(config.conv_tilings),
-        dense_unroll=config.dense_unroll,
-        pin_unit_stride=config.pin_unit_stride,
-        recipe_deltas=dict(config.recipe_deltas),
-        recipe_overrides=dict(config.recipe_overrides),
-    )
-    extents = _group_extents(fused)
-    evaluations = 0
+    hits0, misses0 = cache_counts(resolved)
+    config = (start or FoldedConfig()).copy()
+    extents = group_extents(fused)
     history: List[Tuple[GroupId, ConvTiling, float]] = []
     failures: List[Tuple[GroupId, ConvTiling, str]] = []
     pruned: List[Tuple[GroupId, ConvTiling, str]] = []
-    profiles: Dict[Tuple[GroupId, ConvTiling], object] = {}
 
-    def _profile(gid: GroupId, tiling: ConvTiling):
-        """Static profile of one group tiling (memoized; None if the
-        dominance model cannot build one — then nothing is pruned)."""
-        from repro.errors import AOCError as _AOCError
-        from repro.verify.dominance import profile_conv_tiling
+    @functools.lru_cache(maxsize=None)
+    def profile(gid: GroupId, tiling: ConvTiling):
+        """Static profile of one group tiling (None if the dominance
+        model cannot build one — then nothing is pruned)."""
+        try:
+            return profile_conv_tiling(
+                fused, gid, tiling, constants, config.pin_unit_stride
+            )
+        except AOCError:
+            return None
 
-        key = (gid, tiling)
-        if key not in profiles:
-            try:
-                profiles[key] = profile_conv_tiling(
-                    fused, gid, tiling, constants, config.pin_unit_stride
-                )
-            except _AOCError:
-                profiles[key] = None
-        return profiles[key]
+    def prune_reason(gid: GroupId, current: ConvTiling, trial: ConvTiling):
+        """Why a trial needs no build (None when it must be built): a
+        trial dominated by the group's current tiling cannot raise the
+        design's FPS — everything outside the group is identical between
+        the two configurations — and an infeasible one cannot synthesize."""
+        if not prune:
+            return None
+        cur = profile(gid, current)
+        kept = [cur] if cur is not None else []
+        return decide(trial, profile(gid, trial), kept, board).reason
 
-    best, reason = _evaluate(fused, board, config, constants, eval_cache)
-    evaluations += 1
-    if best is None:
+    def warm(trial: FoldedConfig, worker_cache) -> None:
+        evaluate(fused, board, trial, constants, worker_cache)
+
+    verdict = evaluate(fused, board, config, constants, eval_cache)
+    evaluations = 1
+    if verdict.fps is None:
         raise FitError(
-            f"starting configuration does not fit/route: {reason}"
+            f"starting configuration does not fit/route: {verdict.fail_reason}"
         )
-
-    def _round_trial_configs() -> List[FoldedConfig]:
-        """Whole-network configs the coming round will try, enumerated
-        against the round-entry tilings (exact for trials up to each
-        group's first accepted move; best-effort after)."""
-        trials: List[FoldedConfig] = []
-        for gid, ext in extents.items():
-            current = config.conv_tilings.get(gid, ConvTiling())
-            for dim, options in _dims_for(gid, ext).items():
-                for value in options:
-                    if value == getattr(current, dim):
-                        continue
-                    trial = _with_dim(current, dim, value)
-                    if prune and _prune_trial(
-                        _profile, gid, current, trial, board
-                    ) is not None:
-                        continue
-                    trials.append(
-                        FoldedConfig(
-                            conv_tilings={**config.conv_tilings, gid: trial},
-                            dense_unroll=config.dense_unroll,
-                            pin_unit_stride=config.pin_unit_stride,
-                            recipe_deltas=dict(config.recipe_deltas),
-                            recipe_overrides=dict(config.recipe_overrides),
-                        )
-                    )
-        return trials
+    best = verdict.fps
 
     for _ in range(max_rounds):
-        if workers > 1:
-            _prewarm_round(
-                fused, board, constants, resolved,
-                _round_trial_configs(), workers,
-            )
+        if workers > 1 and resolved is not None:
+            trials = []
+            for gid, current, trial in _moves(config, extents):
+                if prune_reason(gid, current, trial) is None:
+                    trials.append(config.copy())
+                    trials[-1].conv_tilings[gid] = trial
+            fork_map(warm, trials, workers, resolved)
         improved = False
-        for gid, ext in extents.items():
-            current = config.conv_tilings.get(gid, ConvTiling())
-            for dim, options in _dims_for(gid, ext).items():
-                for value in options:
-                    if value == getattr(current, dim):
-                        continue
-                    trial = _with_dim(current, dim, value)
-                    if prune:
-                        skip = _prune_trial(
-                            _profile, gid, current, trial, board
-                        )
-                        if skip is not None:
-                            pruned.append((gid, trial, skip))
-                            continue
-                    config.conv_tilings[gid] = trial
-                    fps, reason = _evaluate(
-                        fused, board, config, constants, eval_cache
-                    )
-                    evaluations += 1
-                    if reason is not None:
-                        failures.append((gid, trial, reason))
-                    if fps is not None and fps > best * 1.001:
-                        best = fps
-                        current = trial
-                        history.append((gid, trial, fps))
-                        improved = True
-                    else:
-                        config.conv_tilings[gid] = current
+        for gid, current, trial in _moves(config, extents):
+            skip = prune_reason(gid, current, trial)
+            if skip is not None:
+                pruned.append((gid, trial, skip))
+                continue
+            config.conv_tilings[gid] = trial
+            verdict = evaluate(fused, board, config, constants, eval_cache)
+            evaluations += 1
+            if verdict.fail_reason is not None:
+                failures.append((gid, trial, verdict.fail_reason))
+            if verdict.fps is not None and verdict.fps > best * 1.001:
+                best = verdict.fps
+                history.append((gid, trial, best))
+                improved = True
+            else:
+                config.conv_tilings[gid] = current
         if not improved:
             break
 
-    stats1 = resolved.stats() if resolved is not None else stats0
-    result = TuneResult(
-        config=config, fps=best, evaluations=evaluations, history=history,
-        cache_hits=stats1["hits"] - stats0["hits"],
-        cache_misses=stats1["misses"] - stats0["misses"],
-        failed_points=len(failures), failures=failures,
-        pruned_static=len(pruned), pruned=pruned,
-        recipes=_final_recipes(fused, config, board),
-    )
-    _certify_winner(result, fused, config, board)
-    return result
-
-
-def _final_recipes(
-    fused: FusedGraph, config: FoldedConfig, board: Board
-) -> Dict[str, str]:
-    """Recipe fingerprint per kernel under the winning configuration."""
-    from repro.flow.folded import schedule_folded
-
-    folded = schedule_folded(fused, config, board)
-    return {
-        sk.name: sk.recipe.fingerprint()
-        for sk in folded.kernels if sk.recipe is not None
-    }
-
-
-def _certify_winner(
-    result: TuneResult, fused: FusedGraph, config: FoldedConfig, board: Board
-) -> None:
-    """Equivalence-certify the winning configuration's schedules.
-
-    The ascent accepts its final (tiling, recipe) identities on static
-    certificates — one purely static pass over the winning schedule,
-    with an RE006-unknown kernel allowed exactly one dynamic
-    cross-check.  Every candidate build's verify stage already ran the
-    same certifier (cached by content fingerprint), so this records the
-    winner's counts without re-proving anything.
-    """
-    from repro.flow.folded import plan_folded, schedule_folded
-    from repro.verify import certify_build
-
+    hits1, misses1 = cache_counts(resolved)
+    # accept the winner on static certificates: one certifier pass over
+    # its schedule, an RE006-unknown kernel allowed one dynamic check
     folded = schedule_folded(fused, config, board)
     report, _ = certify_build(
         folded, plan=plan_folded(fused, folded),
         subject=f"autotune:{fused.graph.name}:{board.name}",
         dynamic_fallback=True,
     )
-    result.certified = report.counters.get("equiv_certified", 0)
-    result.cert_unknown = report.counters.get("equiv_unknown", 0)
-    result.cert_uncertified = report.counters.get("equiv_uncertified", 0)
-    result.cert_dynamic_runs = report.counters.get("equiv_dynamic_runs", 0)
-
-
-def _prune_trial(
-    profile, gid: GroupId, current: ConvTiling, trial: ConvTiling,
-    board: Board,
-) -> Optional[str]:
-    """Why a trial tiling needs no build (None when it must be built).
-
-    A trial dominated by the group's current tiling cannot raise the
-    design's FPS — everything outside the group is identical between
-    the two configurations — and a statically infeasible trial cannot
-    synthesize at all.
-    """
-    from repro.verify.dominance import dominates, infeasible_reason
-
-    prof_trial = profile(gid, trial)
-    if prof_trial is None:
-        return None
-    reason = infeasible_reason(prof_trial, board)
-    if reason is not None:
-        return f"infeasible: {reason}"
-    prof_cur = profile(gid, current)
-    if prof_cur is not None and dominates(prof_cur, prof_trial):
-        return (
-            f"dominated by current w2vec={current.w2vec} "
-            f"c2vec={current.c2vec} c1vec={current.c1vec}"
-        )
-    return None
+    result = TuneResult(
+        config=config, fps=best, evaluations=evaluations, history=history,
+        cache_hits=hits1 - hits0, cache_misses=misses1 - misses0,
+        failed_points=len(failures), failures=failures,
+        pruned_static=len(pruned), pruned=pruned,
+        recipes={
+            sk.name: sk.recipe.fingerprint()
+            for sk in folded.kernels if sk.recipe is not None
+        },
+    )
+    result.count_certificates(report.counters)
+    return result

@@ -13,40 +13,45 @@ implements that explorer against the reproduction's AOC model:
 pointwise kernel the way Table 6.6 does, and ``choose_tiling`` returns
 the best configuration by modelled throughput.
 
-Candidate synthesis runs through the staged compile pipeline, so points
-sharing generated source (and re-runs of the same sweep) hit the
-content-addressed compile cache; :class:`SweepSummary` reports the
-hit/miss counts.
+The sweep is the grid strategy over :mod:`repro.flow.search`: every
+candidate is judged by its evaluator, which runs the staged compile
+pipeline, so points sharing generated source (and re-runs of the same
+sweep) hit the content-addressed compile cache; :class:`SweepSummary`
+reports the hit/miss counts.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import shutil
-import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.aoc.constants import AOCConstants, DEFAULT_CONSTANTS
 from repro.device.boards import Board
-from repro.errors import AOCError, FitError, RoutingError
+from repro.errors import FitError, ReproError
 from repro.flow.folded import FoldedConfig
-from repro.flow.stages import CacheOption, folded_flow, resolve_cache
-from repro.pipeline.cache import CompileCache, DiskBackend, MemoryBackend, MISS
+from repro.flow.search import (
+    CertCounters,
+    cache_counts,
+    evaluate,
+    fork_map,
+    group_extents,
+)
+from repro.flow.stages import CacheOption, resolve_cache
 from repro.relay.passes import FusedGraph
-from repro.runtime.simulate import simulate_folded
 from repro.schedule import ScheduleRecipe
 from repro.topi import ConvTiling, symbolic_conv_recipe
 
 
 @dataclass
-class DSEPoint:
+class DSEPoint(CertCounters):
     """One evaluated (or statically pruned) tiling configuration.
 
     A point is (tiling, recipe): ``recipe`` is the transform recipe the
     tiling expands to for the swept group's kernel, whose fingerprint
     keys the compile cache.  ``fixed`` marks points the static autofix
     pass rewrote (recipe deltas / stride pinning) before synthesis.
+    The certificate counters come from the build's verify stage (no
+    interpreter fallback per point).
     """
 
     tiling: ConvTiling
@@ -61,15 +66,6 @@ class DSEPoint:
     recipe: Optional[ScheduleRecipe] = None
     #: rewritten by the static autofix pass before synthesis
     fixed: bool = False
-    #: equivalence-certifier accounting from the build's verify stage
-    #: (repro.verify.equiv): kernels statically certified, kernels the
-    #: prover could not decide (RE006), kernels outside the fragment,
-    #: and interpreter cross-checks actually run — 0 for a certified
-    #: point, which is the whole point
-    certified: int = 0
-    cert_unknown: int = 0
-    cert_uncertified: int = 0
-    cert_dynamic_runs: int = 0
 
     @property
     def feasible(self) -> bool:
@@ -199,185 +195,19 @@ def evaluate_tiling(
     constants: AOCConstants = DEFAULT_CONSTANTS,
     cache: CacheOption = None,
 ) -> DSEPoint:
-    """Compile + simulate the network with one tiling for one conv group.
-
-    The build runs through the staged pipeline seeded with the
-    already-fused graph, so repeated evaluations of source-identical
-    candidates replay the ``synthesize`` stage from the compile cache —
-    including deterministic fit/route failures.
-    """
+    """Compile + simulate the network with one tiling for one conv group
+    (:func:`repro.flow.search.evaluate` on the base config with that
+    group's tiling replaced)."""
     from repro.flow.deploy import default_folded_config
 
-    config = base_config or default_folded_config(fused.graph.name, board)
-    config = FoldedConfig(
-        conv_tilings=dict(config.conv_tilings),
-        dense_unroll=config.dense_unroll,
-        pin_unit_stride=config.pin_unit_stride,
-        recipe_deltas=dict(config.recipe_deltas),
-        recipe_overrides=dict(config.recipe_overrides),
-    )
+    config = (base_config or default_folded_config(fused.graph.name, board)).copy()
     config.conv_tilings[group] = tiling
     recipe = symbolic_conv_recipe(
         tiling, is_1x1=(group[1] == 1), depthwise=(group[0] == "dw")
     )
-    flow = folded_flow(fused.graph.name, board, config, constants, cache=cache)
-    try:
-        result = flow.run(seed={"graph": fused.graph, "fused": fused})
-    except FitError as e:
-        return _failed_point(
-            DSEPoint(tiling, fits=False, routed=True,
-                     fail_reason=f"FitError: {e}", recipe=recipe), e,
-        )
-    except RoutingError as e:
-        return _failed_point(
-            DSEPoint(tiling, fits=True, routed=False,
-                     fail_reason=f"RoutingError: {e}", recipe=recipe), e,
-        )
-    except AOCError as e:
-        # any other compiler failure (crash, internal error): the point
-        # is recorded as infeasible instead of aborting the whole sweep
-        return _failed_point(
-            DSEPoint(tiling, fits=False, routed=False,
-                     fail_reason=f"{type(e).__name__}: {e}", recipe=recipe),
-            e,
-        )
-    bs = result.value("bitstream")
-    sim = simulate_folded(bs, result.value("plan"))
-    point = DSEPoint(
-        tiling,
-        fits=True,
-        routed=True,
-        fps=sim.fps,
-        fmax_mhz=bs.fmax_mhz,
-        dsps=bs.total.dsps,
-        recipe=recipe,
-    )
-    _attach_certification(point, result.trace)
-    return point
-
-
-def _failed_point(point: DSEPoint, err: AOCError) -> DSEPoint:
-    """Certification counters for a point that failed past the verify
-    stage (the partial trace on the error's diagnostic still has them —
-    a point is certified or not regardless of whether it fits)."""
-    diag = getattr(err, "diagnostic", None)
-    if diag is not None:
-        _attach_certification(point, diag.trace)
-    return point
-
-
-def _attach_certification(point: DSEPoint, trace) -> None:
-    """Copy the verify stage's equivalence-certifier counters onto a point.
-
-    The verify stage of every candidate build runs the static
-    certifier (:mod:`repro.verify.equiv`); its trace counters say how
-    many kernels were accepted on a certificate versus how many needed
-    an interpreter fallback — the sweep-level proof that certified
-    candidates cost zero interpreter equivalence runs.
-    """
-    try:
-        c = trace.stage("verify").counters
-    except KeyError:  # pragma: no cover — verify always runs pre-synthesis
-        return
-    point.certified = int(c.get("equiv_certified", 0))
-    point.cert_unknown = int(c.get("equiv_unknown", 0))
-    point.cert_uncertified = int(c.get("equiv_uncertified", 0))
-    point.cert_dynamic_runs = int(c.get("equiv_dynamic_runs", 0))
-
-
-# ---------------------------------------------------------------------------
-# process-pool candidate synthesis
-#
-# Candidate builds are independent, so a sweep can fan them out over a
-# fork()ed worker pool.  Workers rendezvous through a *disk* compile
-# cache: source-identical candidates synthesize once pool-wide, and a
-# sweep sharing the caller's disk cache directory reuses prior runs.
-# Result order is deterministic (tasks are indexed and reassembled), so
-# a parallel sweep returns exactly the points a serial one does.
-
-#: per-worker context installed by the pool initializer
-_WORKER_CTX: Optional[Tuple] = None
-
-
-def _init_sweep_worker(fused, board, constants, cache_dir) -> None:
-    global _WORKER_CTX
-    _WORKER_CTX = (fused, board, constants, cache_dir)
-
-
-def _open_worker_cache(cache_dir: Optional[str]) -> Optional[CompileCache]:
-    """A worker-local cache layered over the shared on-disk rendezvous."""
-    if cache_dir is None:
-        return None
-    return CompileCache(
-        backends=[MemoryBackend(32), DiskBackend(cache_dir)]
-    )
-
-
-def _sweep_task(task):
-    """Evaluate one indexed candidate in a pool worker."""
-    idx, group, tiling, base_config, autofix = task
-    fused, board, constants, cache_dir = _WORKER_CTX
-    cache = _open_worker_cache(cache_dir)
-    eff_base, fixed = base_config, False
-    if autofix:
-        eff_base, fixed = _autofix_candidate(
-            fused, board, group, tiling, base_config, constants
-        )
-    point = evaluate_tiling(
-        fused, board, group, tiling, base_config=eff_base,
-        constants=constants, cache=cache if cache is not None else False,
-    )
-    point.fixed = fixed
-    stats = cache.stats() if cache is not None else {"hits": 0, "misses": 0}
-    return idx, point, stats["hits"], stats["misses"]
-
-
-def shared_cache_dir(
-    resolved: Optional[CompileCache],
-) -> Tuple[Optional[str], bool]:
-    """Directory pool workers rendezvous in: ``(path, ephemeral)``.
-
-    Reuses the caller's disk backend when it has one; otherwise creates
-    a sweep-scoped temporary directory (still a rendezvous *within* the
-    sweep) whose entries are merged back into the caller's cache — and
-    the directory deleted — when the sweep finishes.
-    """
-    if resolved is not None:
-        for backend in resolved.backends:
-            if isinstance(backend, DiskBackend):
-                return str(backend.directory), False
-    return tempfile.mkdtemp(prefix="repro-sweep-cache-"), True
-
-
-def merge_disk_entries(
-    resolved: Optional[CompileCache], directory: str
-) -> None:
-    """Promote a temporary rendezvous directory into the caller's cache.
-
-    Probes backends directly (not :meth:`CompileCache.lookup`) so the
-    merge stays accounting-neutral for the caller's hit/miss stats.
-    """
-    if resolved is None:
-        return
-    disk = DiskBackend(directory)
-    for path in sorted(disk.directory.glob("*.pkl")):
-        key = path.stem
-        value = disk.get(key)
-        if value is MISS:
-            continue
-        for backend in resolved.backends:
-            if backend.get(key) is not MISS:
-                break
-        else:
-            resolved.store(key, value)
-
-
-def _run_pool(worker, initargs, tasks, workers: int):
-    """Fork a pool, run ``worker`` over ``tasks``, return ordered results."""
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(workers, initializer=_init_sweep_worker,
-                  initargs=initargs) as pool:
-        return pool.map(worker, tasks)
+    verdict = evaluate(fused, board, config, constants, cache)
+    # a Verdict's fields are a subset of a DSEPoint's
+    return DSEPoint(tiling, recipe=recipe, **vars(verdict))
 
 
 def sweep_conv1x1(
@@ -395,104 +225,82 @@ def sweep_conv1x1(
 ) -> SweepSummary:
     """Sweep 1x1-conv tiling space (the Table 6.6 experiment, generalized).
 
-    Candidate factors violating divisibility over the network's 1x1
-    layers are skipped before synthesis, per requirement 2.  With
-    ``prune`` the dominance prover of :mod:`repro.verify.dominance`
-    additionally skips candidates that are statically infeasible or
-    dominated by an earlier kept point — those appear in the summary as
-    pruned points (``pruned_static``) with the proof in ``fail_reason``,
-    and never touch the compile pipeline.  With ``autofix`` each
-    surviving candidate first runs the static recipe-level fix pass of
+    Candidate factors violating divisibility over the layers of the
+    swept ``('conv', 1, 1)`` group are skipped before synthesis, per
+    requirement 2; a network without such layers raises
+    :class:`~repro.errors.ReproError`.  With ``prune`` the dominance
+    prover of :mod:`repro.verify.dominance` additionally skips
+    candidates that are statically infeasible or dominated by an
+    earlier kept point — those appear in the summary as pruned points
+    (``pruned_static``) with the proof in ``fail_reason``, and never
+    touch the compile pipeline.  With ``autofix`` each surviving
+    candidate first runs the static recipe-level fix pass of
     :mod:`repro.flow.autofix` (one verify pass, no synthesis); rewritten
     points are marked ``fixed`` and counted as ``fixed_static``.
     Returns the evaluated points plus the compile-cache hits/misses this
     sweep incurred.
 
-    With ``workers > 1`` surviving candidates are synthesized across a
-    fork()ed process pool rendezvousing through a shared disk compile
-    cache (see the module section above); point order and values match
-    the serial sweep, and the hit/miss counts aggregate the workers'.
+    With ``workers > 1`` surviving candidates are synthesized across
+    :func:`repro.flow.search.fork_map`'s process pool; point order and
+    values match the serial sweep, and the hit/miss counts aggregate
+    the workers'.
     """
     from repro.flow.deploy import default_folded_config
 
-    resolved = resolve_cache(cache)
-    point_cache: CacheOption = resolved if resolved is not None else False
-    before = resolved.stats() if resolved is not None else {"hits": 0, "misses": 0}
-
-    w2_extents, c2_extents, c1_extents = _conv1x1_extents(fused)
+    group = ("conv", 1, 1)
+    extents = group_extents(fused).get(group)
+    if extents is None:
+        raise ReproError(
+            f"{fused.graph.name} has no layers in the swept conv group "
+            f"{group}"
+        )
     tilings = [
         ConvTiling(w2vec=w2, c2vec=c2, c1vec=c1)
-        for w2 in w2vec_options if divides_all(w2, w2_extents)
-        for c2 in c2vec_options if divides_all(c2, c2_extents)
-        for c1 in c1vec_options if divides_all(c1, c1_extents)
+        for w2 in w2vec_options if divides_all(w2, extents["w2"])
+        for c2 in c2vec_options if divides_all(c2, extents["c2"])
+        for c1 in c1vec_options if divides_all(c1, extents["c1"])
     ]
     base = base_config or default_folded_config(fused.graph.name, board)
-    decisions = None
+    points: List[Optional[DSEPoint]] = [None] * len(tilings)
     if prune:
         from repro.verify.dominance import plan_conv_sweep
 
         decisions = plan_conv_sweep(
-            fused, ("conv", 1, 1), tilings, board, constants,
-            base.pin_unit_stride,
+            fused, group, tilings, board, constants, base.pin_unit_stride
         )
-
-    points: List[Optional[DSEPoint]] = []
-    live: List[int] = []
-    for i, tiling in enumerate(tilings):
-        if decisions is not None and decisions[i].pruned:
-            points.append(
-                DSEPoint(
-                    tiling, fits=False, routed=False, pruned=True,
-                    fail_reason=f"pruned: {decisions[i].reason}",
+        for i, decision in enumerate(decisions):
+            if decision.pruned:
+                points[i] = DSEPoint(
+                    tilings[i], fits=False, routed=False, pruned=True,
+                    fail_reason=f"pruned: {decision.reason}",
                 )
-            )
-            continue
-        points.append(None)
-        live.append(i)
+    live = [i for i, p in enumerate(points) if p is None]
 
-    if workers > 1 and live:
-        cache_dir, ephemeral = shared_cache_dir(resolved)
-        try:
-            tasks = [
-                (i, ("conv", 1, 1), tilings[i], base, autofix) for i in live
-            ]
-            results = _run_pool(
-                _sweep_task, (fused, board, constants, cache_dir),
-                tasks, workers,
-            )
-            hits = misses = 0
-            for idx, point, h, m in results:
-                points[idx] = point
-                hits += h
-                misses += m
-        finally:
-            if ephemeral:
-                merge_disk_entries(resolved, cache_dir)
-                shutil.rmtree(cache_dir, ignore_errors=True)
-        return SweepSummary(
-            points=points, cache_hits=hits, cache_misses=misses
-        )
-
-    for i in live:
-        tiling = tilings[i]
+    def build(i: int, point_cache: CacheOption) -> DSEPoint:
         eff_base, fixed = base, False
         if autofix:
             eff_base, fixed = _autofix_candidate(
-                fused, board, ("conv", 1, 1), tiling, base, constants
+                fused, board, group, tilings[i], base, constants
             )
         point = evaluate_tiling(
-            fused, board, ("conv", 1, 1), tiling,
-            base_config=eff_base, constants=constants, cache=point_cache,
+            fused, board, group, tilings[i], base_config=eff_base,
+            constants=constants, cache=point_cache,
         )
         point.fixed = fixed
-        points[i] = point
+        return point
 
-    after = resolved.stats() if resolved is not None else before
-    return SweepSummary(
-        points=points,
-        cache_hits=after["hits"] - before["hits"],
-        cache_misses=after["misses"] - before["misses"],
-    )
+    resolved = resolve_cache(cache)
+    if workers > 1:
+        built, hits, misses = fork_map(build, live, workers, resolved)
+    else:
+        hits0, misses0 = cache_counts(resolved)
+        point_cache = resolved if resolved is not None else False
+        built = [build(i, point_cache) for i in live]
+        hits1, misses1 = cache_counts(resolved)
+        hits, misses = hits1 - hits0, misses1 - misses0
+    for i, point in zip(live, built):
+        points[i] = point
+    return SweepSummary(points=points, cache_hits=hits, cache_misses=misses)
 
 
 def explore_conv1x1(
@@ -536,25 +344,7 @@ def _autofix_candidate(
     """
     from repro.flow.autofix import plan_recipe_fixes
 
-    config = FoldedConfig(
-        conv_tilings=dict(base.conv_tilings),
-        dense_unroll=base.dense_unroll,
-        pin_unit_stride=base.pin_unit_stride,
-        recipe_deltas=dict(base.recipe_deltas),
-        recipe_overrides=dict(base.recipe_overrides),
-    )
+    config = base.copy()
     config.conv_tilings[group] = tiling
     fixed_config, changed = plan_recipe_fixes(fused, board, config, constants)
     return (fixed_config if changed else base), changed
-
-
-def _conv1x1_extents(fused: FusedGraph) -> Tuple[List[int], List[int], List[int]]:
-    w2, c2, c1 = [], [], []
-    for fn in fused:
-        if fn.op == "conv2d" and fn.anchor.attrs["field"] == 1:
-            c1_, _, w_ = fn.anchor.inputs[0].out_shape
-            k, _, wo = fn.anchor.out_shape
-            w2.append(wo)
-            c2.append(k)
-            c1.append(c1_)
-    return w2, c2, c1

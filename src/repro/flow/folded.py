@@ -11,7 +11,7 @@ the baseline that fails to fit on the Arria 10.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Tuple
 
 import repro.ir as ir
@@ -77,6 +77,16 @@ class FoldedConfig:
 
     def tiling_for(self, kind: str, f: int, s: int) -> ConvTiling:
         return self.conv_tilings.get((kind, f, s), ConvTiling())
+
+    def copy(self) -> "FoldedConfig":
+        """Every field carried over (``naive`` included), with fresh
+        tables so the copy's tilings and recipes mutate independently."""
+        return replace(
+            self,
+            conv_tilings=dict(self.conv_tilings),
+            recipe_deltas=dict(self.recipe_deltas),
+            recipe_overrides=dict(self.recipe_overrides),
+        )
 
 
 def op_label(fn: FusedNode) -> str:

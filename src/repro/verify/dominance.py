@@ -241,6 +241,38 @@ class PruneDecision:
     dominated_by: Optional[ConvTiling] = None
 
 
+def decide(
+    tiling: ConvTiling,
+    profile: Optional[StaticProfile],
+    kept: List[StaticProfile],
+    board: Board,
+) -> PruneDecision:
+    """Keep-or-skip verdict for one candidate against the kept ones.
+
+    The candidate is pruned when it is statically infeasible or
+    dominated by a kept profile (the first one that dominates is named).
+    A candidate whose profile the model could not build (``None``) is
+    kept — never wrongly skipped.
+    """
+    if profile is None:
+        return PruneDecision(tiling, None, pruned=False)
+    reason = infeasible_reason(profile, board)
+    if reason is not None:
+        return PruneDecision(tiling, profile, pruned=True,
+                             reason=f"infeasible: {reason}")
+    by = next((k for k in kept if dominates(k, profile)), None)
+    if by is not None:
+        return PruneDecision(
+            tiling, profile, pruned=True,
+            reason=(
+                f"dominated by w2vec={by.tiling.w2vec} "
+                f"c2vec={by.tiling.c2vec} c1vec={by.tiling.c1vec}"
+            ),
+            dominated_by=by.tiling,
+        )
+    return PruneDecision(tiling, profile, pruned=False)
+
+
 def plan_conv_sweep(
     fused: FusedGraph,
     group: GroupId,
@@ -254,8 +286,7 @@ def plan_conv_sweep(
     A candidate is pruned when it is statically infeasible or dominated
     by an earlier *kept* candidate; ties break toward the earlier point,
     matching ``choose_tiling``'s first-max selection, so the kept set
-    always contains the sweep's argmax.  A candidate whose profile the
-    model cannot build is kept (never wrongly skipped).
+    always contains the sweep's argmax.
     """
     decisions: List[PruneDecision] = []
     kept: List[StaticProfile] = []
@@ -265,28 +296,9 @@ def plan_conv_sweep(
                 fused, group, tiling, constants, pin_unit_stride
             )
         except AOCError:
-            decisions.append(PruneDecision(tiling, None, pruned=False))
-            continue
-        reason = infeasible_reason(prof, board)
-        if reason is not None:
-            decisions.append(
-                PruneDecision(tiling, prof, pruned=True,
-                              reason=f"infeasible: {reason}")
-            )
-            continue
-        by = next((k for k in kept if dominates(k, prof)), None)
-        if by is not None:
-            decisions.append(
-                PruneDecision(
-                    tiling, prof, pruned=True,
-                    reason=(
-                        f"dominated by w2vec={by.tiling.w2vec} "
-                        f"c2vec={by.tiling.c2vec} c1vec={by.tiling.c1vec}"
-                    ),
-                    dominated_by=by.tiling,
-                )
-            )
-            continue
-        kept.append(prof)
-        decisions.append(PruneDecision(tiling, prof, pruned=False))
+            prof = None
+        decision = decide(tiling, prof, kept, board)
+        if prof is not None and not decision.pruned:
+            kept.append(prof)
+        decisions.append(decision)
     return decisions

@@ -24,14 +24,11 @@ class TestAutotune:
 
     def test_improves_over_untiled_start(self, result):
         fused = fuse_operators(mobilenet_v1())
-        from repro.flow.autotune import _evaluate
-        from repro.aoc import DEFAULT_CONSTANTS
+        from repro.flow.search import evaluate
 
-        start_fps, reason = _evaluate(
-            fused, ARRIA10, FoldedConfig(), DEFAULT_CONSTANTS
-        )
-        assert reason is None
-        assert result.fps > 2 * start_fps
+        start = evaluate(fused, ARRIA10, FoldedConfig())
+        assert start.fail_reason is None
+        assert result.fps > 2 * start.fps
 
     def test_at_least_matches_manual_config(self, result):
         manual = deploy_folded("mobilenet_v1", ARRIA10).fps()

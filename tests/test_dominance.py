@@ -189,7 +189,7 @@ class TestAutotunePrune:
         # pruning skips losers, so the ascent lands at least as high
         assert pruned.fps >= plain.fps * 0.999
         for gid, tiling, reason in pruned.pruned:
-            assert reason.startswith(("infeasible:", "dominated by current"))
+            assert reason.startswith(("infeasible:", "dominated by w2vec="))
 
 
 if __name__ == "__main__":
