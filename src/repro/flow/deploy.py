@@ -36,7 +36,6 @@ from repro.resilience.faults import active_plan as _active_plan
 from repro.resilience.faults import probe as _probe
 from repro.resilience.retry import VirtualClock, retry
 from repro.resilience.watchdog import Watchdog
-from repro.runtime.opencl import run_pipelined_event
 from repro.runtime.simulate import (
     RunResult,
     per_op_profile,
@@ -443,42 +442,18 @@ class DegradationLadder:
         seed = plan.seed if plan else 0
         clock = VirtualClock()
         watchdog = Watchdog(cfg.watchdog_budget_us)
-        if rung == "pipelined-concurrent":
-            dep = self._build("pipelined")
-            timing = retry(
-                lambda: run_pipelined_event(
-                    dep.bitstream, dep.plan, retry_policy=cfg.retry,
-                    watchdog=watchdog,
-                ),
-                cfg.retry, retry_on=(RuntimeSimError,), clock=clock,
-                seed=seed, site="ladder", label=rung,
-            )
-            timing = {
-                "fps": timing["fps"],
-                "time_per_image_us": timing["time_per_image_us"],
-            }
-        elif rung == "pipelined-serial":
-            dep = self._build("pipelined")
-            result = retry(
-                lambda: simulate_pipelined(dep.bitstream, dep.plan, False),
-                cfg.retry, retry_on=(RuntimeSimError,), clock=clock,
-                seed=seed, site="ladder", label=rung,
-            )
-            timing = {
-                "fps": result.fps,
-                "time_per_image_us": result.time_per_image_us,
-            }
-        else:  # folded
-            dep = self._build("folded")
-            result = retry(
-                lambda: simulate_folded(dep.bitstream, dep.plan),
-                cfg.retry, retry_on=(RuntimeSimError,), clock=clock,
-                seed=seed, site="ladder", label=rung,
-            )
-            timing = {
-                "fps": result.fps,
-                "time_per_image_us": result.time_per_image_us,
-            }
+        dep = self._build("folded" if rung == "folded" else "pipelined")
+        concurrent = rung != "pipelined-serial"
+        result = retry(
+            lambda: dep.run(concurrent),
+            cfg.retry, retry_on=(RuntimeSimError,), clock=clock,
+            seed=seed, site="ladder", label=rung,
+        )
+        watchdog.observe(rung, result.time_per_image_us)
+        timing = {
+            "fps": result.fps,
+            "time_per_image_us": result.time_per_image_us,
+        }
         logits = dep.forward(x)
         if not np.allclose(logits, reference, atol=cfg.crosscheck_atol):
             worst = float(np.max(np.abs(logits - reference)))

@@ -3,7 +3,7 @@
 A :class:`FaultPlan` is a context manager holding an ordered list of
 :class:`Fault` specs.  While active, the real failure boundaries of the
 flow *probe* the plan — ``compile_program`` probes ``synthesize``, the
-OpenCL host simulator probes ``enqueue.write`` / ``enqueue.read`` /
+host-runtime timing model probes ``enqueue.write`` / ``enqueue.read`` /
 ``enqueue.kernel`` / ``channel`` / ``device``, the functional executor
 probes ``buffer``, and the serving loop probes ``dispatch`` /
 ``run_batch`` / ``replica`` (batch-submission failures, mid-service

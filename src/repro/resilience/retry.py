@@ -1,10 +1,9 @@
 """Generic retry with exponential backoff and deterministic jitter.
 
-Backoff waits run on a **virtual clock** — tests (and the discrete-event
-runtime, whose host clock doubles as the virtual clock) never sleep on
-the wall.  Jitter derives from an explicit seed, so a retry schedule is
-reproducible given (policy, seed) and the CI fault-seed matrix covers
-different schedules.
+Backoff waits run on a **virtual clock** — tests and the degradation
+ladder never sleep on the wall.  Jitter derives from an explicit seed,
+so a retry schedule is reproducible given (policy, seed) and the CI
+fault-seed matrix covers different schedules.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """OpenCL host-runtime simulation: plans, timing, event profiling.
 
 Execution plans, serial/concurrent pipelined timing, folded timing,
-batched dispatch timing (``simulate_batched``), the event-level OpenCL
-host API and the functional executors.  Contract: timing is a
-deterministic closed-form or event-driven model over virtual
-microseconds — no wall clock anywhere.
+batched dispatch timing (``simulate_batched``) and the functional
+executors.  Contract: timing is one deterministic closed-form model
+over virtual microseconds — ``simulate_pipelined`` is the only code
+that costs a ``PipelinePlan`` and ``simulate_batched`` the only code
+that costs a ``FoldedPlan`` — with no wall clock anywhere.
 """
 
 from repro.runtime.plan import (
@@ -21,20 +22,11 @@ from repro.runtime.simulate import (
     simulate_folded,
     simulate_pipelined,
 )
-from repro.runtime.opencl import (
-    CLBuffer,
-    CLEvent,
-    CommandQueue,
-    SimContext,
-    run_folded_event,
-    run_pipelined_event,
-)
 from repro.runtime.executor import run_folded_functional, run_pipelined_functional
 
 __all__ = [
-    "CLBuffer", "CLEvent", "CommandQueue", "FoldedPlan", "Invocation",
-    "PipelinePlan", "PipelineStage", "RunResult", "SimContext",
-    "event_profile", "per_op_profile", "run_folded_event", "run_pipelined_event",
-    "run_folded_functional", "run_pipelined_functional", "simulate_batched",
-    "simulate_folded", "simulate_pipelined",
+    "FoldedPlan", "Invocation", "PipelinePlan", "PipelineStage", "RunResult",
+    "event_profile", "per_op_profile", "run_folded_functional",
+    "run_pipelined_functional", "simulate_batched", "simulate_folded",
+    "simulate_pipelined",
 ]

@@ -1,7 +1,7 @@
 """Discrete-time execution model of the OpenCL host runtime.
 
-Costs one inference (or the steady-state throughput over many) for a
-deployment plan against a compiled bitstream:
+The one model that costs a deployment plan against a compiled bitstream
+— one inference, or the steady-state throughput over many:
 
 * **serial execution** (one in-order command queue): kernel times, host
   enqueue overheads and transfers add up per image (thesis §6.3.1's
@@ -12,6 +12,11 @@ deployment plan against a compiled bitstream:
   input/output transfers) — the [CE] bars;
 * autorun kernels cost no host interaction at all (§4.7).
 
+Every command the host enqueues — the input write, each non-autorun
+kernel launch (labelled by layer), the output read — probes its
+``enqueue.*`` fault site; channel-fed stages probe ``channel`` and every
+run probes ``device``.  With no fault plan active the probes are no-ops.
+
 Event profiling (Fig 6.2) is modelled by per-image kernel/write/read time
 totals, with the thesis's observation that enabling the profiler forces
 serial execution.
@@ -20,12 +25,12 @@ serial execution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Iterator, Tuple
 
 from repro.aoc.compiler import Bitstream
 from repro.device.transfer import d2h_time_us, h2d_time_us
-from repro.runtime.opencl import _check_device_lost, _probe_fault
-from repro.runtime.plan import FoldedPlan, PipelinePlan
+from repro.errors import DeviceLostError, TransferError
+from repro.runtime.plan import FoldedPlan, Invocation, PipelinePlan
 
 __all__ = [
     "RunResult",
@@ -34,6 +39,56 @@ __all__ = [
     "simulate_batched",
     "event_profile",
 ]
+
+#: duration assigned to an injected hang when the fault gives no param;
+#: far beyond any watchdog budget, so hangs are always caught
+_HANG_US = 1e12
+
+
+def _probe_fault(site: str, label: str = ""):
+    """Probe the active fault plan (no-op without one).
+
+    Imported lazily so the runtime has no import-time dependency on the
+    resilience package.
+    """
+    from repro.resilience.faults import probe
+
+    return probe(site, label)
+
+
+def _check_device_lost(label: str) -> None:
+    """Raise an injected device-lost event if the fault plan says so."""
+    fault = _probe_fault("device", label)
+    if fault is not None and fault.kind == "device_lost":
+        err = DeviceLostError(
+            f"injected: device lost while running {label!r} (fault plan)"
+        )
+        err.injected = True
+        err.transient = fault.transient
+        raise err
+
+
+def _enqueue(kind: str, label: str, duration_us: float) -> float:
+    """Probe one host command's ``enqueue.<kind>`` fault site.
+
+    Returns the command's duration: unchanged without a fault, ``param
+    or`` :data:`_HANG_US` under a ``hang`` (so the caller's watchdog
+    budget catches it).  A ``dma`` fault raises :class:`TransferError`;
+    recovering from it is the caller's retry policy.
+    """
+    fault = _probe_fault(f"enqueue.{kind}", label)
+    if fault is None:
+        return duration_us
+    if fault.kind == "hang":
+        return fault.param or _HANG_US
+    if fault.kind == "dma":
+        err = TransferError(
+            f"injected: DMA transfer failure on {kind} of {label!r}"
+        )
+        err.injected = True
+        err.transient = fault.transient
+        raise err
+    return duration_us
 
 
 @dataclass
@@ -56,7 +111,8 @@ class RunResult:
 
 
 def _stage_device_time(bs: Bitstream, stage) -> float:
-    return bs.kernel_time_us(stage.kernel_name)
+    t = bs.kernel_time_us(stage.kernel_name)
+    return t if stage.autorun else _enqueue("kernel", stage.layer, t)
 
 
 def simulate_pipelined(
@@ -73,11 +129,10 @@ def simulate_pipelined(
     _check_device_lost(bs.program.name)
     c = bs.constants
     board = bs.board
-    write_us = h2d_time_us(board, plan.input_bytes)
-    read_us = d2h_time_us(board, plan.output_bytes)
-
+    write_us = _enqueue("write", "input", h2d_time_us(board, plan.input_bytes))
     stage_times = {s.layer: _stage_device_time(bs, s) for s in plan.stages}
     _apply_channel_stalls(plan, stage_times)
+    read_us = _enqueue("read", "output", d2h_time_us(board, plan.output_bytes))
     n_enqueued = sum(1 for s in plan.stages if not s.autorun)
     enqueue_us = n_enqueued * board.enqueue_overhead_us
     launch_us = n_enqueued * c.launch_latency_us
@@ -133,8 +188,9 @@ def _apply_channel_stalls(
     """Fold injected channel stalls into per-stage device times.
 
     A ``stall`` fault adds its duration to the stalled consumer's stage
-    time (the closed-form analogue of the event engine's delayed start);
-    a ``hang`` fault is a permanent starvation, diagnosed as a deadlock.
+    time (back-pressure that eventually drains); a ``hang`` fault is a
+    producer that never refills the channel, diagnosed as a deadlock
+    naming the blocked stage and the starved channel.
     """
     for i, stage in enumerate(plan.stages):
         if not stage.channel_in:
@@ -165,27 +221,7 @@ def _apply_channel_stalls(
 
 def simulate_folded(bs: Bitstream, plan: FoldedPlan) -> RunResult:
     """Cost a folded deployment (MobileNet/ResNet-style, serial queue)."""
-    _check_device_lost(bs.program.name)
-    c = bs.constants
-    board = bs.board
-    write_us = h2d_time_us(board, plan.input_bytes)
-    read_us = d2h_time_us(board, plan.output_bytes)
-    stage_times: Dict[str, float] = {}
-    device_us = 0.0
-    for inv in plan.invocations:
-        t = bs.kernel_time_us(inv.kernel_name, inv.bindings)
-        stage_times[inv.layer] = t
-        device_us += t
-    host = len(plan.invocations) * (board.enqueue_overhead_us + c.launch_latency_us)
-    total = write_us + read_us + device_us + host
-    return RunResult(
-        time_per_image_us=total,
-        fps=1e6 / total,
-        stage_times_us=stage_times,
-        host_overhead_us=host,
-        write_us=write_us,
-        read_us=read_us,
-    )
+    return simulate_batched(bs, plan, 1)
 
 
 def simulate_batched(
@@ -214,16 +250,20 @@ def simulate_batched(
     _check_device_lost(bs.program.name)
     c = bs.constants
     board = bs.board
-    write_us = h2d_time_us(board, plan.input_bytes * batch)
-    read_us = d2h_time_us(board, plan.output_bytes * batch)
 
     if isinstance(plan, FoldedPlan):
+        write_us = _enqueue(
+            "write", "input", h2d_time_us(board, plan.input_bytes * batch)
+        )
         stage_times: Dict[str, float] = {}
         device_us = 0.0
-        for inv in plan.invocations:
-            t = bs.kernel_time_us(inv.kernel_name, inv.bindings)
+        for inv, t in _invocation_times(bs, plan):
+            t = _enqueue("kernel", inv.layer, t)
             stage_times[inv.layer] = t
             device_us += t
+        read_us = _enqueue(
+            "read", "output", d2h_time_us(board, plan.output_bytes * batch)
+        )
         host = len(plan.invocations) * (
             board.enqueue_overhead_us + c.launch_latency_us
         )
@@ -241,6 +281,8 @@ def simulate_batched(
     # chain), then stream the remaining images at the steady-state
     # bottleneck the single-image model already derives
     single = simulate_pipelined(bs, plan, concurrent)
+    write_us = h2d_time_us(board, plan.input_bytes * batch)
+    read_us = d2h_time_us(board, plan.output_bytes * batch)
     if not concurrent:
         # a serial queue has no overlap: the per-image chain repeats,
         # only the transfers coalesce
@@ -285,6 +327,14 @@ def _coupled_stage_times(
     return eff
 
 
+def _invocation_times(
+    bs: Bitstream, plan: FoldedPlan
+) -> Iterator[Tuple[Invocation, float]]:
+    """Each folded invocation with its device time (us), in plan order."""
+    for inv in plan.invocations:
+        yield inv, bs.kernel_time_us(inv.kernel_name, inv.bindings)
+
+
 def event_profile(result: RunResult) -> Dict[str, float]:
     """Fig 6.2-style breakdown: kernel / write / read / overhead (us)."""
     kernel_us = sum(result.stage_times_us.values())
@@ -305,8 +355,7 @@ def per_op_profile(
     share of runtime).
     """
     agg: Dict[str, Dict[str, float]] = {}
-    for inv in plan.invocations:
-        t = bs.kernel_time_us(inv.kernel_name, inv.bindings)
+    for inv, t in _invocation_times(bs, plan):
         row = agg.setdefault(inv.op_label, {"time_us": 0.0, "flops": 0.0})
         row["time_us"] += t
         row["flops"] += inv.flops

@@ -8,7 +8,7 @@ matrixed over several seeds."""
 import numpy as np
 import pytest
 
-from repro.device.boards import STRATIX10_SX
+from repro.device.boards import ARRIA10, STRATIX10_MX, STRATIX10_SX
 from repro.flow import deploy_pipelined, deploy_resilient
 from repro.resilience import Fault, FaultPlan, configured
 
@@ -38,13 +38,19 @@ class TestAcceptance:
 
     def test_mobilenet_folded_survives_fault_plan(self):
         clean = deploy_resilient("mobilenet_v1", STRATIX10_SX, cache=False)
-        with acceptance_plan():
+        plan = acceptance_plan()
+        with plan:
             faulted = deploy_resilient(
                 "mobilenet_v1", STRATIX10_SX, cache=False
             )
         # mobilenet has no pipelined schedule: both runs land on folded
         assert faulted.rung == clean.rung == "folded"
         assert np.array_equal(faulted.logits, clean.logits)
+        # the folded rung enqueues its input write too, so the DMA fault
+        # fires there and the ladder's retry recovers it
+        assert ("enqueue.write", "input", "dma") in plan.fired
+        ladder = [e["kind"] for e in faulted.events if e["site"] == "ladder"]
+        assert "retry" in ladder and "recovered" in ladder
 
     def test_retry_events_visible_in_stage_trace(self):
         with acceptance_plan():
@@ -104,6 +110,18 @@ class TestDegradationLadder:
 
 
 class TestNoPlanPurity:
+    @pytest.mark.parametrize("board", [STRATIX10_MX, STRATIX10_SX, ARRIA10])
+    def test_ladder_timing_is_the_deployments_timing(self, board):
+        """The concurrent rung reports the same closed-form numbers as
+        the deployment it serves."""
+        d = deploy_pipelined("lenet5", board)
+        r = deploy_resilient("lenet5", board)
+        assert r.rung == "pipelined-concurrent"
+        assert r.timing == {
+            "fps": d.run(True).fps,
+            "time_per_image_us": d.run(True).time_per_image_us,
+        }
+
     def test_no_fault_plan_means_no_events_and_stable_numbers(self):
         a = deploy_pipelined("lenet5", STRATIX10_SX, cache=False)
         b = deploy_pipelined("lenet5", STRATIX10_SX, cache=False)

@@ -322,25 +322,6 @@ class TestBufferSizeHardening:
         assert buf.require_num_elements() == 12
         assert buf.require_size_bytes() == 48
 
-    def test_sim_allocation_rejects_unresolved_size(self):
-        import repro.ir as ir
-        from repro.aoc import compile_program
-        from repro.errors import RuntimeSimError
-        from repro.runtime import SimContext
-        from repro.schedule import lower
-        from repro.topi import ConvSpec, ConvTiling, conv2d_tensors, \
-            schedule_conv2d_opt
-
-        spec = ConvSpec(c1=4, h=6, w=6, k=4, f=3)
-        _, out = conv2d_tensors(spec, "c")
-        kern = lower(schedule_conv2d_opt(out, ConvTiling()), "k")
-        bits = compile_program(ir.Program([kern], "p"), STRATIX10_SX)
-        ctx = SimContext(bits)
-        # a symbolic Buffer.size_bytes() must be rejected at allocation
-        # with the RM002 cause, not propagate None into a TypeError
-        with pytest.raises(RuntimeSimError, match="RM002"):
-            ctx.create_buffer("acts", None)
-
 
 class TestMemoryCLI:
     def test_memory_report_runs_clean(self):

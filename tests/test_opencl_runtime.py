@@ -1,93 +1,70 @@
-"""Event-level OpenCL host-runtime simulator tests."""
+"""OpenCL host-runtime timing model tests: the thesis §5.2 host program's
+command queues, dispatch costs and event profile as the closed form in
+:mod:`repro.runtime.simulate` costs them."""
 
 import pytest
 
-import repro.ir as ir
-from repro.aoc import compile_program
 from repro.device import STRATIX10_SX
-from repro.errors import RuntimeSimError
-from repro.flow import deploy_folded
-from repro.runtime import SimContext, run_folded_event, simulate_folded
-from repro.schedule import lower
-from repro.topi import ConvSpec, ConvTiling, conv2d_tensors, schedule_conv2d_opt
+from repro.flow import deploy_folded, deploy_pipelined
+from repro.runtime import event_profile, simulate_batched, simulate_folded
 
 
 @pytest.fixture(scope="module")
-def bitstream():
-    spec = ConvSpec(c1=8, h=10, w=10, k=8, f=3)
-    _, out = conv2d_tensors(spec, "c")
-    kern = lower(schedule_conv2d_opt(out, ConvTiling(c1vec=2)), "k")
-    return compile_program(ir.Program([kern], "p"), STRATIX10_SX)
+def lenet():
+    return deploy_pipelined("lenet5", STRATIX10_SX, "tvm_autorun")
+
+
+@pytest.fixture(scope="module")
+def lenet_base():
+    return deploy_pipelined("lenet5", STRATIX10_SX, "base")
 
 
 class TestEventSemantics:
-    def test_in_order_queue(self, bitstream):
-        ctx = SimContext(bitstream)
-        q = ctx.create_queue()
-        buf = ctx.create_buffer("b", 4096)
-        e1 = ctx.enqueue_write(q, buf)
-        e2 = ctx.enqueue_kernel(q, "k")
-        assert e2.start_us >= e1.end_us
+    def test_in_order_queue(self, lenet):
+        """One in-order queue: every command of an image runs back to
+        back, so the image time is the sum of all of them."""
+        r = lenet.run(concurrent=False)
+        assert r.time_per_image_us == pytest.approx(
+            r.write_us + r.read_us + sum(r.stage_times_us.values())
+            + r.host_overhead_us,
+            rel=1e-12,
+        )
 
-    def test_explicit_dependency_across_queues(self, bitstream):
-        ctx = SimContext(bitstream)
-        q1, q2 = ctx.create_queue(), ctx.create_queue()
-        buf = ctx.create_buffer("b", 4096)
-        e1 = ctx.enqueue_write(q1, buf)
-        e2 = ctx.enqueue_kernel(q2, "k", wait_for=[e1])
-        assert e2.start_us >= e1.end_us
+    def test_explicit_dependency_across_queues(self, lenet_base):
+        """Without channels, each kernel waits on its producer's global-
+        memory output even on its own queue: one image's chain stays
+        serial."""
+        r = lenet_base.run(concurrent=True)
+        assert r.time_per_image_us >= sum(r.stage_times_us.values())
 
-    def test_independent_queues_overlap(self, bitstream):
-        ctx = SimContext(bitstream)
-        q1, q2 = ctx.create_queue(), ctx.create_queue()
-        e1 = ctx.enqueue_kernel(q1, "k")
-        e2 = ctx.enqueue_kernel(q2, "k")
-        # the second launch starts before the first finishes (only the
-        # host-dispatch cost separates them)
-        assert e2.start_us < e1.end_us
+    def test_independent_queues_overlap(self, lenet):
+        """Channel-connected stages on their own queues overlap: the
+        steady state beats the summed stage times."""
+        r = lenet.run(concurrent=True)
+        assert r.time_per_image_us < sum(r.stage_times_us.values())
+        assert r.time_per_image_us >= max(r.stage_times_us.values())
 
-    def test_host_thread_serializes_enqueues(self, bitstream):
-        ctx = SimContext(bitstream)
-        q = ctx.create_queue()
-        before = ctx.host_us
-        ctx.enqueue_kernel(q, "k")
-        assert ctx.host_us == before + bitstream.board.enqueue_overhead_us
+    def test_host_thread_serializes_enqueues(self, lenet):
+        """The host thread issues one image's enqueues one after another;
+        that serialization is a floor on the concurrent image time."""
+        n_enqueued = sum(1 for s in lenet.plan.stages if not s.autorun)
+        r = lenet.run(concurrent=True)
+        assert r.host_overhead_us == (
+            n_enqueued * STRATIX10_SX.enqueue_overhead_us
+        )
+        assert r.time_per_image_us >= r.host_overhead_us
 
-    def test_profiling_forces_blocking(self, bitstream):
-        ctx = SimContext(bitstream, profiling=True)
-        q1, q2 = ctx.create_queue(), ctx.create_queue()
-        e1 = ctx.enqueue_kernel(q1, "k")
-        e2 = ctx.enqueue_kernel(q2, "k")
-        # with the profiler on, the host blocks per event -> no overlap
-        assert e2.start_us >= e1.end_us
+    def test_event_profile_totals(self, lenet):
+        totals = event_profile(lenet.run(concurrent=False))
+        assert totals["kernel_us"] > 0
+        assert totals["write_us"] > 0 and totals["read_us"] > 0
 
-    def test_finish_returns_last_end(self, bitstream):
-        ctx = SimContext(bitstream)
-        q = ctx.create_queue()
-        ctx.enqueue_kernel(q, "k")
-        e = ctx.enqueue_kernel(q, "k")
-        assert ctx.finish() == e.end_us
-
-    def test_event_profile_totals(self, bitstream):
-        ctx = SimContext(bitstream)
-        q = ctx.create_queue()
-        buf = ctx.create_buffer("b", 1 << 16)
-        ctx.enqueue_write(q, buf)
-        ctx.enqueue_kernel(q, "k")
-        ctx.enqueue_read(q, buf)
-        totals = ctx.profile_totals()
-        assert totals["kernel"] > 0 and totals["write"] > 0 and totals["read"] > 0
-
-    def test_bad_buffer_size(self, bitstream):
-        ctx = SimContext(bitstream)
-        with pytest.raises(RuntimeSimError):
-            ctx.create_buffer("b", 0)
-
-    def test_kernel_duration_matches_model(self, bitstream):
-        ctx = SimContext(bitstream)
-        q = ctx.create_queue()
-        e = ctx.enqueue_kernel(q, "k")
-        assert abs(e.duration_us - bitstream.kernel_time_us("k")) < 1e-9
+    def test_kernel_duration_matches_model(self, lenet):
+        r = lenet.run(concurrent=False)
+        for stage in lenet.plan.stages:
+            assert r.stage_times_us[stage.layer] == (
+                lenet.bitstream.kernel_time_us(stage.kernel_name)
+            )
 
 
 class TestFoldedEventEngine:
@@ -95,89 +72,36 @@ class TestFoldedEventEngine:
     def deployment(self):
         return deploy_folded("mobilenet_v1", STRATIX10_SX)
 
-    def test_agrees_with_closed_form(self, deployment):
-        closed = simulate_folded(deployment.bitstream, deployment.plan)
-        event = run_folded_event(deployment.bitstream, deployment.plan, 1)
-        ratio = event["time_per_image_us"] / closed.time_per_image_us
-        assert 0.8 < ratio < 1.25
-
     def test_multi_image_amortizes(self, deployment):
-        one = run_folded_event(deployment.bitstream, deployment.plan, 1)
-        many = run_folded_event(deployment.bitstream, deployment.plan, 4)
-        assert many["time_per_image_us"] <= one["time_per_image_us"] * 1.01
-
-    def test_event_count(self, deployment):
-        n_inv = len(deployment.plan.invocations)
-        res = run_folded_event(deployment.bitstream, deployment.plan, 2)
-        assert res["events"] == 2 * (n_inv + 2)  # write + kernels + read
-
-    def test_profiling_slows_throughput(self, deployment):
-        plain = run_folded_event(deployment.bitstream, deployment.plan, 2)
-        profiled = run_folded_event(
-            deployment.bitstream, deployment.plan, 2, profiling=True
-        )
-        assert profiled["fps"] <= plain["fps"] * 1.001
+        one = simulate_folded(deployment.bitstream, deployment.plan)
+        many = simulate_batched(deployment.bitstream, deployment.plan, 4)
+        assert many.time_per_image_us <= one.time_per_image_us
 
     def test_profile_breakdown_present(self, deployment):
-        res = run_folded_event(deployment.bitstream, deployment.plan, 1)
-        assert res["profile"]["kernel"] > res["profile"]["read"]
+        profile = event_profile(
+            simulate_folded(deployment.bitstream, deployment.plan)
+        )
+        assert profile["kernel_us"] > profile["read_us"]
 
 
 class TestPipelinedEventEngine:
-    @pytest.fixture(scope="class")
-    def deployment(self):
-        from repro.flow import deploy_pipelined
+    def test_throughput_improves_with_pipelining(self, lenet):
+        assert lenet.fps(concurrent=True) > 1.5 * lenet.fps(concurrent=False)
 
-        return deploy_pipelined("lenet5", STRATIX10_SX, "tvm_autorun")
-
-    def test_steady_state_matches_closed_form(self, deployment):
-        """The event engine independently reproduces the analytic
-        layer-pipeline bottleneck."""
-        from repro.runtime import run_pipelined_event
-
-        event = run_pipelined_event(deployment.bitstream, deployment.plan, 64)
-        closed = deployment.fps(concurrent=True)
-        assert 0.9 < event["fps"] / closed < 1.1
-
-    def test_throughput_improves_with_pipelining(self, deployment):
-        from repro.runtime import run_pipelined_event
-
-        one = run_pipelined_event(deployment.bitstream, deployment.plan, 1)
-        many = run_pipelined_event(deployment.bitstream, deployment.plan, 32)
-        assert many["fps"] > 1.5 * one["fps"]
-
-    def test_autorun_stages_cost_no_dispatch(self, deployment):
-        from repro.runtime import SimContext, run_pipelined_event
-
-        run = run_pipelined_event(deployment.bitstream, deployment.plan, 1)
-        # host-dispatched commands: write + read + non-autorun kernels
-        n_autorun = sum(1 for s in deployment.plan.stages if s.autorun)
-        n_total = len(deployment.plan.stages)
-        assert run["events"] == n_total + 2  # all stages + write + read
-
-    def test_profiled_run_not_faster(self, deployment):
-        from repro.runtime import run_pipelined_event
-
-        plain = run_pipelined_event(deployment.bitstream, deployment.plan, 8)
-        prof = run_pipelined_event(
-            deployment.bitstream, deployment.plan, 8, profiling=True
+    def test_autorun_stages_cost_no_dispatch(self, lenet):
+        """Only host-enqueued kernels pay dispatch and launch latency."""
+        n_enqueued = sum(1 for s in lenet.plan.stages if not s.autorun)
+        assert n_enqueued < len(lenet.plan.stages)
+        per_command = (
+            STRATIX10_SX.enqueue_overhead_us
+            + lenet.bitstream.constants.launch_latency_us
         )
-        assert prof["fps"] <= plain["fps"] * 1.001
+        r = lenet.run(concurrent=False)
+        assert r.host_overhead_us == n_enqueued * per_command
 
-    def test_base_level_event_engine(self):
-        """Without channels, one image's chain is serial in the event
-        engine too; successive images overlap (the engine assumes double
-        buffering), so throughput sits between the closed-form serial
-        rate and the bottleneck-stage bound."""
-        from repro.flow import deploy_pipelined
-        from repro.runtime import run_pipelined_event
-
-        d = deploy_pipelined("lenet5", STRATIX10_SX, "base")
-        event = run_pipelined_event(d.bitstream, d.plan, 16)
-        serial = d.fps(concurrent=False)
-        r = d.run(concurrent=False)
-        bottleneck_bound = 1e6 / max(r.stage_times_us.values())
-        assert serial * 0.9 <= event["fps"] <= bottleneck_bound
-        # single-image latency matches the serial chain
-        one = run_pipelined_event(d.bitstream, d.plan, 1)
-        assert 0.7 < (1e6 / one["fps"]) / r.time_per_image_us < 1.3
+    def test_base_level_event_engine(self, lenet_base):
+        """Without channels, throughput sits between the serial rate and
+        the bottleneck-stage bound."""
+        serial = lenet_base.run(concurrent=False)
+        bottleneck_bound = 1e6 / max(serial.stage_times_us.values())
+        assert serial.fps <= lenet_base.fps(concurrent=True) <= bottleneck_bound

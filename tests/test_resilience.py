@@ -20,6 +20,7 @@ from repro.flow import (
     deploy_pipelined,
     default_folded_config,
     deploy_folded,
+    deploy_resilient,
     sweep_conv1x1,
 )
 from repro.models import mobilenet_v1
@@ -39,7 +40,7 @@ from repro.resilience import (
     probe,
     retry,
 )
-from repro.runtime.opencl import SimContext, run_pipelined_event
+from repro.runtime import PipelinePlan, PipelineStage
 from repro.runtime.simulate import simulate_pipelined
 from repro.topi import ConvTiling
 
@@ -233,11 +234,16 @@ class TestWatchdog:
         assert g.find_cycle() is None
 
     def test_injected_hang_caught_by_watchdog(self):
-        d = deploy_pipelined("lenet5", STRATIX10_SX)
-        with FaultPlan(Fault("enqueue.kernel", "hang", match="conv1")):
-            with pytest.raises(DeadlockError, match="hung"):
-                run_pipelined_event(d.bitstream, d.plan,
-                                    watchdog=Watchdog(budget_us=1e8))
+        """A hung kernel launch stretches the run past the ladder's
+        watchdog budget: the first rung falls back with a deadlock."""
+        with FaultPlan(Fault("enqueue.kernel", "hang", match="conv1")) as plan:
+            r = deploy_resilient("lenet5", STRATIX10_SX, cache=False)
+        assert plan.fired == [("enqueue.kernel", "conv1", "hang")]
+        first = r.attempts[0]
+        assert first.rung == "pipelined-concurrent" and not first.ok
+        assert first.reason.startswith("DeadlockError")
+        assert "hung" in first.reason
+        assert r.rung == "pipelined-serial"
 
 
 class TestRuntimeFaults:
@@ -248,18 +254,20 @@ class TestRuntimeFaults:
     def test_dma_fault_without_policy_fails_fast(self, lenet):
         with FaultPlan(Fault("enqueue.write", "dma")):
             with pytest.raises(TransferError, match="injected"):
-                run_pipelined_event(lenet.bitstream, lenet.plan)
+                simulate_pipelined(lenet.bitstream, lenet.plan, True)
 
     def test_dma_fault_recovered_by_retry_policy(self, lenet):
-        clean = run_pipelined_event(lenet.bitstream, lenet.plan)
+        clean = simulate_pipelined(lenet.bitstream, lenet.plan, True)
+        clock = VirtualClock()
         with FaultPlan(Fault("enqueue.write", "dma", times=1)) as plan:
-            out = run_pipelined_event(
-                lenet.bitstream, lenet.plan,
-                retry_policy=RetryPolicy(attempts=3),
+            out = retry(
+                lambda: simulate_pipelined(lenet.bitstream, lenet.plan, True),
+                RetryPolicy(attempts=3), clock=clock,
             )
-        assert len(plan.fired) == 1
-        # the retry costs host time, so the faulted run is no faster
-        assert out["makespan_us"] >= clean["makespan_us"]
+        assert plan.fired == [("enqueue.write", "input", "dma")]
+        # the backoff waits on the virtual clock, not the device
+        assert clock.now_us > 0
+        assert out.fps == clean.fps
 
     def test_channel_stall_slows_simulation(self, lenet):
         clean = simulate_pipelined(lenet.bitstream, lenet.plan, True)
@@ -277,15 +285,19 @@ class TestRuntimeFaults:
 
         with FaultPlan(Fault("device", "device_lost")):
             with pytest.raises(DeviceLostError):
-                run_pipelined_event(lenet.bitstream, lenet.plan)
+                simulate_pipelined(lenet.bitstream, lenet.plan, True)
 
     def test_unknown_kernel_name_lists_available(self, lenet):
-        ctx = SimContext(lenet.bitstream)
-        q = ctx.create_queue()
+        """A plan naming a kernel the bitstream lacks (a stale host
+        program) fails with the kernels it does provide."""
+        stale = PipelinePlan(
+            [PipelineStage("no_such_kernel", "conv1")], input_bytes=4,
+            output_bytes=4,
+        )
         with pytest.raises(RuntimeSimError) as exc:
-            ctx.enqueue_kernel(q, "no_such_kernel")
+            simulate_pipelined(lenet.bitstream, stale, False)
         assert "no_such_kernel" in str(exc.value)
-        assert "provides" in str(exc.value)
+        assert "k_conv1" in str(exc.value)
 
     def test_bitstream_kernel_lookup_not_bare_keyerror(self, lenet):
         with pytest.raises(RuntimeSimError, match="available kernels"):

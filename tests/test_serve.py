@@ -159,9 +159,7 @@ class TestSimulateBatched:
         d = deploy_folded("mobilenet_v1", STRATIX10_SX)
         single = simulate_folded(d.bitstream, d.plan)
         batched = simulate_batched(d.bitstream, d.plan, 1)
-        assert batched.time_per_image_us == pytest.approx(
-            single.time_per_image_us, rel=1e-9
-        )
+        assert batched.time_per_image_us == single.time_per_image_us
 
     def test_folded_batching_amortizes_host_overhead(self):
         d = deploy_folded("mobilenet_v1", STRATIX10_SX)
