@@ -8,6 +8,8 @@ in CI:
 * simulated inferences/sec through the functional executor — LeNet-5 at
   full size (vectorized AND scalar, asserting the >= 5x vectorization
   floor), MobileNetV1/ResNet-18 through their reduced twins;
+* scalar-fallback band count of each twin's vectorized forward, an exact
+  count gated at zero (no band, no calibration);
 * pruned 72-point conv1x1 DSE sweep wall-clock, serial vs 4 workers;
 * static equivalence certification of the whole folded LeNet-5 build vs
   one interpreter cross-check of a single kernel — the certificate path
@@ -171,7 +173,9 @@ def _compile_measurers() -> dict:
     return out
 
 
-def _throughput_measurers() -> dict:
+def _throughput_measurers(fallbacks: dict) -> dict:
+    """Throughput closures; fills ``fallbacks`` with each twin's count of
+    scalar-fallback bands from its warm-up forward."""
     out = {}
     dep = deploy_pipelined("lenet5", ARRIA10, cache=False)
     x = np.random.default_rng(0).standard_normal((1, 28, 28)).astype(np.float32)
@@ -191,7 +195,11 @@ def _throughput_measurers() -> dict:
         tx = np.random.default_rng(11).standard_normal(
             graph.input.out_shape
         ).astype(np.float32)
-        run_folded_functional(prog, plan, fused, tx, params, interp="vector")
+        events = []
+        run_folded_functional(prog, plan, fused, tx, params, interp="vector",
+                              events=events)
+        fallbacks[f"{net}@twin"] = sum(
+            1 for _, ev in events if ev.kind == "fallback")
 
         def measure(prog=prog, plan=plan, fused=fused, tx=tx, params=params):
             seconds = _best_of(
@@ -325,11 +333,11 @@ def trajectory():
     that measurement (with its adjacent probe) for the retry protocol.
     """
     remeasure = {}
-    compile_s, throughput = {}, {}
+    compile_s, throughput, fallbacks = {}, {}, {}
     for key, fn in _compile_measurers().items():
         compile_s[key] = fn()
         remeasure[key] = fn
-    for key, fn in _throughput_measurers().items():
+    for key, fn in _throughput_measurers(fallbacks).items():
         throughput[key] = fn()
         remeasure[key] = fn
     current = {
@@ -337,6 +345,7 @@ def trajectory():
         "cpus": _usable_cpus(),
         "compile_s": compile_s,
         "throughput_ips": throughput,
+        "vinterp_fallbacks": fallbacks,
         "lenet5": _measure_lenet_speedup(
             throughput["lenet5@pipelined"]["value"]),
         "sweep": _measure_sweep(),
@@ -403,6 +412,11 @@ def _save_report(current, baseline) -> None:
         rows.append([key, f"{cur['value']:.2f} ips",
                      f"{base['value']:.2f} ips",
                      f"{_calibrated(cur, base, 'ips'):.2f} ips"])
+    for key in sorted(current["vinterp_fallbacks"]):
+        rows.append([f"{key} fallback bands",
+                     f"{current['vinterp_fallbacks'][key]}",
+                     f"{baseline.get('vinterp_fallbacks', {}).get(key, '-')}",
+                     "== 0 exactly"])
     rows.append(["lenet5 scalar", f"{current['lenet5']['scalar_ips']:.2f} ips",
                  f"{baseline['lenet5']['scalar_ips']:.2f} ips", "-"])
     rows.append(["lenet5 vec/scalar", f"{current['lenet5']['speedup']:.0f}x",
@@ -490,6 +504,16 @@ class TestPerfTrajectory:
                     f"{(1 - THROUGHPUT_BAND) * 100:.0f}% after "
                     f"{RETRIES} retries"
                 )
+
+    def test_twins_fully_vectorize(self, trajectory):
+        current, _, _ = trajectory
+        assert sorted(current["vinterp_fallbacks"]) == [
+            f"{net}@twin" for net in sorted(TWINS)]
+        for key, count in sorted(current["vinterp_fallbacks"].items()):
+            assert count == 0, (
+                f"{key}: {count} interpreter band(s) fell back to the scalar "
+                "loop — an exact count, gated at zero"
+            )
 
     def test_certificate_path_beats_interpreter(self, trajectory):
         current, _, _ = trajectory

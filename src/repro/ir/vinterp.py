@@ -25,7 +25,16 @@ which is only sound under the dependence rules checked in phase A:
   lowerer emits (``buf[i] = combine(buf[i], update)``) — it is folded
   with ``np.add.accumulate`` (or ``maximum``/``minimum``), which applies
   the combiner in exactly the scalar iteration order, keeping float32
-  results bit-identical (``np.sum``'s pairwise reduction would not be);
+  results bit-identical (``np.sum``'s pairwise reduction would not be).
+  The reduction axes are the loops the store's address does not vary
+  along, except loops of extent 1: one iteration carries nothing, so
+  they are lane axes.  A privatized buffer's lane base varies along
+  every loop of extent > 1 enclosing its ``Allocate``, so a reduction
+  into it never folds across a re-created allocation.  The rule exists
+  for the conv/depthwise register-cache ``cache_write``: its outer
+  ``xx_*o`` loop has extent ``wo // w2vec``, which is 1 whenever a
+  single tile spans the output row (every such kernel of the reduced
+  twins);
 * all other stores must hit pairwise-distinct addresses (checked with
   ``np.unique``);
 * each channel is popped by at most one leaf and pushed by at most one
@@ -445,8 +454,10 @@ class _LeafChecker:
         ndim = len(self.leaf.shape)
         full = np.broadcast_to(np.asarray(eff), self.leaf.shape)
         bshape = np.shape(eff) if np.ndim(eff) == ndim else (1,) * ndim
-        par = [j for j in range(ndim) if bshape[j] != 1]
-        red = [j for j in range(ndim) if bshape[j] == 1]
+        # a one-iteration loop carries no reduction: count it as a lane axis
+        par = [j for j in range(ndim)
+               if bshape[j] != 1 or self.leaf.shape[j] == 1]
+        red = [j for j in range(ndim) if j not in par]
         pb = self.plan.privates.get(s.buffer.name)
         if pb is not None and any(ax.pos in red for ax in pb.prefix):
             # the scalar path re-zeros the allocation on those iterations,

@@ -5,9 +5,14 @@ step ("A real image is used to validate the implementation once"): the
 *generated kernels themselves* are executed — channel FIFOs, symbolic
 bindings and all — and their outputs compared against the NumPy reference.
 
-The interpreter is Python-slow, so full-size MobileNet/ResNet runs are
-impractical; tests exercise LeNet and reduced networks end-to-end, which
-covers every kernel species the large networks use.
+Tests run LeNet-5 and the reduced MobileNetV1/ResNet-18 twins, which
+instantiate every kernel group of the full networks, bit-identically
+under both interpreters.  Full-size MobileNetV1 and ResNet-18 run
+through their generated kernels too, in about 17 s and 34 s on one
+2-vCPU host with the vectorized interpreter
+(``benchmarks/test_full_size_forward.py``): every band vectorizes except
+those above the vector size limit, and the logits match the NumPy
+reference within float32 tolerance.
 """
 
 from __future__ import annotations

@@ -181,6 +181,8 @@ def check_performance_coverage() -> list:
         gated.append("certify")
     if "memory" in data:
         gated.append("memory")
+    if "vinterp_fallbacks" in data:
+        gated.append("vinterp_fallbacks")
     for key in gated:
         if key not in text:
             findings.append(
