@@ -8,7 +8,7 @@ Quartus seed sweeps.  Contract: identical inputs produce identical
 reproduce at the same design points (``FitError``/``RoutingError``).
 """
 
-from repro.aoc.analysis import AccessSite, KernelAnalysis, LSU
+from repro.aoc.analysis import KernelAnalysis, LSU, analyze
 from repro.aoc.compiler import Bitstream, HwKernel, compile_program
 from repro.aoc.constants import AOCConstants, DEFAULT_CONSTANTS
 from repro.aoc.fmax import TimingReport, congestion_metric, timing
@@ -16,8 +16,8 @@ from repro.aoc.resources import ResourceEstimate, estimate_kernel
 from repro.aoc.report import area_row, format_area_table
 
 __all__ = [
-    "AOCConstants", "AccessSite", "Bitstream", "DEFAULT_CONSTANTS",
-    "HwKernel", "KernelAnalysis", "LSU", "ResourceEstimate", "TimingReport",
+    "AOCConstants", "Bitstream", "DEFAULT_CONSTANTS", "HwKernel",
+    "KernelAnalysis", "LSU", "ResourceEstimate", "TimingReport", "analyze",
     "area_row", "compile_program", "congestion_metric", "estimate_kernel",
     "format_area_table", "timing",
 ]

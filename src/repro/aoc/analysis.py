@@ -1,6 +1,8 @@
 """Static analysis of kernel IR: the front half of the AOC model.
 
-For each kernel this derives, once:
+For each kernel this derives, once, from the kernel's access table
+(:func:`repro.ir.analysis.access_table`, the walk the verifier's bounds
+and race checks read too):
 
 * the loop tree with dependence-based initiation intervals (II) —
   accumulation into a global scratchpad gives II=5, into a register II=1
@@ -22,28 +24,19 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import AOCError
 from repro.ir import expr as _e
 from repro.ir import stmt as _s
-from repro.ir.analysis import eval_int, free_vars, stride_of, count_flops_expr
-from repro.ir.buffer import Buffer
+from repro.ir.analysis import (
+    AccessSite,
+    access_table,
+    count_flops_expr,
+    eval_int,
+    free_vars,
+    fully_unrolled,
+    stride_of,
+)
 from repro.ir.kernel import Kernel
 from repro.aoc.constants import AOCConstants, DEFAULT_CONSTANTS
 
 Bindings = Dict[_e.Var, int]
-
-
-@dataclass
-class AccessSite:
-    """One static load/store on a global buffer."""
-
-    buffer: Buffer
-    is_store: bool
-    index: _e.Expr
-    #: enclosing unrolled loops as (var, static extent), outermost first
-    unrolled: Tuple[Tuple[_e.Var, int], ...]
-    #: enclosing non-unrolled loops as (var, extent expr), outermost first
-    serial: Tuple[Tuple[_e.Var, _e.Expr], ...]
-    cached: bool
-    #: the LSU inferred for this site (set after inference; global only)
-    lsu: Optional["LSU"] = None
 
 
 @dataclass
@@ -88,25 +81,46 @@ class LoopNode:
         return "dependence" if self.ii_dep >= self.ii_mem else "memory"
 
 
+def analyze(
+    kernel: Kernel, constants: AOCConstants = DEFAULT_CONSTANTS
+) -> "KernelAnalysis":
+    """The kernel's :class:`KernelAnalysis`, built once per kernel object
+    and constants: the verifier's performance advisor and the offline
+    compiler of one build share it."""
+    key = (KernelAnalysis, constants)
+    analysis = kernel.derived.get(key)
+    if analysis is None:
+        analysis = kernel.derived[key] = KernelAnalysis(kernel, constants)
+    return analysis
+
+
 class KernelAnalysis:
     """All static facts about a kernel, plus binding-parameterized costs."""
 
     def __init__(self, kernel: Kernel, constants: AOCConstants = DEFAULT_CONSTANTS) -> None:
         self.kernel = kernel
         self.c = constants
-        self.sites: List[AccessSite] = []
+        table = access_table(kernel)
         self.loops: Dict[int, LoopNode] = {}
-        self.loop_count = 0
-        self.channel_ops = 0
-        self.uses_select = False
-        self.uses_mod = False
+        for loop in table.loops:
+            if fully_unrolled(loop) and loop.static_extent is None:
+                raise AOCError(
+                    f"kernel {kernel.name}: fully-unrolled loop "
+                    f"{loop.loop_var.name} has a non-constant bound"
+                )
+            self.loops[id(loop)] = LoopNode(loop)
+        self.loop_count = len(table.loops)
+        self.channel_ops = table.kinds[_e.ChannelRead] + table.kinds[_s.ChannelWrite]
+        self.uses_select = table.kinds[_e.Select] > 0
+        self.uses_mod = table.kinds[_e.Mod] > 0
         self._scalar_args = set(kernel.scalar_args)
-        self._walk(kernel.body, [], [])
-        self.lsus: List[LSU] = []
-        for site in self.sites:
-            if site.buffer.scope == "global":
-                site.lsu = self._infer_lsu(site)
-                self.lsus.append(site.lsu)
+        self.sites: List[AccessSite] = table.sites
+        #: the global-memory sites with the LSU inferred for each
+        self.lsu_sites: List[Tuple[AccessSite, LSU]] = [
+            (site, self._infer_lsu(site))
+            for site in self.sites if site.buffer.scope == "global"
+        ]
+        self.lsus: List[LSU] = [lsu for _, lsu in self.lsu_sites]
         self._assign_dep_ii()
         self._assign_mem_ii()
         self._cycles_cache: Dict[Tuple[Tuple[str, int], ...], int] = {}
@@ -116,84 +130,7 @@ class KernelAnalysis:
         # pickle round-trip (the persistent compile cache); re-analyze
         # from (kernel, constants) — deterministic and cheap — instead
         # of restoring stale ids.
-        return (KernelAnalysis, (self.kernel, self.c))
-
-    # ------------------------------------------------------------------
-    # collection
-    def _walk(
-        self,
-        s: _s.Stmt,
-        unrolled: List[Tuple[_e.Var, int]],
-        serial: List[Tuple[_e.Var, _e.Expr]],
-    ) -> None:
-        if isinstance(s, _s.SeqStmt):
-            for c in s.stmts:
-                self._walk(c, unrolled, serial)
-        elif isinstance(s, _s.For):
-            self.loop_count += 1
-            self.loops[id(s)] = LoopNode(s)
-            if s.kind is _s.ForKind.UNROLLED and s.unroll_factor is None:
-                ext = s.static_extent
-                if ext is None:
-                    raise AOCError(
-                        f"kernel {self.kernel.name}: fully-unrolled loop "
-                        f"{s.loop_var.name} has a non-constant bound"
-                    )
-                self._walk(s.body, unrolled + [(s.loop_var, ext)], serial)
-            elif s.kind is _s.ForKind.UNROLLED:
-                # partial unroll: inner factor is spatial, remainder serial
-                self._walk(
-                    s.body,
-                    unrolled + [(s.loop_var, s.unroll_factor)],
-                    serial + [(s.loop_var, s.extent)],
-                )
-            else:
-                self._walk(s.body, unrolled, serial + [(s.loop_var, s.extent)])
-        elif isinstance(s, (_s.Allocate, _s.AttrStmt)):
-            self._walk(s.body, unrolled, serial)
-        elif isinstance(s, _s.IfThenElse):
-            self._scan_expr(s.cond, unrolled, serial)
-            self._walk(s.then_body, unrolled, serial)
-            if s.else_body is not None:
-                self._walk(s.else_body, unrolled, serial)
-        elif isinstance(s, _s.Store):
-            self._scan_expr(s.value, unrolled, serial)
-            self._scan_expr(s.index, unrolled, serial)
-            self.sites.append(
-                AccessSite(
-                    s.buffer, True, s.index, tuple(unrolled), tuple(serial),
-                    cached=False,
-                )
-            )
-        elif isinstance(s, _s.ChannelWrite):
-            self.channel_ops += 1
-            self._scan_expr(s.value, unrolled, serial)
-        elif isinstance(s, _s.Evaluate):
-            self._scan_expr(s.value, unrolled, serial)
-
-    def _scan_expr(
-        self,
-        e: _e.Expr,
-        unrolled: List[Tuple[_e.Var, int]],
-        serial: List[Tuple[_e.Var, _e.Expr]],
-    ) -> None:
-        if isinstance(e, _e.Load):
-            self.sites.append(
-                AccessSite(
-                    e.buffer, False, e.index, tuple(unrolled), tuple(serial),
-                    cached=e.buffer.name in self.kernel.cached_reads,
-                )
-            )
-            self._scan_expr(e.index, unrolled, serial)
-            return
-        if isinstance(e, _e.Select):
-            self.uses_select = True
-        if isinstance(e, _e.Mod):
-            self.uses_mod = True
-        if isinstance(e, _e.ChannelRead):
-            self.channel_ops += 1
-        for child in e.children():
-            self._scan_expr(child, unrolled, serial)
+        return (analyze, (self.kernel, self.c))
 
     # ------------------------------------------------------------------
     # LSU inference
@@ -227,7 +164,7 @@ class KernelAnalysis:
         # (Section 2.4.3): a read re-issued across serial loops that do
         # not advance the address.  Tiny operands (biases, scalars) live
         # in registers instead of earning a BRAM cache.
-        cached = site.cached
+        cached = not site.is_store and site.buffer.name in self.kernel.cached_reads
         if not site.is_store and not cached:
             repetitive = any(
                 stride_of(site.index, var) == 0 for var, _ in site.serial
@@ -247,67 +184,35 @@ class KernelAnalysis:
     # ------------------------------------------------------------------
     # dependence-based II
     def _assign_dep_ii(self) -> None:
-        self._dep_walk(self.kernel.body, [])
-
-    def _dep_walk(self, s: _s.Stmt, serial_stack: List[_s.For]) -> None:
-        if isinstance(s, _s.SeqStmt):
-            for c in s.stmts:
-                self._dep_walk(c, serial_stack)
-        elif isinstance(s, _s.For):
-            if s.kind is _s.ForKind.UNROLLED and s.unroll_factor is None:
-                self._dep_walk(s.body, serial_stack)
-            else:
-                self._dep_walk(s.body, serial_stack + [s])
-        elif isinstance(s, (_s.Allocate, _s.AttrStmt)):
-            self._dep_walk(s.body, serial_stack)
-        elif isinstance(s, _s.IfThenElse):
-            self._dep_walk(s.then_body, serial_stack)
-            if s.else_body is not None:
-                self._dep_walk(s.else_body, serial_stack)
-        elif isinstance(s, _s.Store):
-            if not self._is_accumulation(s):
-                return
+        for site in self.sites:
+            if not site.accumulates:
+                continue
             # innermost enclosing serial loop whose var does not advance
             # the accumulator address carries the dependence; trip-1 loops
             # collapse away and cannot carry it
-            for loop in reversed(serial_stack):
-                if loop.static_extent == 1:
+            for loop in reversed(site.loops):
+                if fully_unrolled(loop) or loop.static_extent == 1:
                     continue
-                if stride_of(s.index, loop.loop_var) == 0:
+                if stride_of(site.index, loop.loop_var) == 0:
                     ii = (
                         self.c.ii_global_accum
-                        if s.buffer.scope == "global"
+                        if site.buffer.scope == "global"
                         else self.c.ii_local_accum
                     )
                     node = self.loops[id(loop)]
                     if ii > node.ii_dep:
                         node.ii_dep = ii
-                        node.ii_dep_buffer = s.buffer.name
-                        node.ii_dep_scope = s.buffer.scope
+                        node.ii_dep_buffer = site.buffer.name
+                        node.ii_dep_scope = site.buffer.scope
                     break
-
-    @staticmethod
-    def _is_accumulation(store: _s.Store) -> bool:
-        hits: List[bool] = []
-
-        def scan(e: _e.Expr) -> None:
-            if isinstance(e, _e.Load) and e.buffer is store.buffer:
-                if _e.structural_equal(e.index, store.index):
-                    hits.append(True)
-            for c in e.children():
-                scan(c)
-
-        scan(store.value)
-        return bool(hits)
 
     # ------------------------------------------------------------------
     # memory-arbitration II: replicated read streams share LSU ports
     def _assign_mem_ii(self) -> None:
-        for site in self.sites:
-            lsu = site.lsu
+        for site, lsu in self.lsu_sites:
             # aligned (compile-time-analyzable) replicas schedule cleanly;
             # non-aligned replicated streams contend in the arbiter
-            if lsu is None or lsu.is_store or lsu.replicas <= 1 or lsu.aligned:
+            if lsu.is_store or lsu.replicas <= 1 or lsu.aligned:
                 continue
             stall = min(
                 self.c.max_mem_stall, math.ceil(lsu.replicas / self.c.lsu_ports)
@@ -370,35 +275,9 @@ class KernelAnalysis:
             )
         return v
 
-    def _rebind(self, bindings: Optional[Bindings]) -> Bindings:
-        """Remap bindings onto this kernel's own ``Var`` objects by name.
-
-        Bindings are identity-keyed, but a bitstream replayed from the
-        compile cache gets paired with invocation plans built from a
-        different (alpha-equivalent) program, whose symbolic vars are
-        distinct objects with the same names.
-        """
-        if not bindings:
-            return {}
-        own = getattr(self, "_own_vars", None)
-        if own is None:
-            own = {v.name: v for v in self.kernel.scalar_args}
-            # buffer-shape vars (n_hi, ...) may not be kernel body args
-            for site in self.sites:
-                for d in tuple(site.buffer.shape) + tuple(site.buffer.strides or ()):
-                    if isinstance(d, _e.Var):
-                        own.setdefault(d.name, d)
-            self._own_vars = own
-        out = dict(bindings)
-        for v, val in bindings.items():
-            tgt = own.get(v.name)
-            if tgt is not None and tgt not in out:
-                out[tgt] = val
-        return out
-
     def compute_cycles(self, bindings: Optional[Bindings] = None) -> int:
         """Issue-slot cycle estimate for one invocation."""
-        bindings = self._rebind(bindings)
+        bindings = self.kernel.bind_by_name(bindings)
         key = tuple(sorted((v.name, val) for v, val in bindings.items()))
         if key not in self._cycles_cache:
             self._cycles_cache[key] = max(1, self._cycles(self.kernel.body, bindings))
@@ -428,7 +307,7 @@ class KernelAnalysis:
 
     def flops(self, bindings: Optional[Bindings] = None) -> int:
         """Floating-point operations per invocation."""
-        return self._flops(self.kernel.body, self._rebind(bindings))
+        return self._flops(self.kernel.body, self.kernel.bind_by_name(bindings))
 
     def _flops(self, s: _s.Stmt, b: Bindings) -> int:
         if isinstance(s, _s.SeqStmt):
@@ -453,37 +332,24 @@ class KernelAnalysis:
         variables do not advance the address (re-reads).  A cached LSU
         whose working set fits the 512-kbit cache pays ``unique`` once.
         """
-        b = self._rebind(bindings)
+        b = self.kernel.bind_by_name(bindings)
         total = 0
-        for site in self.sites:
-            if site.buffer.scope != "global":
-                continue
-            unique = self._buffer_bytes(site.buffer, b)
+        for site, lsu in self.lsu_sites:
+            n = site.buffer.num_elements(b)
+            if n is None:
+                raise AOCError(
+                    f"kernel {self.kernel.name}: the shape of "
+                    f"{site.buffer.name} has an unbound symbolic dim"
+                )
+            unique = n * 4
             reread = 1
             for var, extent in site.serial:
                 if stride_of(site.index, var) == 0:
-                    reread *= self._eval_extent(
-                        extent if isinstance(extent, _e.Expr) else _e.IntImm(extent), b
-                    )
-            if site.lsu is not None and site.lsu.cached and unique <= self.c.lsu_cache_bytes:
+                    reread *= self._eval_extent(extent, b)
+            if lsu.cached and unique <= self.c.lsu_cache_bytes:
                 reread = 1
             total += unique * reread
         return total
-
-    def _buffer_bytes(self, buf: Buffer, b: Bindings) -> int:
-        n = 1
-        for d in buf.shape:
-            if isinstance(d, int):
-                n *= d
-            else:
-                v = eval_int(d, b)
-                if v is None:
-                    raise AOCError(
-                        f"kernel {self.kernel.name}: unbound buffer dim "
-                        f"{d.name} of {buf.name}"
-                    )
-                n *= v
-        return n * 4
 
     # ------------------------------------------------------------------
     # spatial hardware

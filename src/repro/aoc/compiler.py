@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.aoc.analysis import Bindings, KernelAnalysis
+from repro.aoc.analysis import Bindings, KernelAnalysis, analyze
 from repro.aoc.constants import AOCConstants, DEFAULT_CONSTANTS
 from repro.aoc.fmax import TimingReport, timing
 from repro.aoc.resources import ResourceEstimate, channel_rams, estimate_kernel
@@ -184,7 +184,7 @@ def compile_program(
     total = ResourceEstimate()
     replicas = 0
     for kernel in program.kernels:
-        analysis = KernelAnalysis(kernel, constants)
+        analysis = analyze(kernel, constants)
         res = estimate_kernel(analysis, constants)
         hw[kernel.name] = HwKernel(kernel, analysis, res)
         total = total + res

@@ -1,8 +1,8 @@
 """Stage definitions wiring the deployment flow into :mod:`repro.pipeline`.
 
 The thesis' Figure 3.1 flow becomes eight named stages —
-``import -> fuse -> schedule -> lower -> codegen -> verify -> synthesize
--> plan`` — each producing one typed artifact:
+``import -> fuse -> schedule -> lower -> codegen -> plan -> verify ->
+synthesize`` — each producing one typed artifact:
 
 ========== ============ ==========================================
 stage      artifact     type
@@ -12,15 +12,16 @@ fuse       fused        :class:`repro.relay.passes.FusedGraph`
 schedule   schedule     ``PipelinedSchedule`` / ``FoldedSchedule``
 lower      program      :class:`repro.ir.Program`
 codegen    source       ``str`` (the generated ``.cl`` file)
+plan       plan         ``PipelinePlan`` / ``FoldedPlan``
 verify     verify       :class:`repro.verify.VerifyReport`
 synthesize bitstream    :class:`repro.aoc.compiler.Bitstream`
-plan       plan         ``PipelinePlan`` / ``FoldedPlan``
 ========== ============ ==========================================
 
-The ``verify`` stage runs the static analyzers of :mod:`repro.verify`
-(bounds, unroll races, channel protocol, OpenCL lint) over the lowered
-program, the emitted source and the execution plan, and fails the
-deploy with :class:`~repro.errors.VerificationError` on any
+The ``plan`` stage derives the host-runtime execution plan once per
+build; the ``verify`` stage runs the static analyzers of
+:mod:`repro.verify` (bounds, unroll races, channel protocol, OpenCL
+lint) over the lowered program, the emitted source and that plan, and
+fails the deploy with :class:`~repro.errors.VerificationError` on any
 error-severity finding — *before* any synthesis time is spent.
 
 The ``synthesize`` stage — by far the most expensive in a real flow —
@@ -124,18 +125,16 @@ def _import_stage(network: str) -> Stage:
 
 
 def _verify_stage(
-    planner: Callable[[Context], object],
     board: Optional[Board] = None,
     constants: AOCConstants = DEFAULT_CONSTANTS,
 ) -> Stage:
-    """The static-verification gate between ``codegen`` and ``synthesize``.
+    """The static-verification gate between ``plan`` and ``synthesize``.
 
-    ``planner`` builds the execution plan from the fused graph and the
-    schedule (the same pure computation the later ``plan`` stage runs):
-    the verifier needs it for channel/plan cross-checks and for the
-    binding sets of folded kernels.  A report with any error-severity
-    diagnostic raises :class:`~repro.errors.VerificationError`, so no
-    synthesis time is ever spent on a provably broken build.  With a
+    The verifier reads the ``plan`` artifact, when the flow has one, for
+    channel/plan cross-checks and for the binding sets of folded
+    kernels.  A report with any error-severity diagnostic raises
+    :class:`~repro.errors.VerificationError`, so no synthesis time is
+    ever spent on a provably broken build.  With a
     ``board`` the performance advisor (RP rules) runs too; its
     advice-severity findings never fail the stage but land in the stage
     trace as notes.
@@ -168,7 +167,7 @@ def _verify_stage(
         from repro.verify.equiv import certify_build
         from repro.verify.memory import check_memory
 
-        plan = planner(ctx)
+        plan = ctx.value("plan") if "plan" in ctx else None
         report = verify_build(
             ctx.value("program"),
             source=ctx.value("source"),
@@ -224,10 +223,12 @@ def pipelined_flow(
                   lambda ctx: lower_pipelined(ctx.value("schedule"))),
             Stage("codegen", "source",
                   lambda ctx: generate_opencl(ctx.value("program"))),
-            _verify_stage(
+            Stage(
+                "plan",
+                "plan",
                 lambda ctx: plan_pipelined(ctx.value("fused"), ctx.value("schedule")),
-                board, constants,
             ),
+            _verify_stage(board, constants),
             Stage(
                 "synthesize",
                 "bitstream",
@@ -235,11 +236,6 @@ def pipelined_flow(
                     ctx.value("program"), board, constants
                 ),
                 cache_key=synthesize_key(board, constants),
-            ),
-            Stage(
-                "plan",
-                "plan",
-                lambda ctx: plan_pipelined(ctx.value("fused"), ctx.value("schedule")),
             ),
         ],
         cache=resolve_cache(cache),
@@ -298,10 +294,12 @@ def folded_flow(
               lambda ctx: lower_folded(ctx.value("schedule"))),
         Stage("codegen", "source",
               lambda ctx: generate_opencl(ctx.value("program"))),
-        _verify_stage(
+        Stage(
+            "plan",
+            "plan",
             lambda ctx: plan_folded(ctx.value("fused"), ctx.value("schedule")),
-            board, constants,
         ),
+        _verify_stage(board, constants),
         Stage(
             "synthesize",
             "bitstream",
@@ -309,11 +307,6 @@ def folded_flow(
                 ctx.value("program"), board, constants
             ),
             cache_key=synthesize_key(board, constants),
-        ),
-        Stage(
-            "plan",
-            "plan",
-            lambda ctx: plan_folded(ctx.value("fused"), ctx.value("schedule")),
         ),
     ]
     return Pipeline(

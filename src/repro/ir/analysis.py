@@ -4,17 +4,135 @@ Includes constant evaluation of integer expressions under variable
 bindings, free-variable collection, and affine stride extraction — the
 machinery AOC's model uses to decide whether accesses can be coalesced
 (compile-time-known stride 1) or not (symbolic strides, thesis §5.3).
+
+:func:`access_table` is the one walk over a kernel body that every
+per-access consumer reads: the bounds checker, the race detector and
+the AOC model (whose performance advisor rides on it) all take their
+loads and stores, enclosing loops, guards and accumulation facts from
+it instead of re-walking the statement tree.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from collections import Counter
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.ir import expr as _e
 from repro.ir import stmt as _s
+from repro.ir.buffer import Buffer
 from repro.ir.functor import ExprVisitor, StmtVisitor
 
 Bindings = Dict[_e.Var, int]
+
+
+def fully_unrolled(loop: _s.For) -> bool:
+    """True for ``#pragma unroll`` without a factor: no serial remainder."""
+    return loop.kind is _s.ForKind.UNROLLED and loop.unroll_factor is None
+
+
+@dataclass(frozen=True, eq=False)
+class AccessSite:
+    """One static ``Load`` or ``Store`` of a buffer in a kernel body."""
+
+    buffer: Buffer
+    is_store: bool
+    index: _e.Expr
+    #: the stored expression (None for a load)
+    value: Optional[_e.Expr]
+    #: enclosing ``For`` statements, outermost first; sites in one loop
+    #: body share one tuple
+    loops: Tuple[_s.For, ...]
+    #: an ``IfThenElse`` arm encloses the site, so it may not execute
+    guarded: bool
+    #: a store whose value loads its own address back (``acc[i] = acc[i]
+    #: + ...``): a read-modify-write, not a plain write
+    accumulates: bool = False
+
+    @cached_property
+    def unrolled(self) -> Tuple[Tuple[_e.Var, Optional[int]], ...]:
+        """Enclosing unrolled loops as ``(var, spatial width)``, outermost
+        first: a partial unroll's factor, a full unroll's static extent
+        (None when the bound is symbolic)."""
+        return tuple(
+            (f.loop_var, f.unroll_factor or f.static_extent)
+            for f in self.loops if f.kind is _s.ForKind.UNROLLED
+        )
+
+    @cached_property
+    def serial(self) -> Tuple[Tuple[_e.Var, _e.Expr], ...]:
+        """Enclosing loops with a serial part as ``(var, extent)``,
+        outermost first (a partial unroll's remainder is serial)."""
+        return tuple(
+            (f.loop_var, f.extent) for f in self.loops if not fully_unrolled(f)
+        )
+
+
+class AccessTable:
+    """Every buffer access of one statement tree, from one walk.
+
+    ``sites`` lists loads and stores in program order: within a store,
+    the loads of its value, then of its index, then the store itself; a
+    load precedes the loads of its own index.  ``loops`` lists every
+    ``For`` in pre-order and ``kinds`` counts the body's nodes by IR
+    class (the AOC model reads its channel and ``Select``/``Mod``
+    counts there).
+    """
+
+    def __init__(self, body: _s.Stmt) -> None:
+        self.sites: List[AccessSite] = []
+        self.loops: List[_s.For] = []
+        self.kinds: Counter = Counter()
+        self._stmt(body, (), False)
+
+    def _stmt(self, s: _s.Stmt, loops: Tuple[_s.For, ...], guarded: bool) -> None:
+        self.kinds[type(s)] += 1
+        if isinstance(s, _s.For):
+            self.loops.append(s)
+            self._expr(s.extent, loops, guarded)
+            self._stmt(s.body, loops + (s,), guarded)
+        elif isinstance(s, _s.IfThenElse):
+            self._expr(s.cond, loops, guarded)
+            for arm in s.children():
+                self._stmt(arm, loops, True)
+        elif isinstance(s, _s.Store):
+            first = len(self.sites)
+            self._expr(s.value, loops, guarded)
+            reads_back = any(
+                r.buffer is s.buffer and _e.structural_equal(r.index, s.index)
+                for r in self.sites[first:]
+            )
+            self._expr(s.index, loops, guarded)
+            self.sites.append(AccessSite(
+                s.buffer, True, s.index, s.value, loops, guarded, reads_back,
+            ))
+        elif isinstance(s, (_s.Evaluate, _s.ChannelWrite)):
+            self._expr(s.value, loops, guarded)
+        else:
+            for c in s.children():
+                self._stmt(c, loops, guarded)
+
+    def _expr(self, e: _e.Expr, loops: Tuple[_s.For, ...], guarded: bool) -> None:
+        self.kinds[type(e)] += 1
+        if isinstance(e, _e.Load):
+            self.sites.append(
+                AccessSite(e.buffer, False, e.index, None, loops, guarded)
+            )
+        for c in e.children():
+            self._expr(c, loops, guarded)
+
+
+def access_table(kernel) -> AccessTable:
+    """The kernel's access table, walked once per kernel object.
+
+    A lowered kernel is never mutated (the lower cache shares one across
+    builds), so the table is memoized on the kernel itself.
+    """
+    table = kernel.derived.get(AccessTable)
+    if table is None:
+        table = kernel.derived[AccessTable] = AccessTable(kernel.body)
+    return table
 
 
 def eval_int(e: _e.Expr, bindings: Optional[Bindings] = None) -> Optional[int]:

@@ -19,7 +19,7 @@ dimensions are how parameterized kernels (Section 5.3) are expressed.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.errors import IRError
 from repro.ir import expr as _e
@@ -76,18 +76,18 @@ class Buffer:
     def ndim(self) -> int:
         return len(self.shape)
 
-    @property
-    def is_symbolic(self) -> bool:
-        """True if any dimension is a symbolic Var."""
-        return any(isinstance(d, _e.Var) for d in self.shape)
-
-    def num_elements(self) -> Optional[int]:
-        """Static element count, or None if the shape is symbolic."""
-        if self.is_symbolic:
-            return None
+    def num_elements(
+        self, bindings: Optional[Dict[_e.Var, int]] = None
+    ) -> Optional[int]:
+        """Element count under shape ``bindings``; None while any dim is
+        symbolic and unbound."""
         total = 1
         for d in self.shape:
-            total *= int(d)
+            if isinstance(d, _e.Var):
+                d = (bindings or {}).get(d)
+                if d is None:
+                    return None
+            total *= d
         return total
 
     def size_bytes(self) -> Optional[int]:

@@ -46,6 +46,10 @@ class Kernel:
         #: name of the buffer holding this kernel's result (None when the
         #: output streams to a channel)
         self.output_buffer: Optional[str] = None
+        #: analyses derived from this kernel (its access table, the AOC
+        #: model's analysis), computed once per object: a lowered kernel
+        #: is never mutated.  Not pickled.
+        self.derived: Dict[object, object] = {}
         if autorun and self.args:
             raise IRError(
                 f"kernel {name}: autorun kernels cannot access global memory "
@@ -103,6 +107,9 @@ class Kernel:
                     f"kernel {self.name}: free variable {v.name} is neither a "
                     "loop var nor a scalar argument"
                 )
+
+    def __getstate__(self) -> Dict[str, object]:
+        return {**self.__dict__, "derived": {}}
 
     # ------------------------------------------------------------------
     @property

@@ -66,7 +66,7 @@ from repro.verify.advisor import (
     format_prune_preview,
     prune_preview,
 )
-from repro.verify.bounds import buffer_capacity, check_bounds
+from repro.verify.bounds import check_bounds
 from repro.verify.channels import channel_counts, check_channels
 from repro.verify.cllint import lint_source
 from repro.verify.diagnostics import RULES, SEVERITIES, Diagnostic, VerifyReport
@@ -119,7 +119,6 @@ __all__ = [
     "VerifyReport",
     "assert_clean",
     "binding_sets_of",
-    "buffer_capacity",
     "certify_bodies",
     "certify_build",
     "certify_kernel",

@@ -1,8 +1,10 @@
 """Static bounds checking of every buffer access in a lowered kernel.
 
-Walks a kernel body keeping an interval environment (loop variables at
-their trip ranges, symbolic shape/stride arguments at their bound
-values) and evaluates each ``Load``/``Store`` index to a range:
+Reads each site of the kernel's access table
+(:func:`repro.ir.analysis.access_table`) under an interval environment
+built from its enclosing loops (loop variables at their trip ranges,
+symbolic shape/stride arguments at their bound values) and evaluates
+its ``Load``/``Store`` index to a range:
 
 * range inside ``[0, capacity-1]`` — proven in range;
 * range entirely outside — **RB001** (violation), reported as an error
@@ -13,16 +15,17 @@ values) and evaluates each ``Load``/``Store`` index to a range:
 
 Folded kernels are verified once per binding set: the caller passes the
 concrete shape/stride values of each layer invocation, so a kernel
-shared by many layers gets one verdict per distinct parameterization.
+shared by many layers gets one verdict per distinct parameterization —
+one table, evaluated once per binding set.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.ir import expr as _e
 from repro.ir import stmt as _s
-from repro.ir.buffer import Buffer
+from repro.ir.analysis import AccessSite, access_table
 from repro.ir.kernel import Kernel
 from repro.verify.diagnostics import Diagnostic, VerifyReport
 from repro.verify.interval import Env, Interval, interval_of
@@ -33,135 +36,60 @@ RULES = ("RB001", "RB002")
 Bindings = Dict[_e.Var, int]
 
 
-def buffer_capacity(buf: Buffer, bindings: Optional[Bindings] = None) -> Optional[int]:
-    """Element count of a buffer under shape bindings; None if symbolic."""
-    bindings = bindings or {}
-    n = 1
-    for d in buf.shape:
-        if isinstance(d, int):
-            n *= d
+def _loop_scope(
+    loops: Tuple[_s.For, ...], bindings: Bindings
+) -> Tuple[Env, bool]:
+    """Interval env inside ``loops`` and whether their body surely runs.
+
+    The body is definite while every enclosing loop provably has at
+    least one iteration; a loop whose trip count is unknown or possibly
+    zero leaves its variable unbounded.
+    """
+    env: Env = {v: Interval.point(c) for v, c in bindings.items()}
+    definite = True
+    for loop in loops:
+        ext = interval_of(loop.extent, env)
+        if ext is not None and ext.hi >= 1:
+            env[loop.loop_var] = Interval.extent(ext.hi)
+            definite = definite and ext.lo >= 1
         else:
-            v = bindings.get(d)
-            if v is None:
-                return None
-            n *= v
-    return n
+            env.pop(loop.loop_var, None)
+            definite = False
+    return env, definite
 
 
-class _BoundsChecker:
-    def __init__(self, kernel: Kernel, bindings: Bindings,
-                 report: VerifyReport, label: str) -> None:
-        self.kernel = kernel
-        self.report = report
-        self.label = label
-        self.bindings = bindings
-        self.env: Env = {v: Interval.point(c) for v, c in bindings.items()}
-        #: False once inside a conditional or a possibly-zero-trip loop
-        self.definite = True
-        #: (kernel, buffer, rule) already reported, to keep reports terse
-        self.seen: set = set()
-
-    # ------------------------------------------------------------------
-    def run(self) -> None:
-        self._stmt(self.kernel.body)
-
-    # ------------------------------------------------------------------
-    def _stmt(self, s: _s.Stmt) -> None:
-        if isinstance(s, _s.SeqStmt):
-            for c in s.stmts:
-                self._stmt(c)
-        elif isinstance(s, _s.For):
-            self._expr(s.extent)
-            ext = interval_of(s.extent, self.env)
-            saved_env = self.env.get(s.loop_var)
-            saved_def = self.definite
-            if ext is not None and ext.hi >= 1:
-                self.env[s.loop_var] = Interval.extent(ext.hi)
-                if ext.lo < 1:
-                    self.definite = False
-            else:
-                # unknown or zero trip count: loop var stays unbounded
-                self.env.pop(s.loop_var, None)
-                self.definite = False
-            self._stmt(s.body)
-            if saved_env is not None:
-                self.env[s.loop_var] = saved_env
-            else:
-                self.env.pop(s.loop_var, None)
-            self.definite = saved_def
-        elif isinstance(s, _s.Store):
-            self._expr(s.index)
-            self._expr(s.value)
-            self._access(s.buffer, s.index, "store")
-        elif isinstance(s, _s.Evaluate):
-            self._expr(s.value)
-        elif isinstance(s, _s.ChannelWrite):
-            self._expr(s.value)
-        elif isinstance(s, _s.IfThenElse):
-            self._expr(s.cond)
-            saved = self.definite
-            self.definite = False
-            self._stmt(s.then_body)
-            if s.else_body is not None:
-                self._stmt(s.else_body)
-            self.definite = saved
-        elif isinstance(s, (_s.Allocate, _s.AttrStmt)):
-            self._stmt(s.body)
-
-    # ------------------------------------------------------------------
-    def _expr(self, e: _e.Expr) -> None:
-        if isinstance(e, _e.Load):
-            self._access(e.buffer, e.index, "load")
-        for child in e.children():
-            self._expr(child)
-
-    # ------------------------------------------------------------------
-    def _access(self, buf: Buffer, index: _e.Expr, what: str) -> None:
-        self.report.bump("accesses_checked")
-        cap = buffer_capacity(buf, self.bindings)
-        rng = interval_of(index, self.env)
-        if cap is None:
-            self._diag("RB002", "warn", buf, (
-                f"{what} of {buf.name}: buffer capacity is symbolic under "
-                f"{self.label or 'the empty binding set'} — bounds unprovable"
-            ))
-            return
-        if rng is None:
-            self._diag("RB002", "warn", buf, (
-                f"{what} of {buf.name}: index range is not statically "
-                f"evaluable — bounds unprovable"
-            ))
-            return
-        if 0 <= rng.lo and rng.hi < cap:
-            self.report.bump("accesses_proven")
-            return
-        if rng.hi < 0 or rng.lo >= cap:
-            # every possible index is outside the buffer
-            sev = "error" if self.definite else "warn"
-            rule = "RB001" if self.definite else "RB002"
-            self._diag(rule, sev, buf, (
-                f"{what} of {buf.name}: index range {rng} is entirely "
-                f"outside [0, {cap - 1}]"
-                + ("" if self.definite else " (access may not execute)")
-            ))
-            return
-        self._diag("RB002", "warn", buf, (
-            f"{what} of {buf.name}: index range {rng} overlaps the end of "
-            f"[0, {cap - 1}] — bounds unprovable"
-        ))
-
-    def _diag(self, rule: str, severity: str, buf: Buffer, message: str) -> None:
-        key = (rule, buf.name, message)
-        if key in self.seen:
-            return
-        self.seen.add(key)
-        if rule == "RB002":
-            self.report.bump("accesses_unprovable")
-        location = buf.name if not self.label else f"{buf.name}@{self.label}"
-        self.report.diagnostics.append(
-            Diagnostic(rule, severity, message, kernel=self.kernel.name,
-                       location=location)
+def _finding(
+    site: AccessSite, cap: Optional[int], rng: Optional[Interval],
+    definite: bool, label: str,
+) -> Optional[Tuple[str, str, str]]:
+    """``(rule, severity, message)`` for one access; None when proven."""
+    buf = site.buffer
+    what = "store" if site.is_store else "load"
+    if cap is None:
+        return "RB002", "warn", (
+            f"{what} of {buf.name}: buffer capacity is symbolic under "
+            f"{label or 'the empty binding set'} — bounds unprovable"
         )
+    if rng is None:
+        return "RB002", "warn", (
+            f"{what} of {buf.name}: index range is not statically "
+            f"evaluable — bounds unprovable"
+        )
+    if 0 <= rng.lo and rng.hi < cap:
+        return None
+    if rng.hi < 0 or rng.lo >= cap:
+        # every possible index is outside the buffer
+        message = (
+            f"{what} of {buf.name}: index range {rng} is entirely "
+            f"outside [0, {cap - 1}]"
+        )
+        if definite:
+            return "RB001", "error", message
+        return "RB002", "warn", message + " (access may not execute)"
+    return "RB002", "warn", (
+        f"{what} of {buf.name}: index range {rng} overlaps the end of "
+        f"[0, {cap - 1}] — bounds unprovable"
+    )
 
 
 def check_bounds(
@@ -177,10 +105,36 @@ def check_bounds(
     """
     if report is None:
         report = VerifyReport(subject=kernel.name)
-    sets = binding_sets if binding_sets else [{}]
-    for bindings in sets:
+    sites = access_table(kernel).sites
+    for bindings in binding_sets or [{}]:
         by_name = sorted({v.name: c for v, c in bindings.items()}.items())
         label = ",".join(f"{n}={c}" for n, c in by_name)
-        _BoundsChecker(kernel, bindings, report, label).run()
+        scopes: Dict[Tuple[_s.For, ...], Tuple[Env, bool]] = {}
+        seen: set = set()
+        for site in sites:
+            if site.loops not in scopes:
+                scopes[site.loops] = _loop_scope(site.loops, bindings)
+            env, definite = scopes[site.loops]
+            report.bump("accesses_checked")
+            found = _finding(
+                site, site.buffer.num_elements(bindings),
+                interval_of(site.index, env), definite and not site.guarded,
+                label,
+            )
+            if found is None:
+                report.bump("accesses_proven")
+                continue
+            rule, severity, message = found
+            name = site.buffer.name
+            # report each distinct finding once per binding set
+            if (rule, name, message) in seen:
+                continue
+            seen.add((rule, name, message))
+            if rule == "RB002":
+                report.bump("accesses_unprovable")
+            report.diagnostics.append(Diagnostic(
+                rule, severity, message, kernel=kernel.name,
+                location=f"{name}@{label}" if label else name,
+            ))
     report.bump("kernels_bounds_checked")
     return report

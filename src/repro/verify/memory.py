@@ -27,7 +27,7 @@ spent:
    every slot lies inside the arena with its recorded size matching the
    value's actual byte count — and, when the lowered program is
    available, the kernel's output-buffer capacity under its invocation
-   bindings (:func:`repro.verify.bounds.buffer_capacity`) — so no
+   bindings (:meth:`repro.ir.Buffer.num_elements`) — so no
    access can escape its slot (else RM004).  The verdict is a
    serializable :class:`MemoryCertificate` keyed by the plan's content
    fingerprint.
@@ -62,7 +62,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.device.boards import Board
 from repro.pipeline.fingerprint import fingerprint
 from repro.runtime.plan import FoldedPlan, PipelinePlan
-from repro.verify.bounds import buffer_capacity
 from repro.verify.diagnostics import Diagnostic, VerifyReport
 
 __all__ = [
@@ -629,7 +628,7 @@ def check_memory(
             checks += 1
             # cache-replayed kernels carry their own alpha-equivalent
             # vars; adopt the invocation's same-named bindings first
-            cap = buffer_capacity(out, kernel.bind_by_name(inv.bindings))
+            cap = out.num_elements(kernel.bind_by_name(inv.bindings))
             vname = fn.output_node.name
             if cap is None:
                 report.extend([Diagnostic(

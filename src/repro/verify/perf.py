@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.aoc.analysis import Bindings, KernelAnalysis
+from repro.aoc.analysis import Bindings, KernelAnalysis, analyze
 from repro.aoc.constants import AOCConstants, DEFAULT_CONSTANTS
 from repro.device.boards import Board
 from repro.errors import AOCError
@@ -58,7 +58,7 @@ def check_perf(
     report the first set that triggers them.
     """
     try:
-        an = KernelAnalysis(kernel, constants)
+        an = analyze(kernel, constants)
     except AOCError:
         # a kernel the AOC model cannot analyze is the synthesize
         # stage's problem, not the advisor's
@@ -172,15 +172,15 @@ def _check_reuse(
     sets: List[Optional[Bindings]],
     advise,
 ) -> None:
-    for site in an.sites:
-        if site.is_store or site.lsu is None or not site.lsu.cached:
+    for site, lsu in an.lsu_sites:
+        if site.is_store or not lsu.cached:
             continue
         for b in sets:
-            rb = an._rebind(b)
-            try:
-                unique = an._buffer_bytes(site.buffer, rb)
-            except AOCError:
+            rb = an.kernel.bind_by_name(b)
+            n = site.buffer.num_elements(rb)
+            if n is None:
                 continue
+            unique = n * 4
             if unique <= constants.lsu_cache_bytes:
                 continue
             dist = reuse_distance(site.index, site.serial, rb)

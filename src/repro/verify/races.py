@@ -3,8 +3,10 @@
 AOC replicates the body of an ``#pragma unroll`` loop into parallel
 hardware (thesis §5): all unrolled iterations execute concurrently.  Two
 iterations may therefore race when a ``Store`` under an unrolled loop
-targets the *same* address in different iterations.  The detector
-reasons with :func:`repro.ir.analysis.stride_of` on the store index:
+targets the *same* address in different iterations.  Both passes read
+the kernel's access table (:func:`repro.ir.analysis.access_table`); the
+detector reasons with :func:`repro.ir.analysis.stride_of` on the index
+of each store site an unrolled loop encloses:
 
 * a non-zero constant stride means distinct iterations write distinct
   addresses — disjoint, proven race-free;
@@ -18,7 +20,7 @@ reasons with :func:`repro.ir.analysis.stride_of` on the store index:
 The def-before-use pass (**RR002**) flags reads of kernel-allocated
 (local/register) buffers that can execute before any store to the
 buffer: in OpenCL such reads return undefined data.  Granularity is the
-whole buffer, walked in program order.
+whole buffer, read in the table's program order.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ from typing import Dict, List, Optional, Set
 
 from repro.ir import expr as _e
 from repro.ir import stmt as _s
-from repro.ir.analysis import free_vars, stride_of
-from repro.ir.functor import StmtVisitor
+from repro.ir.analysis import (
+    AccessSite, AccessTable, access_table, free_vars, stride_of,
+)
 from repro.ir.kernel import Kernel
 from repro.verify.diagnostics import Diagnostic, VerifyReport
 
@@ -36,33 +39,6 @@ from repro.verify.diagnostics import Diagnostic, VerifyReport
 RULES = ("RR001", "RR002", "RR003")
 
 Bindings = Dict[_e.Var, int]
-
-
-def _collect_stores(body: _s.Stmt) -> List[_s.Store]:
-    out: List[_s.Store] = []
-
-    class _V(StmtVisitor):
-        def visit_Store(self, st: _s.Store) -> None:
-            out.append(st)
-            self.generic_visit_stmt(st)
-
-    _V().visit_stmt(body)
-    return out
-
-
-def _reads_back(store: _s.Store) -> bool:
-    """True if the stored value loads the same buffer at the same index."""
-    found = False
-
-    class _V(StmtVisitor):
-        def visit_Load(self, e: _e.Load) -> None:
-            nonlocal found
-            if e.buffer is store.buffer and _e.structural_equal(e.index, store.index):
-                found = True
-            self.generic_visit(e)
-
-    _V().visit(store.value)
-    return found
 
 
 def check_races(
@@ -78,34 +54,29 @@ def check_races(
     """
     if report is None:
         report = VerifyReport(subject=kernel.name)
-    sets = binding_sets if binding_sets else [{}]
+    table = access_table(kernel)
+    # unrolled loops in pre-order, each with the stores it encloses in
+    # program order: a loop's first store comes before any later loop's
+    stores: Dict[_s.For, List[AccessSite]] = {}
+    for site in table.sites:
+        if site.is_store:
+            for loop in site.loops:
+                if loop.kind is _s.ForKind.UNROLLED:
+                    stores.setdefault(loop, []).append(site)
     seen: Set[tuple] = set()
-    for bindings in sets:
-        _check_unroll_races(kernel, bindings, report, seen)
-    _check_def_before_use(kernel, report)
+    for bindings in binding_sets or [{}]:
+        for loop, group in stores.items():
+            _check_one_unrolled(kernel, loop, group, bindings, report, seen)
+    _check_def_before_use(kernel, table, report)
     report.bump("kernels_race_checked")
     return report
 
 
 # ---------------------------------------------------------------------------
-def _check_unroll_races(
-    kernel: Kernel, bindings: Bindings, report: VerifyReport, seen: Set[tuple]
-) -> None:
-    def walk(s: _s.Stmt) -> None:
-        if isinstance(s, _s.For):
-            if s.kind is _s.ForKind.UNROLLED:
-                _check_one_unrolled(kernel, s, bindings, report, seen)
-            walk(s.body)
-        else:
-            for c in s.children():
-                walk(c)
-
-    walk(kernel.body)
-
-
 def _check_one_unrolled(
     kernel: Kernel,
     loop: _s.For,
+    stores: List[AccessSite],
     bindings: Bindings,
     report: VerifyReport,
     seen: Set[tuple],
@@ -123,7 +94,7 @@ def _check_one_unrolled(
                 rule, severity, message, kernel=kernel.name, location=var.name,
             ))
 
-    for store in _collect_stores(loop.body):
+    for store in stores:
         report.bump("unrolled_stores_checked")
         stride = stride_of(store.index, var, bindings)
         if stride is None:
@@ -137,7 +108,7 @@ def _check_one_unrolled(
         if stride != 0:
             report.bump("unrolled_stores_disjoint")
             continue  # distinct iterations hit distinct addresses
-        if _reads_back(store):
+        if store.accumulates:
             report.bump("unrolled_reduction_updates")
             continue  # read-modify-write: a dependence chain, not a race
         if var in free_vars(store.value):
@@ -151,47 +122,22 @@ def _check_one_unrolled(
 
 
 # ---------------------------------------------------------------------------
-def _check_def_before_use(kernel: Kernel, report: VerifyReport) -> None:
+def _check_def_before_use(
+    kernel: Kernel, table: AccessTable, report: VerifyReport
+) -> None:
     """Flag loads of kernel-allocated buffers before any store to them."""
     stored: Set[str] = set()
     flagged: Set[str] = set()
-    local_names = {b.name for b in kernel.local_buffers()}
-
-    def check_expr(e: _e.Expr) -> None:
-        if isinstance(e, _e.Load):
-            name = e.buffer.name
-            if name in local_names and name not in stored and name not in flagged:
-                flagged.add(name)
-                report.diagnostics.append(Diagnostic(
-                    "RR002", "warn",
-                    f"load of {e.buffer.scope} buffer {name} can execute "
-                    f"before any store to it (undefined data)",
-                    kernel=kernel.name, location=name,
-                ))
-        for c in e.children():
-            check_expr(c)
-
-    def walk(s: _s.Stmt) -> None:
-        if isinstance(s, _s.Store):
-            check_expr(s.index)
-            check_expr(s.value)
-            stored.add(s.buffer.name)
-        elif isinstance(s, _s.Evaluate):
-            check_expr(s.value)
-        elif isinstance(s, _s.ChannelWrite):
-            check_expr(s.value)
-        elif isinstance(s, _s.For):
-            check_expr(s.extent)
-            walk(s.body)
-        elif isinstance(s, _s.IfThenElse):
-            check_expr(s.cond)
-            walk(s.then_body)
-            if s.else_body is not None:
-                walk(s.else_body)
-        elif isinstance(s, (_s.Allocate, _s.AttrStmt)):
-            walk(s.body)
-        elif isinstance(s, _s.SeqStmt):
-            for c in s.stmts:
-                walk(c)
-
-    walk(kernel.body)
+    for site in table.sites:
+        buf = site.buffer
+        if site.is_store:
+            stored.add(buf.name)
+        elif (buf.scope != "global" and buf.name not in stored
+              and buf.name not in flagged):
+            flagged.add(buf.name)
+            report.diagnostics.append(Diagnostic(
+                "RR002", "warn",
+                f"load of {buf.scope} buffer {buf.name} can execute "
+                f"before any store to it (undefined data)",
+                kernel=kernel.name, location=buf.name,
+            ))

@@ -7,13 +7,18 @@ fans out to
 * :func:`repro.verify.bounds.check_bounds` per kernel (once per binding
   set for folded kernels),
 * :func:`repro.verify.races.check_races` per kernel,
+* :func:`repro.verify.perf.check_perf` per kernel when a board is given
+  (the RP performance advisor, over the kernel's memoized
+  :class:`~repro.aoc.analysis.KernelAnalysis`),
 * :func:`repro.verify.channels.check_channels` over the program (plus
   the :class:`~repro.runtime.plan.PipelinePlan`, when the deployment is
   pipelined), and
 * :func:`repro.verify.cllint.lint_source` over the emitted OpenCL text,
 
 then applies rule suppressions and returns one merged
-:class:`~repro.verify.diagnostics.VerifyReport`.  :func:`assert_clean`
+:class:`~repro.verify.diagnostics.VerifyReport`.  The per-kernel checks
+all read the kernel's one access table
+(:func:`repro.ir.analysis.access_table`).  :func:`assert_clean`
 turns a dirty report into a :class:`~repro.errors.VerificationError`
 whose message carries the formatted findings — this is what makes the
 ``verify`` stage fail a deploy.

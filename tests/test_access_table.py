@@ -1,0 +1,156 @@
+"""The per-kernel access table and the one-analysis-per-build contract."""
+
+import pickle
+
+import pytest
+
+import repro.ir as ir
+from repro.aoc import analysis as aoc_analysis
+from repro.aoc.compiler import compile_program
+from repro.device.boards import STRATIX10_SX, board_by_name
+from repro.errors import AOCError, ReproError
+from repro.flow import default_folded_config, stages
+from repro.flow.incremental import clear_lower_cache
+from repro.ir import analysis as ir_analysis
+from repro.ir.analysis import access_table
+from repro.verify import (
+    VerifyReport,
+    check_bounds,
+    check_perf,
+    check_races,
+    clear_equiv_cache,
+)
+
+
+def _accumulating_kernel() -> ir.Kernel:
+    """``if (i < 3) acc[0] = acc[0] + x[i]`` over a serial ``i`` loop."""
+    x, acc = ir.Buffer("x", (8,)), ir.Buffer("acc", (1,))
+    i = ir.Var("i")
+    body = ir.For(i, 8, ir.IfThenElse(
+        i < 3, ir.Store(acc, 0, acc[0] + x[i]),
+    ))
+    return ir.Kernel("k_acc", [x, acc], body)
+
+
+def _symbolic_unroll_kernel() -> ir.Kernel:
+    """A fully unrolled loop over a symbolic bound, with seeded defects:
+    an out-of-bounds store (RB001) and a replica write race (RR001)."""
+    n, i = ir.Var("n"), ir.Var("i")
+    a, b = ir.Buffer("a", (n,)), ir.Buffer("b", (1,))
+    body = ir.For(i, n, ir.seq(
+        ir.Store(a, i + n, 1.0),
+        ir.Store(b, 0, ir.Cast(ir.FLOAT32, i)),
+    ), kind=ir.ForKind.UNROLLED)
+    return ir.Kernel("k_sym", [a, b], body, scalar_args=[n])
+
+
+class TestAccessTable:
+    def test_sites_in_program_order_with_facts(self):
+        k = _accumulating_kernel()
+        table = access_table(k)
+        assert [(s.buffer.name, s.is_store) for s in table.sites] == [
+            ("acc", False), ("x", False), ("acc", True),
+        ]
+        (loop,) = table.loops
+        assert all(s.loops == (loop,) for s in table.sites)
+        assert all(s.guarded for s in table.sites)
+        assert [s.accumulates for s in table.sites] == [False, False, True]
+        assert table.sites[2].serial == ((loop.loop_var, loop.extent),)
+        assert table.sites[2].unrolled == ()
+
+    def test_walked_once_per_kernel_object_and_not_pickled(self):
+        k = _accumulating_kernel()
+        assert access_table(k) is access_table(k)
+        assert aoc_analysis.analyze(k) is aoc_analysis.analyze(k)
+        clone = pickle.loads(pickle.dumps(k))
+        assert clone.derived == {}
+        assert len(access_table(clone).sites) == 3
+
+    def test_analysis_pickles_through_the_memo(self):
+        an = aoc_analysis.analyze(_accumulating_kernel())
+        clone = pickle.loads(pickle.dumps(an))
+        assert clone is aoc_analysis.analyze(clone.kernel)
+        assert [n.ii for n in clone.loops.values()] == [
+            n.ii for n in an.loops.values()
+        ]
+
+
+class TestAOCRejectedKernel:
+    """A kernel the AOC model cannot analyze still gets RB/RR verdicts."""
+
+    def test_bounds_and_races_still_report(self):
+        k = _symbolic_unroll_kernel()
+        n = k.scalar_args[0]
+        rep = check_bounds(k, [{n: 4}])
+        assert [d.rule for d in rep.diagnostics] == ["RB001"]
+        assert rep.counters["accesses_checked"] == 2
+        rep = check_races(k, [{n: 4}])
+        assert [d.rule for d in rep.diagnostics] == ["RR001"]
+        assert rep.counters["unrolled_stores_checked"] == 2
+
+    def test_perf_advisor_skips_it(self):
+        k = _symbolic_unroll_kernel()
+        rep = check_perf(k, [{k.scalar_args[0]: 4}], VerifyReport("k_sym"),
+                         STRATIX10_SX)
+        assert "perf_kernels" not in rep.counters
+        assert rep.diagnostics == []
+
+    def test_compile_program_names_the_loop(self):
+        program = ir.Program([_symbolic_unroll_kernel()])
+        with pytest.raises(AOCError, match="fully-unrolled loop i has a "
+                                           "non-constant bound"):
+            compile_program(program, STRATIX10_SX)
+
+
+#: kernels per cold build of each shipped network
+KERNELS = {"lenet5": 9, "mobilenet_v1": 9, "resnet18": 12}
+
+
+class TestOneAnalysisPerBuild:
+    def test_exact_counts_on_cold_builds(self, monkeypatch):
+        counts = {"analyses": 0, "tables": 0, "plans": 0}
+
+        def counting(cls, what):
+            init = cls.__init__
+
+            def wrapped(self, *args, **kwargs):
+                counts[what] += 1
+                init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", wrapped)
+
+        def counting_planner(name):
+            planner = getattr(stages, name)
+
+            def wrapped(*args):
+                counts["plans"] += 1
+                return planner(*args)
+
+            monkeypatch.setattr(stages, name, wrapped)
+
+        counting(aoc_analysis.KernelAnalysis, "analyses")
+        counting(ir_analysis.AccessTable, "tables")
+        counting_planner("plan_pipelined")
+        counting_planner("plan_folded")
+        for network, kernels in KERNELS.items():
+            for board_name in ("A10", "S10MX", "S10SX"):
+                clear_lower_cache()
+                clear_equiv_cache()
+                board = board_by_name(board_name)
+                if network == "lenet5":
+                    flow = stages.pipelined_flow(network, board, cache=False)
+                else:
+                    flow = stages.folded_flow(
+                        network, board,
+                        default_folded_config(network, board), cache=False,
+                    )
+                for key in counts:
+                    counts[key] = 0
+                try:
+                    flow.run()
+                except ReproError as err:  # resnet18@A10 does not fit
+                    assert (network, board_name) == ("resnet18", "A10")
+                    assert err.stage == "synthesize"
+                assert counts == {
+                    "analyses": kernels, "tables": kernels, "plans": 1,
+                }, (network, board_name)

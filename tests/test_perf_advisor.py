@@ -136,7 +136,7 @@ class TestTraceNotes:
         assert rec.counters["advice"] > 0
         assert any("RP001" in n for n in rec.notes)
         # notes survive both export formats
-        assert any("RP001" in n for n in d.trace.to_dict()["stages"][5]["notes"])
+        assert any("RP001" in n for n in d.trace.to_dict()["stages"][6]["notes"])
         assert ">> " in d.trace.format_table()
 
     def test_optimized_deploy_emits_fewer_findings(self):

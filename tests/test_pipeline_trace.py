@@ -18,8 +18,8 @@ from repro.relay import fuse_operators
 from repro.models import mobilenet_v1
 
 ALL_STAGES = [
-    "import", "fuse", "schedule", "lower", "codegen", "verify",
-    "synthesize", "plan",
+    "import", "fuse", "schedule", "lower", "codegen", "plan", "verify",
+    "synthesize",
 ]
 
 
@@ -128,7 +128,7 @@ class TestDiagnostics:
         assert "FitError" in failing.error
         # every stage before the failure completed (verify included: the
         # naive build is statically sound, it just doesn't fit the board)
-        assert [r.status for r in diag.trace.records[:-1]] == ["ok"] * 6
+        assert [r.status for r in diag.trace.records[:-1]] == ["ok"] * 7
 
     def test_missing_artifact_is_pipeline_error(self):
         p = Pipeline("broken", [Stage("s", "out", lambda ctx: ctx.value("nope"))])

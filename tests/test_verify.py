@@ -12,7 +12,6 @@ from repro.verify import (
     VerifyReport,
     assert_clean,
     binding_sets_of,
-    buffer_capacity,
     check_bounds,
     check_channels,
     check_races,
@@ -149,9 +148,9 @@ class TestBounds:
 
     def test_buffer_capacity(self):
         n = ir.Var("n")
-        assert buffer_capacity(ir.Buffer("a", (2, 3, 4))) == 24
-        assert buffer_capacity(ir.Buffer("a", (n, 4))) is None
-        assert buffer_capacity(ir.Buffer("a", (n, 4)), {n: 5}) == 20
+        assert ir.Buffer("a", (2, 3, 4)).num_elements() == 24
+        assert ir.Buffer("a", (n, 4)).num_elements() is None
+        assert ir.Buffer("a", (n, 4)).num_elements({n: 5}) == 20
 
     def test_pad_clamp_pattern_is_proven(self):
         # clamped gather: a[max(min(i - 2, 7), 0)] with i in [0, 11]

@@ -32,7 +32,7 @@ def _clean_program() -> ir.Program:
 
 class TestVerifyStage:
     def test_stage_passes_clean_program(self):
-        flow = Pipeline("t", [_verify_stage(lambda ctx: None)])
+        flow = Pipeline("t", [_verify_stage()])
         result = flow.run(seed={"program": _clean_program(), "source": ""})
         report = result.value("verify")
         assert report.clean
@@ -42,7 +42,7 @@ class TestVerifyStage:
         assert len(rec.fingerprint) == 64
 
     def test_stage_fails_broken_program_before_synthesis(self):
-        flow = Pipeline("t", [_verify_stage(lambda ctx: None)])
+        flow = Pipeline("t", [_verify_stage()])
         with pytest.raises(VerificationError, match="RB001") as exc:
             flow.run(seed={"program": _broken_program(), "source": ""})
         err = exc.value
