@@ -10,6 +10,9 @@ in CI:
   floor), MobileNetV1/ResNet-18 through their reduced twins;
 * scalar-fallback band count of each twin's vectorized forward, an exact
   count gated at zero (no band, no calibration);
+* bands each twin's second vectorized forward plans again instead of
+  replaying the kernel's cached plan, likewise an exact count gated at
+  zero;
 * pruned 72-point conv1x1 DSE sweep wall-clock, serial vs 4 workers;
 * static equivalence certification of the whole folded LeNet-5 build vs
   one interpreter cross-check of a single kernel — the certificate path
@@ -173,9 +176,10 @@ def _compile_measurers() -> dict:
     return out
 
 
-def _throughput_measurers(fallbacks: dict) -> dict:
+def _throughput_measurers(fallbacks: dict, replanned: dict) -> dict:
     """Throughput closures; fills ``fallbacks`` with each twin's count of
-    scalar-fallback bands from its warm-up forward."""
+    scalar-fallback bands from its warm-up forward, and ``replanned``
+    with the bands a second forward planned again."""
     out = {}
     dep = deploy_pipelined("lenet5", ARRIA10, cache=False)
     x = np.random.default_rng(0).standard_normal((1, 28, 28)).astype(np.float32)
@@ -200,6 +204,10 @@ def _throughput_measurers(fallbacks: dict) -> dict:
                               events=events)
         fallbacks[f"{net}@twin"] = sum(
             1 for _, ev in events if ev.kind == "fallback")
+        events = []
+        run_folded_functional(prog, plan, fused, tx, params, interp="vector",
+                              events=events)
+        replanned[f"{net}@twin"] = sum(1 for _, ev in events if not ev.reused)
 
         def measure(prog=prog, plan=plan, fused=fused, tx=tx, params=params):
             seconds = _best_of(
@@ -333,11 +341,11 @@ def trajectory():
     that measurement (with its adjacent probe) for the retry protocol.
     """
     remeasure = {}
-    compile_s, throughput, fallbacks = {}, {}, {}
+    compile_s, throughput, fallbacks, replanned = {}, {}, {}, {}
     for key, fn in _compile_measurers().items():
         compile_s[key] = fn()
         remeasure[key] = fn
-    for key, fn in _throughput_measurers(fallbacks).items():
+    for key, fn in _throughput_measurers(fallbacks, replanned).items():
         throughput[key] = fn()
         remeasure[key] = fn
     current = {
@@ -346,6 +354,7 @@ def trajectory():
         "compile_s": compile_s,
         "throughput_ips": throughput,
         "vinterp_fallbacks": fallbacks,
+        "vinterp_replanned": replanned,
         "lenet5": _measure_lenet_speedup(
             throughput["lenet5@pipelined"]["value"]),
         "sweep": _measure_sweep(),
@@ -416,6 +425,11 @@ def _save_report(current, baseline) -> None:
         rows.append([f"{key} fallback bands",
                      f"{current['vinterp_fallbacks'][key]}",
                      f"{baseline.get('vinterp_fallbacks', {}).get(key, '-')}",
+                     "== 0 exactly"])
+    for key in sorted(current["vinterp_replanned"]):
+        rows.append([f"{key} second-forward planned bands",
+                     f"{current['vinterp_replanned'][key]}",
+                     f"{baseline.get('vinterp_replanned', {}).get(key, '-')}",
                      "== 0 exactly"])
     rows.append(["lenet5 scalar", f"{current['lenet5']['scalar_ips']:.2f} ips",
                  f"{baseline['lenet5']['scalar_ips']:.2f} ips", "-"])
@@ -513,6 +527,17 @@ class TestPerfTrajectory:
             assert count == 0, (
                 f"{key}: {count} interpreter band(s) fell back to the scalar "
                 "loop — an exact count, gated at zero"
+            )
+
+    def test_second_forward_plans_no_band(self, trajectory):
+        current, _, _ = trajectory
+        assert sorted(current["vinterp_replanned"]) == [
+            f"{net}@twin" for net in sorted(TWINS)]
+        for key, count in sorted(current["vinterp_replanned"].items()):
+            assert count == 0, (
+                f"{key}: the second forward planned {count} band(s) instead "
+                "of replaying the kernel's cached plans — an exact count, "
+                "gated at zero"
             )
 
     def test_certificate_path_beats_interpreter(self, trajectory):

@@ -18,6 +18,7 @@ and race checks read too):
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -91,6 +92,9 @@ def analyze(
     analysis = kernel.derived.get(key)
     if analysis is None:
         analysis = kernel.derived[key] = KernelAnalysis(kernel, constants)
+        # the memo lives on the kernel, so its back-reference is weak:
+        # kernel and analysis free together, without the cyclic collector
+        analysis._kernel = weakref.ref(kernel)
     return analysis
 
 
@@ -98,7 +102,7 @@ class KernelAnalysis:
     """All static facts about a kernel, plus binding-parameterized costs."""
 
     def __init__(self, kernel: Kernel, constants: AOCConstants = DEFAULT_CONSTANTS) -> None:
-        self.kernel = kernel
+        self._kernel = kernel
         self.c = constants
         table = access_table(kernel)
         self.loops: Dict[int, LoopNode] = {}
@@ -124,6 +128,17 @@ class KernelAnalysis:
         self._assign_dep_ii()
         self._assign_mem_ii()
         self._cycles_cache: Dict[Tuple[Tuple[str, int], ...], int] = {}
+
+    @property
+    def kernel(self) -> Kernel:
+        """The analyzed kernel; an analysis memoized by :func:`analyze`
+        holds it weakly, so keep the kernel while using the analysis."""
+        kernel = self._kernel
+        if isinstance(kernel, weakref.ref):
+            kernel = kernel()
+            if kernel is None:
+                raise AOCError("kernel analysis used after its kernel was freed")
+        return kernel
 
     def __reduce__(self):
         # ``loops`` is keyed by id(stmt), which does not survive a

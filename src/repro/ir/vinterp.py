@@ -22,11 +22,12 @@ which is only sound under the dependence rules checked in phase A:
   *inside* the band (it is then privatized per iteration lane, so leaves
   only communicate lane-locally, in program order);
 * a store that reads its own buffer must match the reduction pattern the
-  lowerer emits (``buf[i] = combine(buf[i], update)``) — it is folded
-  with ``np.add.accumulate`` (or ``maximum``/``minimum``), which applies
-  the combiner in exactly the scalar iteration order, keeping float32
-  results bit-identical (``np.sum``'s pairwise reduction would not be).
-  The reduction axes are the loops the store's address does not vary
+  lowerer emits (``buf[i] = combine(buf[i], update)``) — each lane is
+  left-folded in exactly the scalar iteration order (one ``np.add``,
+  ``maximum`` or ``minimum`` per reduction step, or ``ufunc.accumulate``
+  when lanes are few), keeping float32 results bit-identical
+  (``np.sum``'s pairwise reduction would not be).
+  The reduction axes are the loops the store's address does not advance
   along, except loops of extent 1: one iteration carries nothing, so
   they are lane axes.  A privatized buffer's lane base varies along
   every loop of extent > 1 enclosing its ``Allocate``, so a reduction
@@ -35,34 +36,62 @@ which is only sound under the dependence rules checked in phase A:
   ``xx_*o`` loop has extent ``wo // w2vec``, which is 1 whenever a
   single tile spans the output row (every such kernel of the reduced
   twins);
-* all other stores must hit pairwise-distinct addresses (checked with
-  ``np.unique``);
+* all other stores must hit pairwise-distinct addresses;
 * each channel is popped by at most one leaf and pushed by at most one
   leaf, never both in one band, and the FIFO must already hold the whole
   chunk a consumer needs.
 
-Phase A (planning) evaluates every index expression — these are pure
-functions of loop variables and scalar bindings — checks bounds, zero
-divisors, address uniqueness and channel budgets, and raises
-:class:`_Fallback` on any violation.  Phase B (execution) then performs
-the gathers, arithmetic, scatters and channel chunk transfers; by
+Phase A (planning) checks every index expression — these are pure
+functions of loop variables and scalar bindings — for bounds, zero
+divisors, address distinctness and channel budgets, and raises
+:class:`_Fallback` on any violation.  An index that
+:func:`~repro.ir.analysis.stride_of` proves affine in the band's loop
+variables under the bindings is kept as an ``(offset, strides)``
+descriptor: its bounds follow in closed form, and a store's addresses
+are distinct when its strides, sorted by magnitude over the loops of
+extent > 1, each reach at least the span of the loops inside them (the
+disjointness proof ``verify/races.py`` makes for unrolled stores).  Only
+indices outside that fragment — the clamped padding loads, the flatten's
+``//`` and ``%`` — are evaluated to index arrays, and only a store
+outside it is checked with ``np.unique``; :attr:`_BandPlan.unique_stores`
+counts those.  Phase B (execution) then reads and writes every affine
+access through a strided view of the buffer and every other one by
+gather/scatter, does the arithmetic and moves the channel chunks; by
 construction it cannot fail after phase A passed.
 
+Plan once, run many
+-------------------
+A plan reads nothing but the band, the scalar environment and the sizes
+of the buffers the band touches — and the channel fill levels.  So it is
+computed once and replayed: plans live in the kernel's lifetime memo
+(``Kernel.derived``), per band root, keyed by the values of the
+variables the band reads from outside itself and by the sizes of the
+buffers it touches.  The variables are the kernel's own, looked up after
+:meth:`~repro.ir.kernel.Kernel.bind_by_name`, so a kernel replayed from
+the lower cache hits with the alpha-equivalent bindings of a later
+build.  A refused band is cached with its reason.  On a hit only the
+channel-fill check runs again, since FIFO state is the one runtime input
+of phase A.  A plan holds no per-run state: no interpreter, buffer or
+FIFO, and its privatized scratch is allocated per execution.
+
 Every band attempt is recorded in :attr:`VectorizedInterpreter.events`
-(kind ``"vectorized"`` or ``"fallback"`` plus a reason), so tests can
-prove that each shipped kernel either vectorizes or falls back cleanly.
+(kind ``"vectorized"`` or ``"fallback"`` plus a reason, and whether the
+plan was replayed from the cache), so tests can prove that each shipped
+kernel either vectorizes or falls back cleanly, and that a second
+forward plans nothing.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.errors import RuntimeSimError
 from repro.ir import expr as _e
 from repro.ir import stmt as _s
+from repro.ir.analysis import eval_int, stride_of
 from repro.ir.buffer import Buffer
 from repro.ir.interp import _INTRINSICS, ChannelState, Interpreter, _F32
 from repro.ir.kernel import Kernel
@@ -70,7 +99,7 @@ from repro.ir.kernel import Kernel
 __all__ = ["VectorizedInterpreter", "BandEvent", "run_kernel_vectorized"]
 
 #: Largest per-leaf iteration-space size executed as one array op.  Bigger
-#: bands would materialize multi-GB index arrays; the loop above the limit
+#: bands would materialize multi-GB value arrays; the loop above the limit
 #: runs as a Python loop and the loops below it vectorize instead.
 BAND_SIZE_LIMIT = 1 << 22
 
@@ -89,6 +118,8 @@ class BandEvent(NamedTuple):
     kind: str  # 'vectorized' | 'fallback'
     loop_var: str
     detail: str
+    #: the band's plan (or refusal) came from the kernel's plan cache
+    reused: bool = False
 
 
 class _Axis(NamedTuple):
@@ -100,11 +131,26 @@ class _Axis(NamedTuple):
 class _Private(NamedTuple):
     """A buffer allocated inside the band, expanded to one copy per lane."""
 
-    buffer: Buffer
     numel: int
     prefix: Tuple[_Axis, ...]  # loop path at the allocation point
     lane_count: int
-    data: np.ndarray
+
+
+class _Strided(NamedTuple):
+    """A proven-affine access: ``offset + sum(strides[j] * axis_j)``.
+
+    Element units.  ``shape`` is the leaf's shape with 1 on every axis
+    the address does not advance along, so the view it describes has
+    exactly the shape a gather over the broadcast index would.
+    """
+
+    offset: int
+    shape: Tuple[int, ...]
+    strides: Tuple[int, ...]
+
+
+#: how phase B reaches one access: a strided view or a gather index array
+_Access = Union[_Strided, np.ndarray]
 
 
 def _to_f32(x):
@@ -121,13 +167,46 @@ def _is_pure(e: _e.Expr) -> bool:
     return all(_is_pure(c) for c in e.children())
 
 
+def _distinct(strides: Tuple[int, ...], shape: Tuple[int, ...]) -> bool:
+    """True when ``sum(strides[j] * i_j)`` is injective over ``shape``.
+
+    Sorted by magnitude, each stride of an extent > 1 axis must reach
+    past the span of the axes inside it (mixed-radix addressing).
+    """
+    span = 1
+    for stride, extent in sorted(
+        (abs(s), n) for s, n in zip(strides, shape) if n > 1
+    ):
+        if stride < span:
+            return False
+        span += stride * (extent - 1)
+    return True
+
+
+def _view(arr: np.ndarray, acc: _Strided) -> np.ndarray:
+    """The strided view of ``arr`` an affine access describes."""
+    if arr.flags.c_contiguous:
+        item = arr.itemsize
+        return np.ndarray(
+            acc.shape, arr.dtype, arr, acc.offset * item,
+            tuple(s * item for s in acc.strides),
+        )
+    step = arr.strides[0]
+    return np.lib.stride_tricks.as_strided(
+        arr[acc.offset:], acc.shape, tuple(s * step for s in acc.strides)
+    )
+
+
+def _read(arr: np.ndarray, acc: _Access):
+    return _view(arr, acc) if isinstance(acc, _Strided) else arr[acc]
+
+
 class _Leaf:
     """One vectorizable leaf statement plus its planning results."""
 
     __slots__ = (
-        "stmt", "path", "shape", "numel", "kind", "flat_idx", "lanes",
-        "perm", "red_k", "red_op", "update", "target", "access", "env",
-        "reads_channels",
+        "stmt", "path", "shape", "numel", "kind", "perm", "red_k",
+        "red_op", "update", "access", "env", "reads_channels",
     )
 
     def __init__(self, stmt: _s.Stmt, path: Tuple[_Axis, ...]) -> None:
@@ -136,16 +215,15 @@ class _Leaf:
         self.shape = tuple(ax.extent for ax in path)
         self.numel = math.prod(self.shape)
         self.kind = ""
-        self.flat_idx: Optional[np.ndarray] = None
-        self.lanes: Optional[np.ndarray] = None
+        #: a reduction's axes, reduction axes first, then lane axes
         self.perm: Tuple[int, ...] = ()
         self.red_k = 0
         self.red_op: Optional[type] = None
         self.update: Optional[_e.Expr] = None
-        self.target: Optional[str] = None
-        #: id(Load/Store node) -> its effective index array, precomputed in
-        #: phase A (includes the lane base for privatized buffers)
-        self.access: Dict[int, object] = {}
+        #: id(Load/Store node) -> how phase B reaches it (private lane
+        #: bases included).  A store's entry addresses its lanes: every
+        #: iteration for a parallel store, one per lane for a reduction.
+        self.access: Dict[int, _Access] = {}
         self.env: Dict[_e.Var, np.ndarray] = {}
         for ax in path:
             rshape = [1] * len(path)
@@ -157,29 +235,38 @@ class _Leaf:
 
 
 class _BandPlan:
-    """Phase A product: validated leaves, private buffers, channel budget."""
+    """Phase A product: validated leaves, private buffers, channel budget.
 
-    def __init__(self, interp: "VectorizedInterpreter", root: _s.For) -> None:
-        self.it = interp
-        self.root = root
+    Built from the interpreter's environment, buffer sizes and channel
+    map, but keeps none of them: a plan is replayed on later runs.
+    """
+
+    def __init__(self, it: "VectorizedInterpreter", root: _s.For) -> None:
         self.leaves: List[_Leaf] = []
         self.privates: Dict[str, _Private] = {}
-        self._collect(root, ())
+        #: channels the band pops, with the values each run needs queued
+        self.channel_needs: List[Tuple[str, int]] = []
+        #: stores whose address distinctness rests on ``np.unique``
+        self.unique_stores = 0
+        self._collect(it, root, ())
         self._check_cross_leaf()
 
     # -- collection -----------------------------------------------------
-    def _collect(self, s: _s.Stmt, path: Tuple[_Axis, ...]) -> None:
+    def _collect(
+        self, it: "VectorizedInterpreter", s: _s.Stmt,
+        path: Tuple[_Axis, ...],
+    ) -> None:
         if isinstance(s, _s.For):
-            extent = self._band_invariant_int(s.extent, "loop extent")
+            extent = _band_invariant_int(it, s.extent, "loop extent")
             ax = _Axis(s.loop_var, extent, len(path))
             if any(p.var is s.loop_var for p in path):
                 raise _Fallback(f"loop variable {s.loop_var.name} shadowed")
-            self._collect(s.body, path + (ax,))
+            self._collect(it, s.body, path + (ax,))
         elif isinstance(s, _s.SeqStmt):
             for child in s.stmts:
-                self._collect(child, path)
+                self._collect(it, child, path)
         elif isinstance(s, _s.AttrStmt):
-            self._collect(s.body, path)
+            self._collect(it, s.body, path)
         elif isinstance(s, _s.Allocate):
             name = s.buffer.name
             if name in self.privates:
@@ -187,37 +274,27 @@ class _BandPlan:
             numel = 1
             for d in s.buffer.shape:
                 d = d if isinstance(d, _e.Expr) else _e.IntImm(int(d))
-                numel *= self._band_invariant_int(d, "allocation shape")
+                numel *= _band_invariant_int(it, d, "allocation shape")
             lane_count = math.prod(ax.extent for ax in path)
             if lane_count * numel > BAND_SIZE_LIMIT:
                 raise _Fallback("privatized allocation exceeds size limit")
-            self.privates[name] = _Private(
-                s.buffer, numel, path, lane_count,
-                np.zeros(lane_count * numel, dtype=_F32),
-            )
-            self._collect(s.body, path)
+            self.privates[name] = _Private(numel, path, lane_count)
+            self._collect(it, s.body, path)
         elif isinstance(s, (_s.Store, _s.ChannelWrite, _s.Evaluate)):
-            self._add_leaf(s, path)
+            self._add_leaf(it, s, path)
         elif isinstance(s, _s.IfThenElse):
             raise _Fallback("data-dependent control flow (IfThenElse)")
         else:
             raise _Fallback(f"unsupported statement {type(s).__name__}")
 
-    def _band_invariant_int(self, e: _e.Expr, what: str) -> int:
-        if isinstance(e, _e.IntImm):
-            return e.value
-        if not _is_pure(e):
-            raise _Fallback(f"{what} reads memory")
-        try:
-            return int(self.it._eval(e))
-        except RuntimeSimError:
-            raise _Fallback(f"{what} depends on a band loop variable") from None
-
-    def _add_leaf(self, s: _s.Stmt, path: Tuple[_Axis, ...]) -> None:
+    def _add_leaf(
+        self, it: "VectorizedInterpreter", s: _s.Stmt,
+        path: Tuple[_Axis, ...],
+    ) -> None:
         leaf = _Leaf(s, path)
         if leaf.numel > BAND_SIZE_LIMIT:
             raise _Fallback("band exceeds vector size limit")
-        checker = _LeafChecker(self, leaf)
+        checker = _LeafChecker(self, leaf, it)
         if isinstance(s, _s.Store):
             checker.classify_store()
         else:
@@ -257,49 +334,55 @@ class _BandPlan:
                 raise _Fallback(f"channel {name} read by multiple statements")
             if name in chan_writers:
                 raise _Fallback(f"channel {name} both read and written in band")
-            state = self.it.channels.get(name)
-            needed = self.leaves[r[0]].numel
-            if state is None or len(state) < needed:
-                raise _Fallback(
-                    f"channel {name} holds fewer than {needed} values"
-                )
+            self.channel_needs.append((name, self.leaves[r[0]].numel))
         for name, w in chan_writers.items():
             if len(w) > 1:
                 raise _Fallback(f"channel {name} written by multiple statements")
 
+    def check_channels(self, it: "VectorizedInterpreter") -> None:
+        """The FIFO budget: the one phase-A check re-run on every call."""
+        for name, needed in self.channel_needs:
+            state = it.channels.get(name)
+            if state is None or len(state) < needed:
+                raise _Fallback(
+                    f"channel {name} holds fewer than {needed} values"
+                )
+
     # -- phase B --------------------------------------------------------
-    def execute(self) -> None:
+    def execute(self, it: "VectorizedInterpreter") -> None:
+        scratch = {
+            name: np.zeros(pb.lane_count * pb.numel, dtype=_F32)
+            for name, pb in self.privates.items()
+        }
         for leaf in self.leaves:
-            ev = _VecEval(self, leaf)
+            if not leaf.numel:
+                continue  # a zero-trip loop runs nothing
+            ev = _VecEval(leaf, it, scratch)
             s = leaf.stmt
             if leaf.kind == "parallel":
-                arr = self._storage(s.buffer)
+                arr = ev.storage(s.buffer)
                 val = ev.eval(s.value)
                 if arr.dtype == _F32:
                     val = _to_f32(val)
-                arr[leaf.flat_idx] = np.broadcast_to(val, leaf.shape).ravel()
+                acc = leaf.access[id(s)]
+                if isinstance(acc, _Strided):
+                    _view(arr, acc)[...] = val
+                else:
+                    arr[acc] = np.broadcast_to(val, leaf.shape).ravel()
             elif leaf.kind == "reduce":
-                arr = self._storage(s.buffer)
+                arr = ev.storage(s.buffer)
                 val = ev.eval(leaf.update)
                 if arr.dtype == _F32:
                     val = _to_f32(val)
-                lanes = leaf.lanes
-                vals = (
-                    np.broadcast_to(val, leaf.shape)
-                    .transpose(leaf.perm)
-                    .reshape(lanes.size, leaf.red_k)
-                )
-                init = arr[lanes].reshape(lanes.size, 1)
-                chain = np.concatenate([init, vals], axis=1)
-                if leaf.red_op is _e.Add:
-                    folded = np.add.accumulate(chain, axis=1, dtype=arr.dtype)
-                elif leaf.red_op is _e.Max:
-                    folded = np.maximum.accumulate(chain, axis=1)
+                acc = leaf.access[id(s)]
+                lanes = _read(arr, acc)
+                folded = _fold(leaf, lanes.reshape(-1), val, arr.dtype)
+                if isinstance(acc, _Strided):
+                    lanes[...] = folded.reshape(lanes.shape)
                 else:
-                    folded = np.minimum.accumulate(chain, axis=1)
-                arr[lanes] = folded[:, -1]
+                    arr[acc] = folded
             elif leaf.kind == "chanwrite":
-                state = self.it._channel(s.channel)
+                state = it._channel(s.channel)
                 val = _to_f32(ev.eval(s.value))
                 state.write_chunk(np.broadcast_to(val, leaf.shape).ravel())
             else:  # 'eval': run for channel-pop side effects only
@@ -310,16 +393,52 @@ class _BandPlan:
         for name, pb in self.privates.items():
             if pb.lane_count > 0:
                 start = (pb.lane_count - 1) * pb.numel
-                self.it.buffers[name] = pb.data[start : start + pb.numel].copy()
+                it.buffers[name] = scratch[name][start : start + pb.numel].copy()
 
-    def _storage(self, buffer: Buffer) -> np.ndarray:
-        pb = self.privates.get(buffer.name)
-        if pb is not None:
-            return pb.data
-        arr = self.it.buffers.get(buffer.name)
-        if arr is None:  # phase A verified existence; defensive only
-            raise RuntimeSimError(f"buffer {buffer.name} has no storage")
-        return arr
+
+#: combiner ufunc of each reduction the lowerer emits
+_COMBINE = {_e.Add: np.add, _e.Max: np.maximum, _e.Min: np.minimum}
+
+#: lanes from which a reduction folds one array op per step instead of
+#: through ``ufunc.accumulate`` (whose per-element cost wins on few lanes)
+_FOLD_LOOP_LANES = 128
+
+
+def _fold(leaf: _Leaf, init: np.ndarray, val, dtype) -> np.ndarray:
+    """Fold ``val`` into each lane's ``init`` in scalar iteration order.
+
+    Lane ``j`` computes ``((init[j] op v_0) op v_1) ...`` over the
+    reduction axes in lexicographic order — the scalar loop's left fold,
+    so float32 results are bit-identical (``np.sum``'s pairwise
+    reduction would not be).
+    """
+    n = init.size
+    steps = (
+        np.broadcast_to(val, leaf.shape)
+        .transpose(leaf.perm)
+        .reshape(leaf.red_k, n)
+    )
+    combine = _COMBINE[leaf.red_op]
+    if n >= _FOLD_LOOP_LANES:
+        out = init.astype(dtype)  # a copy: init may view the buffer
+        for step in steps:
+            combine(out, step, out=out)
+        return out
+    chain = np.concatenate([init.reshape(1, n), steps])
+    return combine.accumulate(chain, axis=0, dtype=dtype)[-1]
+
+
+def _band_invariant_int(
+    it: "VectorizedInterpreter", e: _e.Expr, what: str
+) -> int:
+    if isinstance(e, _e.IntImm):
+        return e.value
+    if not _is_pure(e):
+        raise _Fallback(f"{what} reads memory")
+    try:
+        return int(it._eval(e))
+    except RuntimeSimError:
+        raise _Fallback(f"{what} depends on a band loop variable") from None
 
 
 def _loaded_buffers(s: _s.Stmt) -> List[str]:
@@ -340,11 +459,14 @@ def _loaded_buffers(s: _s.Stmt) -> List[str]:
 
 
 class _LeafChecker:
-    """Phase A validation + pure-index evaluation for one leaf."""
+    """Phase A validation + index resolution for one leaf."""
 
-    def __init__(self, plan: _BandPlan, leaf: _Leaf) -> None:
+    def __init__(
+        self, plan: _BandPlan, leaf: _Leaf, it: "VectorizedInterpreter"
+    ) -> None:
         self.plan = plan
         self.leaf = leaf
+        self.it = it
         self.channel_reads: set = set()
         self.loads: List[_e.Load] = []
 
@@ -376,7 +498,7 @@ class _LeafChecker:
             self.walk(e.then_value, True)
             self.walk(e.else_value, True)
         elif isinstance(e, _e.Var):
-            if e not in self.leaf.env and e not in self.plan.it.env:
+            if e not in self.leaf.env and e not in self.it.env:
                 raise _Fallback(f"unbound variable {e.name}")
         elif isinstance(e, (_e.IntImm, _e.FloatImm)):
             pass
@@ -386,38 +508,89 @@ class _LeafChecker:
         else:
             raise _Fallback(f"cannot vectorize {type(e).__name__}")
 
-    def _check_access(self, node: _e.Expr, index: _e.Expr) -> np.ndarray:
-        """Validate one Load/Store address and cache its effective index."""
+    def _check_access(self, node: _e.Expr, index: _e.Expr) -> None:
+        """Validate one Load/Store address and record how to reach it."""
         if not _is_pure(index):
             raise _Fallback("index expression reads memory")
+        buffer = node.buffer  # Load and Store both carry .buffer
+        pb = self.plan.privates.get(buffer.name)
+        if pb is not None:
+            size = pb.numel
+        else:
+            store = self.it.buffers.get(buffer.name)
+            if store is None:
+                raise _Fallback(f"buffer {buffer.name} has no storage")
+            size = store.size
+        affine = self._affine(index)
+        if affine is None:
+            self._check_gather(node, index, pb, size)
+            return
+        offset, strides = affine
+        if self.leaf.numel:
+            lo = offset + sum(
+                min(0, s * (n - 1)) for s, n in zip(strides, self.leaf.shape)
+            )
+            hi = offset + sum(
+                max(0, s * (n - 1)) for s, n in zip(strides, self.leaf.shape)
+            )
+            if lo < 0:
+                raise _Fallback("negative buffer index")
+            if hi >= size:
+                raise _Fallback("index out of bounds")
+        if pb is not None:
+            strides = list(strides)
+            stride = pb.numel
+            for ax in reversed(pb.prefix):
+                strides[ax.pos] += stride
+                stride *= ax.extent
+        self.leaf.access[id(node)] = _Strided(
+            offset,
+            tuple(n if s else 1 for s, n in zip(strides, self.leaf.shape)),
+            tuple(strides),
+        )
+
+    def _affine(self, index: _e.Expr) -> Optional[Tuple[int, List[int]]]:
+        """``(offset, strides)`` of ``index`` over the leaf's axes, or None
+        when :func:`stride_of` cannot prove it affine under the bindings."""
+        env = self.it.env
+        if any(ax.var in env for ax in self.leaf.path):
+            return None
+        strides = []
+        for ax in self.leaf.path:
+            s = stride_of(index, ax.var, env)
+            if s is None:
+                return None
+            strides.append(s)
+        at_zero = dict(env)
+        at_zero.update((ax.var, 0) for ax in self.leaf.path)
+        offset = eval_int(index, at_zero)
+        if offset is None:
+            return None
+        return offset, strides
+
+    def _check_gather(
+        self, node, index: _e.Expr, pb: Optional[_Private], size: int
+    ) -> None:
+        """An index outside the affine fragment: evaluate it to an array."""
         self.walk(index, in_select=False)  # nested divisor / var checks
         idx = self._eval_pure(index)
         arr = np.asarray(idx)
         if arr.size and (arr.min() < 0):
             raise _Fallback("negative buffer index")
-        buffer = node.buffer  # Load and Store both carry .buffer
-        pb = self.plan.privates.get(buffer.name)
+        if arr.size and arr.max() >= size:
+            raise _Fallback("index out of bounds")
         if pb is not None:
-            if arr.size and arr.max() >= pb.numel:
-                raise _Fallback("index out of bounds")
             base = 0
             stride = pb.numel
             for ax in reversed(pb.prefix):
                 base = base + self.leaf.env[ax.var] * stride
                 stride *= ax.extent
             idx = base + idx
-        else:
-            store = self.plan.it.buffers.get(buffer.name)
-            if store is None:
-                raise _Fallback(f"buffer {buffer.name} has no storage")
-            if arr.size and arr.max() >= store.size:
-                raise _Fallback("index out of bounds")
-        self.leaf.access[id(node)] = idx
-        return np.asarray(idx)
+        self.leaf.access[id(node)] = np.asarray(idx)
 
     def _eval_pure(self, e: _e.Expr):
         try:
-            return _VecEval(self.plan, self.leaf).eval(e)
+            return _VecEval(self.leaf, self.it, {}).eval(e)
         except (RuntimeSimError, KeyError) as err:
             raise _Fallback(f"index evaluation failed: {err}") from None
 
@@ -425,19 +598,18 @@ class _LeafChecker:
     def classify_store(self) -> None:
         s = self.leaf.stmt
         assert isinstance(s, _s.Store)
-        idx = self._check_access(s, s.index)
+        self._check_access(s, s.index)
         self.walk(s.value, in_select=False)
-        self.leaf.target = s.buffer.name
         self_loads = [ld for ld in self.loads if ld.buffer.name == s.buffer.name]
-        eff = self.leaf.access[id(s)]  # effective index (private base added)
+        acc = self.leaf.access[id(s)]
+        shape = self.leaf.shape
         if not self_loads:
-            flat = np.broadcast_to(
-                np.asarray(eff), self.leaf.shape
-            ).ravel().astype(np.int64, copy=False)
-            if flat.size and np.unique(flat).size != flat.size:
-                raise _Fallback("overlapping parallel stores")
             self.leaf.kind = "parallel"
-            self.leaf.flat_idx = flat
+            if isinstance(acc, _Strided) and _distinct(acc.strides, shape):
+                return
+            flat = self._flat(acc)
+            self._unique(flat, "overlapping parallel stores")
+            self.leaf.access[id(s)] = flat
             return
         v = s.value
         is_reduce = (
@@ -451,41 +623,73 @@ class _LeafChecker:
             raise _Fallback(
                 "store reads its own buffer outside the reduction pattern"
             )
-        ndim = len(self.leaf.shape)
-        full = np.broadcast_to(np.asarray(eff), self.leaf.shape)
-        bshape = np.shape(eff) if np.ndim(eff) == ndim else (1,) * ndim
+        ndim = len(shape)
+        if isinstance(acc, _Strided):
+            varies = [s_ != 0 for s_ in acc.strides]
+        else:
+            bshape = np.shape(acc) if np.ndim(acc) == ndim else (1,) * ndim
+            varies = [n != 1 for n in bshape]
         # a one-iteration loop carries no reduction: count it as a lane axis
-        par = [j for j in range(ndim)
-               if bshape[j] != 1 or self.leaf.shape[j] == 1]
+        par = [j for j in range(ndim) if varies[j] or shape[j] == 1]
         red = [j for j in range(ndim) if j not in par]
         pb = self.plan.privates.get(s.buffer.name)
         if pb is not None and any(ax.pos in red for ax in pb.prefix):
             # the scalar path re-zeros the allocation on those iterations,
             # so they are not a running reduction
             raise _Fallback("allocation re-created inside reduction axes")
-        sel = tuple(slice(None) if j in par else 0 for j in range(ndim))
-        lanes = np.asarray(full[sel]).ravel().astype(np.int64, copy=False)
-        if lanes.size and np.unique(lanes).size != lanes.size:
-            raise _Fallback("reduction lanes collide")
+        if not (isinstance(acc, _Strided) and _distinct(
+            tuple(acc.strides[j] for j in par), tuple(shape[j] for j in par)
+        )):
+            full = self._flat(acc).reshape(shape)
+            sel = tuple(slice(None) if j in par else 0 for j in range(ndim))
+            lanes = full[sel].ravel()
+            self._unique(lanes, "reduction lanes collide")
+            self.leaf.access[id(s)] = lanes
         self.leaf.kind = "reduce"
-        self.leaf.lanes = lanes
-        self.leaf.perm = tuple(par + red)
-        self.leaf.red_k = math.prod(self.leaf.shape[j] for j in red) if red else 1
+        self.leaf.perm = tuple(red + par)
+        self.leaf.red_k = math.prod(shape[j] for j in red) if red else 1
         self.leaf.red_op = type(v)
         self.leaf.update = v.b
+
+    def _flat(self, acc: _Access) -> np.ndarray:
+        """Every iteration's address, in iteration order, as int64."""
+        if isinstance(acc, _Strided):
+            idx = acc.offset
+            for ax, s in zip(self.leaf.path, acc.strides):
+                idx = idx + self.leaf.env[ax.var] * s
+            acc = np.asarray(idx)
+        return np.broadcast_to(acc, self.leaf.shape).ravel().astype(
+            np.int64, copy=False
+        )
+
+    def _unique(self, flat: np.ndarray, reason: str) -> None:
+        """The dynamic distinctness check, for stores outside the proof."""
+        self.plan.unique_stores += 1
+        if flat.size and np.unique(flat).size != flat.size:
+            raise _Fallback(reason)
 
 
 class _VecEval:
     """Evaluates an expression over a leaf's broadcast loop axes.
 
-    Pure sub-results cached during phase A (access indices in particular)
-    are reused; loads, channel pops and arithmetic on loaded values run
-    here, in phase B.
+    Loads read through the access their plan resolved (a strided view or
+    a gather); channel pops and arithmetic on loaded values run here, in
+    phase B.
     """
 
-    def __init__(self, plan: _BandPlan, leaf: _Leaf) -> None:
-        self.plan = plan
+    def __init__(
+        self, leaf: _Leaf, it: "VectorizedInterpreter",
+        scratch: Dict[str, np.ndarray],
+    ) -> None:
         self.leaf = leaf
+        self.it = it
+        self.scratch = scratch
+
+    def storage(self, buffer: Buffer) -> np.ndarray:
+        arr = self.scratch.get(buffer.name)
+        if arr is not None:
+            return arr
+        return self.it._storage(buffer)
 
     def eval(self, e: _e.Expr):
         if isinstance(e, _e.IntImm):
@@ -497,18 +701,16 @@ class _VecEval:
             if arr is not None:
                 return arr
             try:
-                return self.plan.it.env[e]
+                return self.it.env[e]
             except KeyError:
                 raise RuntimeSimError(f"unbound variable {e.name}") from None
         if isinstance(e, _e.Load):
-            # phase A cached the effective index for every Load it admitted
+            # phase A resolved an access for every Load it admitted
             # (private lane bases included); evaluating e.index here would
             # miss the base, so a cache miss is a planning bug, not a path.
-            idx = self.leaf.access[id(e)]
-            arr = self.plan._storage(e.buffer)
-            return arr[idx]
+            return _read(self.storage(e.buffer), self.leaf.access[id(e)])
         if isinstance(e, _e.ChannelRead):
-            state = self.plan.it._channel(e.channel)
+            state = self.it._channel(e.channel)
             return state.read_chunk(self.leaf.numel).reshape(self.leaf.shape)
         if isinstance(e, _e._BinaryOp):
             return self._binop(e)
@@ -527,7 +729,10 @@ class _VecEval:
             f = self.eval(e.else_value)
             return np.where(cond, t, f)
         if isinstance(e, _e.Call):
-            args = [_to_f32(self.eval(a)) for a in e.args]
+            # contiguous operands: the intrinsic ufunc loops then take the
+            # same path a gathered operand always took
+            args = [np.ascontiguousarray(_to_f32(self.eval(a)))
+                    for a in e.args]
             return _to_f32(_INTRINSICS[e.name](*args))
         raise RuntimeSimError(f"cannot evaluate {type(e).__name__}")
 
@@ -573,13 +778,71 @@ class _VecEval:
         raise RuntimeSimError(f"unhandled op {type(e).__name__}")
 
 
+class _BandCache:
+    """Every plan of one band root, keyed by what phase A reads.
+
+    ``vars`` are the variables the band reads from outside itself and
+    ``buffers`` the non-private buffers it touches; a plan's key is their
+    values and sizes in one interpreter.  A refused band caches its
+    reason string instead of a plan.
+    """
+
+    __slots__ = ("vars", "buffers", "plans")
+
+    def __init__(self, root: _s.For) -> None:
+        free: Dict[_e.Var, None] = {}
+        touched: Dict[str, None] = {}
+        bound, local = set(), set()
+
+        def expr(e: _e.Expr) -> None:
+            if isinstance(e, _e.Var):
+                free[e] = None
+            elif isinstance(e, _e.Load):
+                touched[e.buffer.name] = None
+            for c in e.children():
+                expr(c)
+
+        def stmt(s: _s.Stmt) -> None:
+            if isinstance(s, _s.For):
+                bound.add(s.loop_var)
+                expr(s.extent)
+            elif isinstance(s, _s.Allocate):
+                local.add(s.buffer.name)
+                for d in s.buffer.shape:
+                    if isinstance(d, _e.Expr):
+                        expr(d)
+            elif isinstance(s, _s.Store):
+                touched[s.buffer.name] = None
+                expr(s.index)
+                expr(s.value)
+            elif isinstance(s, (_s.ChannelWrite, _s.Evaluate)):
+                expr(s.value)
+            elif isinstance(s, _s.IfThenElse):
+                expr(s.cond)
+            for c in s.children():
+                stmt(c)
+
+        stmt(root)
+        self.vars = tuple(v for v in free if v not in bound)
+        self.buffers = tuple(b for b in touched if b not in local)
+        self.plans: Dict[tuple, Union[_BandPlan, str]] = {}
+
+    def key(self, it: "VectorizedInterpreter") -> tuple:
+        sizes = []
+        for name in self.buffers:
+            arr = it.buffers.get(name)
+            sizes.append(-1 if arr is None else arr.size)
+        return tuple(it.env.get(v) for v in self.vars), tuple(sizes)
+
+
 class VectorizedInterpreter(Interpreter):
     """Drop-in :class:`Interpreter` that executes loop bands as array ops.
 
     Same constructor and :meth:`run` contract as the scalar interpreter;
     results are bit-identical in float32.  Per-band outcomes are recorded
-    in :attr:`events` so callers can audit what vectorized and why any
-    loop fell back.
+    in :attr:`events` so callers can audit what vectorized, why any loop
+    fell back, and which band plans were replayed from the kernel's plan
+    cache (:attr:`planned` / :attr:`reused`).
     """
 
     def __init__(
@@ -590,16 +853,27 @@ class VectorizedInterpreter(Interpreter):
     ) -> None:
         super().__init__(buffers, bindings, channels)
         self.events: List[BandEvent] = []
+        #: band root -> its plans; bound to the kernel's memo by run()
+        self._plans: Dict[_s.For, _BandCache] = {}
+
+    @property
+    def planned(self) -> int:
+        """Bands this interpreter planned (phase A ran)."""
+        return sum(1 for ev in self.events if not ev.reused)
+
+    @property
+    def reused(self) -> int:
+        """Bands whose plan (or refusal) was replayed from the cache."""
+        return sum(1 for ev in self.events if ev.reused)
+
+    def run(self, kernel: Kernel) -> None:
+        self._plans = kernel.derived.setdefault(_BandCache, {})
+        super().run(kernel)
 
     def _exec(self, s: _s.Stmt) -> None:
         if isinstance(s, _s.For):
-            try:
-                self._exec_band(s)
+            if self._exec_band(s):
                 return
-            except _Fallback as fb:
-                self.events.append(
-                    BandEvent("fallback", s.loop_var.name, fb.reason)
-                )
             # scalar loop at this level; inner loops re-try vectorization
             extent = int(self._eval(s.extent))
             var = s.loop_var
@@ -610,15 +884,33 @@ class VectorizedInterpreter(Interpreter):
         else:
             super()._exec(s)
 
-    def _exec_band(self, root: _s.For) -> None:
-        plan = _BandPlan(self, root)  # phase A: may raise _Fallback
-        plan.execute()  # phase B: cannot fail after phase A passed
-        self.events.append(
-            BandEvent(
-                "vectorized", root.loop_var.name,
-                f"{len(plan.leaves)} statement(s)",
-            )
-        )
+    def _exec_band(self, root: _s.For) -> bool:
+        """Run one band vectorized if its plan allows; record the event."""
+        cache = self._plans.get(root)
+        if cache is None:
+            cache = self._plans[root] = _BandCache(root)
+        key = cache.key(self)
+        plan = cache.plans.get(key)
+        reused = plan is not None
+        if not reused:
+            try:
+                plan = _BandPlan(self, root)  # phase A
+            except _Fallback as fb:
+                plan = fb.reason
+            cache.plans[key] = plan
+        name = root.loop_var.name
+        try:
+            if isinstance(plan, str):
+                raise _Fallback(plan)
+            plan.check_channels(self)
+        except _Fallback as fb:
+            self.events.append(BandEvent("fallback", name, fb.reason, reused))
+            return False
+        plan.execute(self)  # phase B: cannot fail after phase A passed
+        self.events.append(BandEvent(
+            "vectorized", name, f"{len(plan.leaves)} statement(s)", reused,
+        ))
+        return True
 
 
 def run_kernel_vectorized(

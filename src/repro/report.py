@@ -217,8 +217,10 @@ def _append_execute_record(d) -> None:
     them — ``vinterp_bands`` attempted, ``vinterp_vectorized`` executed
     wide, ``vinterp_fallbacks`` dropped to the scalar loop — with one
     ``vinterp_fallback.<reason>`` counter and a ``>>`` note per
-    distinct fallback reason.  The pass runs the whole network
-    functionally, so large folded networks take tens of seconds here.
+    distinct fallback reason.  ``vinterp_planned`` bands ran phase A
+    and ``vinterp_reused`` replayed a plan the kernel had cached from an
+    earlier invocation with the same bindings.  The pass runs the whole
+    network functionally, so large folded networks take seconds here.
     """
     import time
     from collections import Counter
@@ -240,10 +242,13 @@ def _append_execute_record(d) -> None:
         status, error = "error", f"{type(e).__name__}: {e}"
     wall = time.perf_counter() - t0
     fallbacks = [ev for _, ev in events if ev.kind == "fallback"]
+    reused = sum(1 for _, ev in events if ev.reused)
     counters: Dict[str, float] = {
         "vinterp_bands": len(events),
         "vinterp_vectorized": len(events) - len(fallbacks),
         "vinterp_fallbacks": len(fallbacks),
+        "vinterp_planned": len(events) - reused,
+        "vinterp_reused": reused,
     }
     reasons = Counter(ev.detail for ev in fallbacks)
     notes = []

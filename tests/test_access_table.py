@@ -12,7 +12,7 @@ from repro.errors import AOCError, ReproError
 from repro.flow import default_folded_config, stages
 from repro.flow.incremental import clear_lower_cache
 from repro.ir import analysis as ir_analysis
-from repro.ir.analysis import access_table
+from repro.ir.analysis import AccessTable, access_table
 from repro.verify import (
     VerifyReport,
     check_bounds,
@@ -67,9 +67,13 @@ class TestAccessTable:
         assert len(access_table(clone).sites) == 3
 
     def test_analysis_pickles_through_the_memo(self):
-        an = aoc_analysis.analyze(_accumulating_kernel())
-        clone = pickle.loads(pickle.dumps(an))
-        assert clone is aoc_analysis.analyze(clone.kernel)
+        # a memoized analysis holds its kernel weakly, so the kernel
+        # travels with it (as in a pickled bitstream's HwKernel)
+        k = _accumulating_kernel()
+        an = aoc_analysis.analyze(k)
+        k2, clone = pickle.loads(pickle.dumps((k, an)))
+        assert clone is aoc_analysis.analyze(k2)
+        assert clone.kernel is k2
         assert [n.ii for n in clone.loops.values()] == [
             n.ii for n in an.loops.values()
         ]
@@ -154,3 +158,52 @@ class TestOneAnalysisPerBuild:
                 assert counts == {
                     "analyses": kernels, "tables": kernels, "plans": 1,
                 }, (network, board_name)
+
+
+class TestKernelMemoLifetime:
+    """A kernel's memos free with it, without the cyclic collector.
+
+    ``Kernel.derived`` holds the access table, the AOC analysis and the
+    vectorized interpreter's band plans; none of them refers back to the
+    kernel strongly, so dropping a build frees its kernels by reference
+    counting alone.
+    """
+
+    @pytest.mark.parametrize("mode", ["pipelined", "folded"])
+    def test_dropped_build_frees_its_kernels_with_gc_disabled(self, mode):
+        import gc
+        import weakref
+
+        import numpy as np
+
+        from repro.flow import FoldedConfig, deploy_folded, deploy_pipelined
+        from repro.ir.vinterp import _BandCache
+
+        def deploy(network, board, cache):
+            if mode == "pipelined":
+                return deploy_pipelined(network, board, cache=cache)
+            return deploy_folded(network, board, config=FoldedConfig(),
+                                 cache=cache)
+
+        clear_lower_cache()
+        clear_equiv_cache()
+        gc.collect()
+        gc.disable()
+        try:
+            d = deploy("lenet5", STRATIX10_SX, cache=False)
+            d.forward_functional(np.zeros((1, 28, 28), np.float32))
+            kernels = d.bitstream.program.kernels
+            for k in kernels:  # every memo kind is there to be freed
+                assert AccessTable in k.derived
+                assert any(isinstance(key, tuple)
+                           and key[0] is aoc_analysis.KernelAnalysis
+                           for key in k.derived)
+            assert any(_BandCache in k.derived for k in kernels)
+            refs = [weakref.ref(k) for k in kernels]
+            del d, kernels, k
+            clear_lower_cache()
+            clear_equiv_cache()
+            alive = [r().name for r in refs if r() is not None]
+        finally:
+            gc.enable()
+        assert alive == []

@@ -3,7 +3,7 @@
 The vectorized interpreter's contract (:mod:`repro.ir.vinterp`) is that
 every result is **bit-identical in float32** to the element-wise scalar
 interpreter — vectorization is a pure execution-speed transform, never a
-numerics change.  These tests pin that contract four ways:
+numerics change.  These tests pin that contract five ways:
 
 * a soundness matrix running every shipped network on every board
   (LeNet-5 at full size, MobileNetV1/ResNet-18 through their reduced
@@ -15,7 +15,10 @@ numerics change.  These tests pin that contract four ways:
 * fallback tests proving that constructs the vectorizer must refuse
   (data-dependent control flow, overlapping stores, non-reduction
   self-reads, indirect indexing) fall back to the scalar loop and still
-  produce identical results.
+  produce identical results;
+* plan-cache tests: a second forward plans no band, no shipped store
+  needs ``np.unique``, and a cached plan is never replayed where its
+  key (bindings, buffer sizes) or the FIFO fill says it does not hold.
 """
 
 import numpy as np
@@ -25,10 +28,18 @@ from hypothesis import strategies as st
 
 import repro.ir as ir
 from repro.device import ALL_BOARDS, STRATIX10_SX
+from repro.errors import RuntimeSimError
 from repro.flow import FoldedConfig, build_folded, build_pipelined
 from repro.flow.deploy import default_folded_config
+from repro.flow.incremental import clear_lower_cache
 from repro.flow.stages import MODELS
-from repro.ir.vinterp import VectorizedInterpreter, run_kernel_vectorized
+from repro.ir.interp import ChannelState
+from repro.ir.vinterp import (
+    VectorizedInterpreter,
+    _BandCache,
+    _BandPlan,
+    run_kernel_vectorized,
+)
 from repro.models.twins import TWINS
 from repro.relay import fuse_operators, init_params, run_fused_graph
 from repro.runtime.executor import (
@@ -217,15 +228,24 @@ def _divisors(n, cap=8):
 def _run_both(kern, bufs, bindings=None):
     """Run scalar and vectorized on copies; all buffers must match bitwise.
 
-    Returns the vectorized run's band events.
+    The vectorized side runs twice through the kernel's plan cache, the
+    second time on reversed data of the same sizes: it must replay every
+    plan and still match its own scalar run.  Returns the first
+    vectorized run's band events.
     """
-    scalar = {k: v.copy() for k, v in bufs.items()}
-    vector = {k: v.copy() for k, v in bufs.items()}
-    ir.run_kernel(kern, scalar, bindings=bindings)
-    vi = run_kernel_vectorized(kern, vector, bindings)
-    for name in scalar:
-        assert scalar[name].tobytes() == vector[name].tobytes(), name
-    return vi.events
+    events = None
+    for data in (bufs, {k: v[::-1].copy() for k, v in bufs.items()}):
+        scalar = {k: v.copy() for k, v in data.items()}
+        vector = {k: v.copy() for k, v in data.items()}
+        ir.run_kernel(kern, scalar, bindings=bindings)
+        vi = run_kernel_vectorized(kern, vector, bindings)
+        for name in scalar:
+            assert scalar[name].tobytes() == vector[name].tobytes(), name
+        if events is None:
+            events = vi.events
+        else:
+            assert vi.planned == 0 and vi.reused == len(events)
+    return events
 
 
 class TestVectorizedEqualsScalarProperty:
@@ -419,6 +439,271 @@ class TestFallbackSemantics:
         vi = run_kernel_vectorized(kern, vector)
         assert all(e.kind == "vectorized" for e in vi.events)
         assert scalar["Y"].tobytes() == vector["Y"].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# plan once, run many: the per-kernel band-plan cache
+
+
+_pipelined = {}
+
+
+def _pipelined_build(board_name: str):
+    """(fused, program, plan, params) of pipelined LeNet-5 on one board."""
+    if board_name not in _pipelined:
+        graph = MODELS["lenet5"]()
+        fused = fuse_operators(graph)
+        prog, plan = build_pipelined(fused, "tvm_autorun",
+                                     _BOARDS[board_name])
+        _pipelined[board_name] = (fused, prog, plan,
+                                  init_params(graph, seed=0))
+    return _pipelined[board_name]
+
+
+def _forward(network: str, board_name: str, seed: int):
+    """One vectorized forward of a shipped build: (program, events)."""
+    events = []
+    if network == "lenet5@pipelined":
+        fused, prog, plan, params = _pipelined_build(board_name)
+        x = np.random.default_rng(seed).standard_normal(
+            (1, 28, 28)).astype(np.float32)
+        run_pipelined_functional(prog, plan, fused, x, params,
+                                 interp="vector", events=events)
+    else:
+        _, fused, prog, plan, x, params = _folded_build(network, board_name)
+        x = np.random.default_rng(seed).standard_normal(
+            x.shape).astype(np.float32)
+        run_folded_functional(prog, plan, fused, x, params,
+                              interp="vector", events=events)
+    return prog, events
+
+
+def _cached_plans(prog):
+    return [
+        plan
+        for kern in prog.kernels
+        for cache in kern.derived.get(_BandCache, {}).values()
+        for plan in cache.plans.values()
+        if isinstance(plan, _BandPlan)
+    ]
+
+
+class TestPlanCache:
+    """Exact counts of what the band-plan cache plans, replays and proves."""
+
+    @pytest.mark.parametrize("board_name", sorted(_BOARDS))
+    @pytest.mark.parametrize(
+        "network", ["lenet5@pipelined", "mobilenet_v1", "resnet18"])
+    def test_second_forward_plans_no_band(self, network, board_name):
+        _forward(network, board_name, seed=1)
+        _, events = _forward(network, board_name, seed=2)
+        assert events
+        planned = [(k, ev.loop_var) for k, ev in events if not ev.reused]
+        assert planned == [], planned[:5]
+        assert all(ev.kind == "vectorized" for _, ev in events)
+
+    @pytest.mark.parametrize("board_name", sorted(_BOARDS))
+    @pytest.mark.parametrize(
+        "network", ["lenet5@pipelined", "lenet5", "mobilenet_v1", "resnet18"])
+    def test_no_shipped_store_needs_unique(self, network, board_name):
+        prog, _ = _forward(network, board_name, seed=1)
+        plans = _cached_plans(prog)
+        assert plans
+        assert sum(p.unique_stores for p in plans) == 0
+
+    def test_other_bindings_replan_and_match_scalar(self):
+        handle, _, out = conv2d_symbolic(3, 1, "c", bias=True,
+                                         activation="relu")
+        kern = lower(schedule_symbolic_conv(
+            out, ConvTiling(w2vec=1, c1vec=2), is_1x1=False), "k")
+        rng = np.random.default_rng(3)
+        c1, k = 2, 3
+
+        def run(h, expect_planned):
+            # buffers sized for the larger input on both sizes: only the
+            # bindings tell the two invocations apart
+            bufs = {
+                "c_in": rng.standard_normal(c1 * 81).astype(np.float32),
+                "c_w": rng.standard_normal(k * c1 * 9).astype(np.float32),
+                "c_b": rng.standard_normal(k).astype(np.float32),
+                "c": np.zeros(k * 49, np.float32),
+            }
+            bindings = handle.bindings(c1, h, h, k)
+            scalar = {n: v.copy() for n, v in bufs.items()}
+            ir.run_kernel(kern, scalar, bindings=bindings)
+            vi = run_kernel_vectorized(kern, bufs, bindings)
+            assert bufs["c"].tobytes() == scalar["c"].tobytes()
+            assert all(ev.kind == "vectorized" for ev in vi.events)
+            assert (vi.planned > 0) == expect_planned, vi.events
+            if not expect_planned:
+                assert vi.reused == len(vi.events)
+
+        run(7, expect_planned=True)
+        run(9, expect_planned=True)   # new bindings: a new key
+        run(7, expect_planned=False)  # both keys now replay
+        run(9, expect_planned=False)
+
+    def test_other_buffer_sizes_replan(self):
+        # Y[i] = X[i] over 8 lanes: a 4-element X must fall back, an
+        # 8-element X must vectorize, whichever of them ran first
+        x, y = ir.Buffer("X", (8,)), ir.Buffer("Y", (8,))
+        i = ir.Var("i")
+        kern = ir.Kernel("k", [x, y], ir.For(
+            i, ir.IntImm(8), ir.Store(y, i, ir.Load(x, i))))
+        data = np.arange(8, dtype=np.float32)
+
+        def attempt(n):
+            bufs = {"X": data[:n].copy(), "Y": np.zeros(8, np.float32)}
+            vi = VectorizedInterpreter(bufs)
+            try:
+                vi.run(kern)
+            except IndexError:  # the scalar loop reads past a short X
+                pass
+            return [(ev.kind, ev.reused) for ev in vi.events], bufs["Y"]
+
+        assert attempt(8)[0] == [("vectorized", False)]
+        events, out = attempt(4)
+        assert events == [("fallback", False)]
+        assert out.tolist() == [0, 1, 2, 3, 0, 0, 0, 0]
+        events, out = attempt(8)
+        assert events == [("vectorized", True)]
+        assert out.tobytes() == data.tobytes()
+        assert attempt(4)[0] == [("fallback", True)]
+
+    def test_strided_views_of_a_non_contiguous_buffer(self):
+        # Y[i] = X[2 - i] + X[i]: affine loads through negative and
+        # positive strides of a buffer that is itself a strided view
+        x, y = ir.Buffer("X", (3,)), ir.Buffer("Y", (3,))
+        i = ir.Var("i")
+        kern = ir.Kernel("k", [x, y], ir.For(i, ir.IntImm(3), ir.Store(
+            y, i, ir.Load(x, ir.IntImm(2) - i) + ir.Load(x, i))))
+        scalar = {"X": np.float32([0, 2, 4]), "Y": np.zeros(3, np.float32)}
+        ir.run_kernel(kern, scalar)
+        bufs = {"X": np.arange(6, dtype=np.float32)[::2],
+                "Y": np.zeros(6, np.float32)[::-2]}
+        vi = run_kernel_vectorized(kern, bufs)
+        assert [ev.kind for ev in vi.events] == ["vectorized"]
+        assert not bufs["Y"].flags.c_contiguous
+        assert bufs["Y"].tobytes() == scalar["Y"].tobytes()
+
+    def test_alpha_equivalent_lower_cache_replay_hits(self):
+        clear_lower_cache()
+        graph = TWINS["mobilenet_v1"]()
+        fused = fuse_operators(graph)
+        config = default_folded_config("mobilenet_v1", STRATIX10_SX)
+        first = build_folded(fused, config, STRATIX10_SX)
+        second = build_folded(fused, config, STRATIX10_SX)
+        params = init_params(graph, seed=0)
+        x = np.random.default_rng(5).standard_normal(
+            graph.input.out_shape).astype(np.float32)
+        replayed = {k.name for k in second[0].kernels
+                    if first[0].kernel(k.name) is k}
+        assert len(replayed) >= len(second[0].kernels) - 1
+        # a replayed kernel meets bindings over distinct, same-named vars
+        vars_of = [{v for inv in plan.invocations for v in inv.bindings or {}}
+                   for _, plan in (first, second)]
+        assert vars_of[0] and not vars_of[0] & vars_of[1]
+        outs = []
+        for prog, plan in (first, second):
+            events = []
+            outs.append(run_folded_functional(prog, plan, fused, x, params,
+                                              interp="vector", events=events))
+        assert outs[0].tobytes() == outs[1].tobytes()
+        replanned = [(k, ev.loop_var) for k, ev in events
+                     if k in replayed and not ev.reused]
+        assert replanned == []
+        assert any(ev.reused for _, ev in events)
+
+    def test_underfilled_fifo_falls_back_on_a_cached_plan(self):
+        # consumer: B[i*4 + j] = read(c) over 2 x 4 lanes
+        ch = ir.Channel("c")
+        b = ir.Buffer("B", (8,))
+        i, j = ir.Var("i"), ir.Var("j")
+        kern = ir.Kernel("cons", [b], ir.For(i, ir.IntImm(2), ir.For(
+            j, ir.IntImm(4),
+            ir.Store(b, i * 4 + j, ir.ChannelRead(ch)))))
+
+        def run(cls, queued):
+            state = ChannelState(ch)
+            for v in range(queued):
+                state.write(float(v))
+            bufs = {"B": np.zeros(8, np.float32)}
+            it = cls(bufs, channels={"c": state})
+            try:
+                it.run(kern)
+            except RuntimeSimError:
+                pass
+            return it, bufs["B"]
+
+        vi, full = run(VectorizedInterpreter, 8)
+        assert [(ev.kind, ev.reused) for ev in vi.events] == [
+            ("vectorized", False)]
+        assert full.tolist() == list(range(8))
+        # four values queued: the cached 8-value plan must not run; the
+        # outer loop goes scalar, its first inner band vectorizes and
+        # the second finds the FIFO empty, exactly like the scalar run
+        vi, short = run(VectorizedInterpreter, 4)
+        assert vi.events[0].kind == "fallback" and vi.events[0].reused
+        assert "fewer than 8" in vi.events[0].detail
+        _, ref = run(ir.Interpreter, 4)
+        assert short.tobytes() == ref.tobytes()
+        assert short.tolist() == [0, 1, 2, 3, 0, 0, 0, 0]
+
+
+class TestStaticStoreProof:
+    """Affine stores are proven distinct from their strides alone; the
+    proof never admits a colliding store, and interleaved strides that
+    do not collide need no ``np.unique``."""
+
+    def _nest(self, body_fn, extents=(4, 4)):
+        i, j = ir.Var("i"), ir.Var("j")
+        return ir.For(i, ir.IntImm(extents[0]), ir.For(
+            j, ir.IntImm(extents[1]), body_fn(i, j)))
+
+    def _check(self, kern, bufs):
+        scalar = {k: v.copy() for k, v in bufs.items()}
+        ir.run_kernel(kern, scalar)
+        vi = run_kernel_vectorized(kern, bufs)
+        for name in scalar:
+            assert bufs[name].tobytes() == scalar[name].tobytes(), name
+        plans = [p for c in kern.derived[_BandCache].values()
+                 for p in c.plans.values()]
+        return [ev.kind for ev in vi.events], plans
+
+    def test_interleaved_strides_are_proven_distinct(self):
+        # A[i + 4*j] and A[2*i + j] with j < 2 hit every address once
+        a = ir.Buffer("A", (16,))
+        kern = ir.Kernel("k", [a], self._nest(
+            lambda i, j: ir.Store(a, i + j * 4, ir.Cast(ir.FLOAT32, i - j))))
+        kinds, plans = self._check(kern, {"A": np.zeros(16, np.float32)})
+        assert kinds == ["vectorized"] and plans[0].unique_stores == 0
+        kern = ir.Kernel("k", [a], self._nest(
+            lambda i, j: ir.Store(a, i * 2 + j, ir.Cast(ir.FLOAT32, i - j)),
+            extents=(8, 2)))
+        kinds, plans = self._check(kern, {"A": np.zeros(16, np.float32)})
+        assert kinds == ["vectorized"] and plans[0].unique_stores == 0
+
+    def test_overlapping_affine_store_falls_back(self):
+        # A[i + j] = i - j: addresses repeat, the last scalar write wins
+        a = ir.Buffer("A", (7,))
+        kern = ir.Kernel("k", [a], self._nest(
+            lambda i, j: ir.Store(a, i + j, ir.Cast(ir.FLOAT32, i - j))))
+        kinds, plans = self._check(kern, {"A": np.zeros(7, np.float32)})
+        assert kinds[0] == "fallback"
+        assert plans[0] == "overlapping parallel stores"
+
+    def test_colliding_affine_reduction_lanes_fall_back(self):
+        # A[i + j] += X[k]: lanes (i, j) share addresses across k's fold
+        a, x = ir.Buffer("A", (7,)), ir.Buffer("X", (3,))
+        k = ir.Var("k")
+        kern = ir.Kernel("k", [a, x], self._nest(
+            lambda i, j: ir.For(k, ir.IntImm(3), ir.Store(
+                a, i + j, ir.Load(a, i + j) + ir.Load(x, k)))))
+        data = np.float32([0.1, 0.2, 0.3])
+        kinds, plans = self._check(
+            kern, {"A": np.zeros(7, np.float32), "X": data})
+        assert kinds[0] == "fallback"
+        assert plans[0] == "reduction lanes collide"
 
 
 class TestInterpreterSelection:
