@@ -67,7 +67,7 @@ from repro.flow.stages import MODELS, folded_flow, pipelined_flow
 from repro.models.twins import TWINS
 from repro.pipeline.cache import CompileCache
 from repro.relay import fuse_operators, init_params
-from repro.runtime.executor import run_folded_functional
+from repro.runtime.executor import run_folded_functional, run_pipelined_functional
 from repro.serve.replica import replicas_per_board
 from repro.verify import certify_build, clear_equiv_cache, dynamic_equiv_check
 from repro.verify.memory import weights_bytes
@@ -222,13 +222,10 @@ def _throughput_measurers(fallbacks: dict, replanned: dict) -> dict:
 def _measure_lenet_speedup(vector_ips: float) -> dict:
     dep = deploy_pipelined("lenet5", ARRIA10, cache=False)
     x = np.random.default_rng(0).standard_normal((1, 28, 28)).astype(np.float32)
-    os.environ["REPRO_INTERP"] = "scalar"
-    try:
-        t0 = time.perf_counter()
-        dep.forward_functional(x)
-        scalar_s = time.perf_counter() - t0
-    finally:
-        del os.environ["REPRO_INTERP"]
+    t0 = time.perf_counter()
+    run_pipelined_functional(dep.bitstream.program, dep.plan, dep.fused, x,
+                             dep.params, interp="scalar")
+    scalar_s = time.perf_counter() - t0
     return {"scalar_ips": 1.0 / scalar_s,
             "speedup": vector_ips * scalar_s}
 

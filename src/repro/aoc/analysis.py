@@ -292,7 +292,7 @@ class KernelAnalysis:
 
     def compute_cycles(self, bindings: Optional[Bindings] = None) -> int:
         """Issue-slot cycle estimate for one invocation."""
-        bindings = self.kernel.bind_by_name(bindings)
+        bindings = bindings or {}
         key = tuple(sorted((v.name, val) for v, val in bindings.items()))
         if key not in self._cycles_cache:
             self._cycles_cache[key] = max(1, self._cycles(self.kernel.body, bindings))
@@ -322,7 +322,7 @@ class KernelAnalysis:
 
     def flops(self, bindings: Optional[Bindings] = None) -> int:
         """Floating-point operations per invocation."""
-        return self._flops(self.kernel.body, self.kernel.bind_by_name(bindings))
+        return self._flops(self.kernel.body, bindings)
 
     def _flops(self, s: _s.Stmt, b: Bindings) -> int:
         if isinstance(s, _s.SeqStmt):
@@ -347,10 +347,9 @@ class KernelAnalysis:
         variables do not advance the address (re-reads).  A cached LSU
         whose working set fits the 512-kbit cache pays ``unique`` once.
         """
-        b = self.kernel.bind_by_name(bindings)
         total = 0
         for site, lsu in self.lsu_sites:
-            n = site.buffer.num_elements(b)
+            n = site.buffer.num_elements(bindings)
             if n is None:
                 raise AOCError(
                     f"kernel {self.kernel.name}: the shape of "
@@ -360,7 +359,7 @@ class KernelAnalysis:
             reread = 1
             for var, extent in site.serial:
                 if stride_of(site.index, var) == 0:
-                    reread *= self._eval_extent(extent, b)
+                    reread *= self._eval_extent(extent, bindings)
             if lsu.cached and unique <= self.c.lsu_cache_bytes:
                 reread = 1
             total += unique * reread

@@ -100,7 +100,9 @@ def synthesize_key(board: Board, constants: AOCConstants) -> Callable[[Context],
     (tiling, recipe) identity), the channel list, the target board and
     the cost-model constants.  Source text is reproducible because
     builders reset the IR name uniquifier
-    (:func:`repro.ir.reset_fresh_names`) per build.
+    (:func:`repro.ir.reset_fresh_names`) per build.  The tag names the
+    pickle format: entries whose symbolic vars predate interning
+    (:func:`repro.ir.expr.sym`) would unpickle unbindable, so they miss.
     """
 
     def key(ctx: Context) -> str:
@@ -108,7 +110,7 @@ def synthesize_key(board: Board, constants: AOCConstants) -> Callable[[Context],
         channels = sorted((c.name, c.depth) for c in program.all_channels())
         return fingerprint(
             [
-                "synthesize",
+                "synthesize/interned-symbols",
                 ctx.value("source"),
                 ctx.value("schedule"),
                 channels,

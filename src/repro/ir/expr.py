@@ -154,7 +154,8 @@ class Var(Expr):
     """A named scalar variable: loop iterators, symbolic shapes, kernel args.
 
     Symbolic-shape execution (thesis Section 5.3) represents unknown tensor
-    dimensions as ``Var`` objects that become runtime kernel arguments.
+    dimensions as ``Var`` objects that become runtime kernel arguments;
+    those are interned (:func:`sym`) and unpickle to the same object.
     """
 
     __slots__ = ("name",)
@@ -164,6 +165,28 @@ class Var(Expr):
             raise IRError("Var needs a non-empty name")
         self.name = name
         self.dtype = dtype
+
+    def __reduce__(self):
+        if _SYMBOLS.get(self.name) is self:
+            return sym, (self.name,)
+        return type(self), (self.name, self.dtype)
+
+
+#: the process's one Var per symbolic shape/stride name
+_SYMBOLS: dict = {}
+
+
+def sym(name: str) -> Var:
+    """The process's one ``int32`` :class:`Var` named ``name``.
+
+    Symbolic shape and stride arguments are interned, so every build,
+    every compile-cache replay (in this or another process) and every
+    forked worker's result binds the same objects.
+    """
+    v = _SYMBOLS.get(name)
+    if v is None:
+        v = _SYMBOLS[name] = Var(name)
+    return v
 
 
 class _BinaryOp(Expr):

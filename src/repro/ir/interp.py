@@ -128,16 +128,15 @@ class Interpreter:
         for buf in kernel.args:
             if buf.name not in self.buffers:
                 if buf.name in kernel.scratch_args:
-                    n = buf.num_elements()
+                    n = buf.num_elements(self.env)
                     if n is None:
-                        n = self._symbolic_numel(buf)
+                        raise RuntimeSimError(
+                            f"scratch buffer {buf.name} has an unbound "
+                            "symbolic dim"
+                        )
                     self.buffers[buf.name] = np.zeros(n, dtype=_F32)
                     continue
                 raise RuntimeSimError(f"missing buffer {buf.name}")
-        # bindings may come from an alpha-equivalent schedule build when
-        # the kernel replays from the per-kernel lower cache — adopt
-        # same-named entries onto this kernel's own vars
-        self.env.update(kernel.bind_by_name(self.env))
         for var in kernel.scalar_args:
             if var not in self.env:
                 raise RuntimeSimError(f"missing scalar argument {var.name}")
@@ -251,12 +250,6 @@ class Interpreter:
             args = [_F32(self._eval(a)) for a in e.args]
             return _F32(_INTRINSICS[e.name](*args))
         raise RuntimeSimError(f"cannot evaluate {type(e).__name__}")
-
-    def _symbolic_numel(self, buffer: Buffer) -> int:
-        n = 1
-        for d in buffer.shape:
-            n *= int(self._eval(d if isinstance(d, _e.Expr) else _e.IntImm(d)))
-        return n
 
     # ------------------------------------------------------------------
     def _storage(self, buffer: Buffer) -> np.ndarray:

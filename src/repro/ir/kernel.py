@@ -117,31 +117,6 @@ class Kernel:
         """True if the kernel takes symbolic shape/stride arguments."""
         return bool(self.scalar_args)
 
-    def bind_by_name(self, bindings: Dict[_e.Var, int]) -> Dict[_e.Var, int]:
-        """Remap a foreign binding dict onto this kernel's own vars.
-
-        Bindings are identity-keyed, but a kernel replayed from the
-        per-kernel lower cache (:mod:`repro.flow.incremental`) gets
-        paired with invocation plans built by a later, alpha-equivalent
-        schedule whose symbolic vars are distinct objects with the same
-        names.  Returns the bindings extended with entries for this
-        kernel's same-named scalar-argument and buffer-shape/stride
-        vars; existing entries are never overridden.
-        """
-        if not bindings:
-            return dict(bindings or {})
-        own: Dict[str, _e.Var] = {v.name: v for v in self.scalar_args}
-        for buf in self.args:
-            for d in tuple(buf.shape) + tuple(buf.strides or ()):
-                if isinstance(d, _e.Var):
-                    own.setdefault(d.name, d)
-        out = dict(bindings)
-        for v, val in bindings.items():
-            tgt = own.get(v.name)
-            if tgt is not None and tgt not in out:
-                out[tgt] = val
-        return out
-
     def channels(self) -> Tuple[Set[Channel], Set[Channel]]:
         """Channels (read, written) by this kernel."""
         reads: Set[Channel] = set()

@@ -66,10 +66,10 @@ of the buffers the band touches — and the channel fill levels.  So it is
 computed once and replayed: plans live in the kernel's lifetime memo
 (``Kernel.derived``), per band root, keyed by the values of the
 variables the band reads from outside itself and by the sizes of the
-buffers it touches.  The variables are the kernel's own, looked up after
-:meth:`~repro.ir.kernel.Kernel.bind_by_name`, so a kernel replayed from
-the lower cache hits with the alpha-equivalent bindings of a later
-build.  A refused band is cached with its reason.  On a hit only the
+buffers it touches.  Symbolic variables are interned
+(:func:`repro.ir.expr.sym`), so a kernel replayed from the lower or
+disk cache hits with the bindings of a later build.  A refused band is
+cached with its reason.  On a hit only the
 channel-fill check runs again, since FIFO state is the one runtime input
 of phase A.  A plan holds no per-run state: no interpreter, buffer or
 FIFO, and its privatized scratch is allocated per execution.

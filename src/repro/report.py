@@ -203,13 +203,13 @@ def trace_deployment(
             out.write(diag.trace.to_json(indent=2) + "\n"
                       if as_json else diag.trace.format_table() + "\n")
         return 1
-    _append_execute_record(d)
+    status = _append_execute_record(d)
     out.write(d.trace.to_json(indent=2) + "\n"
               if as_json else d.trace.format_table() + "\n")
-    return 0
+    return 0 if status == "ok" else 1
 
 
-def _append_execute_record(d) -> None:
+def _append_execute_record(d) -> str:
     """Run one functional forward pass and append an ``execute`` row.
 
     The vectorized interpreter reports every band decision it makes
@@ -221,6 +221,8 @@ def _append_execute_record(d) -> None:
     and ``vinterp_reused`` replayed a plan the kernel had cached from an
     earlier invocation with the same bindings.  The pass runs the whole
     network functionally, so large folded networks take seconds here.
+    Returns the row's status: ``"ok"``, or ``"error"`` when the forward
+    raised.
     """
     import time
     from collections import Counter
@@ -238,7 +240,7 @@ def _append_execute_record(d) -> None:
     status, error = "ok", None
     try:
         d.forward_functional(x, events=events)
-    except Exception as e:  # pragma: no cover - diagnostic row only
+    except Exception as e:
         status, error = "error", f"{type(e).__name__}: {e}"
     wall = time.perf_counter() - t0
     fallbacks = [ev for _, ev in events if ev.kind == "fallback"]
@@ -261,6 +263,7 @@ def _append_execute_record(d) -> None:
         artifact="logits", size=len(events), counters=counters,
         error=error, notes=notes,
     ))
+    return status
 
 
 def _trace_with_faults(network, board, out: TextIO, as_json: bool) -> int:
@@ -553,7 +556,8 @@ modes:
                           deployments, baselines, fit/route failures)
   --trace SPEC            per-stage compile trace of one deployment;
                           SPEC = NETWORK[:MODE[:BOARD]], e.g. lenet5,
-                          mobilenet_v1:folded:A10
+                          mobilenet_v1:folded:A10; exits 1 when a stage
+                          or the execute row's forward fails
   --serve SPEC            batched multi-replica serving simulation;
                           SPEC = NETWORK[:BOARD[:REPLICAS]], e.g.
                           mobilenet_v1:S10SX:4

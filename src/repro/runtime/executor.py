@@ -19,7 +19,6 @@ kernels' cached band plans and takes about 1.5 s and 16 s.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Tuple, Type
 
 import numpy as np
@@ -31,17 +30,10 @@ from repro.relay.execute import Params
 from repro.relay.passes import FusedGraph
 from repro.runtime.plan import FoldedPlan, PipelinePlan
 
-#: Environment opt-out: set REPRO_INTERP=scalar to force the element-wise
-#: interpreter everywhere (the vectorized path is bit-identical, so this
-#: is a debugging aid, not a numerics switch).
-_INTERP_ENV = "REPRO_INTERP"
-
 
 def _interpreter_class(interp: str) -> Type[Interpreter]:
-    """Resolve an ``interp`` choice ('vector' | 'scalar' | 'auto')."""
-    if interp == "auto":
-        interp = os.environ.get(_INTERP_ENV, "vector").strip() or "vector"
-    if interp in ("vector", "vectorized"):
+    """Resolve an ``interp`` choice ('vector' | 'scalar')."""
+    if interp == "vector":
         return VectorizedInterpreter
     if interp == "scalar":
         return Interpreter
@@ -84,7 +76,7 @@ def run_pipelined_functional(
     fused: FusedGraph,
     x: np.ndarray,
     params: Params,
-    interp: str = "auto",
+    interp: str = "vector",
     events: Optional[List[Tuple[str, object]]] = None,
 ) -> np.ndarray:
     """Interpret a pipelined program on one input image.
@@ -134,7 +126,7 @@ def run_folded_functional(
     fused: FusedGraph,
     x: np.ndarray,
     params: Params,
-    interp: str = "auto",
+    interp: str = "vector",
     events: Optional[List[Tuple[str, object]]] = None,
 ) -> np.ndarray:
     """Interpret a folded program layer-invocation by layer-invocation.

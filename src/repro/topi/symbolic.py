@@ -33,9 +33,7 @@ class SymbolicShapes:
     vars: Dict[str, _e.Var] = field(default_factory=dict)
 
     def var(self, name: str) -> _e.Var:
-        if name not in self.vars:
-            self.vars[name] = _e.Var(name)
-        return self.vars[name]
+        return self.vars.setdefault(name, _e.sym(name))
 
     def bind(self, **values: int) -> Dict[_e.Var, int]:
         """Map var-name keyword values to a Var->int binding dict."""

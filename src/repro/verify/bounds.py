@@ -107,7 +107,7 @@ def check_bounds(
         report = VerifyReport(subject=kernel.name)
     sites = access_table(kernel).sites
     for bindings in binding_sets or [{}]:
-        by_name = sorted({v.name: c for v, c in bindings.items()}.items())
+        by_name = sorted((v.name, c) for v, c in bindings.items())
         label = ",".join(f"{n}={c}" for n, c in by_name)
         scopes: Dict[Tuple[_s.For, ...], Tuple[Env, bool]] = {}
         seen: set = set()

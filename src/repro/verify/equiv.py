@@ -65,7 +65,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.ir import expr as _e
 from repro.ir import stmt as _s
-from repro.ir.analysis import Bindings, dependence_distance, eval_int, free_vars
+from repro.ir.analysis import Bindings, dependence_distance, eval_int
 from repro.ir.functor import ExprMutator, substitute
 from repro.ir.printer import expr_str
 from repro.ir.tensor import IterVar
@@ -201,16 +201,6 @@ def clear_equiv_cache() -> None:
 # -- helpers ------------------------------------------------------------------
 
 
-def _eval_under(e: _e.Expr, bindings: Bindings) -> Optional[int]:
-    """:func:`eval_int` with a by-name fallback for alpha-equivalent vars."""
-    v = eval_int(e, bindings)
-    if v is not None or not bindings:
-        return v
-    by_name = {var.name: val for var, val in bindings.items()}
-    remap = {var: by_name[var.name] for var in free_vars(e) if var.name in by_name}
-    return eval_int(e, remap) if remap else None
-
-
 def _uncertifiable_reason(sk) -> Optional[str]:
     if sk.prebuilt is not None:
         return "prebuilt kernel IR (no schedule to certify)"
@@ -271,7 +261,7 @@ def _max_extent(
     n = ax.static_extent
     if n is not None:
         return n
-    vals = [_eval_under(ax.extent_expr(), bs) for bs in binding_sets]
+    vals = [eval_int(ax.extent_expr(), bs) for bs in binding_sets]
     if vals and all(v is not None for v in vals):
         return max(vals)
     return None
@@ -388,7 +378,7 @@ def _check_splits(
             )
             continue
         for j, bs in enumerate(binding_sets):
-            ext = _eval_under(rel.parent.extent_expr(), bs)
+            ext = eval_int(rel.parent.extent_expr(), bs)
             if ext is None:
                 unknowns.append(
                     f"extent of split axis {rel.parent.name} does not "
@@ -425,7 +415,7 @@ def _check_pins(
             )
             continue
         for j, bs in enumerate(binding_sets):
-            v = _eval_under(expr, bs)
+            v = eval_int(expr, bs)
             if v is None:
                 unknowns.append(
                     f"pinned stride {expr_str(expr)} of {buf_name} does "
@@ -650,7 +640,7 @@ def _buffer_numel(buf, bindings: Bindings) -> Optional[int]:
     """Allocation size covering both the shape and the strided footprint."""
     dims: List[int] = []
     for d in buf.shape:
-        v = d if isinstance(d, int) else _eval_under(d, bindings)
+        v = d if isinstance(d, int) else eval_int(d, bindings)
         if v is None or v <= 0:
             return None
         dims.append(v)
@@ -660,7 +650,7 @@ def _buffer_numel(buf, bindings: Bindings) -> Optional[int]:
     if buf.strides:
         strides: List[int] = []
         for s in buf.strides:
-            v = s if isinstance(s, int) else _eval_under(s, bindings)
+            v = s if isinstance(s, int) else eval_int(s, bindings)
             if v is None:
                 return None
             strides.append(v)
@@ -701,7 +691,6 @@ def dynamic_equiv_check(
     out_name = sk.schedule.output.buffer.name
     fills: Dict[str, "np.ndarray"] = {}
     for k in (naive_k, sched_k):
-        adopted = k.bind_by_name(bindings)
         for buf in k.args:
             if (
                 buf.name == out_name
@@ -709,7 +698,7 @@ def dynamic_equiv_check(
                 or buf.name in fills
             ):
                 continue
-            n = _buffer_numel(buf, adopted)
+            n = _buffer_numel(buf, bindings)
             if n is None:
                 return None
             rng = np.random.default_rng(
@@ -722,19 +711,18 @@ def dynamic_equiv_check(
 
     outs = []
     for k in (naive_k, sched_k):
-        adopted = k.bind_by_name(bindings)
         bufs: Dict[str, "np.ndarray"] = {}
         for buf in k.args:
             if buf.name in fills:
                 bufs[buf.name] = fills[buf.name].copy()
             else:
-                n = _buffer_numel(buf, adopted)
+                n = _buffer_numel(buf, bindings)
                 if n is None:
                     return None
                 dt = np.float32 if buf.dtype == _e.FLOAT32 else np.int32
                 bufs[buf.name] = np.zeros(n, dtype=dt)
         try:
-            run_kernel(k, bufs, bindings=adopted)
+            run_kernel(k, bufs, bindings=bindings)
         except Exception:
             return None if k is naive_k else False
         outs.append(bufs[out_name].copy())

@@ -626,9 +626,7 @@ def check_memory(
             if out is None:
                 continue
             checks += 1
-            # cache-replayed kernels carry their own alpha-equivalent
-            # vars; adopt the invocation's same-named bindings first
-            cap = out.num_elements(kernel.bind_by_name(inv.bindings))
+            cap = out.num_elements(inv.bindings)
             vname = fn.output_node.name
             if cap is None:
                 report.extend([Diagnostic(

@@ -176,14 +176,13 @@ def _check_reuse(
         if site.is_store or not lsu.cached:
             continue
         for b in sets:
-            rb = an.kernel.bind_by_name(b)
-            n = site.buffer.num_elements(rb)
+            n = site.buffer.num_elements(b)
             if n is None:
                 continue
             unique = n * 4
             if unique <= constants.lsu_cache_bytes:
                 continue
-            dist = reuse_distance(site.index, site.serial, rb)
+            dist = reuse_distance(site.index, site.serial, b)
             shown = (
                 f" (reuse distance {dist} elements)" if dist is not None else ""
             )
@@ -246,8 +245,7 @@ def _check_roofline(
 def _binding_label(b: Optional[Bindings]) -> str:
     if not b:
         return "static"
-    # a set: adopted bindings hold each name twice (plan var, kernel var)
     dims = sorted(
-        {(v.name, c) for v, c in b.items() if v.name.startswith("n_")}
-    ) or sorted({(v.name, c) for v, c in b.items()})
+        (v.name, c) for v, c in b.items() if v.name.startswith("n_")
+    ) or sorted((v.name, c) for v, c in b.items())
     return ",".join(f"{n}={c}" for n, c in dims)

@@ -93,9 +93,7 @@ def verify_build(
     report = VerifyReport(subject=subject or program.name)
     bindings = binding_sets_of(plan) if isinstance(plan, FoldedPlan) else {}
     for kernel in program.kernels:
-        # adopt same-named vars: a kernel replayed from the lower cache
-        # carries its own alpha-equivalent vars, distinct from the plan's
-        sets = [kernel.bind_by_name(b) for b in bindings.get(kernel.name, ())]
+        sets = bindings.get(kernel.name, [])
         check_bounds(kernel, sets, report)
         check_races(kernel, sets, report)
         if board is not None:

@@ -333,3 +333,19 @@ class TestExecuteTraceRow:
         assert "execute" in text
         assert "vinterp_fallbacks=" in text
         assert "vinterp_bands=" in text
+
+    def test_trace_exits_1_when_the_forward_raises(self, monkeypatch):
+        import json
+
+        from repro.flow.deploy import Deployment
+        from repro.report import main as report_main
+
+        def boom(self, x, events=None):
+            raise RuntimeError("forward exploded")
+
+        monkeypatch.setattr(Deployment, "forward_functional", boom)
+        out = io.StringIO()
+        assert report_main(out, ["--trace", "lenet5", "--json"]) == 1
+        row = json.loads(out.getvalue())["stages"][-1]
+        assert row["stage"] == "execute" and row["status"] == "error"
+        assert "forward exploded" in row["error"]

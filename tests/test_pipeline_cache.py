@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -15,15 +16,22 @@ from repro.device.boards import ARRIA10, STRATIX10_MX, STRATIX10_SX
 from repro.errors import FitError
 from repro.flow import (
     autotune_folded,
+    build_folded,
     default_folded_config,
     deploy_folded,
     deploy_pipelined,
     sweep_conv1x1,
 )
 from repro.flow.deploy import MOBILENET_1X1_TILINGS
+from repro.flow.search import fork_map
+from repro.ir import Var
+from repro.ir.expr import sym
+from repro.ir.functor import StmtVisitor
+from repro.models.twins import TWINS
 from repro.pipeline import CachedFailure, CompileCache, DiskBackend, MemoryBackend
-from repro.relay import fuse_operators
+from repro.relay import fuse_operators, init_params
 from repro.models import mobilenet_v1
+from repro.runtime.executor import run_folded_functional
 from repro.topi import ConvTiling
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -52,7 +60,7 @@ class TestCacheHit:
 
     def test_cached_bitstream_works_with_fresh_plan(self):
         # a replayed bitstream must pair with invocation bindings built
-        # from a different (alpha-equivalent) program
+        # by a later build, which binds the same interned symbolic vars
         cache = CompileCache()
         deploy_folded("mobilenet_v1", STRATIX10_SX, cache=cache)
         d2 = deploy_folded("mobilenet_v1", STRATIX10_SX, cache=cache)
@@ -173,6 +181,73 @@ class TestBackends:
         sentinel = backend.get("nope")
         assert backend.get("k") is sentinel
         assert not (tmp_path / "k.pkl").exists()  # dropped
+
+
+def _twin_build(task=None, cache=None):
+    fused = fuse_operators(TWINS["mobilenet_v1"]())
+    config = default_folded_config("mobilenet_v1", STRATIX10_SX)
+    return build_folded(fused, config, STRATIX10_SX)
+
+
+def _symbols(program):
+    return {v for k in program.kernels for v in k.scalar_args}
+
+
+def _loop_vars(program):
+    found = []
+
+    class _Loops(StmtVisitor):
+        def visit_For(self, f):
+            found.append(f.loop_var)
+            self.generic_visit_stmt(f)
+
+    for k in program.kernels:
+        _Loops().visit_stmt(k.body)
+    return found
+
+
+class TestInternedSymbols:
+    """Symbolic vars come back as the process's own objects from a pickle,
+    so a replayed program runs under bindings built in this process."""
+
+    def _forward(self, program, plan):
+        graph = TWINS["mobilenet_v1"]()
+        x = np.random.default_rng(3).standard_normal(
+            graph.input.out_shape).astype(np.float32)
+        fused = fuse_operators(graph)
+        return run_folded_functional(program, plan, fused, x,
+                                     init_params(graph, seed=0))
+
+    def _assert_interned_replay(self, got, prog, plan):
+        syms = _symbols(got)
+        assert syms and all(v is sym(v.name) for v in syms)
+        assert syms == _symbols(prog)
+        assert (self._forward(got, plan).tobytes()
+                == self._forward(prog, plan).tobytes())
+
+    def test_disk_round_trip(self, tmp_path):
+        prog, plan = _twin_build()
+        backend = DiskBackend(tmp_path)
+        backend.put("prog", prog)
+        got = backend.get("prog")
+        self._assert_interned_replay(got, prog, plan)
+        # loop vars are not interned: each unpickles to a fresh object
+        before, after = _loop_vars(prog), _loop_vars(got)
+        assert len(after) == len(before) > 0
+        assert not {id(v) for v in before} & {id(v) for v in after}
+
+    def test_fork_map_worker_result(self):
+        (got, _), = fork_map(_twin_build, [0], workers=1, cache=None)[0]
+        prog, plan = _twin_build()
+        self._assert_interned_replay(got, prog, plan)
+
+    def test_loop_var_unpickles_fresh(self):
+        assert pickle.loads(pickle.dumps(sym("n_c"))) is sym("n_c")
+        # a loop var, even one named like a symbol, stays a fresh object
+        for v in (Var("i"), Var("n_c")):
+            w = pickle.loads(pickle.dumps(v))
+            assert w is not v and w is not sym(v.name)
+            assert (w.name, w.dtype) == (v.name, v.dtype)
 
 
 @pytest.fixture(scope="module")

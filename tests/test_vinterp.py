@@ -599,10 +599,13 @@ class TestPlanCache:
         replayed = {k.name for k in second[0].kernels
                     if first[0].kernel(k.name) is k}
         assert len(replayed) >= len(second[0].kernels) - 1
-        # a replayed kernel meets bindings over distinct, same-named vars
-        vars_of = [{v for inv in plan.invocations for v in inv.bindings or {}}
-                   for _, plan in (first, second)]
-        assert vars_of[0] and not vars_of[0] & vars_of[1]
+        # both builds bind the replayed kernels' own (interned) vars
+        own = {v for k in second[0].kernels if k.name in replayed
+               for v in k.scalar_args}
+        for prog, plan in (first, second):
+            bound = {v for inv in plan.invocations
+                     if inv.kernel_name in replayed for v in inv.bindings or {}}
+            assert bound and bound <= own
         outs = []
         for prog, plan in (first, second):
             events = []
@@ -707,19 +710,12 @@ class TestStaticStoreProof:
 
 
 class TestInterpreterSelection:
-    def test_env_opt_out_forces_scalar(self, monkeypatch):
-        from repro.runtime.executor import _interpreter_class
-
-        monkeypatch.setenv("REPRO_INTERP", "scalar")
-        assert _interpreter_class("auto") is ir.Interpreter
-        monkeypatch.delenv("REPRO_INTERP")
-        assert _interpreter_class("auto") is VectorizedInterpreter
-
     def test_explicit_choices(self):
         from repro.errors import RuntimeSimError
         from repro.runtime.executor import _interpreter_class
 
         assert _interpreter_class("vector") is VectorizedInterpreter
         assert _interpreter_class("scalar") is ir.Interpreter
-        with pytest.raises(RuntimeSimError):
-            _interpreter_class("simd")
+        for gone in ("simd", "auto", "vectorized"):
+            with pytest.raises(RuntimeSimError):
+                _interpreter_class(gone)
