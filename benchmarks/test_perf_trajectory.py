@@ -13,7 +13,11 @@ in CI:
 * bands each twin's second vectorized forward plans again instead of
   replaying the kernel's cached plan, likewise an exact count gated at
   zero;
-* pruned 72-point conv1x1 DSE sweep wall-clock, serial vs 4 workers;
+* pruned 72-point conv1x1 DSE sweep wall-clock, serial vs 4 workers,
+  and the serial arm's exact walk accounting: access tables built must
+  equal lower-cache misses + uncached lowerings + dominance-profile
+  lowerings (a lower-cache hit replays a kernel at zero walks) — an
+  exact count, no band, no calibration;
 * static equivalence certification of the whole folded LeNet-5 build vs
   one interpreter cross-check of a single kernel — the certificate path
   must stay strictly faster, or removing interpreter runs from the
@@ -49,6 +53,7 @@ contract instead, since four forked workers time-slicing one core cannot
 beat the serial loop.
 """
 
+import contextlib
 import json
 import os
 import time
@@ -62,14 +67,20 @@ from repro.flow import build_folded
 from repro.flow.deploy import default_folded_config, deploy_pipelined
 from repro.flow.dse import sweep_conv1x1
 from repro.flow.folded import FoldedConfig, plan_folded, schedule_folded
-from repro.flow.incremental import clear_lower_cache
+from repro.flow.incremental import clear_lower_cache, lower_cache_stats
 from repro.flow.stages import MODELS, folded_flow, pipelined_flow
+from repro.ir.analysis import AccessTable
 from repro.models.twins import TWINS
 from repro.pipeline.cache import CompileCache
 from repro.relay import fuse_operators, init_params
 from repro.runtime.executor import run_folded_functional, run_pipelined_functional
 from repro.serve.replica import replicas_per_board
-from repro.verify import certify_build, clear_equiv_cache, dynamic_equiv_check
+from repro.verify import (
+    certify_build,
+    clear_equiv_cache,
+    dominance,
+    dynamic_equiv_check,
+)
 from repro.verify.memory import weights_bytes
 from repro.verify.verifier import binding_sets_of
 
@@ -230,15 +241,44 @@ def _measure_lenet_speedup(vector_ips: float) -> dict:
             "speedup": vector_ips * scalar_s}
 
 
+@contextlib.contextmanager
+def _counting_calls(owner, name, counts, key):
+    """Count calls of ``owner.name`` into ``counts[key]`` while active."""
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[key] += 1
+        return original(*args, **kwargs)
+
+    setattr(owner, name, counted)
+    try:
+        yield
+    finally:
+        setattr(owner, name, original)
+
+
 def _measure_sweep() -> dict:
     fused = fuse_operators(MODELS["mobilenet_v1"]())
     arms = {}
+    # exact walk accounting of the serial arm (a handful of counted
+    # calls, off the timing's noise floor): access tables built against
+    # lower-cache hits, misses and uncached lowerings, plus the
+    # dominance prover's profile lowerings, which bypass the cache
+    counts = {"profiled": 0, "tables": 0}
     for workers in (1, SWEEP_WORKERS):
         clear_lower_cache()
-        t0 = time.perf_counter()
-        summary = sweep_conv1x1(fused, ARRIA10, cache=CompileCache(),
-                                prune=True, workers=workers, **SWEEP_GRID)
-        arms[workers] = (time.perf_counter() - t0, summary)
+        with contextlib.ExitStack() as stack:
+            if workers == 1:
+                stack.enter_context(
+                    _counting_calls(dominance, "lower", counts, "profiled"))
+                stack.enter_context(
+                    _counting_calls(AccessTable, "__init__", counts, "tables"))
+            t0 = time.perf_counter()
+            summary = sweep_conv1x1(fused, ARRIA10, cache=CompileCache(),
+                                    prune=True, workers=workers, **SWEEP_GRID)
+            arms[workers] = (time.perf_counter() - t0, summary)
+        if workers == 1:
+            counts.update(lower_cache_stats())
     serial_s, serial = arms[1]
     parallel_s, parallel = arms[SWEEP_WORKERS]
     # correctness parity between the two arms, regardless of timing
@@ -253,6 +293,7 @@ def _measure_sweep() -> dict:
         "parallel_s": parallel_s,
         "best": [serial.best.tiling.w2vec, serial.best.tiling.c2vec,
                  serial.best.tiling.c1vec],
+        "serial_counts": counts,
     }
 
 
@@ -440,6 +481,11 @@ def _save_report(current, baseline) -> None:
     rows.append([f"sweep {SWEEP_WORKERS} workers ({current['cpus']} cpus)",
                  f"{sweep['parallel_s']:.2f} s",
                  f"{bsweep['parallel_s']:.2f} s", "-"])
+    sc = sweep["serial_counts"]
+    rows.append(["sweep serial access tables",
+                 f"{sc['tables']}", "-",
+                 f"== {sc['misses']} misses + {sc['uncached']} uncached + "
+                 f"{sc['profiled']} profiled ({sc['hits']} hits walk 0)"])
     cert, bcert = current["certify"], baseline.get("certify", {})
     rows.append([f"certify {cert['kernels_certified']} kernels (static)",
                  f"{cert['certify_s'] * 1e3:.1f} ms",
@@ -567,6 +613,19 @@ class TestPerfTrajectory:
                 )
                 assert (mem["replicas_per_board"]
                         >= base["replicas_per_board"])
+
+    def test_serial_sweep_walks_each_lowered_kernel_once(self, trajectory):
+        current, _, _ = trajectory
+        sc = current["sweep"]["serial_counts"]
+        assert sc["hits"] > 0 and sc["misses"] > 0, sc
+        lowered = sc["misses"] + sc["uncached"] + sc["profiled"]
+        assert sc["tables"] == lowered, (
+            f"serial sweep built {sc['tables']} access table(s) for "
+            f"{lowered} lowered kernel(s) ({sc['misses']} lower-cache "
+            f"misses + {sc['uncached']} uncached + {sc['profiled']} "
+            f"dominance profiles; {sc['hits']} hits replay at zero walks) "
+            "— an exact count, no band"
+        )
 
     def test_parallel_sweep_wall_clock(self, trajectory):
         current, _, _ = trajectory

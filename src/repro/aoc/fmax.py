@@ -24,10 +24,6 @@ class TimingReport:
     congestion: float
     routed: bool
 
-    @property
-    def period_ns(self) -> float:
-        return 1e3 / self.fmax_mhz
-
 
 def congestion_metric(
     total: ResourceEstimate, board: Board, lsu_replicas: int, c: AOCConstants

@@ -86,7 +86,7 @@ class DeviceLostError(RuntimeSimError):
 
 
 class DeadlockError(RuntimeSimError):
-    """The runtime watchdog's verdict: a channel-wait cycle or a stage
+    """The runtime watchdog's verdict: a stalled channel wait or a stage
     that exceeded the virtual-time budget.  Carries a diagnosis of which
     stage is blocked on which channel and the occupancy at stall time.
     """

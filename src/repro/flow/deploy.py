@@ -45,9 +45,6 @@ from repro.runtime.simulate import (
 )
 from repro.topi import ConvTiling
 
-#: backwards-compatible alias; the registry lives in :mod:`repro.flow.stages`
-_MODELS = MODELS
-
 #: thesis Table 6.7 — per-board 1x1-conv tiling for MobileNetV1
 MOBILENET_1X1_TILINGS: Dict[str, ConvTiling] = {
     "S10MX": ConvTiling(w2vec=7, c2vec=32, c1vec=4),

@@ -5,11 +5,15 @@ bindings, free-variable collection, and affine stride extraction — the
 machinery AOC's model uses to decide whether accesses can be coalesced
 (compile-time-known stride 1) or not (symbolic strides, thesis §5.3).
 
-:func:`access_table` is the one walk over a kernel body that every
-per-access consumer reads: the bounds checker, the race detector and
-the AOC model (whose performance advisor rides on it) all take their
-loads and stores, enclosing loops, guards and accumulation facts from
-it instead of re-walking the statement tree.
+:func:`access_table` is the one walk over a kernel body; every question
+about what the body touches reads it instead of re-walking the statement
+tree.  It records loads and stores (with enclosing loops, guards and
+accumulation facts), channel reads and writes (likewise placed), local
+allocations and the variables referenced.  :class:`~repro.ir.Kernel`
+builds it at construction to validate itself and answers
+``channels()``/``local_buffers()`` from it; the bounds checker, the race
+detector, the RC channel counts and the AOC model (whose performance
+advisor rides on it) read the same memoized table.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.ir import expr as _e
 from repro.ir import stmt as _s
-from repro.ir.buffer import Buffer
+from repro.ir.buffer import Buffer, Channel
 from repro.ir.functor import ExprVisitor, StmtVisitor
 
 Bindings = Dict[_e.Var, int]
@@ -69,20 +73,38 @@ class AccessSite:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class ChannelSite:
+    """One static channel read or write in a kernel body."""
+
+    channel: Channel
+    is_write: bool
+    #: enclosing ``For`` statements, outermost first
+    loops: Tuple[_s.For, ...]
+    #: an ``IfThenElse`` arm encloses the site, so it may not execute
+    guarded: bool
+
+
 class AccessTable:
-    """Every buffer access of one statement tree, from one walk.
+    """Every buffer and channel access of one statement tree, from one walk.
 
     ``sites`` lists loads and stores in program order: within a store,
     the loads of its value, then of its index, then the store itself; a
-    load precedes the loads of its own index.  ``loops`` lists every
-    ``For`` in pre-order and ``kinds`` counts the body's nodes by IR
-    class (the AOC model reads its channel and ``Select``/``Mod``
-    counts there).
+    load precedes the loads of its own index.  ``channel_sites`` lists
+    channel reads and writes in the same order (a write follows the
+    reads of its value).  ``loops`` lists every ``For`` and
+    ``allocations`` every ``Allocate``'d buffer, both in pre-order;
+    ``vars`` holds every ``Var`` referenced in an expression, and
+    ``kinds`` counts the body's nodes by IR class (the AOC model reads
+    its channel and ``Select``/``Mod`` counts there).
     """
 
     def __init__(self, body: _s.Stmt) -> None:
         self.sites: List[AccessSite] = []
+        self.channel_sites: List[ChannelSite] = []
         self.loops: List[_s.For] = []
+        self.allocations: List[Buffer] = []
+        self.vars: Set[_e.Var] = set()
         self.kinds: Counter = Counter()
         self._stmt(body, (), False)
 
@@ -107,17 +129,31 @@ class AccessTable:
             self.sites.append(AccessSite(
                 s.buffer, True, s.index, s.value, loops, guarded, reads_back,
             ))
-        elif isinstance(s, (_s.Evaluate, _s.ChannelWrite)):
+        elif isinstance(s, _s.ChannelWrite):
             self._expr(s.value, loops, guarded)
+            self.channel_sites.append(
+                ChannelSite(s.channel, True, loops, guarded)
+            )
+        elif isinstance(s, _s.Evaluate):
+            self._expr(s.value, loops, guarded)
+        elif isinstance(s, _s.Allocate):
+            self.allocations.append(s.buffer)
+            self._stmt(s.body, loops, guarded)
         else:
             for c in s.children():
                 self._stmt(c, loops, guarded)
 
     def _expr(self, e: _e.Expr, loops: Tuple[_s.For, ...], guarded: bool) -> None:
         self.kinds[type(e)] += 1
-        if isinstance(e, _e.Load):
+        if isinstance(e, _e.Var):
+            self.vars.add(e)
+        elif isinstance(e, _e.Load):
             self.sites.append(
                 AccessSite(e.buffer, False, e.index, None, loops, guarded)
+            )
+        elif isinstance(e, _e.ChannelRead):
+            self.channel_sites.append(
+                ChannelSite(e.channel, False, loops, guarded)
             )
         for c in e.children():
             self._expr(c, loops, guarded)
@@ -127,7 +163,8 @@ def access_table(kernel) -> AccessTable:
     """The kernel's access table, walked once per kernel object.
 
     A lowered kernel is never mutated (the lower cache shares one across
-    builds), so the table is memoized on the kernel itself.
+    builds), so the table is memoized on the kernel itself: built at
+    construction, and rebuilt once on first use after unpickling.
     """
     table = kernel.derived.get(AccessTable)
     if table is None:
@@ -323,20 +360,6 @@ def reuse_distance(
             return None
         distance *= max(1, n)
     return distance
-
-
-def contains_reduce(e: _e.Expr) -> bool:
-    """True if a Reduce node appears anywhere in the expression."""
-
-    class _V(ExprVisitor):
-        found = False
-
-        def visit_Reduce(self, r: _e.Reduce) -> None:
-            self.found = True
-
-    v = _V()
-    v.visit(e)
-    return v.found
 
 
 def count_flops_expr(e: _e.Expr) -> int:

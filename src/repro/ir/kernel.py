@@ -13,9 +13,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.errors import IRError
 from repro.ir import expr as _e
 from repro.ir import stmt as _s
-from repro.ir.analysis import stmt_free_vars
+from repro.ir.analysis import access_table
 from repro.ir.buffer import Buffer, Channel
-from repro.ir.functor import StmtVisitor
 
 
 class Kernel:
@@ -46,9 +45,12 @@ class Kernel:
         #: name of the buffer holding this kernel's result (None when the
         #: output streams to a channel)
         self.output_buffer: Optional[str] = None
-        #: analyses derived from this kernel (its access table, the AOC
-        #: model's analysis), computed once per object: a lowered kernel
-        #: is never mutated.  Not pickled.
+        #: analyses derived from this kernel, computed once per object (a
+        #: lowered kernel is never mutated): its access table — built here
+        #: by validation, then read by channels(), local_buffers(), verify
+        #: and the AOC model — plus the AOC analysis and the vectorized
+        #: interpreter's band plans.  Not pickled; an unpickled kernel
+        #: rebuilds its table on first use.
         self.derived: Dict[object, object] = {}
         if autorun and self.args:
             raise IRError(
@@ -59,29 +61,10 @@ class Kernel:
 
     # ------------------------------------------------------------------
     def _validate(self) -> None:
+        table = access_table(self)
         declared = {b.name for b in self.args}
-        allocated: Set[str] = set()
-
-        class _V(StmtVisitor):
-            def visit_Allocate(self, a: _s.Allocate) -> None:
-                allocated.add(a.buffer.name)
-                self.generic_visit_stmt(a)
-
-        _V().visit_stmt(self.body)
-
-        used: Set[Buffer] = set()
-
-        class _U(StmtVisitor):
-            def visit_Load(self, e: _e.Load) -> None:
-                used.add(e.buffer)
-                self.generic_visit(e)
-
-            def visit_Store(self, st: _s.Store) -> None:
-                used.add(st.buffer)
-                self.generic_visit_stmt(st)
-
-        _U().visit_stmt(self.body)
-        for buf in used:
+        allocated = {b.name for b in table.allocations}
+        for buf in dict.fromkeys(site.buffer for site in table.sites):
             if buf.scope == "global" and buf.name not in declared:
                 raise IRError(
                     f"kernel {self.name}: global buffer {buf.name} used but "
@@ -92,21 +75,15 @@ class Kernel:
                     f"kernel {self.name}: {buf.scope} buffer {buf.name} used "
                     "but never allocated"
                 )
-        scalar_names = {v for v in self.scalar_args}
-        loop_bound: Set[_e.Var] = set()
-
-        class _L(StmtVisitor):
-            def visit_For(self, f: _s.For) -> None:
-                loop_bound.add(f.loop_var)
-                self.generic_visit_stmt(f)
-
-        _L().visit_stmt(self.body)
-        for v in stmt_free_vars(self.body):
-            if v not in scalar_names and v not in loop_bound:
-                raise IRError(
-                    f"kernel {self.name}: free variable {v.name} is neither a "
-                    "loop var nor a scalar argument"
-                )
+        free = table.vars.difference(
+            self.scalar_args, (f.loop_var for f in table.loops)
+        )
+        if free:
+            v = min(free, key=lambda v: v.name)
+            raise IRError(
+                f"kernel {self.name}: free variable {v.name} is neither a "
+                "loop var nor a scalar argument"
+            )
 
     def __getstate__(self) -> Dict[str, object]:
         return {**self.__dict__, "derived": {}}
@@ -121,29 +98,13 @@ class Kernel:
         """Channels (read, written) by this kernel."""
         reads: Set[Channel] = set()
         writes: Set[Channel] = set()
-
-        class _V(StmtVisitor):
-            def visit_ChannelRead(self, e: _e.ChannelRead) -> None:
-                reads.add(e.channel)
-
-            def visit_ChannelWrite(self, s: _s.ChannelWrite) -> None:
-                writes.add(s.channel)
-                self.generic_visit_stmt(s)
-
-        _V().visit_stmt(self.body)
+        for site in access_table(self).channel_sites:
+            (writes if site.is_write else reads).add(site.channel)
         return reads, writes
 
     def local_buffers(self) -> List[Buffer]:
-        """All non-global buffers allocated in the body."""
-        out: List[Buffer] = []
-
-        class _V(StmtVisitor):
-            def visit_Allocate(self, a: _s.Allocate) -> None:
-                out.append(a.buffer)
-                self.generic_visit_stmt(a)
-
-        _V().visit_stmt(self.body)
-        return out
+        """All non-global buffers allocated in the body, in pre-order."""
+        return list(access_table(self).allocations)
 
     def __repr__(self) -> str:
         tags = []

@@ -79,7 +79,3 @@ def fingerprint(obj: object) -> str:
     """Full sha256 hex digest of the canonical form of ``obj``."""
     blob = json.dumps(canonical(obj), sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def short_fingerprint(obj: object, length: int = 12) -> str:
-    return fingerprint(obj)[:length]

@@ -100,17 +100,6 @@ class FusedGraph:
     def __init__(self, graph: Graph, nodes: Sequence[FusedNode]) -> None:
         self.graph = graph
         self.nodes: List[FusedNode] = list(nodes)
-        self._producer: Dict[str, FusedNode] = {}
-        for fn in self.nodes:
-            self._producer[fn.output_node.name] = fn
-
-    def producer_of(self, node: OpNode) -> Optional[FusedNode]:
-        """Fused node that produces the value of ``node`` (None = graph input)."""
-        return self._producer.get(node.name)
-
-    def kernel_inputs(self, fn: FusedNode) -> List[OpNode]:
-        """Graph nodes whose values this kernel consumes."""
-        return list(fn.anchor.inputs) + list(fn.extra_inputs)
 
     def __iter__(self):
         return iter(self.nodes)

@@ -14,8 +14,8 @@ recovery paths are testable, and (b) recoverable:
   deterministic jitter on a virtual clock (no wall sleeping);
 * :func:`synthesize_resilient` — transient-retry + placement-seed sweep
   for the pipeline's ``synthesize`` stage;
-* :class:`Watchdog` / :class:`ChannelWaitGraph` — virtual-time bounds
-  and channel-wait-cycle (deadlock) detection for the simulated runtime;
+* :class:`Watchdog` — virtual-time bounds and stalled-channel (hang)
+  verdicts for the simulated runtime;
 * :class:`ResilienceEvent` / :func:`log` — structured, observable
   records of every fault, retry, verdict and fallback.
 
@@ -48,11 +48,11 @@ from repro.resilience.retry import (
     retry,
 )
 from repro.resilience.synth import synthesize_resilient
-from repro.resilience.watchdog import ChannelWait, ChannelWaitGraph, Watchdog
+from repro.resilience.watchdog import Watchdog
 
 __all__ = [
-    "FAULT_SEED_ENV", "KNOWN_SITES", "ChannelWait", "ChannelWaitGraph",
-    "Fault", "FaultPlan", "LifecycleConfig", "ResilienceConfig",
+    "FAULT_SEED_ENV", "KNOWN_SITES", "Fault", "FaultPlan",
+    "LifecycleConfig", "ResilienceConfig",
     "ResilienceEvent", "ResilienceLog", "RetryPolicy", "VirtualClock",
     "Watchdog", "active_plan", "backoff_schedule", "configured",
     "current_config", "log", "probe", "record", "retry", "set_config",

@@ -1,31 +1,25 @@
-"""Runtime watchdog: virtual-time bounds and channel-wait-cycle detection.
+"""Runtime watchdog: virtual-time bounds and stalled-channel verdicts.
 
 Deep channel pipelines deadlock when a stage stalls: its input FIFO
-fills, back-pressure propagates, and with a feedback topology every
-stage ends up waiting on a channel another waiting stage should drain.
-The watchdog gives the simulated runtime the two defences the real host
-program needs:
-
-* a **virtual-time budget** — any event completing past the budget is
-  declared hung (:class:`Watchdog`);
-* a **channel-wait graph** — stages blocked on channels form edges to
-  the channels' producers; a cycle is a deadlock, reported with each
-  blocked stage, the channel it waits on and the FIFO occupancy at
-  stall time (:class:`ChannelWaitGraph`).
+fills, back-pressure propagates, and the stage never finishes.  The
+:class:`Watchdog` gives the simulated runtime the host program's
+defences: any event completing past a **virtual-time budget** is
+declared hung, and a **stalled channel wait** (a hang fault, or a
+producer that will never drain) is reported with the blocked stage, the
+channel it waits on and the FIFO occupancy at stall time.
 
 Both raise :class:`~repro.errors.DeadlockError` (a
-:class:`~repro.errors.RuntimeSimError`) carrying the diagnosis.
+:class:`~repro.errors.RuntimeSimError`) carrying the diagnosis.  Wait
+cycles in the channel topology are ruled out before synthesis by the
+static verifier's RC003 check (:mod:`repro.verify.channels`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
-
 from repro.errors import DeadlockError
 from repro.resilience.events import record
 
-__all__ = ["Watchdog", "ChannelWaitGraph", "ChannelWait"]
+__all__ = ["Watchdog"]
 
 
 class Watchdog:
@@ -73,80 +67,4 @@ class Watchdog:
             f"watchdog: stage {stage!r} is blocked on channel {channel!r} "
             f"(occupancy {occupancy}/{depth} at stall time, t={t_us:.0f}us) "
             f"and the producer cannot make progress"
-        )
-
-
-@dataclass
-class ChannelWait:
-    """One stage blocked on one channel."""
-
-    stage: str
-    channel: str
-    occupancy: int = 0
-    depth: int = 0
-
-
-class ChannelWaitGraph:
-    """Stages blocked on channels; a cycle through producers = deadlock."""
-
-    def __init__(self) -> None:
-        #: channel name -> producing stage
-        self.producers: Dict[str, str] = {}
-        #: stage -> its current blocked wait
-        self.waits: Dict[str, ChannelWait] = {}
-
-    def set_producer(self, channel: str, stage: str) -> None:
-        self.producers[channel] = stage
-
-    def wait(
-        self, stage: str, channel: str, occupancy: int = 0, depth: int = 0
-    ) -> None:
-        """Record that ``stage`` is blocked on ``channel``."""
-        self.waits[stage] = ChannelWait(stage, channel, occupancy, depth)
-
-    def resume(self, stage: str) -> None:
-        """``stage`` made progress; clear its wait."""
-        self.waits.pop(stage, None)
-
-    # ------------------------------------------------------------------
-    def find_cycle(self) -> Optional[List[ChannelWait]]:
-        """A list of waits forming a cycle, or None.
-
-        Edge: waiting stage -> producer of the channel it waits on; a
-        cycle means every stage in it waits on a channel whose producer
-        is also waiting — nobody can drain anything.
-        """
-        for start in self.waits:
-            seen: List[str] = []
-            stage = start
-            while stage in self.waits:
-                if stage in seen:
-                    cycle_stages = seen[seen.index(stage):]
-                    return [self.waits[s] for s in cycle_stages]
-                seen.append(stage)
-                nxt = self.producers.get(self.waits[stage].channel)
-                if nxt is None:
-                    break
-                stage = nxt
-        return None
-
-    def check(self, t_us: float = 0.0) -> None:
-        """Raise a diagnosing :class:`DeadlockError` if a cycle exists."""
-        cycle = self.find_cycle()
-        if cycle is None:
-            return
-        chain = " <- ".join(
-            f"{w.stage} waits on {w.channel} "
-            f"(occupancy {w.occupancy}/{w.depth})"
-            for w in cycle
-        )
-        record(
-            "watchdog", "channel",
-            f"channel-wait cycle detected: {chain}",
-            t_us=t_us,
-            cycle=[w.stage for w in cycle],
-        )
-        raise DeadlockError(
-            f"watchdog: channel-wait cycle at t={t_us:.0f}us — {chain} "
-            f"<- {cycle[0].stage} (deadlock)"
         )

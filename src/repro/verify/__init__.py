@@ -18,8 +18,9 @@ Seven analyzer families, each with stable rule IDs:
   def-before-use pass over kernel-local buffers.
 * **channels** (``RC``) — read/write count matching, FIFO depth
   sanity, wait-cycle (deadlock) detection, and plan/program consistency:
-  the compile-time complement of the runtime watchdog's
-  :class:`~repro.resilience.watchdog.ChannelWaitGraph`.
+  a channel deadlock is ruled out before synthesis instead of being
+  caught by the runtime :class:`~repro.resilience.watchdog.Watchdog`
+  after the hang.
 * **lint** (``RL``) — checks over the emitted OpenCL text (unused
   arguments, missing ``restrict``, barriers in divergent control,
   undeclared channels).

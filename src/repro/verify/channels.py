@@ -1,15 +1,16 @@
 """Static channel-protocol verification over programs and pipeline plans.
 
 Intel CL channels are blocking FIFOs between exactly one producer and
-one consumer kernel.  Three things can go statically wrong, and each is
-the compile-time complement of a failure the runtime watchdog
-(:mod:`repro.resilience.watchdog`) can only catch after the hang:
+one consumer kernel.  These checks catch before synthesis what the
+runtime watchdog (:mod:`repro.resilience.watchdog`) could only declare
+after the hang, plus the FIFO sizing and plan drift that never hang:
 
 * **count mismatch** (**RC001**) — the producer's static write count and
   the consumer's static read count per activation differ; the short side
   blocks forever on the last element.  Counts are products of enclosing
-  loop extents; a symbolic extent or a read/write under a conditional
-  makes the count unprovable (**RC002**).
+  loop extents over the channel sites of the kernel's
+  :func:`~repro.ir.analysis.access_table`; a symbolic extent or a
+  read/write under a conditional makes the count unprovable (**RC002**).
 * **wait cycles** (**RC003**) — an edge consumer → producer per channel;
   a cycle means every kernel in it blocks on a channel another blocked
   kernel should feed.  With this repro's lowering (consumers drain their
@@ -28,9 +29,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.ir import expr as _e
-from repro.ir import stmt as _s
-from repro.ir.analysis import eval_int
+from repro.ir.analysis import access_table, eval_int
 from repro.ir.kernel import Kernel, Program
 from repro.runtime.plan import PipelinePlan
 from repro.verify.diagnostics import Diagnostic, VerifyReport
@@ -45,52 +44,20 @@ Counts = Dict[str, Tuple[int, bool]]
 def channel_counts(kernel: Kernel) -> Tuple[Counts, Counts]:
     """Static per-activation (reads, writes) counts per channel name.
 
-    A count is the sum over occurrences of the product of enclosing loop
-    extents.  Occurrences under a conditional or under a loop with a
-    symbolic extent poison the channel's count (provable=False).
+    A count is the sum over the kernel's channel sites of the product of
+    enclosing loop extents.  A site under a conditional or under a loop
+    with a symbolic extent poisons the channel's count (provable=False).
     """
     reads: Counts = {}
     writes: Counts = {}
-
-    def add(table: Counts, name: str, n: Optional[int]) -> None:
-        count, ok = table.get(name, (0, True))
-        if n is None:
-            table[name] = (count, False)
-        else:
-            table[name] = (count + n, ok)
-
-    def expr(e: _e.Expr, mult: Optional[int]) -> None:
-        if isinstance(e, _e.ChannelRead):
-            add(reads, e.channel.name, mult)
-        for c in e.children():
-            expr(c, mult)
-
-    def walk(s: _s.Stmt, mult: Optional[int]) -> None:
-        if isinstance(s, _s.For):
-            expr(s.extent, mult)
-            ext = eval_int(s.extent)
-            inner = None if (mult is None or ext is None) else mult * ext
-            walk(s.body, inner)
-        elif isinstance(s, _s.IfThenElse):
-            expr(s.cond, mult)
-            walk(s.then_body, None)  # conditional: count unprovable
-            if s.else_body is not None:
-                walk(s.else_body, None)
-        elif isinstance(s, _s.Store):
-            expr(s.index, mult)
-            expr(s.value, mult)
-        elif isinstance(s, _s.Evaluate):
-            expr(s.value, mult)
-        elif isinstance(s, _s.ChannelWrite):
-            add(writes, s.channel.name, mult)
-            expr(s.value, mult)
-        elif isinstance(s, (_s.Allocate, _s.AttrStmt)):
-            walk(s.body, mult)
-        elif isinstance(s, _s.SeqStmt):
-            for c in s.stmts:
-                walk(c, mult)
-
-    walk(kernel.body, 1)
+    for site in access_table(kernel).channel_sites:
+        table = writes if site.is_write else reads
+        n: Optional[int] = None if site.guarded else 1
+        for loop in site.loops:
+            ext = eval_int(loop.extent)
+            n = None if (n is None or ext is None) else n * ext
+        count, ok = table.get(site.channel.name, (0, True))
+        table[site.channel.name] = (count + (n or 0), ok and n is not None)
     return reads, writes
 
 

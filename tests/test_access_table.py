@@ -1,6 +1,7 @@
 """The per-kernel access table and the one-analysis-per-build contract."""
 
 import pickle
+from collections import Counter
 
 import pytest
 
@@ -158,6 +159,73 @@ class TestOneAnalysisPerBuild:
                 assert counts == {
                     "analyses": kernels, "tables": kernels, "plans": 1,
                 }, (network, board_name)
+
+
+class TestOneWalkPerKernel:
+    """A kernel body is walked once, by its access table, at construction.
+
+    Validation, ``channels()``, ``local_buffers()``, the RC channel
+    counts, verify and the AOC model all read that one table.  Entries
+    are counted at the body root: ``StmtVisitor.visit_stmt`` for any
+    visitor-based walker, ``AccessTable._stmt`` for the table.
+    """
+
+    def test_cold_builds_enter_each_body_once(self, monkeypatch):
+        from repro.flow.pipelined import LEVELS
+        from repro.ir.functor import StmtVisitor
+
+        #: id(body) -> [body, constructions, table walks, visitor walks];
+        #: holding the body keeps its id from being reused
+        bodies = {}
+
+        def count_root_entries(cls, name, slot):
+            original = getattr(cls, name)
+
+            def wrapped(self, s, *args):
+                entry = bodies.get(id(s))
+                if entry is not None and entry[0] is s:
+                    entry[slot] += 1
+                return original(self, s, *args)
+
+            monkeypatch.setattr(cls, name, wrapped)
+
+        init = ir.Kernel.__init__
+
+        def registering_init(self, name, args, body, *rest, **kwargs):
+            entry = bodies.setdefault(id(body), [body, 0, 0, 0])
+            entry[1] += 1
+            init(self, name, args, body, *rest, **kwargs)
+
+        monkeypatch.setattr(ir.Kernel, "__init__", registering_init)
+        count_root_entries(AccessTable, "_stmt", 2)
+        count_root_entries(StmtVisitor, "visit_stmt", 3)
+
+        builds = [(network, board_name, "tvm_autorun")
+                  for network in KERNELS
+                  for board_name in ("A10", "S10MX", "S10SX")]
+        builds += [("lenet5", "S10SX", level) for level in LEVELS]
+        for network, board_name, level in builds:
+            clear_lower_cache()
+            clear_equiv_cache()
+            board = board_by_name(board_name)
+            if network == "lenet5":
+                flow = stages.pipelined_flow(
+                    network, board, level=level, cache=False,
+                )
+            else:
+                flow = stages.folded_flow(
+                    network, board,
+                    default_folded_config(network, board), cache=False,
+                )
+            try:
+                flow.run()
+            except ReproError as err:  # resnet18@A10 does not fit
+                assert (network, board_name) == ("resnet18", "A10")
+                assert err.stage == "synthesize"
+        assert len(bodies) >= 3 * sum(KERNELS.values())
+        # (constructions, table walks, visitor walks) -> bodies
+        shapes = Counter(tuple(entry[1:]) for entry in bodies.values())
+        assert set(shapes) == {(1, 1, 0)}, shapes
 
 
 class TestKernelMemoLifetime:

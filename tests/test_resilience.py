@@ -27,7 +27,6 @@ from repro.models import mobilenet_v1
 from repro.pipeline import CompileCache, DiskBackend
 from repro.relay import fuse_operators
 from repro.resilience import (
-    ChannelWaitGraph,
     Fault,
     FaultPlan,
     ResilienceEvent,
@@ -207,31 +206,6 @@ class TestWatchdog:
         wd.observe("conv1", 999)
         with pytest.raises(DeadlockError, match="virtual-time budget"):
             wd.observe("conv2", 1001)
-
-    def test_channel_wait_cycle_detected_with_diagnosis(self):
-        g = ChannelWaitGraph()
-        g.set_producer("ch_a", "stage_a")
-        g.set_producer("ch_b", "stage_b")
-        g.set_producer("ch_c", "stage_c")
-        g.wait("stage_a", "ch_b", occupancy=4, depth=4)
-        g.wait("stage_b", "ch_c", occupancy=2, depth=2)
-        g.check()  # no cycle yet: stage_c is not waiting
-        g.wait("stage_c", "ch_a", occupancy=8, depth=8)
-        with pytest.raises(DeadlockError) as exc:
-            g.check(t_us=123.0)
-        msg = str(exc.value)
-        assert "stage_a waits on ch_b (occupancy 4/4)" in msg
-        assert "deadlock" in msg
-
-    def test_resume_breaks_cycle(self):
-        g = ChannelWaitGraph()
-        g.set_producer("ch_a", "a")
-        g.set_producer("ch_b", "b")
-        g.wait("a", "ch_b")
-        g.wait("b", "ch_a")
-        assert g.find_cycle() is not None
-        g.resume("b")
-        assert g.find_cycle() is None
 
     def test_injected_hang_caught_by_watchdog(self):
         """A hung kernel launch stretches the run past the ladder's
