@@ -8,11 +8,15 @@ in CI:
 * simulated inferences/sec through the functional executor — LeNet-5 at
   full size (vectorized AND scalar, asserting the >= 5x vectorization
   floor), MobileNetV1/ResNet-18 through their reduced twins;
-* scalar-fallback band count of each twin's vectorized forward, an exact
-  count gated at zero (no band, no calibration);
-* bands each twin's second vectorized forward plans again instead of
-  replaying the kernel's cached plan, likewise an exact count gated at
-  zero;
+* served inferences/sec (wall clock) of one 250-request LeNet-5 trace
+  through ``Server.run``, and its exact forward count: one interpreter
+  forward per dispatched batch holding a logits-memo miss (no band);
+* scalar-fallback band count of each twin's vectorized forward, at
+  batch 1 and batch 8, an exact count gated at zero (no band, no
+  calibration);
+* bands each twin's second vectorized forward (again at batch 1 and
+  batch 8) plans again instead of replaying the kernel's cached plan,
+  likewise an exact count gated at zero;
 * pruned 72-point conv1x1 DSE sweep wall-clock, serial vs 4 workers,
   and the serial arm's exact walk accounting: access tables built must
   equal lower-cache misses + uncached lowerings + dominance-profile
@@ -74,7 +78,9 @@ from repro.models.twins import TWINS
 from repro.pipeline.cache import CompileCache
 from repro.relay import fuse_operators, init_params
 from repro.runtime.executor import run_folded_functional, run_pipelined_functional
-from repro.serve.replica import replicas_per_board
+from repro.serve import RequestTrace, ServeConfig, Server, provision_replicas
+from repro.serve.replica import Replica, replicas_per_board
+from repro.serve.request import input_fingerprint
 from repro.verify import (
     certify_build,
     clear_equiv_cache,
@@ -111,6 +117,13 @@ SWEEP_GRID = dict(
     c1vec_options=(1, 2, 4, 8, 16, 32),
 )
 SWEEP_WORKERS = 4
+
+#: the served trace: 250 Poisson requests at 3000 rps to 2 LeNet-5
+#: replicas, every input sent twice (the logits memo hits 50%)
+SERVE_CONFIG = ServeConfig(window_us=2000, max_batch=8, max_queue=256)
+SERVE_REQUESTS, SERVE_DISTINCT = 250, 125
+#: batch sizes each twin's fallback and replanning counts cover
+TWIN_BATCHES = (None, 8)
 
 
 def _usable_cpus() -> int:
@@ -189,8 +202,9 @@ def _compile_measurers() -> dict:
 
 def _throughput_measurers(fallbacks: dict, replanned: dict) -> dict:
     """Throughput closures; fills ``fallbacks`` with each twin's count of
-    scalar-fallback bands from its warm-up forward, and ``replanned``
-    with the bands a second forward planned again."""
+    scalar-fallback bands from its warm-up forwards, and ``replanned``
+    with the bands a second forward planned again (at each of
+    :data:`TWIN_BATCHES`)."""
     out = {}
     dep = deploy_pipelined("lenet5", ARRIA10, cache=False)
     x = np.random.default_rng(0).standard_normal((1, 28, 28)).astype(np.float32)
@@ -207,18 +221,22 @@ def _throughput_measurers(fallbacks: dict, replanned: dict) -> dict:
         fused = fuse_operators(graph)
         prog, plan = build_folded(fused, config, ARRIA10)
         params = init_params(graph, seed=0)
-        tx = np.random.default_rng(11).standard_normal(
-            graph.input.out_shape
-        ).astype(np.float32)
-        events = []
-        run_folded_functional(prog, plan, fused, tx, params, interp="vector",
-                              events=events)
-        fallbacks[f"{net}@twin"] = sum(
-            1 for _, ev in events if ev.kind == "fallback")
-        events = []
-        run_folded_functional(prog, plan, fused, tx, params, interp="vector",
-                              events=events)
-        replanned[f"{net}@twin"] = sum(1 for _, ev in events if not ev.reused)
+        rng = np.random.default_rng(11)
+        tx = rng.standard_normal(graph.input.out_shape).astype(np.float32)
+        fallbacks[f"{net}@twin"] = replanned[f"{net}@twin"] = 0
+        for n in TWIN_BATCHES:
+            xs = tx if n is None else rng.standard_normal(
+                (n,) + graph.input.out_shape).astype(np.float32)
+            events = []
+            run_folded_functional(prog, plan, fused, xs, params,
+                                  interp="vector", events=events)
+            fallbacks[f"{net}@twin"] += sum(
+                1 for _, ev in events if ev.kind == "fallback")
+            events = []
+            run_folded_functional(prog, plan, fused, xs, params,
+                                  interp="vector", events=events)
+            replanned[f"{net}@twin"] += sum(
+                1 for _, ev in events if not ev.reused)
 
         def measure(prog=prog, plan=plan, fused=fused, tx=tx, params=params):
             seconds = _best_of(
@@ -227,7 +245,57 @@ def _throughput_measurers(fallbacks: dict, replanned: dict) -> dict:
             return {"value": 1.0 / seconds, "probe_s": _numpy_probe()}
 
         out[f"{net}@twin"] = measure
+    replicas, trace = _serving()
+
+    def measure_serve():
+        # a fresh server per run: its logits memo starts empty
+        seconds = _best_of(
+            lambda: Server(replicas, SERVE_CONFIG).run(trace))
+        return {"value": len(trace) / seconds, "probe_s": _numpy_probe()}
+
+    out["lenet5@serve"] = measure_serve
     return out
+
+
+def _serving():
+    """2 LeNet-5 replicas on the S10SX, and the trace they serve."""
+    replicas = provision_replicas("lenet5", board_by_name("S10SX"), 2,
+                                  cache=CompileCache())
+    trace = RequestTrace.poisson("lenet5", SERVE_REQUESTS, 3000.0,
+                                 (1, 28, 28), seed=0,
+                                 distinct_inputs=SERVE_DISTINCT)
+    return replicas, trace
+
+
+def _measure_serve_forwards() -> dict:
+    """Interpreter forwards of one served trace against the dispatched
+    batches holding a logits-memo miss (exact counts, no timing).
+
+    The misses are replayed from the batch log: completed batches in
+    completion order (ties in dispatch order, as the event heap pops
+    them), each holding a miss when it carries an input no earlier
+    batch did.
+    """
+    replicas, trace = _serving()
+    server = Server(replicas, SERVE_CONFIG)
+    counts = {"forwards": 0}
+    with _counting_calls(Replica, "forward", counts, "forwards"):
+        result = server.run(trace)
+    key_of = {req.rid: input_fingerprint(req.x) for req in trace}
+    done = sorted((b for b in result.batches if b["outcome"] == "ok"),
+                  key=lambda b: b["dispatch_us"] + b["service_us"])
+    seen, with_miss = set(), 0
+    for batch in done:
+        keys = {key_of[rid] for rid in batch["rids"]}
+        with_miss += bool(keys - seen)
+        seen |= keys
+    return {
+        "forwards": counts["forwards"],
+        "batches": len(result.batches),
+        "batches_with_miss": with_miss,
+        "shed": result.metrics.shed,
+        "misses": server.logits_cache.misses,
+    }
 
 
 def _measure_lenet_speedup(vector_ips: float) -> dict:
@@ -395,6 +463,7 @@ def trajectory():
         "vinterp_replanned": replanned,
         "lenet5": _measure_lenet_speedup(
             throughput["lenet5@pipelined"]["value"]),
+        "serve_forwards": _measure_serve_forwards(),
         "sweep": _measure_sweep(),
         "certify": _measure_certify(),
         "memory": _measure_memory(),
@@ -455,10 +524,17 @@ def _save_report(current, baseline) -> None:
                      f"{_calibrated(cur, base, 'time'):.3f} s"])
     for key in sorted(current["throughput_ips"]):
         cur = current["throughput_ips"][key]
-        base = baseline["throughput_ips"][key]
+        base = baseline["throughput_ips"].get(key)
+        if base is None:  # reported, gated once a baseline records it
+            rows.append([key, f"{cur['value']:.2f} ips", "-", "-"])
+            continue
         rows.append([key, f"{cur['value']:.2f} ips",
                      f"{base['value']:.2f} ips",
                      f"{_calibrated(cur, base, 'ips'):.2f} ips"])
+    sf = current["serve_forwards"]
+    rows.append(["lenet5@serve interpreter forwards", f"{sf['forwards']}",
+                 "-", f"== {sf['batches_with_miss']} of {sf['batches']} "
+                 "batches hold a memo miss"])
     for key in sorted(current["vinterp_fallbacks"]):
         rows.append([f"{key} fallback bands",
                      f"{current['vinterp_fallbacks'][key]}",
@@ -561,6 +637,18 @@ class TestPerfTrajectory:
                     f"{(1 - THROUGHPUT_BAND) * 100:.0f}% after "
                     f"{RETRIES} retries"
                 )
+
+    def test_one_forward_per_batch_with_a_memo_miss(self, trajectory):
+        current, _, _ = trajectory
+        sf = current["serve_forwards"]
+        assert sf["shed"] == 0, sf
+        assert 0 < sf["batches_with_miss"] <= sf["misses"], sf
+        assert sf["forwards"] == sf["batches_with_miss"], (
+            f"one served LeNet-5 trace ran {sf['forwards']} interpreter "
+            f"forward(s) for {sf['batches_with_miss']} dispatched batch(es) "
+            f"holding a logits-memo miss ({sf['batches']} batches, "
+            f"{sf['misses']} misses) — an exact count, no band"
+        )
 
     def test_twins_fully_vectorize(self, trajectory):
         current, _, _ = trajectory

@@ -175,31 +175,35 @@ class Deployment:
 
         Runs the compiled program under the vectorized IR interpreter
         (:mod:`repro.ir.vinterp`) — channel FIFOs, symbolic bindings and
-        all — instead of the fused-graph NumPy executor.  Probes the same
-        ``buffer`` fault site as :meth:`forward` so the serving layer's
-        logits cross-checks behave identically on either path.  When
-        ``events`` is a list, it receives the interpreter's
-        ``(kernel_name, BandEvent)`` pairs so callers can audit which
-        loop bands vectorized and which fell back to the scalar path
-        (``repro.report --trace`` tallies them on its execute row).
+        all — instead of the fused-graph NumPy executor.  ``x`` is one
+        input, or a batch of them stacked on a leading axis; a batch
+        runs through each kernel once and returns one output per sample,
+        each bit-identical to that sample's own forward.  Probes the same
+        ``buffer`` fault site as :meth:`forward`, once per sample in
+        sample order, so the serving layer's logits cross-checks behave
+        identically on either path.  When ``events`` is a list, it
+        receives the interpreter's ``(kernel_name, BandEvent)`` pairs so
+        callers can audit which loop bands vectorized and which fell
+        back to the scalar path (``repro.report --trace`` tallies them
+        on its execute row).
         """
         from repro.runtime.executor import (
             run_folded_functional,
             run_pipelined_functional,
         )
 
-        if self.mode == "pipelined":
-            y = run_pipelined_functional(
-                self.bitstream.program, self.plan, self.fused, x,
-                self.params, events=events,
-            )
-        else:
-            y = run_folded_functional(
-                self.bitstream.program, self.plan, self.fused, x,
-                self.params, events=events,
-            )
+        run = (
+            run_pipelined_functional if self.mode == "pipelined"
+            else run_folded_functional
+        )
+        y = run(self.bitstream.program, self.plan, self.fused, x,
+                self.params, events=events)
         out_shape = self.fused.graph.output.out_shape
-        return _corrupt_buffer(y.reshape(out_shape), self.network)
+        if y.ndim == 1:
+            return _corrupt_buffer(y.reshape(out_shape), self.network)
+        return np.stack([
+            _corrupt_buffer(row.reshape(out_shape), self.network) for row in y
+        ])
 
     def classify(self, x: np.ndarray) -> int:
         """Class index for one input image."""

@@ -5,6 +5,13 @@ step ("A real image is used to validate the implementation once"): the
 *generated kernels themselves* are executed — channel FIFOs, symbolic
 bindings and all — and their outputs compared against the NumPy reference.
 
+Both entry points take one input or a batch stacked on a leading axis.
+A batch runs through each kernel invocation once: activations, arena
+slots and outputs are ``(N, numel)`` arrays (the folded arena is
+``(N, arena_floats)``), weights stay 1-D and shared, and channels keep
+one FIFO stream per sample.  Each sample's output is bitwise its batch-1
+output; one input is a batch of one.
+
 Tests run LeNet-5 and the reduced MobileNetV1/ResNet-18 twins, which
 instantiate every kernel group of the full networks, bit-identically
 under both interpreters.  Full-size MobileNetV1 and ResNet-18 run
@@ -39,6 +46,23 @@ def _interpreter_class(interp: str) -> Type[Interpreter]:
         return Interpreter
     raise RuntimeSimError(
         f"unknown interpreter {interp!r}: choose 'vector' or 'scalar'"
+    )
+
+
+def _batch(x: np.ndarray, fused: FusedGraph) -> Tuple[np.ndarray, bool]:
+    """``x`` as ``(N, numel)`` float32 rows, and whether it was a batch.
+
+    One input has the graph's input shape; a batch stacks ``N`` of them
+    on a leading axis.
+    """
+    x = np.asarray(x, np.float32)
+    shape = tuple(fused.graph.input.out_shape)
+    if x.shape == shape:
+        return x.reshape(1, -1), False
+    if x.shape[1:] == shape:
+        return x.reshape(len(x), -1), True
+    raise RuntimeSimError(
+        f"input of shape {x.shape}: expected {shape} or (N, *{shape})"
     )
 
 
@@ -79,11 +103,14 @@ def run_pipelined_functional(
     interp: str = "vector",
     events: Optional[List[Tuple[str, object]]] = None,
 ) -> np.ndarray:
-    """Interpret a pipelined program on one input image.
+    """Interpret a pipelined program on one input or a batch of them.
 
-    Kernels run producer-first with shared channel state (functionally
-    equivalent to the concurrent execution the hardware performs, since
-    channels are FIFOs).  ``interp`` selects the vectorized (default) or
+    ``x`` is one input (the graph's input shape) or a batch of ``N``
+    stacked on a leading axis; the result is the flat output, or one
+    row per sample.  Kernels run producer-first with shared channel
+    state (functionally equivalent to the concurrent execution the
+    hardware performs, since channels are FIFOs; a batch keeps one
+    stream per sample).  ``interp`` selects the vectorized (default) or
     scalar interpreter; both produce bit-identical float32 results.
     When ``events`` is a list and the vectorized interpreter runs, it
     receives ``(kernel_name, BandEvent)`` pairs for fallback auditing.
@@ -92,12 +119,13 @@ def run_pipelined_functional(
     nodes = list(fused)
     if len(nodes) != len(plan.stages):
         raise RuntimeSimError("plan/graph stage mismatch")
+    rows, batched = _batch(x, fused)
     buffers: Dict[str, np.ndarray] = {}
     channels: Dict[str, ChannelState] = {}
 
     # network input feeds the first kernel's input tensor
     first = nodes[0]
-    buffers[f"{first.name}_in"] = np.ascontiguousarray(x, np.float32).ravel()
+    buffers[f"{first.name}_in"] = rows
 
     for fn, stage in zip(nodes, plan.stages):
         kernel = program.kernel(stage.kernel_name)
@@ -109,7 +137,8 @@ def run_pipelined_functional(
             buffers[f"{fn.name}_in"] = buffers[src]
         if kernel.output_buffer is not None and kernel.output_buffer not in buffers:
             n = _numel(fn.out_shape)
-            buffers[kernel.output_buffer] = np.zeros(n, np.float32)
+            buffers[kernel.output_buffer] = np.zeros((len(rows), n),
+                                                     np.float32)
         it = cls(buffers, channels=channels)
         it.run(kernel)
         _drain_events(it, kernel.name, events)
@@ -117,7 +146,8 @@ def run_pipelined_functional(
     out_kernel = program.kernel(plan.stages[-1].kernel_name)
     assert out_kernel.output_buffer is not None
     n = _numel(nodes[-1].out_shape)
-    return buffers[out_kernel.output_buffer][:n].copy()
+    out = buffers[out_kernel.output_buffer][:, :n]
+    return out.copy() if batched else out[0].copy()
 
 
 def run_folded_functional(
@@ -131,35 +161,38 @@ def run_folded_functional(
 ) -> np.ndarray:
     """Interpret a folded program layer-invocation by layer-invocation.
 
-    When the plan carries a certified ``memory`` arena
+    ``x`` is one input or a batch, as for
+    :func:`run_pipelined_functional`; every invocation runs the whole
+    batch.  When the plan carries a certified ``memory`` arena
     (:class:`repro.verify.memory.MemoryPlan`), activations live in
     views of one shared float32 array at their assigned offsets — the
-    deployment allocates the arena, not one buffer per activation.
-    Zero-filling a slot before its defining invocation is bit-identical
-    to allocating a fresh zeroed buffer: the RM001 proof is exactly the
-    statement that no still-needed value shares those bytes.
+    deployment allocates the arena (one row of it per sample), not one
+    buffer per activation.  Zero-filling a slot before its defining
+    invocation is bit-identical to allocating a fresh zeroed buffer:
+    the RM001 proof is exactly the statement that no still-needed value
+    shares those bytes.
     """
     cls = _interpreter_class(interp)
+    rows, batched = _batch(x, fused)
     memory = getattr(plan, "memory", None)
     arena = (
-        np.zeros(memory.arena_bytes // 4, np.float32)
+        np.zeros((len(rows), memory.arena_bytes // 4), np.float32)
         if memory is not None else None
     )
 
     def _slot(name: str, n: int) -> np.ndarray:
-        """Fresh zeroed storage for a value: its arena view, or a
+        """Fresh zeroed storage for a value: its arena columns, or a
         private buffer when the plan carries no (or a partial) arena."""
         if arena is not None and name in memory.offsets:
-            view = arena[memory.offsets[name] // 4:][:n]
-            if view.size == n:
+            view = arena[:, memory.offsets[name] // 4:][:, :n]
+            if view.shape[1] == n:
                 view[:] = 0.0
                 return view
-        return np.zeros(n, np.float32)
+        return np.zeros((len(rows), n), np.float32)
 
-    x_flat = np.ascontiguousarray(x, np.float32).ravel()
     in_name = fused.graph.input.name
-    x_slot = _slot(in_name, x_flat.size)
-    x_slot[:] = x_flat
+    x_slot = _slot(in_name, rows.shape[1])
+    x_slot[:] = rows
     values: Dict[str, np.ndarray] = {in_name: x_slot}
     node_of = {fn.name: fn for fn in fused}
     last = None
@@ -184,7 +217,7 @@ def run_folded_functional(
         values[fn.anchor.name] = bufs[out_name]
         last = bufs[out_name]
     assert last is not None
-    return last.copy()
+    return last.copy() if batched else last[0].copy()
 
 
 def _output_name(fn) -> str:

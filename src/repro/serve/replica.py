@@ -72,15 +72,28 @@ class LogitsCache:
         self.hits = 0
         self.misses = 0
 
-    def get(self, network: str, x: np.ndarray, compute) -> np.ndarray:
-        key = f"{network}:{input_fingerprint(x)}"
-        if key in self._store:
-            self.hits += 1
-            return self._store[key]
-        self.misses += 1
-        y = compute(x)
-        self._store[key] = y
-        return y
+    def get_batch(
+        self, network: str, xs: List[np.ndarray], compute
+    ) -> List[np.ndarray]:
+        """Logits of every input in ``xs``, in order.
+
+        The distinct inputs the memo lacks are computed in one call,
+        ``compute(stacked)``, in request order.  An input repeated within
+        the batch counts as a hit, as it would with one lookup per input,
+        so the hit/miss counts equal the sequential ones.
+        """
+        keys = [f"{network}:{input_fingerprint(x)}" for x in xs]
+        missing: Dict[str, np.ndarray] = {}
+        for key, x in zip(keys, xs):
+            if key in self._store or key in missing:
+                self.hits += 1
+            else:
+                self.misses += 1
+                missing[key] = x
+        if missing:
+            ys = compute(np.stack(list(missing.values())))
+            self._store.update(zip(missing, ys))
+        return [self._store[key] for key in keys]
 
 
 @dataclass
@@ -117,21 +130,26 @@ class Replica:
         return result.time_per_image_us * batch
 
     # -- numerics --------------------------------------------------------
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Functional inference on this replica's rung.
+    def forward(self, xs: np.ndarray) -> np.ndarray:
+        """Functional inference of a batch ``xs`` (inputs stacked on a
+        leading axis) on this replica's rung: one output per input.
 
         Device rungs execute the *generated kernels* through the
         vectorized interpreter (:meth:`Deployment.forward_functional`),
-        so serving numerics exercise the same compiled program the
-        timing model charges for; the CPU rung runs the NumPy executor.
+        the whole batch through each kernel once, so serving numerics
+        exercise the same compiled program the timing model charges
+        for; the CPU rung runs the NumPy executor per input.
         """
         if self.rung == "cpu":
             if self._cpu_fused is None:
                 graph = MODELS[self.network]()
                 self._cpu_fused = fuse_operators(graph)
                 self._cpu_params = init_params(graph, seed=0)
-            return run_fused_graph(self._cpu_fused, x, self._cpu_params)
-        return self.deployment.forward_functional(x)
+            return np.stack([
+                run_fused_graph(self._cpu_fused, x, self._cpu_params)
+                for x in xs
+            ])
+        return self.deployment.forward_functional(xs)
 
     def __repr__(self) -> str:
         return (

@@ -33,7 +33,10 @@ recorded on the process-wide resilience event log (site ``serve``) so
 metrics.  Logits are computed through the pool-wide
 :class:`~repro.serve.replica.LogitsCache`, so they are bit-identical no
 matter which replica — or the CPU sideline — ends up serving a request:
-the chaos soak benchmark's core guarantee.
+the chaos soak benchmark's core guarantee.  A completed batch looks up
+all its inputs at once and computes the distinct misses in one forward,
+in request order, with the same hit/miss counts as one lookup per
+request.
 """
 
 from __future__ import annotations
@@ -178,10 +181,13 @@ class Server:
                 return r
         return None
 
-    def _logits(self, replica: Replica, x) -> Optional[object]:
+    def _logits(self, replica: Replica, reqs) -> List[Optional[object]]:
+        """Logits of ``reqs``, one forward for the memo's misses."""
         if not self.config.compute_logits:
-            return None
-        return self.logits_cache.get(replica.network, x, replica.forward)
+            return [None] * len(reqs)
+        return self.logits_cache.get_batch(
+            replica.network, [req.x for req in reqs], replica.forward
+        )
 
     # -- the event loop --------------------------------------------------
     def run(self, trace: RequestTrace) -> ServeResult:
@@ -482,12 +488,13 @@ class Server:
                     after_failure(replica, now)
                     requeue_batch(batch, now, "a mid-service crash")
                 else:
-                    for req in batch.requests:
+                    logits = self._logits(replica, batch.requests)
+                    for req, y in zip(batch.requests, logits):
                         answer(req, InferenceResponse(
                             rid=req.rid, network=req.network, status="ok",
                             rung=replica.rung, replica=rid,
                             batch_id=batch.batch_id, batch_size=len(batch),
-                            logits=self._logits(replica, req.x),
+                            logits=y,
                             arrival_us=req.arrival_us,
                             dispatch_us=dispatched, completed_us=now,
                             requeues=attempts.get(req.rid, 0),
@@ -513,7 +520,7 @@ class Server:
                 answer(req, InferenceResponse(
                     rid=req.rid, network=req.network, status="shed",
                     rung="cpu", batch_size=1,
-                    logits=self._logits(sideline, req.x),
+                    logits=self._logits(sideline, [req])[0],
                     arrival_us=req.arrival_us, dispatch_us=dispatched,
                     completed_us=now,
                     requeues=attempts.get(req.rid, 0),

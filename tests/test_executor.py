@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.device import STRATIX10_SX
+from repro.errors import RuntimeSimError
 from repro.flow import FoldedConfig, build_folded, build_pipelined
 from repro.models import lenet5
 from repro.relay import (
@@ -106,6 +107,26 @@ class TestFoldedFunctional:
         prog, plan = build_folded(fused, FoldedConfig(naive=True), STRATIX10_SX)
         out = run_folded_functional(prog, plan, fused, x, params)
         assert np.allclose(out, ref, atol=1e-4)
+
+    @pytest.mark.parametrize("interp", ["scalar", "vector"])
+    def test_batch_rows_equal_single_forwards(self, interp):
+        graph = _mini_residual()
+        fused = fuse_operators(graph)
+        params = init_params(graph, 5)
+        prog, plan = build_folded(fused, FoldedConfig(naive=True),
+                                  STRATIX10_SX)
+        assert plan.memory is not None  # the batch shares one arena
+        xs = np.random.default_rng(6).standard_normal((2, 3, 12, 12)).astype(
+            np.float32)
+        out = run_folded_functional(prog, plan, fused, xs, params,
+                                    interp=interp)
+        assert out.shape == (2, 4)
+        for x, row in zip(xs, out):
+            alone = run_folded_functional(prog, plan, fused, x, params,
+                                          interp=interp)
+            assert row.tobytes() == alone.tobytes()
+        with pytest.raises(RuntimeSimError, match=r"expected \(3, 12, 12\)"):
+            run_folded_functional(prog, plan, fused, xs[:, :2], params)
 
     def test_naive_and_optimized_agree(self):
         """The thesis's core semantics claim: optimization does not change

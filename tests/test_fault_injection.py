@@ -109,6 +109,26 @@ class TestDegradationLadder:
         assert r.rung == "pipelined-concurrent"
 
 
+class TestBatchedForward:
+    def test_buffer_probed_once_per_sample_in_order(self):
+        """A batch through the generated kernels probes the ``buffer``
+        site per sample, in sample order, exactly like one forward per
+        sample would."""
+        dep = deploy_pipelined("lenet5", STRATIX10_SX)
+        xs = np.random.default_rng(4).standard_normal(
+            (3, 1, 28, 28)).astype(np.float32)
+        clean = dep.forward_functional(xs)
+        with FaultPlan(Fault("buffer", "bitflip", times=2)) as batched:
+            batch = dep.forward_functional(xs)
+        with FaultPlan(Fault("buffer", "bitflip", times=2)) as alone:
+            singles = [dep.forward_functional(x) for x in xs]
+        assert batched.fired == alone.fired and len(batched.fired) == 2
+        assert [b.tobytes() for b in batch] == [s.tobytes() for s in singles]
+        flipped = [n for n in range(3)
+                   if batch[n].tobytes() != clean[n].tobytes()]
+        assert flipped == [0, 1]
+
+
 class TestNoPlanPurity:
     @pytest.mark.parametrize("board", [STRATIX10_MX, STRATIX10_SX, ARRIA10])
     def test_ladder_timing_is_the_deployments_timing(self, board):

@@ -15,6 +15,7 @@ from repro.perf import tf_cpu_fps
 from repro.pipeline import CompileCache
 from repro.relay import fuse_operators, init_params, run_fused_graph
 from repro.resilience.events import log as resilience_log
+from repro.resilience.faults import Fault, FaultPlan
 from repro.runtime import simulate_batched, simulate_folded
 from repro.serve import (
     DynamicBatcher,
@@ -26,7 +27,8 @@ from repro.serve import (
     provision_replicas,
     summarize,
 )
-from repro.serve.request import InferenceRequest
+from repro.serve.replica import LogitsCache, Replica
+from repro.serve.request import InferenceRequest, input_fingerprint
 
 LENET_SHAPE = (1, 28, 28)
 MOBILENET_SHAPE = (3, 224, 224)
@@ -291,6 +293,92 @@ class TestServer:
         server.run(trace)
         assert server.logits_cache.misses == 2
         assert server.logits_cache.hits == 8
+
+    def test_batched_lookup_counts_like_sequential_lookups(self):
+        rng = np.random.default_rng(0)
+        a, b, c = (rng.standard_normal(LENET_SHAPE).astype(np.float32)
+                   for _ in range(3))
+        calls = []
+
+        def compute(xs):
+            calls.append(xs.copy())
+            return xs.reshape(len(xs), -1)[:, :10] * 2.0
+
+        cache = LogitsCache()
+        out = cache.get_batch("lenet5", [a, b, a, a], compute)
+        # the repeated input is a hit, as it would be looked up in order
+        assert (cache.misses, cache.hits) == (2, 2)
+        assert len(calls) == 1
+        assert calls[0].tobytes() == np.stack([a, b]).tobytes()
+        assert out[0] is out[2] is out[3]
+        assert out[1].tobytes() == (b.ravel()[:10] * 2.0).tobytes()
+        cache.get_batch("lenet5", [b, c], compute)
+        assert (cache.misses, cache.hits) == (3, 3)
+        assert calls[1].tobytes() == c[None].tobytes()
+        cache.get_batch("lenet5", [c, a], compute)
+        assert (cache.misses, cache.hits) == (3, 5) and len(calls) == 2
+
+    def test_one_forward_per_batch_with_a_memo_miss(self, monkeypatch):
+        # two batches of four over three inputs: the second is all hits
+        trace = RequestTrace.burst("lenet5", 8, 0.0, LENET_SHAPE,
+                                   distinct_inputs=3)
+        server = lenet_server(max_batch=4)
+        forward, sizes = Replica.forward, []
+
+        def counted(self, xs):
+            sizes.append(len(xs))
+            return forward(self, xs)
+
+        monkeypatch.setattr(Replica, "forward", counted)
+        result = server.run(trace)
+        assert result.metrics.batches == 2
+        assert sizes == [3]
+        assert (server.logits_cache.misses, server.logits_cache.hits) == (3, 5)
+
+    def test_buffer_bitflips_match_the_per_image_path(self, monkeypatch):
+        """Batched logits probe the ``buffer`` fault site once per miss, in
+        request order: the same faults fire on the same inputs, the same
+        corrupted logits are served and the memo counts are the same as
+        with one lookup, and one single-image forward per miss, per
+        request."""
+        trace = RequestTrace.poisson("lenet5", 24, 3000.0, LENET_SHAPE,
+                                     seed=3, distinct_inputs=12)
+
+        def run():
+            server = lenet_server(max_batch=8)
+            flips = Fault("buffer", "bitflip", times=4)
+            with FaultPlan(flips, seed=5) as plan:
+                result = server.run(trace)
+            counts = (server.logits_cache.misses, server.logits_cache.hits)
+            return plan.fired, result, counts
+
+        def per_image(self, network, xs, compute):
+            out = []
+            for x in xs:
+                key = f"{network}:{input_fingerprint(x)}"
+                if key in self._store:
+                    self.hits += 1
+                else:
+                    self.misses += 1
+                    self._store[key] = compute(x[None])[0]
+                out.append(self._store[key])
+            return out
+
+        fired, batched, counts = run()
+        monkeypatch.setattr(LogitsCache, "get_batch", per_image)
+        per_image_fired, per_image, per_image_counts = run()
+        assert len(fired) == 4 and fired == per_image_fired
+        assert counts == per_image_counts
+        assert batched.fingerprint() == per_image.fingerprint()
+        for got, want in zip(batched.responses, per_image.responses):
+            assert got.logits.tobytes() == want.logits.tobytes()
+        monkeypatch.undo()
+        clean = lenet_server(max_batch=8).run(trace)
+        corrupted = [
+            r.rid for r, c in zip(batched.responses, clean.responses)
+            if r.logits.tobytes() != c.logits.tobytes()
+        ]
+        assert corrupted  # the flips reached the served logits
 
     def test_compute_logits_off(self):
         trace = RequestTrace.burst("lenet5", 4, 0.0, LENET_SHAPE)

@@ -18,7 +18,10 @@ numerics change.  These tests pin that contract five ways:
   produce identical results;
 * plan-cache tests: a second forward plans no band, no shipped store
   needs ``np.unique``, and a cached plan is never replayed where its
-  key (bindings, buffer sizes) or the FIFO fill says it does not hold.
+  key (bindings, buffer sizes) or the FIFO fill says it does not hold;
+* batch tests: a batch of N runs through each kernel once, every
+  sample's output is bitwise its batch-1 output, and no band falls back
+  at any N.
 """
 
 import numpy as np
@@ -230,21 +233,32 @@ def _run_both(kern, bufs, bindings=None):
 
     The vectorized side runs twice through the kernel's plan cache, the
     second time on reversed data of the same sizes: it must replay every
-    plan and still match its own scalar run.  Returns the first
-    vectorized run's band events.
+    plan and still match its own scalar run.  Then both data sets run as
+    one batch of two (every argument a ``(2, n)`` array): each row must
+    match its scalar run, and a kernel that vectorizes alone vectorizes
+    batched.  Returns the first vectorized run's band events.
     """
-    events = None
-    for data in (bufs, {k: v[::-1].copy() for k, v in bufs.items()}):
+    events, scalars = None, []
+    datas = (bufs, {k: v[::-1].copy() for k, v in bufs.items()})
+    for data in datas:
         scalar = {k: v.copy() for k, v in data.items()}
         vector = {k: v.copy() for k, v in data.items()}
         ir.run_kernel(kern, scalar, bindings=bindings)
         vi = run_kernel_vectorized(kern, vector, bindings)
         for name in scalar:
             assert scalar[name].tobytes() == vector[name].tobytes(), name
+        scalars.append(scalar)
         if events is None:
             events = vi.events
         else:
             assert vi.planned == 0 and vi.reused == len(events)
+    batch = {k: np.stack([data[k] for data in datas]) for k in bufs}
+    vi = run_kernel_vectorized(kern, batch, bindings)
+    for n, scalar in enumerate(scalars):
+        for name in bufs:  # arguments: locals are not kept per sample
+            assert scalar[name].tobytes() == batch[name][n].tobytes(), name
+    if all(e.kind == "vectorized" for e in events):
+        assert [e.kind for e in vi.events] == [e.kind for e in events]
     return events
 
 
@@ -460,21 +474,28 @@ def _pipelined_build(board_name: str):
     return _pipelined[board_name]
 
 
-def _forward(network: str, board_name: str, seed: int):
-    """One vectorized forward of a shipped build: (program, events)."""
-    events = []
+def _shipped(network: str, board_name: str):
+    """(program, input shape, forward(x, events)) of a shipped build."""
     if network == "lenet5@pipelined":
         fused, prog, plan, params = _pipelined_build(board_name)
-        x = np.random.default_rng(seed).standard_normal(
-            (1, 28, 28)).astype(np.float32)
-        run_pipelined_functional(prog, plan, fused, x, params,
-                                 interp="vector", events=events)
+        shape, run = (1, 28, 28), run_pipelined_functional
     else:
         _, fused, prog, plan, x, params = _folded_build(network, board_name)
-        x = np.random.default_rng(seed).standard_normal(
-            x.shape).astype(np.float32)
-        run_folded_functional(prog, plan, fused, x, params,
-                              interp="vector", events=events)
+        shape, run = x.shape, run_folded_functional
+
+    def forward(x, events=None):
+        return run(prog, plan, fused, x, params, interp="vector",
+                   events=events)
+
+    return prog, shape, forward
+
+
+def _forward(network: str, board_name: str, seed: int):
+    """One vectorized forward of a shipped build: (program, events)."""
+    prog, shape, forward = _shipped(network, board_name)
+    x = np.random.default_rng(seed).standard_normal(shape).astype(np.float32)
+    events = []
+    forward(x, events)
     return prog, events
 
 
@@ -651,6 +672,107 @@ class TestPlanCache:
         _, ref = run(ir.Interpreter, 4)
         assert short.tobytes() == ref.tobytes()
         assert short.tolist() == [0, 1, 2, 3, 0, 0, 0, 0]
+
+
+class TestBatch:
+    """A batch of N runs through each kernel once: every sample's output
+    is bitwise its batch-1 output, no band falls back, and a second batch
+    of the same N plans no band, at every N."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    @pytest.mark.parametrize("board_name", sorted(_BOARDS))
+    @pytest.mark.parametrize(
+        "network", ["lenet5@pipelined", "mobilenet_v1", "resnet18"])
+    def test_samples_equal_batch_one(self, network, board_name, n):
+        _, shape, forward = _shipped(network, board_name)
+        xs = np.random.default_rng(n).standard_normal(
+            (n,) + shape).astype(np.float32)
+        events, alone = [], []
+        out = forward(xs, events)
+        assert out.shape[0] == n
+        for x, row in zip(xs, out):
+            assert row.tobytes() == forward(x, alone).tobytes()
+        fallbacks = [(k, ev.loop_var, ev.detail) for k, ev in events
+                     if ev.kind == "fallback"]
+        assert events and fallbacks == [], fallbacks[:5]
+        # one band execution per band, however many samples it carries
+        assert len(events) == len(alone) // n
+        again = []
+        forward(xs[::-1].copy(), again)
+        planned = [(k, ev.loop_var) for k, ev in again if not ev.reused]
+        assert planned == [] and len(again) == len(events), planned[:5]
+
+    def test_store_shared_by_the_batch_runs_per_sample(self):
+        # Y[i, j] = X[i, j] with Y one store for both samples: the batch
+        # may not race on it, so each sample runs loop i in turn and its
+        # inner band j vectorizes per sample
+        x, y = ir.Buffer("X", (2, 3)), ir.Buffer("Y", (2, 3))
+        i, j = ir.Var("i"), ir.Var("j")
+        kern = ir.Kernel("k", [x, y], ir.For(i, ir.IntImm(2), ir.For(
+            j, ir.IntImm(3),
+            ir.Store(y, i * 3 + j, ir.Load(x, i * 3 + j)))))
+        bufs = {"X": np.arange(12, dtype=np.float32).reshape(2, 6),
+                "Y": np.zeros(6, np.float32)}
+        vi = run_kernel_vectorized(kern, bufs)
+        assert [(ev.kind, ev.loop_var) for ev in vi.events] == [
+            ("fallback", "i")] + [("vectorized", "j")] * 4
+        assert "shared by the batch" in vi.events[0].detail
+        assert bufs["Y"].tolist() == [6.0, 7.0, 8.0, 9.0, 10.0, 11.0]
+
+    @pytest.mark.parametrize("cls", [ir.Interpreter, VectorizedInterpreter])
+    def test_refused_band_and_gathers_on_strided_rows(self, cls):
+        # an IfThenElse band (refused: it runs per sample) and a gather
+        # band, over rows that are columns of one arena, as a batched
+        # folded forward lays them out
+        x, y, z = (ir.Buffer(n, (6,)) for n in "XYZ")
+        i = ir.Var("i")
+        j = ir.Var("j")
+        kern = ir.Kernel("k", [x, y, z], ir.seq(
+            ir.For(i, ir.IntImm(6), ir.IfThenElse(
+                ir.LT(i, ir.IntImm(3)),
+                ir.Store(y, i, ir.Load(x, i) * 2.0),
+                ir.Store(y, i, ir.Load(x, i) + 1.0))),
+            ir.For(j, ir.IntImm(6), ir.Store(
+                z, j, ir.Load(y, ir.Mod(j * 5, ir.IntImm(6))))),
+        ))
+        data = np.random.default_rng(0).standard_normal((3, 6)).astype(
+            np.float32)
+        arena = np.zeros((3, 20), np.float32)
+        bufs = {"X": arena[:, 0:6], "Y": arena[:, 7:13], "Z": arena[:, 14:20]}
+        bufs["X"][:] = data
+        it = cls(bufs)
+        it.run(kern)
+        for n in range(3):
+            alone = {"X": data[n].copy(), "Y": np.zeros(6, np.float32),
+                     "Z": np.zeros(6, np.float32)}
+            ir.run_kernel(kern, alone)
+            assert bufs["Z"][n].tobytes() == alone["Z"].tobytes()
+        if cls is VectorizedInterpreter:
+            kinds = [(ev.kind, ev.loop_var) for ev in it.events]
+            assert kinds == [("fallback", "i"), ("vectorized", "j")]
+
+    @pytest.mark.parametrize("cls", [ir.Interpreter, VectorizedInterpreter])
+    def test_each_sample_keeps_its_fifo_order(self, cls):
+        # a producer writes one channel from two bands; each sample's
+        # consumer must read its own A values, then its own B values
+        ch = ir.Channel("c")
+        a, b, out = ir.Buffer("A", (3,)), ir.Buffer("B", (2,)), \
+            ir.Buffer("Y", (5,))
+        i, j, k = ir.Var("i"), ir.Var("j"), ir.Var("k")
+        prod = ir.Kernel("prod", [a, b], ir.seq(
+            ir.For(i, ir.IntImm(3), ir.ChannelWrite(ch, ir.Load(a, i))),
+            ir.For(j, ir.IntImm(2), ir.ChannelWrite(ch, ir.Load(b, j))),
+        ))
+        cons = ir.Kernel("cons", [out], ir.For(
+            k, ir.IntImm(5), ir.Store(out, k, ir.ChannelRead(ch))))
+        bufs = {"A": np.float32([[1, 2, 3], [4, 5, 6]]),
+                "B": np.float32([[7, 8], [9, 10]]),
+                "Y": np.zeros((2, 5), np.float32)}
+        channels = {}
+        for kern in (prod, cons):
+            cls(bufs, channels=channels).run(kern)
+        assert bufs["Y"].tolist() == [[1, 2, 3, 7, 8], [4, 5, 6, 9, 10]]
+        assert len(channels["c"]) == 0 and channels["c"].lanes == 2
 
 
 class TestStaticStoreProof:
