@@ -11,8 +11,12 @@ and race checks read too):
   infer for them: access width from coalescible unrolled dimensions,
   replication for non-coalescible ones, alignment from whether strides
   are compile-time constants (Sections 2.4.3, 5.3);
+* the spatial flops behind the DSP count and the pure-transform flag;
 * evaluators for cycle count, FLOPs and DRAM traffic as functions of the
-  symbolic-shape bindings, used by the runtime simulator per invocation.
+  symbolic-shape bindings, used by the runtime simulator per invocation,
+  each computed once per binding set by folding the table's ``nest``.
+
+The model reads the table's strides and nest, never the statement tree.
 """
 
 from __future__ import annotations
@@ -20,24 +24,21 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import AOCError
 from repro.ir import expr as _e
 from repro.ir import stmt as _s
 from repro.ir.analysis import (
     AccessSite,
+    Bindings,
     access_table,
-    count_flops_expr,
     eval_int,
     free_vars,
     fully_unrolled,
-    stride_of,
 )
 from repro.ir.kernel import Kernel
 from repro.aoc.constants import AOCConstants, DEFAULT_CONSTANTS
-
-Bindings = Dict[_e.Var, int]
 
 
 @dataclass
@@ -127,7 +128,23 @@ class KernelAnalysis:
         self.lsus: List[LSU] = [lsu for _, lsu in self.lsu_sites]
         self._assign_dep_ii()
         self._assign_mem_ii()
-        self._cycles_cache: Dict[Tuple[Tuple[str, int], ...], int] = {}
+        self._nest = table.nest
+        # spatial flops: an unrolled loop replicates its body, and both
+        # arms of a conditional are built in hardware
+        stack: List[int] = []
+        for tag, arg in self._nest:
+            if tag == "leaf":
+                stack.append(arg)
+            elif tag == "loop":
+                if arg.kind is _s.ForKind.UNROLLED:
+                    stack[-1] *= arg.unroll_factor or arg.static_extent or 1
+            else:
+                k = len(stack) - arg
+                stack[k:] = [sum(stack[k:])]
+        #: flops of the replicated datapath, independent of bindings
+        self.spatial_flops: int = stack.pop()
+        #: binding set -> {"cycles"/"flops"/"traffic": value}
+        self._costs: Dict[FrozenSet[Tuple[_e.Var, int]], Dict[str, int]] = {}
 
     @property
     def kernel(self) -> Kernel:
@@ -157,7 +174,7 @@ class KernelAnalysis:
         replicas = 1
         aligned = True
         for var, extent in site.unrolled:
-            s = stride_of(site.index, var)
+            s = site.strides[var]
             if s is None:
                 replicas *= extent
                 aligned = False
@@ -181,9 +198,7 @@ class KernelAnalysis:
         # in registers instead of earning a BRAM cache.
         cached = not site.is_store and site.buffer.name in self.kernel.cached_reads
         if not site.is_store and not cached:
-            repetitive = any(
-                stride_of(site.index, var) == 0 for var, _ in site.serial
-            )
+            repetitive = any(site.strides[var] == 0 for var, _ in site.serial)
             n = site.buffer.num_elements()
             substantial = n is None or n * 4 >= 2048
             cached = repetitive and substantial
@@ -208,7 +223,7 @@ class KernelAnalysis:
             for loop in reversed(site.loops):
                 if fully_unrolled(loop) or loop.static_extent == 1:
                     continue
-                if stride_of(site.index, loop.loop_var) == 0:
+                if site.strides[loop.loop_var] == 0:
                     ii = (
                         self.c.ii_global_accum
                         if site.buffer.scope == "global"
@@ -290,54 +305,25 @@ class KernelAnalysis:
             )
         return v
 
+    def _cost(self, metric: str, bindings: Optional[Bindings]) -> int:
+        # traffic is memoized apart from the fold: each can need a
+        # binding the other does not, and each raises only for its own
+        bindings = bindings or {}
+        costs = self._costs.setdefault(frozenset(bindings.items()), {})
+        if metric not in costs:
+            if metric == "traffic":
+                costs[metric] = self._traffic(bindings)
+            else:
+                costs["cycles"], costs["flops"] = self._fold(bindings)
+        return costs[metric]
+
     def compute_cycles(self, bindings: Optional[Bindings] = None) -> int:
         """Issue-slot cycle estimate for one invocation."""
-        bindings = bindings or {}
-        key = tuple(sorted((v.name, val) for v, val in bindings.items()))
-        if key not in self._cycles_cache:
-            self._cycles_cache[key] = max(1, self._cycles(self.kernel.body, bindings))
-        return self._cycles_cache[key]
-
-    def _cycles(self, s: _s.Stmt, b: Bindings) -> int:
-        if isinstance(s, _s.SeqStmt):
-            return sum(self._cycles(c, b) for c in s.stmts)
-        if isinstance(s, _s.For):
-            node = self.loops[id(s)]
-            n = self._eval_extent(s.extent, b)
-            if s.kind is _s.ForKind.UNROLLED:
-                if s.unroll_factor is None:
-                    return self._cycles(s.body, b)
-                n = math.ceil(n / s.unroll_factor)
-            if n <= 1:
-                # trip-1 loops collapse: no control, no pipeline fill
-                return self._cycles(s.body, b)
-            return self.c.loop_fill_cycles + n * node.ii * self._cycles(s.body, b)
-        if isinstance(s, (_s.Allocate, _s.AttrStmt)):
-            return self._cycles(s.body, b)
-        if isinstance(s, _s.IfThenElse):
-            t = self._cycles(s.then_body, b)
-            e = self._cycles(s.else_body, b) if s.else_body is not None else 0
-            return max(t, e)
-        return 1  # Store / ChannelWrite / Evaluate issue slot
+        return self._cost("cycles", bindings)
 
     def flops(self, bindings: Optional[Bindings] = None) -> int:
         """Floating-point operations per invocation."""
-        return self._flops(self.kernel.body, bindings)
-
-    def _flops(self, s: _s.Stmt, b: Bindings) -> int:
-        if isinstance(s, _s.SeqStmt):
-            return sum(self._flops(c, b) for c in s.stmts)
-        if isinstance(s, _s.For):
-            return self._eval_extent(s.extent, b) * self._flops(s.body, b)
-        if isinstance(s, (_s.Allocate, _s.AttrStmt)):
-            return self._flops(s.body, b)
-        if isinstance(s, _s.IfThenElse):
-            t = self._flops(s.then_body, b)
-            e = self._flops(s.else_body, b) if s.else_body is not None else 0
-            return max(t, e)
-        if isinstance(s, (_s.Store, _s.ChannelWrite, _s.Evaluate)):
-            return count_flops_expr(s.value)
-        return 0
+        return self._cost("flops", bindings)
 
     def traffic_bytes(self, bindings: Optional[Bindings] = None) -> int:
         """Approximate DRAM traffic per invocation.
@@ -347,6 +333,43 @@ class KernelAnalysis:
         variables do not advance the address (re-reads).  A cached LSU
         whose working set fits the 512-kbit cache pays ``unique`` once.
         """
+        return self._cost("traffic", bindings)
+
+    def _fold(self, bindings: Bindings) -> Tuple[int, int]:
+        """(cycles, flops) of one invocation, folded over the nest."""
+        # every extent first, in pre-order: an unbound one is named as
+        # the statement-tree walk met it
+        trips = {
+            key: self._eval_extent(node.stmt.extent, bindings)
+            for key, node in self.loops.items()
+        }
+        stack: List[Tuple[int, int]] = []
+        for tag, arg in self._nest:
+            if tag == "leaf":
+                stack.append((1, arg))  # one issue slot
+            elif tag == "loop":
+                cycles, flops = stack.pop()
+                n = trips[id(arg)]
+                flops *= n
+                if arg.kind is _s.ForKind.UNROLLED:
+                    n = 1 if arg.unroll_factor is None else math.ceil(n / arg.unroll_factor)
+                if n > 1:
+                    # trip-1 loops collapse: no control, no pipeline fill
+                    ii = self.loops[id(arg)].ii
+                    cycles = self.c.loop_fill_cycles + n * ii * cycles
+                stack.append((cycles, flops))
+            else:
+                # a sequence runs its parts in turn; a conditional costs
+                # its larger arm
+                combine = sum if tag == "seq" else max
+                k = len(stack) - arg
+                parts = stack[k:]
+                stack[k:] = [(combine(c for c, _ in parts),
+                              combine(f for _, f in parts))]
+        cycles, flops = stack.pop()
+        return max(1, cycles), flops
+
+    def _traffic(self, bindings: Bindings) -> int:
         total = 0
         for site, lsu in self.lsu_sites:
             n = site.buffer.num_elements(bindings)
@@ -358,7 +381,7 @@ class KernelAnalysis:
             unique = n * 4
             reread = 1
             for var, extent in site.serial:
-                if stride_of(site.index, var) == 0:
+                if site.strides[var] == 0:
                     reread *= self._eval_extent(extent, bindings)
             if lsu.cached and unique <= self.c.lsu_cache_bytes:
                 reread = 1
@@ -369,32 +392,12 @@ class KernelAnalysis:
     # spatial hardware
     def dsp_count(self) -> int:
         """DSPs: one per fused MAC in the replicated (unrolled) datapath."""
-        flops = self._spatial_flops(self.kernel.body)
-        return max(0, math.ceil(flops / 2 * self.c.dsp_per_mac))
+        return max(0, math.ceil(self.spatial_flops / 2 * self.c.dsp_per_mac))
 
-    def _spatial_flops(self, s: _s.Stmt) -> int:
-        if isinstance(s, _s.SeqStmt):
-            return sum(self._spatial_flops(c) for c in s.stmts)
-        if isinstance(s, _s.For):
-            if s.kind is _s.ForKind.UNROLLED:
-                n = s.unroll_factor or s.static_extent or 1
-                return n * self._spatial_flops(s.body)
-            return self._spatial_flops(s.body)
-        if isinstance(s, (_s.Allocate, _s.AttrStmt)):
-            return self._spatial_flops(s.body)
-        if isinstance(s, _s.IfThenElse):
-            t = self._spatial_flops(s.then_body)
-            e = self._spatial_flops(s.else_body) if s.else_body is not None else 0
-            return t + e
-        if isinstance(s, (_s.Store, _s.ChannelWrite, _s.Evaluate)):
-            return count_flops_expr(s.value)
-        return 0
-
-    # ------------------------------------------------------------------
     def is_pure_transform(self) -> bool:
         """True for kernels that move data without floating-point work
         (padding, flatten/transpose) — thesis's 'transform' kernels."""
-        return self._spatial_flops(self.kernel.body) == 0
+        return self.spatial_flops == 0
 
     def has_nonaligned_lsu(self) -> bool:
         return any(not l.aligned for l in self.lsus)

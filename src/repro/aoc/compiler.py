@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.aoc.analysis import Bindings, KernelAnalysis, analyze
 from repro.aoc.constants import AOCConstants, DEFAULT_CONSTANTS
@@ -86,23 +86,27 @@ class Bitstream:
     def kernel_cycles(self, name: str, bindings: Optional[Bindings] = None) -> int:
         return self.hw_kernel(name).analysis.compute_cycles(bindings)
 
-    def kernel_time_us(self, name: str, bindings: Optional[Bindings] = None) -> float:
-        """Device-side execution time of one invocation, microseconds.
+    def kernel_roofline_us(
+        self, name: str, bindings: Optional[Bindings] = None
+    ) -> Tuple[float, float]:
+        """``(t_compute, t_mem)`` of one invocation, microseconds.
 
-        The larger of the compute-issue time and the DRAM-traffic time
-        (bandwidth roofline at this kernel's LSU efficiency).
+        Compute is the issue cycles at fmax (a pure transform's divided
+        by the transform SIMD width); memory is the DRAM traffic at peak
+        bandwidth times this kernel's LSU efficiency.
         """
-        hwk = self.hw_kernel(name)
-        cycles = hwk.analysis.compute_cycles(bindings)
-        if hwk.analysis.is_pure_transform():
+        an = self.hw_kernel(name).analysis
+        cycles = an.compute_cycles(bindings)
+        if an.is_pure_transform():
             cycles = cycles / self.constants.transform_simd_width
-        t_compute = cycles / self.fmax_mhz  # MHz -> us
-        traffic = hwk.analysis.traffic_bytes(bindings)
-        bw_bytes_per_us = (
-            self.board.peak_bw_gbs * hwk.analysis.bw_efficiency() * 1e3
-        )
-        t_mem = traffic / bw_bytes_per_us
-        return max(t_compute, t_mem)
+        bw_bytes_per_us = self.board.peak_bw_gbs * an.bw_efficiency() * 1e3
+        # MHz -> us
+        return cycles / self.fmax_mhz, an.traffic_bytes(bindings) / bw_bytes_per_us
+
+    def kernel_time_us(self, name: str, bindings: Optional[Bindings] = None) -> float:
+        """Device-side execution time of one invocation, microseconds:
+        the larger side of :meth:`kernel_roofline_us`."""
+        return max(self.kernel_roofline_us(name, bindings))
 
     def kernel_flops(self, name: str, bindings: Optional[Bindings] = None) -> int:
         return self.hw_kernel(name).analysis.flops(bindings)

@@ -9,11 +9,11 @@ machinery AOC's model uses to decide whether accesses can be coalesced
 about what the body touches reads it instead of re-walking the statement
 tree.  It records loads and stores (with enclosing loops, guards and
 accumulation facts), channel reads and writes (likewise placed), local
-allocations and the variables referenced.  :class:`~repro.ir.Kernel`
-builds it at construction to validate itself and answers
-``channels()``/``local_buffers()`` from it; the bounds checker, the race
-detector, the RC channel counts and the AOC model (whose performance
-advisor rides on it) read the same memoized table.
+allocations, the variables referenced and the loop nest with each
+statement's flops.  :class:`~repro.ir.Kernel` builds it at construction
+to validate itself and answers ``channels()``/``local_buffers()`` from
+it; the bounds checker, the race detector, the RC channel counts and
+the AOC model (its cost evaluators and advisor) read the same table.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.ir import expr as _e
 from repro.ir import stmt as _s
 from repro.ir.buffer import Buffer, Channel
-from repro.ir.functor import ExprVisitor, StmtVisitor
 
 Bindings = Dict[_e.Var, int]
 
@@ -72,6 +71,12 @@ class AccessSite:
             (f.loop_var, f.extent) for f in self.loops if not fully_unrolled(f)
         )
 
+    @cached_property
+    def strides(self) -> Dict[_e.Var, Optional[int]]:
+        """The index's constant stride along each enclosing loop variable
+        (:func:`stride_of` without bindings, one call per loop)."""
+        return {f.loop_var: stride_of(self.index, f.loop_var) for f in self.loops}
+
 
 @dataclass(frozen=True, eq=False)
 class ChannelSite:
@@ -97,6 +102,12 @@ class AccessTable:
     ``vars`` holds every ``Var`` referenced in an expression, and
     ``kinds`` counts the body's nodes by IR class (the AOC model reads
     its channel and ``Select``/``Mod`` counts there).
+
+    ``nest`` is the statement tree in post-order for a stack fold:
+    ``("leaf", flops of its value)`` per ``Store``/``ChannelWrite``/
+    ``Evaluate``, ``("loop", for_stmt)`` over its body's entry, and
+    ``("seq", n)``/``("if", n)`` over the last ``n`` entries;
+    ``Allocate`` and ``AttrStmt`` add none.
     """
 
     def __init__(self, body: _s.Stmt) -> None:
@@ -106,6 +117,9 @@ class AccessTable:
         self.allocations: List[Buffer] = []
         self.vars: Set[_e.Var] = set()
         self.kinds: Counter = Counter()
+        self.nest: List[Tuple[str, object]] = []
+        #: flop nodes walked so far; a leaf takes its value's share
+        self._flop_count = 0
         self._stmt(body, (), False)
 
     def _stmt(self, s: _s.Stmt, loops: Tuple[_s.For, ...], guarded: bool) -> None:
@@ -114,34 +128,38 @@ class AccessTable:
             self.loops.append(s)
             self._expr(s.extent, loops, guarded)
             self._stmt(s.body, loops + (s,), guarded)
+            self.nest.append(("loop", s))
         elif isinstance(s, _s.IfThenElse):
             self._expr(s.cond, loops, guarded)
             for arm in s.children():
                 self._stmt(arm, loops, True)
-        elif isinstance(s, _s.Store):
+            self.nest.append(("if", 1 + (s.else_body is not None)))
+        elif isinstance(s, (_s.Store, _s.ChannelWrite, _s.Evaluate)):
             first = len(self.sites)
+            before = self._flop_count
             self._expr(s.value, loops, guarded)
-            reads_back = any(
-                r.buffer is s.buffer and _e.structural_equal(r.index, s.index)
-                for r in self.sites[first:]
-            )
-            self._expr(s.index, loops, guarded)
-            self.sites.append(AccessSite(
-                s.buffer, True, s.index, s.value, loops, guarded, reads_back,
-            ))
-        elif isinstance(s, _s.ChannelWrite):
-            self._expr(s.value, loops, guarded)
-            self.channel_sites.append(
-                ChannelSite(s.channel, True, loops, guarded)
-            )
-        elif isinstance(s, _s.Evaluate):
-            self._expr(s.value, loops, guarded)
+            self.nest.append(("leaf", self._flop_count - before))
+            if isinstance(s, _s.Store):
+                reads_back = any(
+                    r.buffer is s.buffer and _e.structural_equal(r.index, s.index)
+                    for r in self.sites[first:]
+                )
+                self._expr(s.index, loops, guarded)
+                self.sites.append(AccessSite(
+                    s.buffer, True, s.index, s.value, loops, guarded, reads_back,
+                ))
+            elif isinstance(s, _s.ChannelWrite):
+                self.channel_sites.append(
+                    ChannelSite(s.channel, True, loops, guarded)
+                )
         elif isinstance(s, _s.Allocate):
             self.allocations.append(s.buffer)
             self._stmt(s.body, loops, guarded)
         else:
             for c in s.children():
                 self._stmt(c, loops, guarded)
+            if isinstance(s, _s.SeqStmt):
+                self.nest.append(("seq", len(s.stmts)))
 
     def _expr(self, e: _e.Expr, loops: Tuple[_s.For, ...], guarded: bool) -> None:
         self.kinds[type(e)] += 1
@@ -155,6 +173,8 @@ class AccessTable:
             self.channel_sites.append(
                 ChannelSite(e.channel, False, loops, guarded)
             )
+        if _is_flop(e):
+            self._flop_count += 1
         for c in e.children():
             self._expr(c, loops, guarded)
 
@@ -209,32 +229,23 @@ def eval_int(e: _e.Expr, bindings: Optional[Bindings] = None) -> Optional[int]:
 
 def free_vars(e: _e.Expr) -> Set[_e.Var]:
     """Collect every Var referenced in an expression."""
-
-    class _V(ExprVisitor):
-        def __init__(self) -> None:
-            self.vars: Set[_e.Var] = set()
-
-        def visit_Var(self, v: _e.Var) -> None:
-            self.vars.add(v)
-
-    v = _V()
-    v.visit(e)
-    return v.vars
+    if isinstance(e, _e.Var):
+        return {e}
+    return set().union(*map(free_vars, e.children()))
 
 
 def stmt_free_vars(s: _s.Stmt) -> Set[_e.Var]:
     """Collect every Var referenced anywhere in a statement tree."""
-
-    class _V(StmtVisitor):
-        def __init__(self) -> None:
-            self.vars: Set[_e.Var] = set()
-
-        def visit_Var(self, v: _e.Var) -> None:
-            self.vars.add(v)
-
-    v = _V()
-    v.visit_stmt(s)
-    return v.vars
+    exprs: Tuple[_e.Expr, ...] = ()
+    if isinstance(s, _s.Store):
+        exprs = (s.index, s.value)
+    elif isinstance(s, (_s.Evaluate, _s.ChannelWrite)):
+        exprs = (s.value,)
+    elif isinstance(s, _s.For):
+        exprs = (s.extent,)
+    elif isinstance(s, _s.IfThenElse):
+        exprs = (s.cond,)
+    return set().union(*map(free_vars, exprs), *map(stmt_free_vars, s.children()))
 
 
 def stride_of(
@@ -362,23 +373,16 @@ def reuse_distance(
     return distance
 
 
+#: node types that can count as a flop (arithmetic only when float)
+_FLOP_TYPES = frozenset({_e.Add, _e.Sub, _e.Mul, _e.Div, _e.Min, _e.Max, _e.Call})
+
+
+def _is_flop(e: _e.Expr) -> bool:
+    """A float add/sub/mul/div/min/max node, or any call (exp, ...)."""
+    t = type(e)
+    return t in _FLOP_TYPES and (t is _e.Call or e.dtype == _e.FLOAT32)
+
+
 def count_flops_expr(e: _e.Expr) -> int:
     """Count floating-point add/sub/mul/div/min/max/exp ops in an expression."""
-
-    class _V(ExprVisitor):
-        def __init__(self) -> None:
-            self.flops = 0
-
-        def generic_visit(self, node: _e.Expr) -> None:
-            if (
-                isinstance(node, (_e.Add, _e.Sub, _e.Mul, _e.Div, _e.Min, _e.Max))
-                and node.dtype == _e.FLOAT32
-            ):
-                self.flops += 1
-            elif isinstance(node, _e.Call):
-                self.flops += 1
-            super().generic_visit(node)
-
-    v = _V()
-    v.visit(e)
-    return v.flops
+    return int(_is_flop(e)) + sum(count_flops_expr(c) for c in e.children())

@@ -63,14 +63,9 @@ def project_precision(deployment, precision: str) -> PrecisionProjection:
 
     device_us = 0.0
     for inv in deployment.plan.invocations:
-        hwk = bs.hw[inv.kernel_name]
-        cycles = hwk.analysis.compute_cycles(inv.bindings)
-        if hwk.analysis.is_pure_transform():
-            cycles /= bs.constants.transform_simd_width
-        t_compute = cycles / bs.fmax_mhz / pack
-        traffic = hwk.analysis.traffic_bytes(inv.bindings) * byte_scale
-        bw = board.peak_bw_gbs * hwk.analysis.bw_efficiency() * 1e3
-        device_us += max(t_compute, traffic / bw)
+        t_compute, t_mem = bs.kernel_roofline_us(inv.kernel_name, inv.bindings)
+        # both scales are powers of two: scaling after the roofline is exact
+        device_us += max(t_compute / pack, t_mem * byte_scale)
 
     host_us = base.host_overhead_us
     transfer_us = (base.write_us + base.read_us) * byte_scale

@@ -36,21 +36,13 @@ def project_winograd(deployment) -> WinogradProjection:
     if deployment.mode != "folded":
         raise ReproError("Winograd projection applies to folded deployments")
     bs = deployment.bitstream
-    board = bs.board
     base = deployment.run()
 
     device_us = 0.0
     eligible_us = 0.0
     total_us = 0.0
     for inv in deployment.plan.invocations:
-        hwk = bs.hw[inv.kernel_name]
-        cycles = hwk.analysis.compute_cycles(inv.bindings)
-        if hwk.analysis.is_pure_transform():
-            cycles /= bs.constants.transform_simd_width
-        t_compute = cycles / bs.fmax_mhz
-        traffic = hwk.analysis.traffic_bytes(inv.bindings)
-        bw = board.peak_bw_gbs * hwk.analysis.bw_efficiency() * 1e3
-        t_mem = traffic / bw
+        t_compute, t_mem = bs.kernel_roofline_us(inv.kernel_name, inv.bindings)
         t = max(t_compute, t_mem)
         total_us += t
         if inv.op_label == "3x3 conv S=1":

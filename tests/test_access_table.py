@@ -161,13 +161,33 @@ class TestOneAnalysisPerBuild:
                 }, (network, board_name)
 
 
+class _NoBody:
+    """Stands in for a kernel body: any access to it raises."""
+
+    def __getattribute__(self, name):
+        raise AssertionError(f"kernel body read after construction ({name})")
+
+
+def _cost_model_values(an, bindings):
+    """The AOC model's five evaluators of one binding set."""
+    return (
+        an.compute_cycles(bindings), an.flops(bindings),
+        an.traffic_bytes(bindings), an.dsp_count(), an.is_pure_transform(),
+    )
+
+
 class TestOneWalkPerKernel:
     """A kernel body is walked once, by its access table, at construction.
 
     Validation, ``channels()``, ``local_buffers()``, the RC channel
     counts, verify and the AOC model all read that one table.  Entries
     are counted at the body root: ``StmtVisitor.visit_stmt`` for any
-    visitor-based walker, ``AccessTable._stmt`` for the table.
+    visitor-based walker, ``AccessTable._stmt`` for the table.  The AOC
+    model's evaluators — ``compute_cycles``, ``flops``,
+    ``traffic_bytes``, ``dsp_count`` and ``is_pure_transform`` — never
+    enter the body: with it swapped for a sentinel that raises on any
+    access, the memoized analysis and one built afresh from the table
+    return the same values under every binding set of the build's plan.
     """
 
     def test_cold_builds_enter_each_body_once(self, monkeypatch):
@@ -200,6 +220,27 @@ class TestOneWalkPerKernel:
         count_root_entries(AccessTable, "_stmt", 2)
         count_root_entries(StmtVisitor, "visit_stmt", 3)
 
+        #: (program, plan) of each build, for the cost-model check
+        built = []
+
+        def capturing(name, slot):
+            stage_fn = getattr(stages, name)
+
+            def wrapped(*args):
+                out = stage_fn(*args)
+                if slot == 0:
+                    built.append([out, None])
+                else:
+                    built[-1][1] = out
+                return out
+
+            monkeypatch.setattr(stages, name, wrapped)
+
+        capturing("lower_pipelined", 0)
+        capturing("lower_folded", 0)
+        capturing("plan_pipelined", 1)
+        capturing("plan_folded", 1)
+
         builds = [(network, board_name, "tvm_autorun")
                   for network in KERNELS
                   for board_name in ("A10", "S10MX", "S10SX")]
@@ -226,6 +267,28 @@ class TestOneWalkPerKernel:
         # (constructions, table walks, visitor walks) -> bodies
         shapes = Counter(tuple(entry[1:]) for entry in bodies.values())
         assert set(shapes) == {(1, 1, 0)}, shapes
+
+        assert len(built) == len(builds)
+        checked = 0
+        for program, plan in built:
+            sets = {}
+            steps = getattr(plan, "invocations", None) or plan.stages
+            for inv in steps:
+                sets.setdefault(inv.kernel_name, []).append(
+                    getattr(inv, "bindings", None))
+            for kernel in program.kernels:
+                an = aoc_analysis.analyze(kernel)
+                want = [_cost_model_values(an, b) for b in sets[kernel.name]]
+                body, kernel.body = kernel.body, _NoBody()
+                try:
+                    fresh = aoc_analysis.KernelAnalysis(kernel, an.c)
+                    for got in (aoc_analysis.analyze(kernel), fresh):
+                        assert [_cost_model_values(got, b)
+                                for b in sets[kernel.name]] == want
+                finally:
+                    kernel.body = body
+                checked += 1
+        assert checked >= 3 * sum(KERNELS.values())
 
 
 class TestKernelMemoLifetime:

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.ir as ir
 from repro.aoc import DEFAULT_CONSTANTS, KernelAnalysis
 from repro.errors import AOCError
 from repro.schedule import lower
@@ -171,3 +172,80 @@ class TestFlopsAndTraffic:
         base = _opt(ConvTiling(w2vec=1, c1vec=1))
         wide = _opt(ConvTiling(w2vec=1, c1vec=6))
         assert wide.dsp_count() >= 5 * base.dsp_count()
+
+
+def _model_values(a, bindings=None):
+    """(cycles, flops, traffic, DSPs, pure transform) of one analysis."""
+    return (
+        a.compute_cycles(bindings), a.flops(bindings),
+        a.traffic_bytes(bindings), a.dsp_count(), a.is_pure_transform(),
+    )
+
+
+class TestExactModelValues:
+    """The cost model's exact figures on hand-built kernels.
+
+    Fill is ``C.loop_fill_cycles`` (18) per loop entry; every global
+    access touches its whole buffer once per re-reading serial loop.
+    """
+
+    def test_if_arms_priced_separately_per_metric(self):
+        # then: 1 statement, 4 flops; else: 3 statements, 1 flop.  Cycles
+        # take the longer arm (3), flops the costlier arm (4), spatial
+        # flops both arms side by side (4 + 1) under the 2-wide unroll
+        x, y = ir.Buffer("x", (16,)), ir.Buffer("y", (16,))
+        i, u = ir.Var("i"), ir.Var("u")
+        then = ir.Store(y, i, x[i] * x[i] * x[i] + x[i] * 2.0)
+        other = ir.seq(ir.Store(y, i, x[i] + 1.0), ir.Store(y, i, x[i]),
+                       ir.Store(y, i, 0.0))
+        body = ir.For(i, 16, ir.For(
+            u, 2, ir.IfThenElse(i < 8, then, other), kind=ir.ForKind.UNROLLED,
+        ))
+        a = KernelAnalysis(ir.Kernel("k_if", [x, y], body))
+        # 18 + 16*3; 16*2*4; 10 sites * 64 B; ceil(2*(4+1)/2)
+        assert _model_values(a) == (66, 128, 640, 5, False)
+
+    def test_partial_unroll_runs_its_remainder_serially(self):
+        x, y = ir.Buffer("x", (10,)), ir.Buffer("y", (10,))
+        i = ir.Var("i")
+        body = ir.For(i, 10, ir.Store(y, i, x[i] * x[i] + 1.0),
+                      kind=ir.ForKind.UNROLLED, unroll_factor=4)
+        a = KernelAnalysis(ir.Kernel("k_part", [x, y], body))
+        # 18 + ceil(10/4); 10*2 flops; 3 sites * 40 B; ceil(4*2/2)
+        assert _model_values(a) == (21, 20, 120, 4, False)
+
+    def test_trip1_loop_collapses_around_an_accumulation(self):
+        x, acc = ir.Buffer("x", (8,)), ir.Buffer("acc", (1,))
+        r, t = ir.Var("r"), ir.Var("t")
+        body = ir.For(r, 8, ir.For(t, 1, ir.Store(acc, 0, acc[0] + x[r])))
+        a = KernelAnalysis(ir.Kernel("k_trip1", [x, acc], body))
+        # r carries the global accumulation (II 8); t adds no fill:
+        # 18 + 8*8*1; acc read and written back 8 times plus x once
+        assert _model_values(a) == (18 + 8 * C.ii_global_accum, 8, 96, 1,
+                                    False)
+
+    def test_symbolic_extent_under_two_binding_sets(self):
+        n, i, j = ir.Var("n"), ir.Var("i"), ir.Var("j")
+        a_buf, b_buf = ir.Buffer("a", (n,)), ir.Buffer("b", (n,))
+        body = ir.For(j, 3, ir.For(
+            i, n, ir.Store(a_buf, i, b_buf[i] * 2.0 + 1.0),
+        ))
+        a = KernelAnalysis(
+            ir.Kernel("k_sym", [a_buf, b_buf], body, scalar_args=[n])
+        )
+        # n=100: b's 400 B fit the LSU cache, so it is read once while
+        # the store repeats 3x; n=20000: 80000 B do not fit
+        small = (372, 600, 1600, 1, False)
+        big = (60072, 120000, 480000, 1, False)
+        assert _model_values(a, {n: 100}) == small
+        assert _model_values(a, {n: 20000}) == big
+        assert _model_values(a, {n: 100}) == small
+
+    def test_pure_transform_kernel(self):
+        x, y = ir.Buffer("x", (6,)), ir.Buffer("y", (8,))
+        i = ir.Var("i")
+        body = ir.For(i, 8, ir.IfThenElse(
+            i < 2, ir.Store(y, i, 0.0), ir.Store(y, i, x[i - 2]),
+        ))
+        a = KernelAnalysis(ir.Kernel("k_pad", [x, y], body))
+        assert _model_values(a) == (26, 0, 88, 0, True)

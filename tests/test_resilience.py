@@ -277,6 +277,8 @@ class TestRuntimeFaults:
         with pytest.raises(RuntimeSimError, match="available kernels"):
             lenet.bitstream.kernel_time_us("missing")
         with pytest.raises(RuntimeSimError):
+            lenet.bitstream.kernel_roofline_us("missing")
+        with pytest.raises(RuntimeSimError):
             lenet.bitstream.kernel_cycles("missing")
         with pytest.raises(RuntimeSimError):
             lenet.bitstream.kernel_flops("missing")

@@ -4,13 +4,16 @@
 The CI ``static-check`` job runs this once over the nine shipped
 network x board builds.  For each build it
 
-* runs ``python -m repro.report --check`` and compares every finding,
-  of every severity, as ``[rule, severity, kernel, location]`` to
-  ``tools/static_baseline.json`` — a new, vanished or moved finding
+* runs ``python -m repro.report --check --json`` and compares every
+  finding, of every severity, as ``[rule, severity, kernel, location]``
+  to ``tools/static_baseline.json`` — a new, vanished or moved finding
   fails the gate, so a schedule or cost-model change that shifts what
   the analyzers say is visible in the diff of the committed baseline.
   Only advice can be baselined: a ``--check`` exit other than 0, or any
   warn/error/info finding, fails the gate even under ``--update``;
+* compares the sha256 of that whole JSON output to the baseline's
+  ``digest``, so a number that moves inside a message or a counter
+  (RP005's cycle counts, RP004's working set) fails the gate too;
 * asserts the auto-scheduler's contract (``repro.flow.autofix``): an
   advice-clean fixpoint, or a provably-stuck report whose every
   blocking finding carries a reason — never a cycle, an iteration-limit
@@ -30,11 +33,12 @@ dependency-free.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -51,8 +55,9 @@ SPECS = [
 Findings = List[List[str]]
 
 
-def findings(spec: str) -> Findings:
-    """``[rule, severity, kernel, location]`` of one build, sorted."""
+def findings(spec: str) -> Tuple[Findings, str]:
+    """``[rule, severity, kernel, location]`` of one build, sorted, and
+    the sha256 of its whole ``--check --json`` output."""
     from repro.report import check_deployment
 
     buf = io.StringIO()
@@ -60,11 +65,13 @@ def findings(spec: str) -> Findings:
     if status != 0:
         raise RuntimeError(f"--check {spec} exited {status}: "
                            f"{buf.getvalue()}")
-    payload = json.loads(buf.getvalue())
-    return sorted(
+    text = buf.getvalue()
+    payload = json.loads(text)
+    found = sorted(
         [d["rule"], d["severity"], d["kernel"], d["location"]]
         for d in payload["diagnostics"]
     )
+    return found, hashlib.sha256(text.encode()).hexdigest()
 
 
 def not_advice(found: Findings) -> List[str]:
@@ -120,13 +127,14 @@ def main(argv: List[str]) -> int:
             print(f"unknown spec {spec!r}; choose from: {', '.join(SPECS)}")
             return 2
 
-    baseline: Dict[str, Findings] = (
+    #: spec -> {"findings": [...], "digest": sha256 of the JSON output}
+    baseline: Dict[str, Dict] = (
         json.loads(BASELINE.read_text()) if BASELINE.exists() else {}
     )
     status = 0
     for spec in specs:
         try:
-            got = findings(spec)
+            got, digest = findings(spec)
             problems = autofix_problems(spec)
         except Exception as e:  # build failure is a gate failure, not a crash
             print(f"{spec}: FAIL ({e})")
@@ -135,11 +143,18 @@ def main(argv: List[str]) -> int:
         problems += not_advice(got)
         if update:
             if not problems:
-                baseline[spec] = got
+                baseline[spec] = {"findings": got, "digest": digest}
         elif spec not in baseline:
             problems.append("no committed baseline (run with --update)")
         else:
-            problems += not_advice(baseline[spec]) + drift(got, baseline[spec])
+            want = baseline[spec]["findings"]
+            problems += not_advice(want) + drift(got, want)
+            if not problems and digest != baseline[spec]["digest"]:
+                problems.append(
+                    f"--check --json output changed (sha256 {digest[:12]} "
+                    f"vs baseline {baseline[spec]['digest'][:12]}): a "
+                    f"message or counter moved"
+                )
         for p in problems:
             print(f"{spec}: {p}")
         if problems:
