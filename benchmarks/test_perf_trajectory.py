@@ -22,6 +22,11 @@ in CI:
   equal lower-cache misses + uncached lowerings + dominance-profile
   lowerings (a lower-cache hit replays a kernel at zero walks) — an
   exact count, no band, no calibration;
+* the fingerprints of one more serial sweep (untimed): artifacts
+  hashed by content must number exactly the distinct seeded objects
+  plus the generated sources, and no plan, program, bitstream or
+  verify report may be canonicalized — every other artifact's
+  fingerprint is derived, not hashed from its content;
 * static equivalence certification of the whole folded LeNet-5 build vs
   one interpreter cross-check of a single kernel — the certificate path
   must stay strictly faster, or removing interpreter runs from the
@@ -58,6 +63,7 @@ beat the serial loop.
 """
 
 import contextlib
+import importlib
 import json
 import os
 import time
@@ -72,9 +78,11 @@ from repro.flow.deploy import default_folded_config, deploy_pipelined
 from repro.flow.dse import sweep_conv1x1
 from repro.flow.folded import FoldedConfig, plan_folded, schedule_folded
 from repro.flow.incremental import clear_lower_cache, lower_cache_stats
+from repro.flow import stages as stages_module
 from repro.flow.stages import MODELS, folded_flow, pipelined_flow
 from repro.ir.analysis import AccessTable
 from repro.models.twins import TWINS
+from repro.pipeline import Pipeline
 from repro.pipeline.cache import CompileCache
 from repro.relay import fuse_operators, init_params
 from repro.runtime.executor import run_folded_functional, run_pipelined_functional
@@ -89,6 +97,11 @@ from repro.verify import (
 )
 from repro.verify.memory import weights_bytes
 from repro.verify.verifier import binding_sets_of
+
+#: the modules themselves: ``repro.pipeline`` re-exports a function
+#: under the name ``fingerprint``
+fingerprint_module = importlib.import_module("repro.pipeline.fingerprint")
+pipeline_module = importlib.import_module("repro.pipeline.pipeline")
 
 BASELINE_PATH = os.path.join(RESULTS_DIR, "perf_trajectory.json")
 UPDATE = os.environ.get("REPRO_PERF_UPDATE") == "1"
@@ -349,6 +362,7 @@ def _measure_sweep() -> dict:
             counts.update(lower_cache_stats())
     serial_s, serial = arms[1]
     parallel_s, parallel = arms[SWEEP_WORKERS]
+    fingerprints = _count_sweep_fingerprints()
     # correctness parity between the two arms, regardless of timing
     assert len(serial.points) == len(parallel.points)
     assert [p.pruned for p in serial.points] == \
@@ -362,7 +376,70 @@ def _measure_sweep() -> dict:
         "best": [serial.best.tiling.w2vec, serial.best.tiling.c2vec,
                  serial.best.tiling.c1vec],
         "serial_counts": counts,
+        "fingerprint_counts": fingerprints,
     }
+
+
+#: artifact types whose fingerprints are derived, never hashed
+DERIVED_ONLY = ("FoldedPlan", "Program", "Bitstream", "VerifyReport")
+
+
+def _count_sweep_fingerprints() -> dict:
+    """Exact content-fingerprint accounting of one serial sweep.
+
+    Untimed, because the counter wraps every ``canonical`` recursion.
+    A fresh graph is seeded, so its content is hashed once in this
+    sweep.  ``content`` counts the objects the pipeline hashed by
+    content, ``seeds`` the distinct seeded objects, ``codegen`` the
+    generated sources, and ``canonicalized`` every type ``canonical``
+    reduced, at any depth, for any caller.
+    """
+    counts = {"content": 0, "codegen": 0}
+    seeds, canonicalized = [], set()
+    state = {"depth": 0, "hashing_content": False}
+    canonical = fingerprint_module.canonical
+    content_fingerprint = pipeline_module.content_fingerprint
+    generate_opencl = stages_module.generate_opencl
+    run = Pipeline.run
+
+    def counted_canonical(obj):
+        canonicalized.add(type(obj).__name__)
+        if state["hashing_content"] and state["depth"] == 0:
+            counts["content"] += 1
+        state["depth"] += 1
+        try:
+            return canonical(obj)
+        finally:
+            state["depth"] -= 1
+
+    def counted_content_fingerprint(obj):
+        state["hashing_content"] = True
+        try:
+            return content_fingerprint(obj)
+        finally:
+            state["hashing_content"] = False
+
+    def counted_generate_opencl(*args, **kwargs):
+        counts["codegen"] += 1
+        return generate_opencl(*args, **kwargs)
+
+    def recorded_run(self, seed=None):
+        for value in (seed or {}).values():
+            if not any(value is s for s in seeds):
+                seeds.append(value)
+        return run(self, seed)
+
+    fused = fuse_operators(MODELS["mobilenet_v1"]())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fingerprint_module, "canonical", counted_canonical)
+        mp.setattr(pipeline_module, "content_fingerprint",
+                   counted_content_fingerprint)
+        mp.setattr(stages_module, "generate_opencl", counted_generate_opencl)
+        mp.setattr(Pipeline, "run", recorded_run)
+        sweep_conv1x1(fused, ARRIA10, cache=CompileCache(), prune=True,
+                      workers=1, **SWEEP_GRID)
+    return {**counts, "seeds": len(seeds),
+            "canonicalized": sorted(canonicalized)}
 
 
 def _measure_certify() -> dict:
@@ -562,6 +639,10 @@ def _save_report(current, baseline) -> None:
                  f"{sc['tables']}", "-",
                  f"== {sc['misses']} misses + {sc['uncached']} uncached + "
                  f"{sc['profiled']} profiled ({sc['hits']} hits walk 0)"])
+    fc = sweep["fingerprint_counts"]
+    rows.append(["sweep serial content fingerprints",
+                 f"{fc['content']}", "-",
+                 f"== {fc['seeds']} seeds + {fc['codegen']} sources"])
     cert, bcert = current["certify"], baseline.get("certify", {})
     rows.append([f"certify {cert['kernels_certified']} kernels (static)",
                  f"{cert['certify_s'] * 1e3:.1f} ms",
@@ -713,6 +794,21 @@ class TestPerfTrajectory:
             f"misses + {sc['uncached']} uncached + {sc['profiled']} "
             f"dominance profiles; {sc['hits']} hits replay at zero walks) "
             "— an exact count, no band"
+        )
+
+    def test_serial_sweep_hashes_only_sources(self, trajectory):
+        current, _, _ = trajectory
+        fc = current["sweep"]["fingerprint_counts"]
+        assert fc["seeds"] > 0 and fc["codegen"] > 0, fc
+        assert fc["content"] == fc["seeds"] + fc["codegen"], (
+            f"serial sweep hashed {fc['content']} artifact(s) by content "
+            f"for {fc['seeds']} distinct seeded object(s) + "
+            f"{fc['codegen']} generated source(s) — an exact count, no band"
+        )
+        hashed = sorted(set(DERIVED_ONLY) & set(fc["canonicalized"]))
+        assert not hashed, (
+            f"serial sweep canonicalized {hashed}: their fingerprints are "
+            "derived, never hashed from content"
         )
 
     def test_parallel_sweep_wall_clock(self, trajectory):

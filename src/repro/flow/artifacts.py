@@ -75,6 +75,8 @@ class FoldedSchedule:
 
 
 # -- pipeline integration ---------------------------------------------------
+# The synthesize key hashes the schedule artifact, and the folded flow's
+# stage configs hold recipes (FoldedConfig.recipe_deltas/_overrides).
 
 register_canonicalizer(
     ScheduleRecipe,

@@ -766,12 +766,8 @@ def autofix_network(
 
 # -- pipeline integration ---------------------------------------------------
 
-from repro.pipeline import register_canonicalizer, register_describer  # noqa: E402
+from repro.pipeline import register_describer  # noqa: E402
 
-register_canonicalizer(
-    AutofixResult,
-    lambda r: ["autofix-result", r.to_dict()],
-)
 register_describer(
     AutofixResult,
     lambda r: (

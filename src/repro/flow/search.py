@@ -22,6 +22,7 @@ advice fixpoint (:mod:`repro.flow.autofix`).
 from __future__ import annotations
 
 import multiprocessing
+import os
 import shutil
 import tempfile
 from dataclasses import dataclass
@@ -195,10 +196,13 @@ def fork_map(
     ``cache`` has one, else a pool-scoped temporary directory whose
     entries are merged into ``cache`` (probing backends directly, so
     the caller's hit/miss stats stay untouched) and which is deleted
-    when the pool drains.
+    when the pool drains.  The pool holds at most one worker per task
+    and per CPU this process may run on: more workers than either only
+    queue behind one another.
     """
     if not tasks:
         return [], 0, 0
+    workers = min(workers, len(tasks), _usable_cpus())
     backends = cache.backends if cache is not None else []
     directory = next(
         (str(b.directory) for b in backends if isinstance(b, DiskBackend)),
@@ -222,6 +226,14 @@ def fork_map(
         sum(hits for _, hits, _ in out),
         sum(misses for _, _, misses in out),
     )
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may be scheduled on (its affinity mask)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
 
 
 def _merge_disk_entries(cache: CompileCache, directory: str) -> None:

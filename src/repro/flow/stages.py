@@ -54,7 +54,14 @@ from repro.models import (
     resnet34,
     resnet50,
 )
-from repro.pipeline import CompileCache, Context, Pipeline, Stage, default_cache
+from repro.pipeline import (
+    BY_CONTENT,
+    CompileCache,
+    Context,
+    Pipeline,
+    Stage,
+    default_cache,
+)
 from repro.pipeline.fingerprint import fingerprint
 from repro.relay import fuse_operators
 from repro.resilience.synth import synthesize_resilient
@@ -123,7 +130,32 @@ def synthesize_key(board: Board, constants: AOCConstants) -> Callable[[Context],
 
 
 def _import_stage(network: str) -> Stage:
-    return Stage("import", "graph", lambda ctx: MODELS[network]())
+    return Stage("import", "graph", lambda ctx: MODELS[network](), BY_CONTENT)
+
+
+def _fuse_stage() -> Stage:
+    return Stage(
+        "fuse", "fused", lambda ctx: fuse_operators(ctx.value("graph")), ()
+    )
+
+
+def _codegen_stage() -> Stage:
+    """Fingerprinted by content: the source text is what the synthesize
+    key hashes, and two builds that emit the same text compare equal."""
+    return Stage(
+        "codegen", "source",
+        lambda ctx: generate_opencl(ctx.value("program")), BY_CONTENT,
+    )
+
+
+def _synthesize_stage(board: Board, constants: AOCConstants) -> Stage:
+    return Stage(
+        "synthesize",
+        "bitstream",
+        lambda ctx: synthesize_resilient(ctx.value("program"), board, constants),
+        (board, constants),
+        cache_key=synthesize_key(board, constants),
+    )
 
 
 def _verify_stage(
@@ -197,7 +229,7 @@ def _verify_stage(
             report.merge(mem_report)
         return assert_clean(report)
 
-    return Stage("verify", "verify", fn)
+    return Stage("verify", "verify", fn, (board, constants))
 
 
 def pipelined_flow(
@@ -213,32 +245,26 @@ def pipelined_flow(
         f"pipelined:{network}:{level}:{board.name}",
         [
             _import_stage(network),
-            Stage("fuse", "fused", lambda ctx: fuse_operators(ctx.value("graph"))),
+            _fuse_stage(),
             Stage(
                 "schedule",
                 "schedule",
                 lambda ctx: schedule_pipelined(
                     ctx.value("fused"), level, board, channel_depth_scale
                 ),
+                (level, board, channel_depth_scale),
             ),
             Stage("lower", "program",
-                  lambda ctx: lower_pipelined(ctx.value("schedule"))),
-            Stage("codegen", "source",
-                  lambda ctx: generate_opencl(ctx.value("program"))),
+                  lambda ctx: lower_pipelined(ctx.value("schedule")), ()),
+            _codegen_stage(),
             Stage(
                 "plan",
                 "plan",
                 lambda ctx: plan_pipelined(ctx.value("fused"), ctx.value("schedule")),
+                (),
             ),
             _verify_stage(board, constants),
-            Stage(
-                "synthesize",
-                "bitstream",
-                lambda ctx: synthesize_resilient(
-                    ctx.value("program"), board, constants
-                ),
-                cache_key=synthesize_key(board, constants),
-            ),
+            _synthesize_stage(board, constants),
         ],
         cache=resolve_cache(cache),
     )
@@ -262,10 +288,7 @@ def folded_flow(
     The :class:`~repro.flow.autofix.AutofixResult` lands in the stage
     trace as the ``autofix`` artifact.
     """
-    stages = [
-        _import_stage(network),
-        Stage("fuse", "fused", lambda ctx: fuse_operators(ctx.value("graph"))),
-    ]
+    stages = [_import_stage(network), _fuse_stage()]
     if autofix:
         from repro.flow.autofix import autofix_folded
 
@@ -277,6 +300,7 @@ def folded_flow(
                     ctx.value("fused"), board, config=config,
                     constants=constants,
                 ),
+                (board, config, constants),
             )
         )
 
@@ -291,25 +315,19 @@ def folded_flow(
             "schedule",
             "schedule",
             lambda ctx: schedule_folded(ctx.value("fused"), config_of(ctx), board),
+            (config, board),
         ),
         Stage("lower", "program",
-              lambda ctx: lower_folded(ctx.value("schedule"))),
-        Stage("codegen", "source",
-              lambda ctx: generate_opencl(ctx.value("program"))),
+              lambda ctx: lower_folded(ctx.value("schedule")), ()),
+        _codegen_stage(),
         Stage(
             "plan",
             "plan",
             lambda ctx: plan_folded(ctx.value("fused"), ctx.value("schedule")),
+            (),
         ),
         _verify_stage(board, constants),
-        Stage(
-            "synthesize",
-            "bitstream",
-            lambda ctx: synthesize_resilient(
-                ctx.value("program"), board, constants
-            ),
-            cache_key=synthesize_key(board, constants),
-        ),
+        _synthesize_stage(board, constants),
     ]
     return Pipeline(
         f"folded:{network}:{board.name}" + (":autofix" if autofix else ""),

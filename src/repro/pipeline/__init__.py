@@ -2,12 +2,15 @@
 
 The deployment flow — graph import/fusion, scheduling, lowering, OpenCL
 emission, AOC synthesis, host planning — runs through a small stage/pass
-manager.  Each stage consumes and produces typed, content-fingerprinted
+manager.  Each stage consumes and produces typed, fingerprinted
 artifacts; every run yields a :class:`Trace` of per-stage wall-times,
-artifact sizes and counters, and the ``synthesize`` stage is backed by a
-content-addressed :class:`CompileCache` so identical designs are never
-synthesized twice (offline compilation dominates the real toolflow, so
-real systems in this space cache aggressively).
+artifact sizes and counters.  A deterministic stage's artifact is
+fingerprinted by its derivation (stage, config, upstream fingerprints);
+the imported graph, seeded artifacts and the generated source by
+content.  The ``synthesize`` stage is backed by a content-addressed
+:class:`CompileCache` so identical designs are never synthesized twice
+(offline compilation dominates the real toolflow, so real systems in
+this space cache aggressively).
 """
 
 from repro.pipeline.cache import (
@@ -20,6 +23,7 @@ from repro.pipeline.cache import (
 )
 from repro.pipeline.fingerprint import canonical, fingerprint, register_canonicalizer
 from repro.pipeline.pipeline import (
+    BY_CONTENT,
     Artifact,
     Context,
     Pipeline,
@@ -33,7 +37,7 @@ from repro.pipeline.pipeline import (
 from repro.pipeline.trace import StageRecord, Trace
 
 __all__ = [
-    "Artifact", "CachedFailure", "CompileCache", "Context", "DiskBackend",
+    "Artifact", "BY_CONTENT", "CachedFailure", "CompileCache", "Context", "DiskBackend",
     "MemoryBackend", "Pipeline", "PipelineResult", "Stage", "StageDiagnostic",
     "StageRecord", "Trace", "canonical", "default_cache", "describe_artifact",
     "fingerprint", "register_annotator", "register_canonicalizer", "register_describer",

@@ -1,19 +1,29 @@
-"""Stable content fingerprints for pipeline artifacts and cache keys.
+"""Stable fingerprints for pipeline artifacts and cache keys.
 
-``fingerprint`` reduces any domain object to a canonical JSON-able
+Two kinds of fingerprint live here.  A *content* fingerprint
+(:func:`fingerprint`) reduces any domain object to a canonical JSON-able
 structure and hashes it; two objects with the same semantic content get
 the same digest across processes (no ``id()``-derived state enters the
-canonical form).  Domain types outside this module's vocabulary can
+canonical form).  Cache keys, and the artifacts a pipeline does not
+derive itself (the imported graph, seeded artifacts, the generated
+source text), use it.  Domain types outside this module's vocabulary can
 register a canonicalizer (see :func:`register_canonicalizer`) — the flow
-layer does this for its schedule artifacts.
+layer does this for the schedule artifacts the ``synthesize`` key reads.
+
+A *derived* fingerprint (:func:`derived_fingerprint`) names how a
+deterministic stage made its artifact: the stage, the fingerprint of
+the values its function closes over, and the fingerprints of the
+artifacts it could read.  It hashes no output, so it costs the same for
+a one-line report and a thousand-invocation plan.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import weakref
 from dataclasses import fields, is_dataclass
-from typing import Callable, List, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from repro.relay.graph import Graph, OpNode
 from repro.relay.passes import FusedGraph, FusedNode
@@ -79,3 +89,39 @@ def fingerprint(obj: object) -> str:
     """Full sha256 hex digest of the canonical form of ``obj``."""
     blob = json.dumps(canonical(obj), sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+#: object -> content fingerprint, for the artifacts hashed once per
+#: object; weak, so a memoized graph dies with its last user
+_BY_OBJECT: "weakref.WeakKeyDictionary[object, str]" = weakref.WeakKeyDictionary()
+
+
+def content_fingerprint(obj: object) -> str:
+    """:func:`fingerprint` of ``obj``, computed once per object.
+
+    Only for objects nothing changes after they are made.  A
+    :class:`~repro.relay.graph.Graph` qualifies: its builder appends
+    every node before ``build()`` returns it, and every later pass
+    (fusion, scheduling, execution) reads the graph and builds new
+    objects instead of editing it; a
+    :class:`~repro.relay.passes.FusedGraph` is likewise complete when
+    :func:`~repro.relay.passes.fuse_operators` returns.  Objects that
+    cannot be weakly referenced (``str``, tuples) are hashed on every
+    call, which for a source text is the cost of one sha256.
+    """
+    try:
+        return _BY_OBJECT[obj]
+    except KeyError:
+        fp = _BY_OBJECT[obj] = fingerprint(obj)
+        return fp
+    except TypeError:
+        return fingerprint(obj)
+
+
+def derived_fingerprint(stage: str, config: str, inputs: Sequence[str]) -> str:
+    """sha256 naming one stage run: ``stage`` with config fingerprint
+    ``config`` over the artifacts fingerprinted ``inputs``, in order."""
+    h = hashlib.sha256(b"derived")
+    for part in (stage, config, *inputs):
+        h.update(b"\0" + part.encode())
+    return h.hexdigest()

@@ -6,6 +6,15 @@ one new artifact.  Running a pipeline yields a :class:`PipelineResult`
 holding every artifact plus a :class:`~repro.pipeline.trace.Trace` with
 per-stage wall-times, sizes and counters.
 
+Every artifact carries a fingerprint.  A deterministic stage's is
+*derived*: the stage name, the fingerprint of the stage's ``config``
+(the values its function closes over) and the fingerprints of every
+artifact already in the context, in order — which over-approximates
+what the stage reads, so no per-stage input list can fall out of date.
+Seeded artifacts, and the output of a stage built with
+``config=BY_CONTENT`` (the imported graph, the generated source), carry
+content fingerprints instead.
+
 Stages constructed with a ``cache_key`` function are backed by a
 :class:`~repro.pipeline.cache.CompileCache`: on a hit the stage body is
 skipped entirely and the cached artifact (or a replayed deterministic
@@ -28,9 +37,14 @@ import repro.errors as _errors
 from repro.aoc.compiler import Bitstream
 from repro.errors import PipelineError, ReproError
 from repro.ir.buffer import Channel
-from repro.ir.kernel import Kernel, Program
+from repro.ir.kernel import Program
 from repro.pipeline.cache import CachedFailure, CompileCache
-from repro.pipeline.fingerprint import fingerprint, register_canonicalizer
+from repro.pipeline.fingerprint import (
+    content_fingerprint,
+    derived_fingerprint,
+    fingerprint,
+    register_canonicalizer,
+)
 from repro.pipeline.trace import StageRecord, Trace
 from repro.resilience.events import log as _resilience_log
 from repro.relay.graph import Graph
@@ -50,20 +64,44 @@ class Artifact:
     counters: Dict[str, float] = field(default_factory=dict)
 
 
+#: ``config`` of a stage whose artifact is fingerprinted by its content
+BY_CONTENT = object()
+
+
 class Stage:
-    """One named pipeline stage producing one artifact."""
+    """One named pipeline stage producing one artifact.
+
+    ``config`` is every value ``fn`` closes over that can change what
+    it returns (a board, a tiling configuration, cost-model constants),
+    or ``()`` when there is none; it is fingerprinted once, here.  Pass
+    :data:`BY_CONTENT` to fingerprint the stage's artifact by content.
+    """
 
     def __init__(
         self,
         name: str,
         output: str,
         fn: Callable[["Context"], object],
+        config: object,
         cache_key: Optional[Callable[["Context"], str]] = None,
     ) -> None:
         self.name = name
         self.output = output
         self.fn = fn
         self.cache_key = cache_key
+        #: None for a stage whose artifact is fingerprinted by content
+        self.config_fingerprint: Optional[str] = (
+            None if config is BY_CONTENT else fingerprint(config)
+        )
+
+    def artifact_fingerprint(self, ctx: "Context", value: object) -> str:
+        """Fingerprint of ``value``, this stage's output in ``ctx``."""
+        if self.config_fingerprint is None:
+            return content_fingerprint(value)
+        return derived_fingerprint(
+            self.name, self.config_fingerprint,
+            [a.fingerprint for a in ctx.artifacts.values()],
+        )
 
 
 class Context:
@@ -148,7 +186,7 @@ class Pipeline:
         records: List[StageRecord] = []
         t0 = time.perf_counter()
         for name, value in (seed or {}).items():
-            ctx.put(_make_artifact(name, value))
+            ctx.put(_make_artifact(name, value, content_fingerprint(value)))
 
         last_fp = ""
         for stage in self.stages:
@@ -188,7 +226,9 @@ class Pipeline:
                 err.diagnostic = diag
                 raise
             t_end = time.perf_counter() - t0
-            art = _make_artifact(stage.output, value)
+            art = _make_artifact(
+                stage.output, value, stage.artifact_fingerprint(ctx, value)
+            )
             ctx.put(art)
             last_fp = art.fingerprint
             records.append(
@@ -300,11 +340,10 @@ def annotate_artifact(value: object) -> List[str]:
     return []
 
 
-def _make_artifact(name: str, value: object) -> Artifact:
+def _make_artifact(name: str, value: object, fp: str) -> Artifact:
     size, counters = describe_artifact(value)
     return Artifact(
-        name=name, value=value, fingerprint=fingerprint(value), size=size,
-        counters=counters,
+        name=name, value=value, fingerprint=fp, size=size, counters=counters,
     )
 
 
@@ -413,35 +452,6 @@ register_describer(PipelinePlan, _describe_pipeline_plan)
 register_describer(FoldedPlan, _describe_folded_plan)
 
 
-# -- built-in canonicalizers for IR/AOC types (stable fingerprints) ---------
+# -- built-in canonicalizers (the synthesize key reads channels) ------------
 
 register_canonicalizer(Channel, lambda c: ["channel", c.name, c.depth])
-# The certificates and memory plan a report keeps derive from upstream
-# artifacts that are already fingerprinted, and its counters summarize
-# them; hashing the memory plan's slot tables again would cost a
-# fingerprint several times the rest of the report's.
-register_canonicalizer(
-    VerifyReport,
-    lambda r: ["verify-report", r.subject, r.diagnostics, r.counters],
-)
-register_canonicalizer(
-    Kernel,
-    lambda k: [
-        "kernel", k.name, [b.name for b in k.args],
-        [v.name for v in k.scalar_args], k.autorun,
-    ],
-)
-register_canonicalizer(
-    Program,
-    lambda p: [
-        "program", p.name, [k for k in p.kernels],
-        sorted(p.all_channels(), key=lambda c: c.name),
-    ],
-)
-register_canonicalizer(
-    Bitstream,
-    lambda bs: [
-        "bitstream", bs.program, bs.board.name, bs.fmax_mhz,
-        bs.total, bs.constants,
-    ],
-)

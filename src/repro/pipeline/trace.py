@@ -24,7 +24,9 @@ class StageRecord:
     t_end: float
     #: artifact name this stage produced
     artifact: str = ""
-    #: content fingerprint of the produced artifact (sha256 hex)
+    #: fingerprint of the produced artifact (sha256 hex): derived from
+    #: the stage, its config and the upstream fingerprints, or, for the
+    #: imported graph, seeded artifacts and the source, its content
     fingerprint: str = ""
     #: natural size of the artifact (nodes, kernels, bytes ...)
     size: int = 0

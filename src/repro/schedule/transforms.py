@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ScheduleError
@@ -205,6 +206,12 @@ class ScheduleRecipe:
     # -- identity ------------------------------------------------------
     def fingerprint(self) -> str:
         """Content hash of the recipe — the compile-cache key component."""
+        return self._fingerprint
+
+    @cached_property
+    def _fingerprint(self) -> str:
+        # memoized on the instance: the recipe is frozen and its steps'
+        # args are frozen tuples, so its content cannot change
         from repro.pipeline.fingerprint import fingerprint
 
         return fingerprint(["schedule-recipe", self.to_dict()])

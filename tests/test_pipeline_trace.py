@@ -1,21 +1,31 @@
 """Per-stage trace coverage: structure, timings, counters, diagnostics."""
 
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from repro.aoc.constants import DEFAULT_CONSTANTS
 from repro.aoc.report import area_row
-from repro.device.boards import ARRIA10, STRATIX10_SX
+from repro.device.boards import ARRIA10, STRATIX10_MX, STRATIX10_SX
 from repro.errors import FitError, PipelineError
 from repro.flow import (
     default_folded_config,
     deploy_folded,
     deploy_pipelined,
     folded_flow,
+    pipelined_flow,
 )
+from repro.flow.stages import MODELS
 from repro.pipeline import Pipeline, Stage
 from repro.relay import fuse_operators
 from repro.models import mobilenet_v1
+from repro.schedule import ScheduleRecipe
+from repro.topi import ConvTiling
 
 ALL_STAGES = [
     "import", "fuse", "schedule", "lower", "codegen", "plan", "verify",
@@ -131,13 +141,147 @@ class TestDiagnostics:
         assert [r.status for r in diag.trace.records[:-1]] == ["ok"] * 7
 
     def test_missing_artifact_is_pipeline_error(self):
-        p = Pipeline("broken", [Stage("s", "out", lambda ctx: ctx.value("nope"))])
+        p = Pipeline("broken", [Stage("s", "out", lambda ctx: ctx.value("nope"), ())])
         with pytest.raises(PipelineError, match="no artifact"):
             p.run()
 
     def test_duplicate_stage_names_rejected(self):
         with pytest.raises(PipelineError, match="duplicate"):
             Pipeline("dup", [
-                Stage("s", "a", lambda ctx: 1),
-                Stage("s", "b", lambda ctx: 2),
+                Stage("s", "a", lambda ctx: 1, ()),
+                Stage("s", "b", lambda ctx: 2, ()),
             ])
+
+
+# -- derived fingerprints ----------------------------------------------------
+
+#: per-stage fingerprints of two builds, one JSON line per build
+_COLD_BUILDS = """
+import json
+from repro.device.boards import ARRIA10, STRATIX10_SX
+from repro.flow import default_folded_config, folded_flow, pipelined_flow
+flows = [
+    pipelined_flow("lenet5", STRATIX10_SX, cache=False),
+    folded_flow("mobilenet_v1", ARRIA10,
+                default_folded_config("mobilenet_v1", ARRIA10), cache=False),
+]
+for flow in flows:
+    trace = flow.run().trace
+    print(json.dumps([[r.stage, r.fingerprint] for r in trace.records]))
+"""
+
+
+def _build(flow, seed=None):
+    """``({stage: fingerprint}, source text)`` of one successful run."""
+    result = flow.run(seed=seed)
+    prints = {r.stage: r.fingerprint for r in result.trace.records}
+    return prints, result.value("source")
+
+
+def _folded(config=None, autofix=False, network="mobilenet_v1"):
+    config = config or default_folded_config(network, STRATIX10_SX)
+    return folded_flow(network, STRATIX10_SX, config, cache=False,
+                       autofix=autofix)
+
+
+def _with(**changes):
+    config = default_folded_config("mobilenet_v1", STRATIX10_SX).copy()
+    for name, value in changes.items():
+        setattr(config, name, value)
+    return config
+
+
+class TestDerivedFingerprints:
+    """A deterministic stage's fingerprint names its derivation: the
+    stage, the values its function closes over and every upstream
+    fingerprint.  Changing one flow-factory argument must change the
+    first stage that reads it and every stage after it, and no stage
+    before it.  ``codegen`` is fingerprinted by content, so it changes
+    exactly when the source text does."""
+
+    def assert_changed_from(self, base, varied, first):
+        (before, base_src), (after, varied_src) = base, varied
+        stages = list(after)
+        split = stages.index(first)
+        for stage in stages[:split]:
+            assert after[stage] == before[stage], f"{stage} changed"
+        for stage in stages[split:]:
+            if stage == "codegen":
+                assert (after[stage] != before[stage]) == (
+                    varied_src != base_src), "codegen is not content-hashed"
+            else:
+                assert after[stage] != before.get(stage), f"{stage} unchanged"
+
+    def test_two_cold_processes_agree(self):
+        root = Path(__file__).resolve().parent.parent
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(root / "src"),
+                       PYTHONHASHSEED=hash_seed)
+            done = subprocess.run(
+                [sys.executable, "-c", _COLD_BUILDS], env=env,
+                capture_output=True, text=True, timeout=300, check=True,
+            )
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+        lenet, mobilenet = (json.loads(line)
+                            for line in outputs[0].splitlines())
+        for records in (lenet, mobilenet):
+            assert [stage for stage, _ in records] == ALL_STAGES
+            assert all(len(fp) == 64 for _, fp in records)
+
+    @pytest.mark.parametrize("varied, first", [
+        (dict(board=STRATIX10_MX), "schedule"),
+        (dict(level="autorun"), "schedule"),
+        (dict(channel_depth_scale=2.0), "schedule"),
+        (dict(constants=dataclasses.replace(
+            DEFAULT_CONSTANTS,
+            ii_global_accum=DEFAULT_CONSTANTS.ii_global_accum + 1)),
+         "verify"),
+    ], ids=["board", "level", "channel_depth_scale", "constants"])
+    def test_pipelined_argument_changes_its_readers(self, varied, first):
+        base = dict(network="lenet5", board=STRATIX10_SX, cache=False)
+        self.assert_changed_from(
+            _build(pipelined_flow(**base)),
+            _build(pipelined_flow(**{**base, **varied})), first,
+        )
+
+    @pytest.mark.parametrize("base, varied", [
+        ({}, dict(conv_tilings={
+            **default_folded_config("mobilenet_v1", STRATIX10_SX).conv_tilings,
+            ("conv", 1, 1): ConvTiling(w2vec=7, c2vec=4, c1vec=8),
+        })),
+        ({}, dict(dense_unroll=16)),
+        ({}, dict(naive=True)),
+        # unpinned strides only route on the S10SX without the tilings
+        (dict(naive=True), dict(naive=True, pin_unit_stride=False)),
+        ({}, dict(recipe_deltas={"k_fc": ScheduleRecipe().unroll("ko", 2)})),
+        # the base recipe again: same source, a different configuration
+        ({}, dict(recipe_overrides={"k_gap": ScheduleRecipe()
+                                    .cache_write("register").unroll("ry")
+                                    .unroll("rx")})),
+    ], ids=["conv_tilings", "dense_unroll", "naive", "pin_unit_stride",
+            "recipe_deltas", "recipe_overrides"])
+    def test_folded_config_field_changes_schedule_on(self, base, varied):
+        self.assert_changed_from(_build(_folded(_with(**base))),
+                                 _build(_folded(_with(**varied))), "schedule")
+
+    def test_autofix_changes_its_stage_on(self):
+        self.assert_changed_from(_build(_folded()),
+                                 _build(_folded(autofix=True)), "autofix")
+
+    def test_network_changes_every_stage(self):
+        self.assert_changed_from(_build(_folded()),
+                                 _build(_folded(network="mobilenet_v1_bn")),
+                                 "import")
+
+    def test_seeded_input_changes_every_stage(self):
+        def seed(network):
+            fused = fuse_operators(MODELS[network]())
+            return {"graph": fused.graph, "fused": fused}
+
+        base = _build(_folded(), seed("mobilenet_v1"))
+        # the same content in new objects derives the same fingerprints
+        assert _build(_folded(), seed("mobilenet_v1")) == base
+        self.assert_changed_from(
+            base, _build(_folded(), seed("mobilenet_v1_bn")), "import")

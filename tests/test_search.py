@@ -1,5 +1,8 @@
 """The candidate-search core and the strategies over it (sweep, ascent)."""
 
+import multiprocessing
+import os
+
 import pytest
 
 from repro.device.boards import ARRIA10
@@ -10,6 +13,7 @@ from repro.flow import (
     default_folded_config,
     sweep_conv1x1,
 )
+from repro.flow import search
 from repro.flow.search import evaluate, group_extents
 from repro.flow.stages import MODELS, folded_flow
 from repro.pipeline.cache import CompileCache
@@ -40,6 +44,42 @@ class TestEvaluate:
         assert verdict.fail_reason.startswith("FitError: ")
         assert verdict.certified > 0
         assert verdict.cert_dynamic_runs == 0
+
+
+def _store_and_report(task, cache):
+    cache.store(f"task-{task}", task * 10)
+    return task, os.getpid()
+
+
+class TestForkMap:
+    @pytest.mark.parametrize("cpus, tasks, started", [
+        (2, [0, 1, 2, 3], 2),  # capped at the affinity mask
+        (8, [5], 1),           # capped at the task count
+    ])
+    def test_pool_size_is_capped(self, monkeypatch, cpus, tasks, started):
+        """Four workers asked for start no more processes than usable
+        CPUs or tasks; results stay in task order and every worker's
+        cache entry reaches the caller's cache."""
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        fork = multiprocessing.get_context("fork")
+        pool_sizes = []
+
+        class SpyContext:
+            def Pool(self, processes, **kwargs):
+                pool_sizes.append(processes)
+                return fork.Pool(processes, **kwargs)
+
+        monkeypatch.setattr(search.multiprocessing, "get_context",
+                            lambda method: SpyContext())
+        cache = CompileCache()
+        results, _, _ = search.fork_map(_store_and_report, tasks, 4, cache)
+        assert pool_sizes == [started]
+        assert [task for task, _ in results] == tasks
+        assert len({pid for _, pid in results}) <= started
+        assert [cache.lookup(f"task-{t}") for t in tasks] == [
+            (True, t * 10) for t in tasks
+        ]
 
 
 class TestGroupExtents:
