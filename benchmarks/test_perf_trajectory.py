@@ -17,6 +17,10 @@ in CI:
 * bands each twin's second vectorized forward (again at batch 1 and
   batch 8) plans again instead of replaying the kernel's cached plan,
   likewise an exact count gated at zero;
+* the largest array a reduction's blocked fold evaluates, over forwards
+  of LeNet-5 at batch 8 and both twins at batch 1 and 8: every one must
+  stay within ``max(FOLD_BLOCK_LIMIT, lanes)`` elements of its leaf (an
+  exact count, no timing);
 * pruned 72-point conv1x1 DSE sweep wall-clock, serial vs 4 workers,
   and the serial arm's exact walk accounting: access tables built must
   equal lower-cache misses + uncached lowerings + dominance-profile
@@ -65,6 +69,7 @@ beat the serial loop.
 import contextlib
 import importlib
 import json
+import math
 import os
 import time
 
@@ -80,6 +85,7 @@ from repro.flow.folded import FoldedConfig, plan_folded, schedule_folded
 from repro.flow.incremental import clear_lower_cache, lower_cache_stats
 from repro.flow import stages as stages_module
 from repro.flow.stages import MODELS, folded_flow, pipelined_flow
+from repro.ir import vinterp
 from repro.ir.analysis import AccessTable
 from repro.models.twins import TWINS
 from repro.pipeline import Pipeline
@@ -311,6 +317,63 @@ def _measure_serve_forwards() -> dict:
     }
 
 
+def _measure_fold_temporaries() -> dict:
+    """The largest array a reduction's blocked fold evaluates (exact).
+
+    Records every array :class:`repro.ir.vinterp._BlockEval` returns or
+    writes, with its leaf's lane count, over forwards of pipelined
+    LeNet-5 at batch 8 and of both twins at each of
+    :data:`TWIN_BATCHES`.  ``excess`` is the largest amount by which one
+    exceeds ``max(FOLD_BLOCK_LIMIT, lanes)``.
+    """
+    out = {"elements": 0, "lanes": 0, "excess": -math.inf}
+    block_eval = vinterp._BlockEval
+    evaluate, evaluate_into = block_eval.eval, block_eval.eval_into
+
+    def note(ev, size):
+        lanes = math.prod(ev.leaf.lane_shape)
+        out["excess"] = max(out["excess"],
+                            size - max(vinterp.FOLD_BLOCK_LIMIT, lanes))
+        if size > out["elements"]:
+            out.update(elements=size, lanes=lanes)
+
+    def counted_eval(self, e):
+        value = evaluate(self, e)
+        note(self, np.size(value))
+        return value
+
+    def counted_eval_into(self, e, dest):
+        note(self, dest.size)
+        return evaluate_into(self, e, dest)
+
+    rng = np.random.default_rng(5)
+    dep = deploy_pipelined("lenet5", ARRIA10, cache=False)
+    forwards = [lambda: dep.forward_functional(
+        rng.standard_normal((8, 1, 28, 28)).astype(np.float32))]
+    for net in sorted(TWINS):
+        graph = TWINS[net]()
+        fused = fuse_operators(graph)
+        prog, plan = build_folded(fused, default_folded_config(net, ARRIA10),
+                                  ARRIA10)
+        params = init_params(graph, seed=0)
+        for n in TWIN_BATCHES:
+            shape = graph.input.out_shape if n is None else (
+                (n,) + graph.input.out_shape)
+            forwards.append(
+                lambda prog=prog, plan=plan, fused=fused, params=params,
+                shape=shape: run_folded_functional(
+                    prog, plan, fused,
+                    rng.standard_normal(shape).astype(np.float32), params,
+                    interp="vector"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(block_eval, "eval", counted_eval)
+        mp.setattr(block_eval, "eval_into", counted_eval_into)
+        for forward in forwards:
+            forward()
+    out["budget"] = vinterp.FOLD_BLOCK_LIMIT
+    return out
+
+
 def _measure_lenet_speedup(vector_ips: float) -> dict:
     dep = deploy_pipelined("lenet5", ARRIA10, cache=False)
     x = np.random.default_rng(0).standard_normal((1, 28, 28)).astype(np.float32)
@@ -538,6 +601,7 @@ def trajectory():
         "throughput_ips": throughput,
         "vinterp_fallbacks": fallbacks,
         "vinterp_replanned": replanned,
+        "fold_temporaries": _measure_fold_temporaries(),
         "lenet5": _measure_lenet_speedup(
             throughput["lenet5@pipelined"]["value"]),
         "serve_forwards": _measure_serve_forwards(),
@@ -622,6 +686,11 @@ def _save_report(current, baseline) -> None:
                      f"{current['vinterp_replanned'][key]}",
                      f"{baseline.get('vinterp_replanned', {}).get(key, '-')}",
                      "== 0 exactly"])
+    ft = current["fold_temporaries"]
+    rows.append(["largest reduction temporary (elements)",
+                 f"{ft['elements']}",
+                 f"{baseline.get('fold_temporaries', {}).get('elements', '-')}",
+                 f"<= max({ft['budget']} budget, {ft['lanes']} lanes)"])
     rows.append(["lenet5 scalar", f"{current['lenet5']['scalar_ips']:.2f} ips",
                  f"{baseline['lenet5']['scalar_ips']:.2f} ips", "-"])
     rows.append(["lenet5 vec/scalar", f"{current['lenet5']['speedup']:.0f}x",
@@ -751,6 +820,16 @@ class TestPerfTrajectory:
                 "of replaying the kernel's cached plans — an exact count, "
                 "gated at zero"
             )
+
+    def test_fold_temporaries_within_block_budget(self, trajectory):
+        current, _, _ = trajectory
+        ft = current["fold_temporaries"]
+        assert ft["elements"] > 0
+        assert ft["excess"] <= 0, (
+            f"a reduction's blocked fold evaluated an array "
+            f"{ft['excess']} elements over max(budget, lanes) — an exact "
+            "count, no band"
+        )
 
     def test_certificate_path_beats_interpreter(self, trajectory):
         current, _, _ = trajectory

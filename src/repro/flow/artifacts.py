@@ -11,6 +11,7 @@ phase independently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import repro.ir as ir
@@ -44,6 +45,15 @@ class ScheduledKernel:
         if self.prebuilt is not None:
             return self.prebuilt.autorun
         return bool(self.lower_options.get("autorun", False))
+
+    @cached_property
+    def lower_key(self) -> Optional[str]:
+        """:func:`~repro.flow.incremental.kernel_lower_key` of this kernel,
+        computed once: lowering and the equivalence certifier both key on
+        it, and a scheduled kernel is not modified after it is built."""
+        from repro.flow.incremental import kernel_lower_key
+
+        return kernel_lower_key(self)
 
     def lower(self) -> ir.Kernel:
         if self.prebuilt is not None:

@@ -132,7 +132,7 @@ def kernel_lower_key(sk) -> Optional[str]:
 
 
 def _lower_one(sk) -> ir.Kernel:
-    key = kernel_lower_key(sk)
+    key = sk.lower_key
     if key is None:
         _STATS["uncached"] += 1
         return sk.lower()

@@ -97,19 +97,20 @@ def resolve_cache(cache: CacheOption) -> Optional[CompileCache]:
     return cache
 
 
-def synthesize_key(board: Board, constants: AOCConstants) -> Callable[[Context], str]:
+def synthesize_key(config_fingerprint: str) -> Callable[[Context], str]:
     """Content-addressed key for the ``synthesize`` stage.
 
     Hashes the emitted OpenCL source (which embeds every schedule and
     tiling decision, including ``__attribute__((depth(N)))`` channel
     depths), the schedule artifact (whose kernels canonicalize to their
     recipe fingerprints, so a DSE/autotune point is cached as its
-    (tiling, recipe) identity), the channel list, the target board and
-    the cost-model constants.  Source text is reproducible because
-    builders reset the IR name uniquifier
+    (tiling, recipe) identity), the channel list, and the stage's
+    ``config_fingerprint`` — every field of the target board and of the
+    cost-model constants, so a board that differs from a shipped one in
+    any resource (not only by name) misses.  Source text is reproducible
+    because builders reset the IR name uniquifier
     (:func:`repro.ir.reset_fresh_names`) per build.  The tag names the
-    pickle format: entries whose symbolic vars predate interning
-    (:func:`repro.ir.expr.sym`) would unpickle unbindable, so they miss.
+    key's format; entries keyed by an older one miss.
     """
 
     def key(ctx: Context) -> str:
@@ -117,12 +118,11 @@ def synthesize_key(board: Board, constants: AOCConstants) -> Callable[[Context],
         channels = sorted((c.name, c.depth) for c in program.all_channels())
         return fingerprint(
             [
-                "synthesize/interned-symbols",
+                "synthesize/config-fingerprint",
                 ctx.value("source"),
                 ctx.value("schedule"),
                 channels,
-                board.name,
-                constants,
+                config_fingerprint,
             ]
         )
 
@@ -149,13 +149,14 @@ def _codegen_stage() -> Stage:
 
 
 def _synthesize_stage(board: Board, constants: AOCConstants) -> Stage:
-    return Stage(
+    stage = Stage(
         "synthesize",
         "bitstream",
         lambda ctx: synthesize_resilient(ctx.value("program"), board, constants),
         (board, constants),
-        cache_key=synthesize_key(board, constants),
     )
+    stage.cache_key = synthesize_key(stage.config_fingerprint)
+    return stage
 
 
 def _verify_stage(

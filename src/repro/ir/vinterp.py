@@ -24,10 +24,14 @@ which is only sound under the dependence rules checked in phase A:
   only communicate lane-locally, in program order);
 * a store that reads its own buffer must match the reduction pattern the
   lowerer emits (``buf[i] = combine(buf[i], update)``) — each lane is
-  left-folded in exactly the scalar iteration order (one ``np.add``,
-  ``maximum`` or ``minimum`` per reduction step, or ``ufunc.accumulate``
-  when lanes are few), keeping float32 results bit-identical
-  (``np.sum``'s pairwise reduction would not be).
+  left-folded in exactly the scalar iteration order, keeping float32
+  results bit-identical (``np.sum``'s pairwise reduction would not be).
+  The update is evaluated reduction axes first, one block of steps at a
+  time (a range along one reduction axis, within
+  :data:`FOLD_BLOCK_LIMIT` elements or one row of lanes), into one contiguous
+  ``(rows, *lanes)`` buffer; each row is folded into the carried lanes
+  with one ``np.add``, ``maximum`` or ``minimum``, or, when lanes are
+  few, the block with one ``ufunc.accumulate``.
   The reduction axes are the loops the store's address does not advance
   along, except loops of extent 1: one iteration carries nothing, so
   they are lane axes.  A privatized buffer's lane base varies along
@@ -99,6 +103,7 @@ forward plans nothing.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
@@ -114,10 +119,15 @@ from repro.ir.kernel import Kernel
 
 __all__ = ["VectorizedInterpreter", "BandEvent", "run_kernel_vectorized"]
 
-#: Largest per-leaf iteration-space size executed as one array op.  Bigger
-#: bands would materialize multi-GB value arrays; the loop above the limit
-#: runs as a Python loop and the loops below it vectorize instead.
+#: Largest per-leaf iteration space executed as one array op, counted by
+#: its lanes for a reduction (whose update only ever exists one block at a
+#: time).  Bigger bands would materialize multi-GB value arrays; the loop
+#: above the limit runs as a Python loop and the loops below it vectorize.
 BAND_SIZE_LIMIT = 1 << 22
+
+#: Element budget of one reduction block: its update is evaluated into a
+#: buffer of at most this many elements, or one row of lanes if wider.
+FOLD_BLOCK_LIMIT = 1 << 18
 
 
 class _Fallback(Exception):
@@ -235,7 +245,7 @@ class _Leaf:
 
     __slots__ = (
         "stmt", "path", "shape", "numel", "kind", "perm",
-        "red_shape", "lane_shape", "red_op", "update", "access",
+        "red_shape", "lane_shape", "red_op", "update", "block", "access",
         "env", "reads_channels",
     )
 
@@ -253,6 +263,8 @@ class _Leaf:
         self.lane_shape: Tuple[int, ...] = ()
         self.red_op: Optional[type] = None
         self.update: Optional[_e.Expr] = None
+        #: a reduction's ``(axis, length)`` blocks, see :func:`_block_plan`
+        self.block: Tuple[int, int] = (0, 1)
         #: id(Load/Store node) -> how phase B reaches it (private lane
         #: bases and sample rows included).  A store's entry addresses its
         #: lanes: every iteration for a parallel store, one per lane for a
@@ -326,7 +338,11 @@ class _BandPlan:
         path: Tuple[_Axis, ...],
     ) -> None:
         leaf = _Leaf(s, path)
-        if leaf.numel > BAND_SIZE_LIMIT:
+        # a reduction is sized by its lanes (its update only ever exists
+        # one block at a time), known once the store is classified
+        may_reduce = isinstance(s, _s.Store) and isinstance(
+            s.value, tuple(_COMBINE))
+        if leaf.numel > BAND_SIZE_LIMIT and not may_reduce:
             raise _Fallback("band exceeds vector size limit")
         checker = _LeafChecker(self, leaf, it)
         if isinstance(s, _s.Store):
@@ -334,6 +350,9 @@ class _BandPlan:
         else:
             checker.walk(s.value, in_select=False)
             leaf.kind = "chanwrite" if isinstance(s, _s.ChannelWrite) else "eval"
+        size = math.prod(leaf.lane_shape) if leaf.kind == "reduce" else leaf.numel
+        if size > BAND_SIZE_LIMIT:
+            raise _Fallback("band exceeds vector size limit")
         # a store gather into per-sample rows: flat addresses to (row, column)
         for key, numel in checker.rows.items():
             if isinstance(leaf.access[key], np.ndarray):
@@ -397,6 +416,9 @@ class _BandPlan:
         for leaf in self.leaves:
             if not leaf.numel:
                 continue  # a zero-trip loop runs nothing
+            if leaf.kind == "reduce":
+                _fold_blocks(leaf, it, scratch)
+                continue
             ev = _VecEval(leaf, it, scratch)
             s = leaf.stmt
             if leaf.kind == "parallel":
@@ -409,18 +431,6 @@ class _BandPlan:
                     _view(arr, acc)[...] = val
                 else:
                     arr[acc] = np.broadcast_to(val, leaf.shape).ravel()
-            elif leaf.kind == "reduce":
-                arr = ev.storage(s.buffer)
-                acc = leaf.access[id(s)]
-                lanes = _read(arr, acc)
-                val = ev.eval(leaf.update)
-                if arr.dtype == _F32:
-                    val = _to_f32(val)
-                folded = _fold(leaf, lanes.reshape(-1), val, arr.dtype)
-                if isinstance(acc, _Strided):
-                    lanes[...] = folded.reshape(lanes.shape)
-                else:
-                    arr[acc] = folded
             elif leaf.kind == "chanwrite":
                 state = it._channel(s.channel)
                 val = _to_f32(ev.eval(s.value))
@@ -439,34 +449,93 @@ class _BandPlan:
 #: combiner ufunc of each reduction the lowerer emits
 _COMBINE = {_e.Add: np.add, _e.Max: np.maximum, _e.Min: np.minimum}
 
-#: lanes from which a reduction folds one array op per step instead of
-#: through ``ufunc.accumulate`` (whose per-element cost wins on few lanes)
-_FOLD_LOOP_LANES = 128
+#: float32 ufunc of each arithmetic op a reduction's update can end in,
+#: so the op writes its block straight into the fold buffer
+_UFUNC = {
+    _e.Add: np.add, _e.Sub: np.subtract, _e.Mul: np.multiply,
+    _e.Div: np.divide, _e.Min: np.minimum, _e.Max: np.maximum,
+}
+
+#: lanes from which a block folds one array op per row instead of one
+#: ``ufunc.accumulate`` along its rows (whose per-element cost wins on few
+#: lanes and loses badly on many)
+_FOLD_STEP_LANES = 192
 
 
-def _fold(leaf: _Leaf, init: np.ndarray, val, dtype) -> np.ndarray:
-    """Fold ``val`` into each lane's ``init`` in scalar iteration order.
+def _block_plan(red_shape: Tuple[int, ...], lanes: int) -> Tuple[int, int]:
+    """``(axis, length)`` of a reduction's blocks.
+
+    A block is a range of ``length`` indices along reduction axis
+    ``axis``, with the reduction axes before it fixed and those after it
+    whole, so its rows times ``lanes`` stay within
+    :data:`FOLD_BLOCK_LIMIT` — or one row, when the lanes alone exceed it.
+    """
+    cap = max(1, FOLD_BLOCK_LIMIT // lanes)
+    inner = 1
+    for axis in reversed(range(len(red_shape))):
+        if inner * red_shape[axis] > cap:
+            return axis, cap // inner
+        inner *= red_shape[axis]
+    return 0, red_shape[0] if red_shape else 1
+
+
+def _blocks(leaf: _Leaf):
+    """Each block of a reduction in fold order: ``(index, shape)``.
+
+    ``index`` selects the block from a fold-order view (reduction axes
+    first, see :class:`_BlockEval`); ``shape`` is the block's shape.
+    """
+    red = leaf.red_shape
+    if not red:
+        yield (), leaf.lane_shape
+        return
+    axis, length = leaf.block
+    tail = red[axis + 1:] + leaf.lane_shape
+    for fixed in itertools.product(*map(range, red[:axis])):
+        for a in range(0, red[axis], length):
+            b = min(a + length, red[axis])
+            yield fixed + (slice(a, b),), (b - a,) + tail
+
+
+def _fold_blocks(
+    leaf: _Leaf, it: "VectorizedInterpreter", scratch: Dict[str, np.ndarray]
+) -> None:
+    """Fold a reduction's update into its lanes, one block at a time.
 
     Lane ``j`` computes ``((init[j] op v_0) op v_1) ...`` over the
     reduction axes in lexicographic order — the scalar loop's left fold,
     so float32 results are bit-identical (``np.sum``'s pairwise
-    reduction would not be).  Each step is a strided view of ``val``
-    (reduction axes moved first), so the product is never transposed
-    into a second copy.
+    reduction would not be).  Each block of steps is evaluated in that
+    order into one contiguous ``(rows, *lanes)`` buffer, allocated per
+    execution, and its rows are folded into the carried lane row.
     """
+    s = leaf.stmt
+    ev = _BlockEval(leaf, it, scratch)
+    arr = ev.storage(s.buffer)
+    acc = leaf.access[id(s)]
+    lanes = _read(arr, acc)
+    # a copy: lanes may view the buffer
+    carry = lanes.astype(arr.dtype).reshape(leaf.lane_shape)
     combine = _COMBINE[leaf.red_op]
-    steps = np.broadcast_to(val, leaf.shape).transpose(leaf.perm)
-    if init.size >= _FOLD_LOOP_LANES:
-        # a copy: init may view the buffer
-        out = init.astype(dtype).reshape(leaf.lane_shape)
-        for idx in np.ndindex(*leaf.red_shape):
-            combine(out, steps[idx], out=out)
-        return out.reshape(-1)
-    chain = np.empty((math.prod(leaf.red_shape) + 1,) + leaf.lane_shape,
-                     np.result_type(init, steps))
-    chain[0] = init.reshape(leaf.lane_shape)
-    chain[1:].reshape(steps.shape)[...] = steps
-    return combine.accumulate(chain, axis=0, dtype=dtype)[-1].reshape(-1)
+    step = carry.size >= _FOLD_STEP_LANES
+    axis, length = leaf.block
+    rows = length * math.prod(leaf.red_shape[axis + 1:])
+    buf = np.empty((rows,) + leaf.lane_shape, arr.dtype)
+    for index, shape in _blocks(leaf):
+        ev.block = index
+        out = buf[: math.prod(shape) // carry.size]
+        ev.eval_into(leaf.update, out.reshape(shape))
+        if step:
+            for row in out:
+                combine(carry, row, out=carry)
+        else:
+            combine(carry, out[0], out=out[0])
+            combine.accumulate(out, axis=0, out=out)
+            carry[...] = out[-1]
+    if isinstance(acc, _Strided):
+        lanes[...] = carry.reshape(lanes.shape)
+    else:
+        arr[acc] = carry.reshape(-1)
 
 
 def _band_invariant_int(
@@ -697,9 +766,8 @@ class _LeafChecker:
         if not (isinstance(acc, _Strided) and _distinct(
             tuple(acc.strides[j] for j in par), tuple(shape[j] for j in par)
         )):
-            full = self._flat(acc).reshape(shape)
-            sel = tuple(slice(None) if j in par else 0 for j in range(ndim))
-            lanes = full[sel].ravel()
+            lanes = self._flat(acc, tuple(
+                shape[j] if j in par else 1 for j in range(ndim)))
             self._unique(lanes, "reduction lanes collide")
             self.leaf.access[id(s)] = lanes
         self.leaf.kind = "reduce"
@@ -708,15 +776,21 @@ class _LeafChecker:
         self.leaf.lane_shape = tuple(shape[j] for j in par)
         self.leaf.red_op = type(v)
         self.leaf.update = v.b
+        self.leaf.block = _block_plan(
+            self.leaf.red_shape, math.prod(self.leaf.lane_shape)
+        )
 
-    def _flat(self, acc: _Access) -> np.ndarray:
-        """Every iteration's address, in iteration order, as int64."""
+    def _flat(self, acc: _Access, shape=None) -> np.ndarray:
+        """Every address over ``shape`` (the leaf's by default, or one
+        with 1 on axes the address does not advance along), in iteration
+        order, as int64."""
         if isinstance(acc, _Strided):
             idx = acc.offset
             for ax, s in zip(self.leaf.path, acc.strides):
-                idx = idx + self.leaf.env[ax.var] * s
+                if s:
+                    idx = idx + self.leaf.env[ax.var] * s
             acc = np.asarray(idx)
-        return np.broadcast_to(acc, self.leaf.shape).ravel().astype(
+        return np.broadcast_to(acc, shape or self.leaf.shape).ravel().astype(
             np.int64, copy=False
         )
 
@@ -835,6 +909,60 @@ class _VecEval:
         if cls is _e.Or:
             return np.logical_or(a, b)
         raise RuntimeSimError(f"unhandled op {type(e).__name__}")
+
+
+class _BlockEval(_VecEval):
+    """Evaluates a reduction's update one block at a time, in fold order.
+
+    Every array the update reads from its leaf — a loop variable's
+    ``arange``, a strided or gathered load, a popped channel chunk — is
+    built once per execution as a view over the leaf's whole shape with
+    the reduction axes first; evaluation at :attr:`block` indexes those
+    views, so each op runs on one contiguous block of fold steps.
+    """
+
+    def __init__(
+        self, leaf: _Leaf, it: "VectorizedInterpreter",
+        scratch: Dict[str, np.ndarray],
+    ) -> None:
+        super().__init__(leaf, it, scratch)
+        #: index of the current block into the fold-order views
+        self.block: tuple = ()
+        self.views: Dict[int, np.ndarray] = {}
+        self._bind(leaf.update)
+
+    def _bind(self, e: _e.Expr) -> None:
+        if isinstance(e, (_e.Load, _e.ChannelRead, _e.Var)):
+            acc = self.leaf.access.get(id(e))
+            if isinstance(acc, _Strided):
+                # the leaf-shaped view: stride 0 along every axis the
+                # address does not advance along (no broadcast_to needed)
+                x = _view(self.storage(e.buffer),
+                          acc._replace(shape=self.leaf.shape))
+            else:
+                x = super().eval(e)  # pops a channel chunk once
+            if isinstance(x, np.ndarray):
+                if x.shape != self.leaf.shape:
+                    x = np.broadcast_to(x, self.leaf.shape)
+                self.views[id(e)] = x.transpose(self.leaf.perm)
+            return
+        for c in e.children():
+            self._bind(c)
+
+    def eval(self, e: _e.Expr):
+        view = self.views.get(id(e))
+        if view is not None:
+            return view[self.block]
+        return super().eval(e)
+
+    def eval_into(self, e: _e.Expr, out: np.ndarray) -> None:
+        """Evaluate ``e`` at the current block, its top-level op writing
+        ``out`` (float32 arithmetic, as :meth:`_binop` computes it)."""
+        ufunc = _UFUNC.get(type(e))
+        if ufunc is not None and e.dtype == _e.FLOAT32 and out.dtype == _F32:
+            ufunc(_to_f32(self.eval(e.a)), _to_f32(self.eval(e.b)), out=out)
+        else:
+            out[...] = self.eval(e)
 
 
 class _BandCache:

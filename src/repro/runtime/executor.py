@@ -16,12 +16,11 @@ Tests run LeNet-5 and the reduced MobileNetV1/ResNet-18 twins, which
 instantiate every kernel group of the full networks, bit-identically
 under both interpreters.  Full-size MobileNetV1 and ResNet-18 run
 through their generated kernels too
-(``benchmarks/test_full_size_forward.py``): every band vectorizes except
-those above the vector size limit, and the logits match the NumPy
-reference within float32 tolerance.  On one 2-vCPU host with the
-vectorized interpreter a first forward on the S10SX takes about 2.4 s
-(MobileNetV1) and 18 s (ResNet-18); a repeated forward replays the
-kernels' cached band plans and takes about 1.5 s and 16 s.
+(``benchmarks/test_full_size_forward.py``): every band vectorizes (a
+band above the vector size limit may fall back, and none does), and the
+logits match the NumPy reference within float32 tolerance.  On one
+2-vCPU host with the vectorized interpreter a forward on the S10SX
+takes about 1 s (MobileNetV1) and 2.7–3.8 s (ResNet-18).
 """
 
 from __future__ import annotations

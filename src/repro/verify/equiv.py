@@ -215,9 +215,7 @@ def _uncertifiable_reason(sk) -> Optional[str]:
 
 
 def _cert_key(sk, binding_sets: Sequence[Bindings]) -> Optional[str]:
-    from repro.flow.incremental import kernel_lower_key
-
-    base = kernel_lower_key(sk)
+    base = sk.lower_key
     if base is None:
         return None
     sch = sk.schedule

@@ -91,6 +91,19 @@ class TestCacheKeySensitivity:
         deploy_pipelined("lenet5", STRATIX10_MX, cache=cache)
         assert cache.stats() == {"hits": 0, "misses": 2}
 
+    def test_board_resource_change_misses(self):
+        # same board name, fewer DSPs: replaying the S10SX bitstream would
+        # report the S10SX's DSP share
+        cache = CompileCache()
+        deploy_pipelined("lenet5", STRATIX10_SX, cache=cache)
+        board = dataclasses.replace(STRATIX10_SX, dsps=1440)
+        dep = deploy_pipelined("lenet5", board, cache=cache)
+        assert dep.trace.stage("synthesize").cache == "miss"
+        assert cache.stats() == {"hits": 0, "misses": 2}
+        cold = deploy_pipelined("lenet5", board, cache=False)
+        assert (dep.bitstream.utilization()["dsp"]
+                == cold.bitstream.utilization()["dsp"])
+
     def test_constants_change_misses(self):
         cache = CompileCache()
         deploy_pipelined("lenet5", STRATIX10_SX, cache=cache)

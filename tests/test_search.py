@@ -13,12 +13,14 @@ from repro.flow import (
     default_folded_config,
     sweep_conv1x1,
 )
-from repro.flow import search
+from repro.flow import incremental, search
+from repro.flow.incremental import clear_lower_cache
 from repro.flow.search import evaluate, group_extents
 from repro.flow.stages import MODELS, folded_flow
 from repro.pipeline.cache import CompileCache
 from repro.relay import fuse_operators
 from repro.topi import ConvTiling
+from repro.verify.equiv import clear_equiv_cache
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +159,25 @@ class TestSweepStrategy:
                                workers=2, **grid)
         assert pooled.points == serial.points
         assert pooled.to_dict() == serial.to_dict()
+
+    def test_each_lower_key_is_computed_once(self, mobilenet, monkeypatch):
+        # the lower stage and the equivalence certifier key on the same
+        # fingerprint: one computation per scheduled kernel of a build
+        clear_lower_cache()
+        clear_equiv_cache()
+        calls = []
+        key = incremental.kernel_lower_key
+        monkeypatch.setattr(incremental, "kernel_lower_key",
+                            lambda sk: calls.append(sk.name) or key(sk))
+        s = sweep_conv1x1(
+            mobilenet, ARRIA10, cache=CompileCache(), prune=True,
+            w2vec_options=(1, 7), c2vec_options=(4, 8, 16, 32),
+            c1vec_options=(4, 8, 16),
+        )
+        built = sum(1 for p in s.points if not p.pruned)
+        assert (len(s.points), built) == (24, 16)
+        assert len(calls) == 144  # 16 builds x 9 kernels
+        assert len(set(calls)) == 9
 
 
 class TestAscentStrategy:

@@ -21,8 +21,13 @@ numerics change.  These tests pin that contract five ways:
   key (bindings, buffer sizes) or the FIFO fill says it does not hold;
 * batch tests: a batch of N runs through each kernel once, every
   sample's output is bitwise its batch-1 output, and no band falls back
-  at any N.
+  at any N;
+* blocked-fold tests: hand-built reductions under block budgets that
+  force one-row, ragged and whole blocks equal the scalar interpreter,
+  and no array the fold evaluates exceeds one block.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -36,6 +41,7 @@ from repro.flow import FoldedConfig, build_folded, build_pipelined
 from repro.flow.deploy import default_folded_config
 from repro.flow.incremental import clear_lower_cache
 from repro.flow.stages import MODELS
+from repro.ir import vinterp
 from repro.ir.interp import ChannelState
 from repro.ir.vinterp import (
     VectorizedInterpreter,
@@ -773,6 +779,150 @@ class TestBatch:
             cls(bufs, channels=channels).run(kern)
         assert bufs["Y"].tolist() == [[1, 2, 3, 7, 8], [4, 5, 6, 9, 10]]
         assert len(channels["c"]) == 0 and channels["c"].lanes == 2
+
+
+class TestBlockedFold:
+    """A reduction's update is evaluated and folded one block at a time.
+
+    Hand-built ``Y[j] = combine(Y[j], update(j, a, b))`` reductions over
+    two reduction axes (5 x 7 steps), for a batch of 3, run under block
+    budgets that force one-row blocks, ragged last blocks (along the
+    inner and the outer reduction axis) and one whole block; each must
+    equal the scalar interpreter bytewise, and no array the blocked
+    evaluation produces may exceed ``max(budget, lanes)`` elements.
+    """
+
+    RED = (5, 7)
+    BATCH = 3
+    #: lanes per sample on each side of the fold's step/accumulate choice
+    LANES = (2, vinterp._FOLD_STEP_LANES)
+    #: block budgets, in rows of lanes (``None``: below one row)
+    ROWS = (None, 3, 16, 1 << 20)
+    _scalar = {}
+
+    def _kernel(self, combine, lanes, variant):
+        r0, r1 = self.RED
+        steps = r0 * r1
+        x, w = ir.Buffer("X", (lanes * steps,)), ir.Buffer("W", (steps,))
+        y = ir.Buffer("Y", (lanes,))
+        j, a, b = ir.Var("j"), ir.Var("a"), ir.Var("b")
+        r = a * r1 + b
+        ch = ir.Channel("c")
+        if variant == "channel":
+            left = ir.ChannelRead(ch)
+        else:
+            left = ir.Load(x, j * steps + r)
+        update = left * ir.Load(w, r)
+
+        def fold(buf, index):
+            return ir.For(a, ir.IntImm(r0), ir.For(b, ir.IntImm(r1), ir.Store(
+                buf, index, combine(ir.Load(buf, index), update))))
+
+        if variant == "private":
+            acc = ir.Buffer("acc", (1,), scope="local")
+            body = ir.Allocate(acc, ir.seq(
+                ir.Store(acc, 0, ir.FloatImm(0.5)),
+                fold(acc, ir.IntImm(0)),
+                ir.Store(y, j, ir.Load(acc, 0)),
+            ))
+        else:
+            body = fold(y, j)
+        kern = ir.Kernel("k", [x, w, y], ir.For(j, ir.IntImm(lanes), body))
+        i = ir.Var("i")
+        prod = ir.Kernel("p", [x], ir.For(
+            i, ir.IntImm(lanes * steps), ir.ChannelWrite(ch, ir.Load(x, i))))
+        return kern, prod if variant == "channel" else None
+
+    def _buffers(self, lanes):
+        rng = np.random.default_rng(lanes)
+        steps = self.RED[0] * self.RED[1]
+        return {
+            "X": rng.standard_normal((self.BATCH, lanes * steps)).astype(
+                np.float32),
+            "W": rng.standard_normal(steps).astype(np.float32),
+            "Y": rng.standard_normal((self.BATCH, lanes)).astype(np.float32),
+        }
+
+    def _run(self, cls, combine, lanes, variant):
+        kern, prod = self._kernel(combine, lanes, variant)
+        bufs = self._buffers(lanes)
+        channels = {}
+        if prod is not None:
+            cls(bufs, channels=channels).run(prod)
+        it = cls(bufs, channels=channels)
+        it.run(kern)
+        return bufs["Y"], it
+
+    def _check(self, monkeypatch, combine, lanes, variant, rows):
+        key = (combine, lanes, variant)
+        if key not in self._scalar:
+            self._scalar[key] = self._run(
+                ir.Interpreter, combine, lanes, variant)[0]
+        total = self.BATCH * lanes
+        budget = 1 if rows is None else rows * total
+        monkeypatch.setattr(vinterp, "FOLD_BLOCK_LIMIT", budget)
+        sizes = []
+        block_eval = vinterp._BlockEval
+        evaluate, evaluate_into = block_eval.eval, block_eval.eval_into
+
+        def eval_(self, e):
+            out = evaluate(self, e)
+            sizes.append(np.size(out))
+            return out
+
+        def eval_into(self, e, out):
+            sizes.append(out.size)
+            return evaluate_into(self, e, out)
+
+        monkeypatch.setattr(block_eval, "eval", eval_)
+        monkeypatch.setattr(block_eval, "eval_into", eval_into)
+        got, vi = self._run(VectorizedInterpreter, combine, lanes, variant)
+        assert [ev.kind for ev in vi.events] == ["vectorized"]
+        assert got.tobytes() == self._scalar[key].tobytes()
+        assert sizes and max(sizes) <= max(budget, total)
+
+    @pytest.mark.parametrize("rows", ROWS)
+    @pytest.mark.parametrize("lanes", LANES)
+    @pytest.mark.parametrize("combine", [ir.Add, ir.Max, ir.Min])
+    def test_matches_scalar(self, monkeypatch, combine, lanes, rows):
+        self._check(monkeypatch, combine, lanes, "plain", rows)
+
+    @pytest.mark.parametrize("rows", ROWS)
+    @pytest.mark.parametrize("lanes", LANES)
+    @pytest.mark.parametrize("variant", ["private", "channel"])
+    def test_private_and_channel_updates_match_scalar(
+        self, monkeypatch, variant, lanes, rows
+    ):
+        self._check(monkeypatch, ir.Add, lanes, variant, rows)
+
+    def test_size_limit_counts_a_reduction_by_its_lanes(self, monkeypatch):
+        # 3 x 2 lanes x 35 steps: a 210-iteration reduction under a limit
+        # of 64 vectorizes; an elementwise Add store of 210 does not
+        monkeypatch.setattr(vinterp, "BAND_SIZE_LIMIT", 64)
+        got, vi = self._run(VectorizedInterpreter, ir.Add, 2, "plain")
+        assert [ev.kind for ev in vi.events] == ["vectorized"]
+        assert got.tobytes() == self._run(
+            ir.Interpreter, ir.Add, 2, "plain")[0].tobytes()
+        x, z, i = ir.Buffer("X", (70,)), ir.Buffer("Z", (70,)), ir.Var("i")
+        kern = ir.Kernel("k", [x, z], ir.For(i, ir.IntImm(70), ir.Store(
+            z, i, ir.Add(ir.Load(x, i), ir.FloatImm(1.0)))))
+        bufs = {"X": self._buffers(2)["X"], "Z": np.zeros((3, 70), np.float32)}
+        vi = run_kernel_vectorized(kern, bufs)
+        assert vi.events[0].detail == "band exceeds vector size limit"
+        assert bufs["Z"].tobytes() == (bufs["X"] + np.float32(1)).tobytes()
+
+    def test_blocks_cover_the_steps_in_fold_order(self, monkeypatch):
+        # the ragged budgets above cut the inner axis (3 rows: b in
+        # 3 + 3 + 1 per a) and the outer one (16 rows: a in 2 + 2 + 1)
+        kern, _ = self._kernel(ir.Add, 2, "plain")
+        for rows, blocks in ((3, [3, 3, 1] * 5), (16, [14, 14, 7])):
+            monkeypatch.setattr(vinterp, "FOLD_BLOCK_LIMIT", rows * 6)
+            plan = _BandPlan(VectorizedInterpreter(self._buffers(2)),
+                             kern.body)
+            (leaf,) = plan.leaves
+            got = [shape[0] * math.prod(shape[1:-2])
+                   for _, shape in vinterp._blocks(leaf)]
+            assert got == blocks
 
 
 class TestStaticStoreProof:
