@@ -21,6 +21,9 @@ in CI:
   of LeNet-5 at batch 8 and both twins at batch 1 and 8: every one must
   stay within ``max(FOLD_BLOCK_LIMIT, lanes)`` elements of its leaf (an
   exact count, no timing);
+* the per-sample sub-interpreters those same forwards build: a batched
+  run plans every statement outside a loop over the batch axis, so the
+  count is gated at zero exactly;
 * pruned 72-point conv1x1 DSE sweep wall-clock, serial vs 4 workers,
   and the serial arm's exact walk accounting: access tables built must
   equal lower-cache misses + uncached lowerings + dominance-profile
@@ -87,6 +90,7 @@ from repro.flow import stages as stages_module
 from repro.flow.stages import MODELS, folded_flow, pipelined_flow
 from repro.ir import vinterp
 from repro.ir.analysis import AccessTable
+from repro.ir.interp import Interpreter
 from repro.models.twins import TWINS
 from repro.pipeline import Pipeline
 from repro.pipeline.cache import CompileCache
@@ -318,33 +322,31 @@ def _measure_serve_forwards() -> dict:
 
 
 def _measure_fold_temporaries() -> dict:
-    """The largest array a reduction's blocked fold evaluates (exact).
+    """The largest array a reduction's blocked fold evaluates (exact),
+    and the per-sample sub-interpreters the same forwards build.
 
-    Records every array :class:`repro.ir.vinterp._BlockEval` returns or
-    writes, with its leaf's lane count, over forwards of pipelined
-    LeNet-5 at batch 8 and of both twins at each of
+    Records every array :func:`repro.ir.vinterp._eval_block` reads (each
+    operand's block) or writes, with its leaf's lane count, over forwards
+    of pipelined LeNet-5 at batch 8 and of both twins at each of
     :data:`TWIN_BATCHES`.  ``excess`` is the largest amount by which one
-    exceeds ``max(FOLD_BLOCK_LIMIT, lanes)``.
+    exceeds ``max(FOLD_BLOCK_LIMIT, lanes)``.  ``per_sample`` counts the
+    forwards' :meth:`repro.ir.interp.Interpreter._sample` calls.
     """
-    out = {"elements": 0, "lanes": 0, "excess": -math.inf}
-    block_eval = vinterp._BlockEval
-    evaluate, evaluate_into = block_eval.eval, block_eval.eval_into
+    out = {"elements": 0, "lanes": 0, "excess": -math.inf, "per_sample": 0}
+    eval_block = vinterp._eval_block
 
-    def note(ev, size):
-        lanes = math.prod(ev.leaf.lane_shape)
+    def note(leaf, size):
+        lanes = math.prod(leaf.lane_shape)
         out["excess"] = max(out["excess"],
                             size - max(vinterp.FOLD_BLOCK_LIMIT, lanes))
         if size > out["elements"]:
             out.update(elements=size, lanes=lanes)
 
-    def counted_eval(self, e):
-        value = evaluate(self, e)
-        note(self, np.size(value))
-        return value
-
-    def counted_eval_into(self, e, dest):
-        note(self, dest.size)
-        return evaluate_into(self, e, dest)
+    def counted_eval_block(leaf, ops, dest):
+        for x in ops:
+            note(leaf, np.size(x))
+        note(leaf, dest.size)
+        return eval_block(leaf, ops, dest)
 
     rng = np.random.default_rng(5)
     dep = deploy_pipelined("lenet5", ARRIA10, cache=False)
@@ -365,9 +367,9 @@ def _measure_fold_temporaries() -> dict:
                     prog, plan, fused,
                     rng.standard_normal(shape).astype(np.float32), params,
                     interp="vector"))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(block_eval, "eval", counted_eval)
-        mp.setattr(block_eval, "eval_into", counted_eval_into)
+    with pytest.MonkeyPatch.context() as mp, _counting_calls(
+            Interpreter, "_sample", out, "per_sample"):
+        mp.setattr(vinterp, "_eval_block", counted_eval_block)
         for forward in forwards:
             forward()
     out["budget"] = vinterp.FOLD_BLOCK_LIMIT
@@ -691,6 +693,10 @@ def _save_report(current, baseline) -> None:
                  f"{ft['elements']}",
                  f"{baseline.get('fold_temporaries', {}).get('elements', '-')}",
                  f"<= max({ft['budget']} budget, {ft['lanes']} lanes)"])
+    rows.append(["per-sample sub-interpreters (same forwards)",
+                 f"{ft['per_sample']}",
+                 f"{baseline.get('fold_temporaries', {}).get('per_sample', '-')}",
+                 "== 0 exactly"])
     rows.append(["lenet5 scalar", f"{current['lenet5']['scalar_ips']:.2f} ips",
                  f"{baseline['lenet5']['scalar_ips']:.2f} ips", "-"])
     rows.append(["lenet5 vec/scalar", f"{current['lenet5']['speedup']:.0f}x",
@@ -829,6 +835,15 @@ class TestPerfTrajectory:
             f"a reduction's blocked fold evaluated an array "
             f"{ft['excess']} elements over max(budget, lanes) — an exact "
             "count, no band"
+        )
+
+    def test_no_statement_runs_per_sample(self, trajectory):
+        current, _, _ = trajectory
+        count = current["fold_temporaries"]["per_sample"]
+        assert count == 0, (
+            f"batched forwards built {count} per-sample sub-interpreter(s): "
+            "a statement outside a loop, or a band, ran once per sample "
+            "instead of over the batch axis — an exact count, gated at zero"
         )
 
     def test_certificate_path_beats_interpreter(self, trajectory):

@@ -170,7 +170,10 @@ class Interpreter:
 
     A batch runs each statement once per sample on that sample's rows
     and streams (:meth:`_per_sample`); only the kernel's structure —
-    sequences, attributes and allocations — is walked once.
+    sequences, attributes and allocations — is walked once.  The
+    vectorized subclass runs a band, or a statement outside any loop,
+    over the batch axis instead, and runs per sample only what its plan
+    refuses.
     """
 
     def __init__(

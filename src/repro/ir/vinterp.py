@@ -27,11 +27,11 @@ which is only sound under the dependence rules checked in phase A:
   left-folded in exactly the scalar iteration order, keeping float32
   results bit-identical (``np.sum``'s pairwise reduction would not be).
   The update is evaluated reduction axes first, one block of steps at a
-  time (a range along one reduction axis, within
-  :data:`FOLD_BLOCK_LIMIT` elements or one row of lanes), into one contiguous
-  ``(rows, *lanes)`` buffer; each row is folded into the carried lanes
-  with one ``np.add``, ``maximum`` or ``minimum``, or, when lanes are
-  few, the block with one ``ufunc.accumulate``.
+  time (a range along one reduction axis, within :data:`FOLD_BLOCK_LIMIT`
+  elements or one row of lanes), into one contiguous ``(rows, *lanes)``
+  buffer; one ``ufunc.reduce`` along its rows folds them into the
+  carried lanes, row by row (one lane, whose rows ``reduce`` would sum
+  pairwise, takes ``ufunc.accumulate``).
   The reduction axes are the loops the store's address does not advance
   along, except loops of extent 1: one iteration carries nothing, so
   they are lane axes.  A privatized buffer's lane base varies along
@@ -59,9 +59,10 @@ disjointness proof ``verify/races.py`` makes for unrolled stores).  Only
 indices outside that fragment — the clamped padding loads, the flatten's
 ``//`` and ``%`` — are evaluated to index arrays, and only a store
 outside it is checked with ``np.unique``; :attr:`_BandPlan.unique_stores`
-counts those.  Phase B (execution) then reads and writes every affine
-access through a strided view of the buffer and every other one by
-gather/scatter, does the arithmetic and moves the channel chunks; by
+counts those.  Phase A ends by compiling each leaf (:class:`_Compiler`)
+into closures over its operands.  Phase B (execution) only makes the
+operands — a strided view of the buffer per affine access, a gather per
+other one, the channel chunks — calls the closures and stores; by
 construction it cannot fail after phase A passed.
 
 Plan once, run many
@@ -90,9 +91,11 @@ lanes fold in scalar order and its results are bitwise its batch-1
 results; a store to a shared buffer would race across the batch and is
 refused.  ``N`` enters the plan key through the buffer shapes, so a
 batch costs one plan and one phase-B pass.  Channels keep one FIFO
-stream per sample (:class:`~repro.ir.interp.ChannelState`).  Statements
-outside a band, and any band the batched plan refuses, run once per
-sample on that sample's rows and stream, through the same interpreter.
+stream per sample (:class:`~repro.ir.interp.ChannelState`).  A statement
+outside any loop (softmax's scalar initializers) is planned likewise,
+over the batch axis alone, and records no event.  A band or statement
+the batched plan refuses runs once per sample on that sample's rows and
+stream, through the same interpreter.
 
 Every band attempt is recorded in :attr:`VectorizedInterpreter.events`
 (kind ``"vectorized"`` or ``"fallback"`` plus a reason, and whether the
@@ -105,7 +108,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+import operator
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -113,7 +117,6 @@ from repro.errors import RuntimeSimError
 from repro.ir import expr as _e
 from repro.ir import stmt as _s
 from repro.ir.analysis import eval_int, stride_of
-from repro.ir.buffer import Buffer
 from repro.ir.interp import _INTRINSICS, ChannelState, Interpreter, _F32
 from repro.ir.kernel import Kernel
 
@@ -224,7 +227,7 @@ def _view(arr: np.ndarray, acc: _Strided) -> np.ndarray:
         item = arr.itemsize
         return np.ndarray(
             acc.shape, arr.dtype, arr, acc.offset * item,
-            tuple(s * item for s in acc.strides),
+            tuple([s * item for s in acc.strides]),
         )
     step = arr.strides[-1]
     strides = [s * step for s in acc.strides]
@@ -245,8 +248,8 @@ class _Leaf:
 
     __slots__ = (
         "stmt", "path", "shape", "numel", "kind", "perm",
-        "red_shape", "lane_shape", "red_op", "update", "block", "access",
-        "env", "reads_channels",
+        "red_shape", "lane_shape", "combine", "update", "access", "env",
+        "reads", "reads_channels", "sources", "value", "top", "blocks",
     )
 
     def __init__(self, stmt: _s.Stmt, path: Tuple[_Axis, ...]) -> None:
@@ -261,33 +264,39 @@ class _Leaf:
         #: iteration order) and its lane axes, each in loop order
         self.red_shape: Tuple[int, ...] = ()
         self.lane_shape: Tuple[int, ...] = ()
-        self.red_op: Optional[type] = None
+        self.combine: Optional[np.ufunc] = None
         self.update: Optional[_e.Expr] = None
-        #: a reduction's ``(axis, length)`` blocks, see :func:`_block_plan`
-        self.block: Tuple[int, int] = (0, 1)
         #: id(Load/Store node) -> how phase B reaches it (private lane
         #: bases and sample rows included).  A store's entry addresses its
         #: lanes: every iteration for a parallel store, one per lane for a
         #: reduction.
         self.access: Dict[int, _Access] = {}
-        self.env: Dict[_e.Var, np.ndarray] = {}
-        for ax in path:
-            rshape = [1] * len(path)
-            rshape[ax.pos] = ax.extent
-            self.env[ax.var] = np.arange(
-                ax.extent, dtype=np.int64
-            ).reshape(rshape)
+        #: each loop index: an ``arange`` along its own broadcast axis
+        self.env: Dict[_e.Var, np.ndarray] = {
+            ax.var: np.arange(ax.extent, dtype=np.int64).reshape(
+                [ax.extent if p is ax else 1 for p in path])
+            for ax in path
+        }
+        #: the buffers and channels its expressions read
+        self.reads: List[str] = []
         self.reads_channels: List[str] = []
+
+    def storage(self, it: "VectorizedInterpreter", scratch) -> np.ndarray:
+        """The array the leaf's store writes (a private one's scratch)."""
+        arr = scratch.get(self.stmt.buffer.name)
+        return arr if arr is not None else it.buffers[self.stmt.buffer.name]
 
 
 class _BandPlan:
     """Phase A product: validated leaves, private buffers, channel budget.
 
     Built from the interpreter's environment, buffer sizes and channel
-    map, but keeps none of them: a plan is replayed on later runs.
+    map, but keeps none of them: a plan is replayed on later runs.  Its
+    root is a ``For`` band or, in a batch, one statement outside any
+    loop, planned over the batch axis alone.
     """
 
-    def __init__(self, it: "VectorizedInterpreter", root: _s.For) -> None:
+    def __init__(self, it: "VectorizedInterpreter", root: _s.Stmt) -> None:
         self.leaves: List[_Leaf] = []
         self.privates: Dict[str, _Private] = {}
         #: channels the band pops, with the values each run needs queued
@@ -296,6 +305,8 @@ class _BandPlan:
         self.unique_stores = 0
         self._collect(it, root, (_Axis(_BATCH, it.batch or 1, 0),))
         self._check_cross_leaf()
+        for leaf in self.leaves:
+            self._compile_leaf(it, leaf)
 
     # -- collection -----------------------------------------------------
     def _collect(
@@ -326,7 +337,7 @@ class _BandPlan:
                 raise _Fallback("privatized allocation exceeds size limit")
             self.privates[name] = _Private(numel, path, lane_count)
             self._collect(it, s.body, path)
-        elif isinstance(s, (_s.Store, _s.ChannelWrite, _s.Evaluate)):
+        elif isinstance(s, _LEAF_STMTS):
             self._add_leaf(it, s, path)
         elif isinstance(s, _s.IfThenElse):
             raise _Fallback("data-dependent control flow (IfThenElse)")
@@ -357,8 +368,28 @@ class _BandPlan:
         for key, numel in checker.rows.items():
             if isinstance(leaf.access[key], np.ndarray):
                 leaf.access[key] = np.divmod(leaf.access[key], numel)
+        leaf.reads = sorted({ld.buffer.name for ld in checker.loads})
         leaf.reads_channels = sorted(checker.channel_reads)
         self.leaves.append(leaf)
+
+    def _compile_leaf(self, it: "VectorizedInterpreter", leaf: _Leaf) -> None:
+        """Build the leaf's phase B (see :class:`_Compiler`): ``sources``
+        make its operands and ``value(ops)`` computes its stored, written
+        or (one block at a time) folded value.  A reduction also gets its
+        ``blocks`` and, when its update ends in a float32 op, ``top``:
+        that op's ufunc and operands, to write each block in place."""
+        s = leaf.stmt
+        fold = leaf.kind == "reduce"
+        comp = _Compiler(leaf, it, self.privates, fold)
+        leaf.value = comp.compile(leaf.update if fold else s.value)
+        leaf.top, leaf.blocks = None, ()
+        if fold:
+            u = leaf.update
+            if type(u) in _UFUNC and u.dtype == _e.FLOAT32:
+                leaf.top = (_UFUNC[type(u)], comp.as_f32(comp.compile(u.a)),
+                            comp.as_f32(comp.compile(u.b)))
+            leaf.blocks = _blocks(leaf.red_shape, leaf.lane_shape)
+        leaf.sources = tuple(comp.sources)
 
     # -- cross-leaf dependence + channel rules --------------------------
     def _check_cross_leaf(self) -> None:
@@ -369,7 +400,7 @@ class _BandPlan:
         for i, leaf in enumerate(self.leaves):
             if isinstance(leaf.stmt, _s.Store):
                 writers.setdefault(leaf.stmt.buffer.name, []).append(i)
-            for name in _loaded_buffers(leaf.stmt):
+            for name in leaf.reads:
                 readers.setdefault(name, []).append(i)
             for name in leaf.reads_channels:
                 chan_readers.setdefault(name, []).append(i)
@@ -419,24 +450,22 @@ class _BandPlan:
             if leaf.kind == "reduce":
                 _fold_blocks(leaf, it, scratch)
                 continue
-            ev = _VecEval(leaf, it, scratch)
-            s = leaf.stmt
+            # an 'eval' leaf runs for its channel pops, which its sources do
+            ops = [source(it, scratch) for source in leaf.sources]
             if leaf.kind == "parallel":
-                arr = ev.storage(s.buffer)
-                val = ev.eval(s.value)
+                arr = leaf.storage(it, scratch)
+                val = leaf.value(ops)
                 if arr.dtype == _F32:
                     val = _to_f32(val)
-                acc = leaf.access[id(s)]
+                acc = leaf.access[id(leaf.stmt)]
                 if isinstance(acc, _Strided):
                     _view(arr, acc)[...] = val
                 else:
                     arr[acc] = np.broadcast_to(val, leaf.shape).ravel()
             elif leaf.kind == "chanwrite":
-                state = it._channel(s.channel)
-                val = _to_f32(ev.eval(s.value))
-                state.write_chunk(np.broadcast_to(val, leaf.shape))
-            else:  # 'eval': run for channel-pop side effects only
-                ev.eval(s.value)
+                val = _to_f32(leaf.value(ops))
+                it._channel(leaf.stmt.channel).write_chunk(
+                    np.broadcast_to(val, leaf.shape))
         # Scalar semantics leave the last iteration's allocation visible in
         # the buffer map after the band; reproduce that so post-run buffer
         # inspection (and the soundness tests) see identical state.
@@ -445,6 +474,9 @@ class _BandPlan:
                 start = (pb.lane_count - 1) * pb.numel
                 it.buffers[name] = scratch[name][start : start + pb.numel].copy()
 
+
+#: the statements a plan evaluates over its iteration space
+_LEAF_STMTS = (_s.Store, _s.ChannelWrite, _s.Evaluate)
 
 #: combiner ufunc of each reduction the lowerer emits
 _COMBINE = {_e.Add: np.add, _e.Max: np.maximum, _e.Min: np.minimum}
@@ -456,45 +488,44 @@ _UFUNC = {
     _e.Div: np.divide, _e.Min: np.minimum, _e.Max: np.maximum,
 }
 
-#: lanes from which a block folds one array op per row instead of one
-#: ``ufunc.accumulate`` along its rows (whose per-element cost wins on few
-#: lanes and loses badly on many)
-_FOLD_STEP_LANES = 192
 
+def _blocks(red: Tuple[int, ...], lanes: Tuple[int, ...]) -> tuple:
+    """A reduction's blocks in fold order, each ``(index, shape, rows)``.
 
-def _block_plan(red_shape: Tuple[int, ...], lanes: int) -> Tuple[int, int]:
-    """``(axis, length)`` of a reduction's blocks.
-
-    A block is a range of ``length`` indices along reduction axis
-    ``axis``, with the reduction axes before it fixed and those after it
-    whole, so its rows times ``lanes`` stay within
-    :data:`FOLD_BLOCK_LIMIT` — or one row, when the lanes alone exceed it.
+    A block is a range along one reduction axis, with the reduction axes
+    before it fixed and those after it whole, so its rows times its lanes
+    stay within :data:`FOLD_BLOCK_LIMIT` — or one row, when the lanes
+    alone exceed it.  ``index`` selects it from a fold-order view
+    (reduction axes first, see :class:`_Compiler`); the first block is
+    the largest.
     """
-    cap = max(1, FOLD_BLOCK_LIMIT // lanes)
-    inner = 1
-    for axis in reversed(range(len(red_shape))):
-        if inner * red_shape[axis] > cap:
-            return axis, cap // inner
-        inner *= red_shape[axis]
-    return 0, red_shape[0] if red_shape else 1
-
-
-def _blocks(leaf: _Leaf):
-    """Each block of a reduction in fold order: ``(index, shape)``.
-
-    ``index`` selects the block from a fold-order view (reduction axes
-    first, see :class:`_BlockEval`); ``shape`` is the block's shape.
-    """
-    red = leaf.red_shape
     if not red:
-        yield (), leaf.lane_shape
-        return
-    axis, length = leaf.block
-    tail = red[axis + 1:] + leaf.lane_shape
+        return (((), lanes, 1),)
+    cap = max(1, FOLD_BLOCK_LIMIT // max(math.prod(lanes), 1))
+    axis, length, inner = 0, max(red[0], 1), 1
+    for j in reversed(range(len(red))):
+        if inner * red[j] > cap:
+            axis, length = j, cap // inner
+            break
+        inner *= red[j]
+    rows, tail = math.prod(red[axis + 1:]), red[axis + 1:] + lanes
+    blocks = []
     for fixed in itertools.product(*map(range, red[:axis])):
         for a in range(0, red[axis], length):
             b = min(a + length, red[axis])
-            yield fixed + (slice(a, b),), (b - a,) + tail
+            blocks.append((fixed + (slice(a, b),), (b - a,) + tail,
+                           (b - a) * rows))
+    return tuple(blocks)
+
+
+def _eval_block(leaf: _Leaf, ops: list, out: np.ndarray) -> None:
+    """Evaluate a reduction's update into ``out`` from ``ops``, the block
+    of each of its operands (a float32 top-level op writes ``out=``)."""
+    if leaf.top is not None and out.dtype == _F32:
+        ufunc, a, b = leaf.top
+        ufunc(a(ops), b(ops), out=out)
+    else:
+        out[...] = leaf.value(ops)
 
 
 def _fold_blocks(
@@ -506,32 +537,29 @@ def _fold_blocks(
     reduction axes in lexicographic order — the scalar loop's left fold,
     so float32 results are bit-identical (``np.sum``'s pairwise
     reduction would not be).  Each block of steps is evaluated in that
-    order into one contiguous ``(rows, *lanes)`` buffer, allocated per
-    execution, and its rows are folded into the carried lane row.
+    order into one contiguous ``(rows, *lanes)`` buffer; the carried
+    lanes fold into its first row, and one ``combine.reduce`` along its
+    rows (the outer axis, so row by row) carries the block.
     """
-    s = leaf.stmt
-    ev = _BlockEval(leaf, it, scratch)
-    arr = ev.storage(s.buffer)
-    acc = leaf.access[id(s)]
+    arr = leaf.storage(it, scratch)
+    acc = leaf.access[id(leaf.stmt)]
     lanes = _read(arr, acc)
     # a copy: lanes may view the buffer
     carry = lanes.astype(arr.dtype).reshape(leaf.lane_shape)
-    combine = _COMBINE[leaf.red_op]
-    step = carry.size >= _FOLD_STEP_LANES
-    axis, length = leaf.block
-    rows = length * math.prod(leaf.red_shape[axis + 1:])
-    buf = np.empty((rows,) + leaf.lane_shape, arr.dtype)
-    for index, shape in _blocks(leaf):
-        ev.block = index
-        out = buf[: math.prod(shape) // carry.size]
-        ev.eval_into(leaf.update, out.reshape(shape))
-        if step:
-            for row in out:
-                combine(carry, row, out=carry)
-        else:
-            combine(carry, out[0], out=out[0])
+    combine = leaf.combine
+    views = [source(it, scratch) for source in leaf.sources]
+    buf = np.empty((leaf.blocks[0][2],) + leaf.lane_shape, arr.dtype)
+    for index, shape, rows in leaf.blocks:
+        out = buf[:rows]
+        _eval_block(leaf, [x[index] for x in views], out.reshape(shape))
+        combine(carry, out[0], out=out[0])
+        if carry.size == 1:
+            # one lane makes the rows the contiguous axis, which
+            # ``reduce`` would sum pairwise
             combine.accumulate(out, axis=0, out=out)
             carry[...] = out[-1]
+        else:
+            combine.reduce(out, axis=0, out=carry)
     if isinstance(acc, _Strided):
         lanes[...] = carry.reshape(lanes.shape)
     else:
@@ -549,23 +577,6 @@ def _band_invariant_int(
         return int(it._eval(e))
     except RuntimeSimError:
         raise _Fallback(f"{what} depends on a band loop variable") from None
-
-
-def _loaded_buffers(s: _s.Stmt) -> List[str]:
-    names: List[str] = []
-
-    def visit(e: _e.Expr) -> None:
-        if isinstance(e, _e.Load):
-            names.append(e.buffer.name)
-        for c in e.children():
-            visit(c)
-
-    if isinstance(s, _s.Store):
-        visit(s.index)
-        visit(s.value)
-    else:
-        visit(s.value)
-    return names
 
 
 class _LeafChecker:
@@ -710,8 +721,9 @@ class _LeafChecker:
         )
 
     def _eval_pure(self, e: _e.Expr):
-        try:
-            return _VecEval(self.leaf, self.it, {}).eval(e)
+        try:  # a pure expression compiles to a constant
+            comp = _Compiler(self.leaf, self.it, self.plan.privates, False)
+            return comp.compile(e).value
         except (RuntimeSimError, KeyError) as err:
             raise _Fallback(f"index evaluation failed: {err}") from None
 
@@ -774,11 +786,8 @@ class _LeafChecker:
         self.leaf.perm = tuple(red + par)
         self.leaf.red_shape = tuple(shape[j] for j in red)
         self.leaf.lane_shape = tuple(shape[j] for j in par)
-        self.leaf.red_op = type(v)
+        self.leaf.combine = _COMBINE[type(v)]
         self.leaf.update = v.b
-        self.leaf.block = _block_plan(
-            self.leaf.red_shape, math.prod(self.leaf.lane_shape)
-        )
 
     def _flat(self, acc: _Access, shape=None) -> np.ndarray:
         """Every address over ``shape`` (the leaf's by default, or one
@@ -801,168 +810,154 @@ class _LeafChecker:
             raise _Fallback(reason)
 
 
-class _VecEval:
-    """Evaluates an expression over a leaf's broadcast loop axes.
+#: the function of each binary op, as the scalar interpreter computes it
+_BINOPS = {
+    _e.Add: operator.add, _e.Sub: operator.sub, _e.Mul: operator.mul,
+    _e.Div: operator.truediv, _e.FloorDiv: operator.floordiv,
+    _e.Mod: operator.mod, _e.Min: np.minimum, _e.Max: np.maximum,
+    _e.LT: operator.lt, _e.LE: operator.le, _e.GT: operator.gt,
+    _e.GE: operator.ge, _e.EQ: np.equal, _e.NE: np.not_equal,
+    _e.And: np.logical_and, _e.Or: np.logical_or,
+}
 
-    Loads read through the access their plan resolved (a strided view or
-    a gather); channel pops and arithmetic on loaded values run here, in
-    phase B.
+
+class _Const(NamedTuple):
+    """A compiled subtree that reads no operand: its value, made once."""
+
+    value: object
+
+    def __call__(self, ops):
+        return self.value
+
+
+class _Compiler:
+    """Compiles a leaf's expressions into closures, once, in phase A.
+
+    Phase B evaluates an expression as ``fn(ops)``.  ``ops`` holds the
+    operands :attr:`sources` make per execution: each load's view or
+    gather and each popped channel chunk.  Variables become constants (a
+    loop index its ``arange``), a subtree of constants is evaluated now,
+    and each op is bound to its function.  With ``fold`` (a reduction's
+    update), every operand, loop indices included, is made over the
+    leaf's shape with the reduction axes first, and ``ops`` holds one
+    block of each.
     """
 
-    def __init__(
-        self, leaf: _Leaf, it: "VectorizedInterpreter",
-        scratch: Dict[str, np.ndarray],
-    ) -> None:
+    def __init__(self, leaf: _Leaf, it: "VectorizedInterpreter",
+                 privates: Dict[str, _Private], fold: bool) -> None:
         self.leaf = leaf
         self.it = it
-        self.scratch = scratch
+        self.privates = privates
+        self.fold = fold
+        #: ``source(it, scratch)`` of each operand, in ``ops`` order
+        self.sources: List[Callable] = []
+        self._slots: Dict[int, Callable] = {}
 
-    def storage(self, buffer: Buffer) -> np.ndarray:
-        arr = self.scratch.get(buffer.name)
-        if arr is not None:
-            return arr
-        return self.it._storage(buffer)
-
-    def eval(self, e: _e.Expr):
+    def compile(self, e: _e.Expr) -> Callable:
+        """``fn(ops)`` computing ``e``."""
         if isinstance(e, _e.IntImm):
-            return e.value
+            return _Const(e.value)
         if isinstance(e, _e.FloatImm):
-            return _F32(e.value)
+            return _Const(_F32(e.value))
         if isinstance(e, _e.Var):
-            arr = self.leaf.env.get(e)
-            if arr is not None:
-                return arr
-            try:
-                return self.it.env[e]
-            except KeyError:
-                raise RuntimeSimError(f"unbound variable {e.name}") from None
-        if isinstance(e, _e.Load):
-            # phase A resolved an access for every Load it admitted
-            # (private lane bases included); evaluating e.index here would
-            # miss the base, so a cache miss is a planning bug, not a path.
-            return _read(self.storage(e.buffer), self.leaf.access[id(e)])
-        if isinstance(e, _e.ChannelRead):
-            state = self.it._channel(e.channel)
-            per_sample = self.leaf.numel // self.leaf.shape[0]
-            return state.read_chunk(per_sample).reshape(self.leaf.shape)
+            x = self.leaf.env.get(e)
+            if x is None:  # phase A checked it is bound
+                return _Const(self.it.env[e])
+            if not self.fold:
+                return _Const(x)
+            x = _fold_order(x, self.leaf)
+            return self._slot(e, lambda it, scratch: x)
+        if isinstance(e, (_e.Load, _e.ChannelRead)):
+            return self._slot(e, self._source(e))
         if isinstance(e, _e._BinaryOp):
-            return self._binop(e)
-        if isinstance(e, _e.Not):
-            return np.logical_not(self.eval(e.a))
-        if isinstance(e, _e.Cast):
-            v = self.eval(e.value)
+            op = _BINOPS.get(type(e))
+            if op is None:
+                raise RuntimeSimError(f"unhandled op {type(e).__name__}")
+            args = [self.compile(e.a), self.compile(e.b)]
             if e.dtype == _e.FLOAT32:
-                return _to_f32(v)
-            if isinstance(v, np.ndarray):
-                return v.astype(np.int64)
-            return int(v)
+                args = [self.as_f32(a) for a in args]
+            return _apply(op, args)
+        if isinstance(e, _e.Not):
+            return _apply(np.logical_not, [self.compile(e.a)])
+        if isinstance(e, _e.Cast):
+            value = self.compile(e.value)
+            if e.dtype == _e.FLOAT32:
+                return self.as_f32(value)
+            return _apply(lambda x: x.astype(np.int64) if isinstance(
+                x, np.ndarray) else int(x), [value])
         if isinstance(e, _e.Select):
-            cond = self.eval(e.cond)
-            t = self.eval(e.then_value)
-            f = self.eval(e.else_value)
-            return np.where(cond, t, f)
+            return _apply(np.where, [self.compile(c) for c in (
+                e.cond, e.then_value, e.else_value)])
         if isinstance(e, _e.Call):
+            fn = _INTRINSICS[e.name]
             # contiguous operands: the intrinsic ufunc loops then take the
             # same path a gathered operand always took
-            args = [np.ascontiguousarray(_to_f32(self.eval(a)))
-                    for a in e.args]
-            return _to_f32(_INTRINSICS[e.name](*args))
+            return _apply(
+                lambda *args: _to_f32(fn(*map(np.ascontiguousarray, args))),
+                [self.as_f32(self.compile(a)) for a in e.args])
         raise RuntimeSimError(f"cannot evaluate {type(e).__name__}")
 
-    def _binop(self, e: _e._BinaryOp):
-        a = self.eval(e.a)
-        b = self.eval(e.b)
-        if e.dtype == _e.FLOAT32:
-            a = _to_f32(a)
-            b = _to_f32(b)
-        cls = type(e)
-        if cls is _e.Add:
-            return a + b
-        if cls is _e.Sub:
-            return a - b
-        if cls is _e.Mul:
-            return a * b
-        if cls is _e.Div:
-            return a / b
-        if cls is _e.FloorDiv:
-            return a // b
-        if cls is _e.Mod:
-            return a % b
-        if cls is _e.Min:
-            return np.minimum(a, b)
-        if cls is _e.Max:
-            return np.maximum(a, b)
-        if cls is _e.LT:
-            return a < b
-        if cls is _e.LE:
-            return a <= b
-        if cls is _e.GT:
-            return a > b
-        if cls is _e.GE:
-            return a >= b
-        if cls is _e.EQ:
-            return np.equal(a, b)
-        if cls is _e.NE:
-            return np.not_equal(a, b)
-        if cls is _e.And:
-            return np.logical_and(a, b)
-        if cls is _e.Or:
-            return np.logical_or(a, b)
-        raise RuntimeSimError(f"unhandled op {type(e).__name__}")
+    @staticmethod
+    def as_f32(fn: Callable) -> Callable:
+        """``fn`` coerced to float32."""
+        if isinstance(fn, _Const):
+            return _Const(_to_f32(fn.value))
+        return lambda ops: _to_f32(fn(ops))
 
+    def _slot(self, e: _e.Expr, source: Callable) -> Callable:
+        """The operand ``source`` makes, read from ``ops``: one slot per
+        load, channel read or loop index node, however often it appears."""
+        slot = self._slots.get(id(e))
+        if slot is None:
+            slot = operator.itemgetter(len(self.sources))
+            self._slots[id(e)] = slot
+            self.sources.append(source)
+        return slot
 
-class _BlockEval(_VecEval):
-    """Evaluates a reduction's update one block at a time, in fold order.
+    def _source(self, e: Union[_e.Load, _e.ChannelRead]) -> Callable:
+        leaf = self.leaf
+        if isinstance(e, _e.ChannelRead):
+            channel, shape = e.channel, leaf.shape
+            per_sample = leaf.numel // shape[0]
 
-    Every array the update reads from its leaf — a loop variable's
-    ``arange``, a strided or gathered load, a popped channel chunk — is
-    built once per execution as a view over the leaf's whole shape with
-    the reduction axes first; evaluation at :attr:`block` indexes those
-    views, so each op runs on one contiguous block of fold steps.
-    """
-
-    def __init__(
-        self, leaf: _Leaf, it: "VectorizedInterpreter",
-        scratch: Dict[str, np.ndarray],
-    ) -> None:
-        super().__init__(leaf, it, scratch)
-        #: index of the current block into the fold-order views
-        self.block: tuple = ()
-        self.views: Dict[int, np.ndarray] = {}
-        self._bind(leaf.update)
-
-    def _bind(self, e: _e.Expr) -> None:
-        if isinstance(e, (_e.Load, _e.ChannelRead, _e.Var)):
-            acc = self.leaf.access.get(id(e))
-            if isinstance(acc, _Strided):
+            def read(it, scratch):
+                chunk = it._channel(channel).read_chunk(per_sample)
+                return chunk.reshape(shape)
+        else:
+            # phase A resolved an access for every Load it admitted
+            # (private lane bases included); evaluating e.index here
+            # would miss the base, so a missing access is a planning bug
+            acc = leaf.access[id(e)]
+            name = e.buffer.name
+            private = name in self.privates
+            if self.fold and isinstance(acc, _Strided):
                 # the leaf-shaped view: stride 0 along every axis the
                 # address does not advance along (no broadcast_to needed)
-                x = _view(self.storage(e.buffer),
-                          acc._replace(shape=self.leaf.shape))
-            else:
-                x = super().eval(e)  # pops a channel chunk once
-            if isinstance(x, np.ndarray):
-                if x.shape != self.leaf.shape:
-                    x = np.broadcast_to(x, self.leaf.shape)
-                self.views[id(e)] = x.transpose(self.leaf.perm)
-            return
-        for c in e.children():
-            self._bind(c)
+                acc = acc._replace(shape=leaf.shape)
 
-    def eval(self, e: _e.Expr):
-        view = self.views.get(id(e))
-        if view is not None:
-            return view[self.block]
-        return super().eval(e)
+            def read(it, scratch):
+                return _read(
+                    scratch[name] if private else it.buffers[name], acc)
+        if not self.fold:
+            return read
+        return lambda it, scratch: _fold_order(read(it, scratch), leaf)
 
-    def eval_into(self, e: _e.Expr, out: np.ndarray) -> None:
-        """Evaluate ``e`` at the current block, its top-level op writing
-        ``out`` (float32 arithmetic, as :meth:`_binop` computes it)."""
-        ufunc = _UFUNC.get(type(e))
-        if ufunc is not None and e.dtype == _e.FLOAT32 and out.dtype == _F32:
-            ufunc(_to_f32(self.eval(e.a)), _to_f32(self.eval(e.b)), out=out)
-        else:
-            out[...] = self.eval(e)
+
+def _fold_order(x: np.ndarray, leaf: _Leaf) -> np.ndarray:
+    """``x`` over a reduction leaf's shape, reduction axes first."""
+    if x.shape != leaf.shape:
+        x = np.broadcast_to(x, leaf.shape)
+    return x.transpose(leaf.perm)
+
+
+def _apply(op: Callable, args: List[Callable]) -> Callable:
+    """``op`` over compiled ``args``: made now when each is a constant."""
+    if all(isinstance(a, _Const) for a in args):
+        return _Const(op(*(a.value for a in args)))
+    if len(args) == 2:
+        f, g = args
+        return lambda ops: op(f(ops), g(ops))
+    return lambda ops: op(*[f(ops) for f in args])
 
 
 class _BandCache:
@@ -976,7 +971,7 @@ class _BandCache:
 
     __slots__ = ("vars", "buffers", "plans")
 
-    def __init__(self, root: _s.For) -> None:
+    def __init__(self, root: _s.Stmt) -> None:
         free: Dict[_e.Var, None] = {}
         touched: Dict[str, None] = {}
         bound, local = set(), set()
@@ -1015,13 +1010,9 @@ class _BandCache:
         self.plans: Dict[tuple, Union[_BandPlan, str]] = {}
 
     def key(self, it: "VectorizedInterpreter") -> tuple:
-        shapes = []
-        for name in self.buffers:
-            arr = it.buffers.get(name)
-            shapes.append(None if arr is None else arr.shape)
-        return (
-            tuple(it.env.get(v) for v in self.vars), tuple(shapes), it.batch,
-        )
+        shapes = tuple(getattr(it.buffers.get(name), "shape", None)
+                       for name in self.buffers)
+        return tuple(it.env.get(v) for v in self.vars), shapes, it.batch
 
 
 class VectorizedInterpreter(Interpreter):
@@ -1044,7 +1035,7 @@ class VectorizedInterpreter(Interpreter):
         super().__init__(buffers, bindings, channels)
         self.events: List[BandEvent] = []
         #: band root -> its plans; bound to the kernel's memo by run()
-        self._plans: Dict[_s.For, _BandCache] = {}
+        self._plans: Dict[_s.Stmt, _BandCache] = {}
 
     @property
     def planned(self) -> int:
@@ -1062,8 +1053,12 @@ class VectorizedInterpreter(Interpreter):
 
     def _exec(self, s: _s.Stmt) -> None:
         # a refused band runs per sample (in a batch) or as a scalar
-        # loop at this level; either way its inner loops re-try
-        if not (isinstance(s, _s.For) and self._exec_band(s)):
+        # loop at this level; either way its inner loops re-try.  In a
+        # batch, a statement outside any loop is planned over the batch
+        # axis alone, and runs per sample only if refused.
+        plannable = isinstance(s, _s.For) or (
+            self.batch is not None and isinstance(s, _LEAF_STMTS))
+        if not (plannable and self._exec_band(s)):
             super()._exec(s)
 
     def _sample(self, n: int) -> "VectorizedInterpreter":
@@ -1072,8 +1067,9 @@ class VectorizedInterpreter(Interpreter):
         sub.events = self.events
         return sub
 
-    def _exec_band(self, root: _s.For) -> bool:
-        """Run one band vectorized if its plan allows; record the event."""
+    def _exec_band(self, root: _s.Stmt) -> bool:
+        """Run one band vectorized if its plan allows; record the event
+        (a band's only: a statement outside any loop records none)."""
         cache = self._plans.get(root)
         if cache is None:
             cache = self._plans[root] = _BandCache(root)
@@ -1086,18 +1082,21 @@ class VectorizedInterpreter(Interpreter):
             except _Fallback as fb:
                 plan = fb.reason
             cache.plans[key] = plan
-        name = root.loop_var.name
+        name = root.loop_var.name if isinstance(root, _s.For) else None
         try:
             if isinstance(plan, str):
                 raise _Fallback(plan)
             plan.check_channels(self)
         except _Fallback as fb:
-            self.events.append(BandEvent("fallback", name, fb.reason, reused))
+            if name is not None:
+                self.events.append(
+                    BandEvent("fallback", name, fb.reason, reused))
             return False
         plan.execute(self)  # phase B: cannot fail after phase A passed
-        self.events.append(BandEvent(
-            "vectorized", name, f"{len(plan.leaves)} statement(s)", reused,
-        ))
+        if name is not None:
+            self.events.append(
+                BandEvent("vectorized", name,
+                          f"{len(plan.leaves)} statement(s)", reused))
         return True
 
 

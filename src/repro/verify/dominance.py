@@ -97,6 +97,7 @@ def profile_conv_tiling(
     tiling: ConvTiling,
     constants: AOCConstants = DEFAULT_CONSTANTS,
     pin_unit_stride: bool = True,
+    ddr_bytes: Optional[int] = None,
 ) -> StaticProfile:
     """Static profile of one candidate tiling for one conv group.
 
@@ -104,6 +105,8 @@ def profile_conv_tiling(
     (one kernel per distinct fused-epilogue signature among the group's
     members), so the profile describes the very kernels the candidate
     build would synthesize — the certificate is exact within the model.
+    ``ddr_bytes`` is the network's footprint, tiling-independent, so a
+    sweep passes it once for every candidate; None computes it.
     Raises :class:`~repro.errors.AOCError` when the group has no member
     layers or a kernel defeats the front-half analysis.
     """
@@ -171,7 +174,8 @@ def profile_conv_tiling(
         replicas=replicas, aluts=aluts, ffs=ffs, rams=rams, dsps=dsps,
         max_kernel_dsps=max_kernel_dsps,
         cycles=tuple(cycles), traffic=tuple(traffic),
-        ddr_bytes=network_footprint(fused).ddr_bytes,
+        ddr_bytes=(network_footprint(fused).ddr_bytes
+                   if ddr_bytes is None else ddr_bytes),
     )
 
 
@@ -290,10 +294,11 @@ def plan_conv_sweep(
     """
     decisions: List[PruneDecision] = []
     kept: List[StaticProfile] = []
+    ddr_bytes = network_footprint(fused).ddr_bytes
     for tiling in tilings:
         try:
             prof = profile_conv_tiling(
-                fused, group, tiling, constants, pin_unit_stride
+                fused, group, tiling, constants, pin_unit_stride, ddr_bytes
             )
         except AOCError:
             prof = None

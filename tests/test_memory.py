@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.device import ARRIA10, STRATIX10_SX
-from repro.errors import IRError, ReproError
+from repro.errors import AOCError, IRError, ReproError
 from repro.flow import FoldedConfig, build_folded, build_pipelined
 from repro.flow.deploy import default_folded_config, deploy_folded
 from repro.flow.folded import plan_folded, schedule_folded
@@ -24,7 +24,13 @@ from repro.runtime.executor import run_folded_functional
 from repro.serve import deployment_ddr_bytes, replicas_per_board
 from repro.serve.metrics import ServeMetrics
 from repro.topi import ConvTiling
-from repro.verify.dominance import infeasible_reason, profile_conv_tiling
+from repro.verify import dominance
+from repro.verify.dominance import (
+    decide,
+    infeasible_reason,
+    plan_conv_sweep,
+    profile_conv_tiling,
+)
 from repro.verify.memory import (
     MemoryPlan,
     check_memory,
@@ -283,6 +289,36 @@ class TestAdoption:
         tiny = dataclasses.replace(STRATIX10_SX, ddr_bytes=1 << 16)
         reason = infeasible_reason(prof, tiny)
         assert reason is not None and "RM003" in reason
+
+    def test_sweep_computes_the_footprint_once(self, monkeypatch):
+        # the footprint is tiling-independent: one call per sweep, and the
+        # decisions of profiles that each compute their own
+        fused = fuse_operators(MODELS["mobilenet_v1"]())
+        group = ("conv", 1, 1)
+        tilings = [ConvTiling(w2vec=w, c2vec=c2, c1vec=c1)
+                   for w in (1, 7) for c2 in (4, 16) for c1 in (4, 16)]
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return network_footprint(*args, **kwargs)
+
+        monkeypatch.setattr(dominance, "network_footprint", counted)
+        decisions = plan_conv_sweep(fused, group, tilings, ARRIA10)
+        assert len(calls) == 1
+        kept, expected = [], []
+        for tiling in tilings:
+            try:
+                prof = profile_conv_tiling(fused, group, tiling)
+            except AOCError:
+                prof = None
+            expected.append(decide(tiling, prof, kept, ARRIA10))
+            if prof is not None and not expected[-1].pruned:
+                kept.append(prof)
+        assert len(calls) == 1 + len(tilings)
+        assert decisions == expected
+        assert any(d.pruned for d in decisions)
+        assert not all(d.pruned for d in decisions)
 
     def test_serve_packs_replicas_by_footprint(self):
         dep = deploy_folded("lenet5", STRATIX10_SX, config=FoldedConfig(),

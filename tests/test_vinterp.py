@@ -794,8 +794,8 @@ class TestBlockedFold:
 
     RED = (5, 7)
     BATCH = 3
-    #: lanes per sample on each side of the fold's step/accumulate choice
-    LANES = (2, vinterp._FOLD_STEP_LANES)
+    #: lanes per sample: one (three lanes in the batch), few and many
+    LANES = (1, 2, 192)
     #: block budgets, in rows of lanes (``None``: below one row)
     ROWS = (None, 3, 16, 1 << 20)
     _scalar = {}
@@ -862,20 +862,15 @@ class TestBlockedFold:
         budget = 1 if rows is None else rows * total
         monkeypatch.setattr(vinterp, "FOLD_BLOCK_LIMIT", budget)
         sizes = []
-        block_eval = vinterp._BlockEval
-        evaluate, evaluate_into = block_eval.eval, block_eval.eval_into
+        eval_block = vinterp._eval_block
 
-        def eval_(self, e):
-            out = evaluate(self, e)
-            sizes.append(np.size(out))
-            return out
-
-        def eval_into(self, e, out):
+        def recorded(leaf, ops, out):
+            # every operand block the update reads, and the block it writes
+            sizes.extend(np.size(x) for x in ops)
             sizes.append(out.size)
-            return evaluate_into(self, e, out)
+            return eval_block(leaf, ops, out)
 
-        monkeypatch.setattr(block_eval, "eval", eval_)
-        monkeypatch.setattr(block_eval, "eval_into", eval_into)
+        monkeypatch.setattr(vinterp, "_eval_block", recorded)
         got, vi = self._run(VectorizedInterpreter, combine, lanes, variant)
         assert [ev.kind for ev in vi.events] == ["vectorized"]
         assert got.tobytes() == self._scalar[key].tobytes()
@@ -911,6 +906,42 @@ class TestBlockedFold:
         assert vi.events[0].detail == "band exceeds vector size limit"
         assert bufs["Z"].tobytes() == (bufs["X"] + np.float32(1)).tobytes()
 
+    def test_one_lane_folds_left_not_pairwise(self):
+        # one lane at batch 1 makes the block's rows its contiguous axis,
+        # which np.add.reduce sums through 8 partial sums: 2**24 absorbs
+        # each 1.0 of the left fold, but not a partial sum of them
+        steps = 16
+        x, y, r = ir.Buffer("X", (steps,)), ir.Buffer("Y", (1,)), ir.Var("r")
+        kern = ir.Kernel("k", [x, y], ir.For(r, ir.IntImm(steps), ir.Store(
+            y, 0, ir.Add(ir.Load(y, 0), ir.Load(x, r)))))
+        data = np.ones((1, steps), np.float32)
+        data[0, 0] = 2.0 ** 24
+
+        def run(cls):
+            bufs = {"X": data.copy(), "Y": np.zeros((1, 1), np.float32)}
+            it = cls(bufs)
+            it.run(kern)
+            return bufs["Y"], it
+
+        want, _ = run(ir.Interpreter)
+        assert np.add.reduce(data[0]).tobytes() != want.tobytes()
+        got, vi = run(VectorizedInterpreter)
+        assert [ev.kind for ev in vi.events] == ["vectorized"]
+        assert got.tobytes() == want.tobytes()
+
+    def test_zero_trip_lane_loop_runs_nothing(self):
+        # a reduction under a zero-trip lane loop: the scalar loop runs
+        # nothing, and planning its blocks must not divide by no lanes
+        x, y = ir.Buffer("X", (3,)), ir.Buffer("Y", (1,))
+        j, r = ir.Var("j"), ir.Var("r")
+        kern = ir.Kernel("k", [x, y], ir.For(j, ir.IntImm(0), ir.For(
+            r, ir.IntImm(3),
+            ir.Store(y, j, ir.Add(ir.Load(y, j), ir.Load(x, r))))))
+        bufs = {"X": np.ones(3, np.float32), "Y": np.zeros(1, np.float32)}
+        vi = run_kernel_vectorized(kern, bufs)
+        assert [ev.kind for ev in vi.events] == ["vectorized"]
+        assert bufs["Y"].tolist() == [0.0]
+
     def test_blocks_cover_the_steps_in_fold_order(self, monkeypatch):
         # the ragged budgets above cut the inner axis (3 rows: b in
         # 3 + 3 + 1 per a) and the outer one (16 rows: a in 2 + 2 + 1)
@@ -921,8 +952,8 @@ class TestBlockedFold:
                              kern.body)
             (leaf,) = plan.leaves
             got = [shape[0] * math.prod(shape[1:-2])
-                   for _, shape in vinterp._blocks(leaf)]
-            assert got == blocks
+                   for _, shape, _ in leaf.blocks]
+            assert got == blocks == [rows for _, _, rows in leaf.blocks]
 
 
 class TestStaticStoreProof:
