@@ -177,7 +177,12 @@ class OpenCLCodegen:
         if prog.all_channels():
             lines.append("")
         for k in prog.kernels:
-            lines.append(self.kernel(k))
+            # a lowered kernel is never mutated, so its text is emitted
+            # once per kernel object (a lower-cache replay reuses it)
+            text = k.derived.get(type(self))
+            if text is None:
+                text = k.derived[type(self)] = self.kernel(k)
+            lines.append(text)
             lines.append("")
         return "\n".join(lines)
 

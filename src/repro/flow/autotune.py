@@ -131,7 +131,9 @@ def autotune_folded(
     rendezvous in, so it is skipped under ``cache=False``.
     """
     from repro.verify import certify_build
-    from repro.verify.dominance import decide, profile_conv_tiling
+    from repro.verify.dominance import (
+        decide, network_footprint, profile_conv_tiling,
+    )
 
     resolved = resolve_cache(cache)
     eval_cache: CacheOption = resolved if resolved is not None else False
@@ -142,13 +144,17 @@ def autotune_folded(
     failures: List[Tuple[GroupId, ConvTiling, str]] = []
     pruned: List[Tuple[GroupId, ConvTiling, str]] = []
 
+    # the network's DDR footprint is tiling-independent: once per run
+    ddr_bytes = network_footprint(fused).ddr_bytes if prune else None
+
     @functools.lru_cache(maxsize=None)
     def profile(gid: GroupId, tiling: ConvTiling):
         """Static profile of one group tiling (None if the dominance
         model cannot build one — then nothing is pruned)."""
         try:
             return profile_conv_tiling(
-                fused, gid, tiling, constants, config.pin_unit_stride
+                fused, gid, tiling, constants, config.pin_unit_stride,
+                ddr_bytes,
             )
         except AOCError:
             return None

@@ -48,7 +48,8 @@ class Kernel:
         #: analyses derived from this kernel, computed once per object (a
         #: lowered kernel is never mutated): its access table — built here
         #: by validation, then read by channels(), local_buffers(), verify
-        #: and the AOC model — plus the AOC analysis and the vectorized
+        #: and the AOC model — plus the AOC analysis, the verifier's
+        #: per-kernel reports, the emitted OpenCL text and the vectorized
         #: interpreter's band plans.  Not pickled; an unpickled kernel
         #: rebuilds its table on first use.
         self.derived: Dict[object, object] = {}

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ScheduleError
@@ -206,15 +206,7 @@ class ScheduleRecipe:
     # -- identity ------------------------------------------------------
     def fingerprint(self) -> str:
         """Content hash of the recipe — the compile-cache key component."""
-        return self._fingerprint
-
-    @cached_property
-    def _fingerprint(self) -> str:
-        # memoized on the instance: the recipe is frozen and its steps'
-        # args are frozen tuples, so its content cannot change
-        from repro.pipeline.fingerprint import fingerprint
-
-        return fingerprint(["schedule-recipe", self.to_dict()])
+        return _recipe_fingerprint(self.steps)
 
     def diff(self, other: "ScheduleRecipe") -> List[str]:
         """Step-level diff: common prefix kept, then ``-``/``+`` lines."""
@@ -230,6 +222,16 @@ class ScheduleRecipe:
 
     def format(self) -> str:
         return " -> ".join(s.format() for s in self.steps) or "(empty)"
+
+
+@lru_cache(maxsize=1024)
+def _recipe_fingerprint(steps: Tuple[TransformStep, ...]) -> str:
+    # memoized by content, not per object: the schedule builders make a
+    # new, equal recipe for every kernel of every candidate.  Steps are
+    # frozen and their args frozen tuples, so equal steps hash equal.
+    from repro.pipeline.fingerprint import fingerprint
+
+    return fingerprint(["schedule-recipe", ScheduleRecipe(steps).to_dict()])
 
 
 def _resolve_axis(st, name: str):

@@ -32,6 +32,7 @@ _CHANNEL_DECL = re.compile(r"^channel\s+\w+\s+(\w+)")
 _KERNEL_SIG = re.compile(r"kernel\s+void\s+(\w+)\s*\(([^)]*)\)")
 _CHANNEL_USE = re.compile(r"(?:read|write)_channel_intel\s*\(\s*(\w+)")
 _WORD = r"(?<![A-Za-z0-9_]){}(?![A-Za-z0-9_])"
+_IDENT = re.compile(r"[A-Za-z0-9_]+")
 
 
 def _param_name(param: str) -> Optional[str]:
@@ -52,11 +53,15 @@ def lint_source(source: str, report: Optional[VerifyReport] = None) -> VerifyRep
 
     for name, params, body, body_line in _kernels(lines):
         report.bump("kernels_linted")
+        # every maximal [A-Za-z0-9_] run of the body: an ASCII name is
+        # referenced exactly when it is one of them
+        words = set(_IDENT.findall(body))
         for param in params:
             pname = _param_name(param)
             if pname is None:
                 continue
-            if not re.search(_WORD.format(re.escape(pname)), body):
+            if not (pname in words if pname.isascii() else
+                    re.search(_WORD.format(re.escape(pname)), body)):
                 report.diagnostics.append(Diagnostic(
                     "RL001", "warn",
                     f"argument {pname!r} is never referenced in the body",
@@ -69,7 +74,8 @@ def lint_source(source: str, report: Optional[VerifyReport] = None) -> VerifyRep
                     f"AOC must assume aliasing",
                     kernel=name, location=pname,
                 ))
-        _check_barriers(name, body, body_line, report)
+        if "barrier" in body:
+            _check_barriers(name, body, body_line, report)
         for m in _CHANNEL_USE.finditer(body):
             if m.group(1) not in declared_channels:
                 report.diagnostics.append(Diagnostic(

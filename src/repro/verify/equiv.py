@@ -126,7 +126,8 @@ class EquivCertificate:
 
     kernel: str
     status: str
-    #: content fingerprint the certificate is cached under ("" = uncacheable)
+    #: content fingerprint of the key the certificate is cached under
+    #: ("" = uncacheable)
     fingerprint: str = ""
     #: RE rule IDs referenced by this certification's diagnostics
     rules: Tuple[str, ...] = ()
@@ -178,7 +179,7 @@ class EquivCertificate:
 
 # -- certificate cache (the lower-cache idiom) --------------------------------
 
-#: fingerprint -> (certificate, diagnostics) (LRU, bounded)
+#: :func:`_cert_key` tuple -> (certificate, diagnostics) (LRU, bounded)
 _CACHE = MemoryBackend(512)
 
 _STATS: Dict[str, int] = {
@@ -214,19 +215,22 @@ def _uncertifiable_reason(sk) -> Optional[str]:
     return None
 
 
-def _cert_key(sk, binding_sets: Sequence[Bindings]) -> Optional[str]:
+def _cert_key(sk, binding_sets: Sequence[Bindings]) -> Optional[tuple]:
+    """``(lower key, sorted binding tuples, pin tuples)``: the LRU key,
+    and (tuples canonicalize like lists) what the certificate's
+    fingerprint hashes, on a miss only."""
     base = sk.lower_key
     if base is None:
         return None
-    sch = sk.schedule
-    pins = [
-        [name, s.name if isinstance(s, _e.Var) else expr_str(s)]
-        for name, s in sch.pinned_strides
-    ]
-    bsets = sorted(
-        sorted([v.name, int(c)] for v, c in bs.items()) for bs in binding_sets
+    pins = tuple(
+        (name, s.name if isinstance(s, _e.Var) else expr_str(s))
+        for name, s in sk.schedule.pinned_strides
     )
-    return fingerprint(["equiv-cert", base, bsets, pins])
+    bsets = tuple(sorted(
+        tuple(sorted((v.name, int(c)) for v, c in bs.items()))
+        for bs in binding_sets
+    ))
+    return base, bsets, pins
 
 
 def _leaf_expansion(stage: Stage) -> List[Tuple[IterVar, List[IterVar]]]:
@@ -821,7 +825,7 @@ def certify_kernel(
     cert = EquivCertificate(
         kernel=sk.name,
         status=status,
-        fingerprint=key or "",
+        fingerprint="" if key is None else fingerprint(("equiv-cert", *key)),
         rules=tuple(sorted({d.rule for d in diags})),
         reassociated=reassociated,
         binding_sets=len(bsets),

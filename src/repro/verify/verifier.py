@@ -18,7 +18,14 @@ fans out to
 then applies rule suppressions and returns one merged
 :class:`~repro.verify.diagnostics.VerifyReport`.  The per-kernel checks
 all read the kernel's one access table
-(:func:`repro.ir.analysis.access_table`).  :func:`assert_clean`
+(:func:`repro.ir.analysis.access_table`), and their verdict depends on
+nothing else: each kernel is checked into its own report, kept in the
+kernel's lifetime memo (``Kernel.derived``) under the ordered binding
+sets (the RP rules report the first set that triggers them), the board
+and the AOC constants, all by value.  A kernel that the lower cache
+replays into another build is therefore checked once per distinct key;
+the channel checks and the source lint read the whole build and run on
+every call.  :func:`assert_clean`
 turns a dirty report into a :class:`~repro.errors.VerificationError`
 whose message carries the formatted findings — this is what makes the
 ``verify`` stage fail a deploy.
@@ -94,10 +101,16 @@ def verify_build(
     bindings = binding_sets_of(plan) if isinstance(plan, FoldedPlan) else {}
     for kernel in program.kernels:
         sets = bindings.get(kernel.name, [])
-        check_bounds(kernel, sets, report)
-        check_races(kernel, sets, report)
-        if board is not None:
-            check_perf(kernel, sets, report, board, constants)
+        key = (VerifyReport, tuple(frozenset(b.items()) for b in sets),
+               board, constants)
+        verdict = kernel.derived.get(key)
+        if verdict is None:
+            verdict = kernel.derived[key] = VerifyReport(subject=kernel.name)
+            check_bounds(kernel, sets, verdict)
+            check_races(kernel, sets, verdict)
+            if board is not None:
+                check_perf(kernel, sets, verdict, board, constants)
+        report.merge(verdict)
     check_channels(
         program, plan if isinstance(plan, PipelinePlan) else None, report
     )

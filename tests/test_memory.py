@@ -15,10 +15,13 @@ import pytest
 
 from repro.device import ARRIA10, STRATIX10_SX
 from repro.errors import AOCError, IRError, ReproError
-from repro.flow import FoldedConfig, build_folded, build_pipelined
+from repro.flow import (
+    FoldedConfig, autotune_folded, build_folded, build_pipelined,
+)
 from repro.flow.deploy import default_folded_config, deploy_folded
 from repro.flow.folded import plan_folded, schedule_folded
 from repro.flow.stages import MODELS
+from repro.pipeline.cache import CompileCache
 from repro.relay import fuse_operators, init_params
 from repro.runtime.executor import run_folded_functional
 from repro.serve import deployment_ddr_bytes, replicas_per_board
@@ -319,6 +322,32 @@ class TestAdoption:
         assert decisions == expected
         assert any(d.pruned for d in decisions)
         assert not all(d.pruned for d in decisions)
+
+    def test_autotune_computes_the_footprint_once(self, monkeypatch):
+        # one pruned round: one footprint per run, with the history and
+        # prunes of profiles that each compute their own
+        fused = fuse_operators(MODELS["mobilenet_v1"]())
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return network_footprint(*args, **kwargs)
+
+        def own_footprint(*args):
+            return profile_conv_tiling(*args[:5])
+
+        monkeypatch.setattr(dominance, "network_footprint", counted)
+        cache = CompileCache()
+        tuned = autotune_folded(fused, ARRIA10, max_rounds=1, prune=True,
+                                cache=cache)
+        assert len(calls) == 1
+        monkeypatch.setattr(dominance, "profile_conv_tiling", own_footprint)
+        expected = autotune_folded(fused, ARRIA10, max_rounds=1, prune=True,
+                                   cache=cache)
+        assert len(calls) > 2
+        assert tuned.pruned and tuned.history
+        assert (tuned.history, tuned.pruned) == \
+            (expected.history, expected.pruned)
 
     def test_serve_packs_replicas_by_footprint(self):
         dep = deploy_folded("lenet5", STRATIX10_SX, config=FoldedConfig(),
