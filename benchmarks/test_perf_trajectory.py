@@ -24,6 +24,10 @@ in CI:
 * the per-sample sub-interpreters those same forwards build: a batched
   run plans every statement outside a loop over the batch axis, so the
   count is gated at zero exactly;
+* band plan keys (``_BandCache.key`` calls) computed by the second
+  forward of LeNet-5 and of both twins, at batch 1 and batch 8: the
+  first forward binds each plan's forward, which selects its top-level
+  band plans once, so the count is gated at zero exactly;
 * pruned 72-point conv1x1 DSE sweep wall-clock, serial vs 4 workers
   (the arms alternate, three samples each after clearing the lower
   cache, and each keeps its best), and the serial arm's exact
@@ -383,6 +387,40 @@ def _measure_fold_temporaries() -> dict:
     return out
 
 
+def _measure_plan_keys() -> dict:
+    """Band plan keys computed by the second forward of each network at
+    each of :data:`TWIN_BATCHES` (exact counts, no timing).
+
+    The first forward binds the plan's forward for that batch size; the
+    second must select every band's plan without computing its key.
+    """
+    dep = deploy_pipelined("lenet5", ARRIA10, cache=False)
+    rng = np.random.default_rng(9)
+    nets = {"lenet5@pipelined": (dep.fused.graph.input.out_shape,
+                                 dep.forward_functional)}
+    for net in sorted(TWINS):
+        graph = TWINS[net]()
+        fused = fuse_operators(graph)
+        prog, plan = build_folded(fused, default_folded_config(net, ARRIA10),
+                                  ARRIA10)
+        params = init_params(graph, seed=0)
+        nets[f"{net}@twin"] = (
+            graph.input.out_shape,
+            lambda x, prog=prog, plan=plan, fused=fused, params=params:
+                run_folded_functional(prog, plan, fused, x, params,
+                                      interp="vector"))
+    out = {}
+    for key, (shape, forward) in nets.items():
+        out[key] = 0
+        for n in TWIN_BATCHES:
+            xs = [rng.standard_normal(shape if n is None else (n,) + shape)
+                  .astype(np.float32) for _ in range(2)]
+            forward(xs[0])
+            with _counting_calls(vinterp._BandCache, "key", out, key):
+                forward(xs[1])
+    return out
+
+
 def _measure_lenet_speedup(vector_ips: float) -> dict:
     dep = deploy_pipelined("lenet5", ARRIA10, cache=False)
     x = np.random.default_rng(0).standard_normal((1, 28, 28)).astype(np.float32)
@@ -659,6 +697,7 @@ def trajectory():
         "vinterp_fallbacks": fallbacks,
         "vinterp_replanned": replanned,
         "fold_temporaries": _measure_fold_temporaries(),
+        "plan_keys": _measure_plan_keys(),
         "lenet5": _measure_lenet_speedup(
             throughput["lenet5@pipelined"]["value"]),
         "serve_forwards": _measure_serve_forwards(),
@@ -752,6 +791,11 @@ def _save_report(current, baseline) -> None:
                  f"{ft['per_sample']}",
                  f"{baseline.get('fold_temporaries', {}).get('per_sample', '-')}",
                  "== 0 exactly"])
+    for key in sorted(current["plan_keys"]):
+        rows.append([f"{key} second-forward plan keys",
+                     f"{current['plan_keys'][key]}",
+                     f"{baseline.get('plan_keys', {}).get(key, '-')}",
+                     "== 0 exactly"])
     rows.append(["lenet5 scalar", f"{current['lenet5']['scalar_ips']:.2f} ips",
                  f"{baseline['lenet5']['scalar_ips']:.2f} ips", "-"])
     rows.append(["lenet5 vec/scalar", f"{current['lenet5']['speedup']:.0f}x",
@@ -907,6 +951,17 @@ class TestPerfTrajectory:
             "a statement outside a loop, or a band, ran once per sample "
             "instead of over the batch axis — an exact count, gated at zero"
         )
+
+    def test_bound_forward_computes_no_plan_key(self, trajectory):
+        current, _, _ = trajectory
+        assert sorted(current["plan_keys"]) == ["lenet5@pipelined"] + [
+            f"{net}@twin" for net in sorted(TWINS)]
+        for key, count in sorted(current["plan_keys"].items()):
+            assert count == 0, (
+                f"{key}: the second forward computed {count} band plan "
+                "key(s) instead of using the plans its bound forward "
+                "selected — an exact count, gated at zero"
+            )
 
     def test_certificate_path_beats_interpreter(self, trajectory):
         current, _, _ = trajectory

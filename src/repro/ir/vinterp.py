@@ -75,10 +75,20 @@ variables the band reads from outside itself and by the sizes of the
 buffers it touches.  Symbolic variables are interned
 (:func:`repro.ir.expr.sym`), so a kernel replayed from the lower or
 disk cache hits with the bindings of a later build.  A refused band is
-cached with its reason.  On a hit only the
-channel-fill check runs again, since FIFO state is the one runtime input
-of phase A.  A plan holds no per-run state: no interpreter, buffer or
-FIFO, and its privatized scratch is allocated per execution.
+cached with its reason.  On a hit only the channel-fill check runs
+again, since FIFO state is the one runtime input of phase A.  A plan
+holds no per-run state: no interpreter, buffer or FIFO, and its
+privatized scratch is allocated per execution.
+
+An interpreter may run its kernel again over the arrays it was given
+(the executor's bound forwards do, once per forward).  Its first run
+binds the kernel (:class:`_Binding`): the plan each top-level band's
+key selects is kept, since outside any loop that key reads only
+bindings, buffer shapes and the batch size, and so is the strided view
+of each affine access to one of those arrays, whose byte strides and
+contiguity are then decided once.  A later run of the same kernel over
+the same arrays computes no key and makes no such view; a band nested
+in a loop that fell back keeps its per-call key.
 
 Batches
 -------
@@ -239,10 +249,6 @@ def _view(arr: np.ndarray, acc: _Strided) -> np.ndarray:
     )
 
 
-def _read(arr: np.ndarray, acc: _Access):
-    return _view(arr, acc) if isinstance(acc, _Strided) else arr[acc]
-
-
 class _Leaf:
     """One vectorizable leaf statement plus its planning results."""
 
@@ -250,6 +256,7 @@ class _Leaf:
         "stmt", "path", "shape", "numel", "kind", "perm",
         "red_shape", "lane_shape", "combine", "update", "access", "env",
         "reads", "reads_channels", "sources", "value", "top", "blocks",
+        "target",
     )
 
     def __init__(self, stmt: _s.Stmt, path: Tuple[_Axis, ...]) -> None:
@@ -307,6 +314,8 @@ class _BandPlan:
         self._check_cross_leaf()
         for leaf in self.leaves:
             self._compile_leaf(it, leaf)
+        #: the detail of the band's "vectorized" event
+        self.detail = f"{len(self.leaves)} statement(s)"
 
     # -- collection -----------------------------------------------------
     def _collect(
@@ -380,6 +389,7 @@ class _BandPlan:
         that op's ufunc and operands, to write each block in place."""
         s = leaf.stmt
         fold = leaf.kind == "reduce"
+        leaf.target = _target(leaf, self.privates)
         comp = _Compiler(leaf, it, self.privates, fold)
         leaf.value = comp.compile(leaf.update if fold else s.value)
         leaf.top, leaf.blocks = None, ()
@@ -453,15 +463,16 @@ class _BandPlan:
             # an 'eval' leaf runs for its channel pops, which its sources do
             ops = [source(it, scratch) for source in leaf.sources]
             if leaf.kind == "parallel":
-                arr = leaf.storage(it, scratch)
                 val = leaf.value(ops)
+                if leaf.target is not None:
+                    lanes = leaf.target(it, scratch)
+                    lanes[...] = _to_f32(val) if lanes.dtype == _F32 else val
+                    continue
+                arr = leaf.storage(it, scratch)
                 if arr.dtype == _F32:
                     val = _to_f32(val)
-                acc = leaf.access[id(leaf.stmt)]
-                if isinstance(acc, _Strided):
-                    _view(arr, acc)[...] = val
-                else:
-                    arr[acc] = np.broadcast_to(val, leaf.shape).ravel()
+                arr[leaf.access[id(leaf.stmt)]] = np.broadcast_to(
+                    val, leaf.shape).ravel()
             elif leaf.kind == "chanwrite":
                 val = _to_f32(leaf.value(ops))
                 it._channel(leaf.stmt.channel).write_chunk(
@@ -541,14 +552,16 @@ def _fold_blocks(
     lanes fold into its first row, and one ``combine.reduce`` along its
     rows (the outer axis, so row by row) carries the block.
     """
-    arr = leaf.storage(it, scratch)
-    acc = leaf.access[id(leaf.stmt)]
-    lanes = _read(arr, acc)
+    if leaf.target is not None:
+        lanes = leaf.target(it, scratch)
+    else:
+        arr = leaf.storage(it, scratch)
+        lanes = arr[leaf.access[id(leaf.stmt)]]
     # a copy: lanes may view the buffer
-    carry = lanes.astype(arr.dtype).reshape(leaf.lane_shape)
+    carry = lanes.astype(lanes.dtype).reshape(leaf.lane_shape)
     combine = leaf.combine
     views = [source(it, scratch) for source in leaf.sources]
-    buf = np.empty((leaf.blocks[0][2],) + leaf.lane_shape, arr.dtype)
+    buf = np.empty((leaf.blocks[0][2],) + leaf.lane_shape, lanes.dtype)
     for index, shape, rows in leaf.blocks:
         out = buf[:rows]
         _eval_block(leaf, [x[index] for x in views], out.reshape(shape))
@@ -560,10 +573,10 @@ def _fold_blocks(
             carry[...] = out[-1]
         else:
             combine.reduce(out, axis=0, out=carry)
-    if isinstance(acc, _Strided):
+    if leaf.target is not None:
         lanes[...] = carry.reshape(lanes.shape)
     else:
-        arr[acc] = carry.reshape(-1)
+        arr[leaf.access[id(leaf.stmt)]] = carry.reshape(-1)
 
 
 def _band_invariant_int(
@@ -929,18 +942,60 @@ class _Compiler:
             # would miss the base, so a missing access is a planning bug
             acc = leaf.access[id(e)]
             name = e.buffer.name
+            if isinstance(acc, _Strided):
+                if self.fold:
+                    # the leaf-shaped view: stride 0 along every axis the
+                    # address does not advance along (no broadcast_to)
+                    acc = acc._replace(shape=leaf.shape)
+                fold = leaf if self.fold else None
+                if name not in self.privates:
+                    make = _maker(acc, fold)
+                    return lambda it, scratch: it._operand(name, make)
+                make = _scratch_maker(acc, fold)
+                return lambda it, scratch: make(scratch[name])
             private = name in self.privates
-            if self.fold and isinstance(acc, _Strided):
-                # the leaf-shaped view: stride 0 along every axis the
-                # address does not advance along (no broadcast_to needed)
-                acc = acc._replace(shape=leaf.shape)
 
             def read(it, scratch):
-                return _read(
-                    scratch[name] if private else it.buffers[name], acc)
+                return (scratch[name] if private else it.buffers[name])[acc]
         if not self.fold:
             return read
         return lambda it, scratch: _fold_order(read(it, scratch), leaf)
+
+
+def _maker(acc: _Strided, leaf: Optional[_Leaf]) -> Callable:
+    """``make(arr)``: the strided view ``acc`` describes, in a reduction
+    leaf's fold order when ``leaf`` is given."""
+    if leaf is None:
+        return lambda arr: _view(arr, acc)
+    return lambda arr: _fold_order(_view(arr, acc), leaf)
+
+
+def _scratch_maker(acc: _Strided, leaf: Optional[_Leaf]) -> Callable:
+    """:func:`_maker` for a private buffer's scratch, a fresh contiguous
+    float32 array: its byte strides, in fold order, are fixed here."""
+    shape, strides = acc.shape, acc.strides
+    if leaf is not None:
+        shape = tuple(shape[j] for j in leaf.perm)
+        strides = tuple(strides[j] for j in leaf.perm)
+    item = np.dtype(_F32).itemsize
+    offset, strides = acc.offset * item, tuple(s * item for s in strides)
+    return lambda arr: np.ndarray(shape, _F32, arr, offset, strides)
+
+
+def _target(leaf: _Leaf, privates: Dict[str, _Private]) -> Optional[Callable]:
+    """``target(it, scratch)``: the strided view a store leaf writes (its
+    lanes, for a reduction), or None for a gather, a channel write or an
+    ``Evaluate``."""
+    s = leaf.stmt
+    acc = leaf.access.get(id(s)) if isinstance(s, _s.Store) else None
+    if not isinstance(acc, _Strided):
+        return None
+    name = s.buffer.name
+    if name in privates:
+        make = _scratch_maker(acc, None)
+        return lambda it, scratch: make(scratch[name])
+    make = _maker(acc, None)
+    return lambda it, scratch: it._operand(name, make)
 
 
 def _fold_order(x: np.ndarray, leaf: _Leaf) -> np.ndarray:
@@ -1015,6 +1070,57 @@ class _BandCache:
         return tuple(it.env.get(v) for v in self.vars), shapes, it.batch
 
 
+class _Binding:
+    """What an interpreter fixes on its first run of a kernel.
+
+    ``fixed`` are the kernel's buffers the interpreter was given, by
+    array; the binding holds while the interpreter runs the same kernel
+    over the same arrays.  ``top`` are the statements at the kernel's
+    top level (outside any loop), whose plan keys read only bindings,
+    buffer shapes and the batch size, so ``selected`` keeps the plan or
+    refusal each one's key selected.  ``views`` keeps each strided view
+    of a fixed buffer, by the plan closure that makes it, so its byte
+    strides and contiguity are decided once.
+    """
+
+    __slots__ = ("kernel", "fixed", "top", "selected", "views")
+
+    def __init__(self, it: "VectorizedInterpreter", kernel: Kernel) -> None:
+        self.kernel = kernel
+        self.fixed = {b.name: it.buffers[b.name] for b in kernel.args
+                      if b.name in it.buffers}
+        self.top = _top_level(kernel)
+        self.selected: Dict[_s.Stmt, Union[_BandPlan, str]] = {}
+        self.views: Dict[Callable, np.ndarray] = {}
+
+    def holds(self, it: "VectorizedInterpreter", kernel: Kernel) -> bool:
+        return kernel is self.kernel and all(map(
+            operator.is_, map(it.buffers.get, self.fixed),
+            self.fixed.values()))
+
+
+def _top_level(kernel: Kernel) -> frozenset:
+    """The statements a run reaches without entering a loop or a branch:
+    the kernel's band roots and, in a batch, statements outside any loop
+    (kept in the kernel's lifetime memo)."""
+    top = kernel.derived.get(_top_level)
+    if top is None:
+        found: List[_s.Stmt] = []
+
+        def walk(s: _s.Stmt) -> None:
+            if isinstance(s, _s.SeqStmt):
+                for child in s.stmts:
+                    walk(child)
+            elif isinstance(s, (_s.AttrStmt, _s.Allocate)):
+                walk(s.body)
+            else:
+                found.append(s)
+
+        walk(kernel.body)
+        top = kernel.derived[_top_level] = frozenset(found)
+    return top
+
+
 class VectorizedInterpreter(Interpreter):
     """Drop-in :class:`Interpreter` that executes loop bands as array ops.
 
@@ -1036,6 +1142,8 @@ class VectorizedInterpreter(Interpreter):
         self.events: List[BandEvent] = []
         #: band root -> its plans; bound to the kernel's memo by run()
         self._plans: Dict[_s.Stmt, _BandCache] = {}
+        #: what run() fixed for its kernel over these buffers
+        self._bound: Optional[_Binding] = None
 
     @property
     def planned(self) -> int:
@@ -1048,8 +1156,29 @@ class VectorizedInterpreter(Interpreter):
         return sum(1 for ev in self.events if ev.reused)
 
     def run(self, kernel: Kernel) -> None:
+        """Run ``kernel``; :attr:`events` then holds this run's bands.
+
+        The first run of a kernel over the interpreter's buffers binds
+        it (:class:`_Binding`); a later run of the same kernel over the
+        same arrays reuses the binding.
+        """
+        if self._bound is None or not self._bound.holds(self, kernel):
+            self._bound = _Binding(self, kernel)
         self._plans = kernel.derived.setdefault(_BandCache, {})
+        self.events = []
         super().run(kernel)
+
+    def _operand(self, name: str, make: Callable) -> np.ndarray:
+        """``make(buffer)`` of buffer ``name``: made once per binding when
+        the buffer is one the binding fixed, per call otherwise."""
+        arr = self.buffers[name]
+        bound = self._bound
+        if bound is None or bound.fixed.get(name) is not arr:
+            return make(arr)
+        view = bound.views.get(make)
+        if view is None:
+            view = bound.views[make] = make(arr)
+        return view
 
     def _exec(self, s: _s.Stmt) -> None:
         # a refused band runs per sample (in a batch) or as a scalar
@@ -1070,18 +1199,24 @@ class VectorizedInterpreter(Interpreter):
     def _exec_band(self, root: _s.Stmt) -> bool:
         """Run one band vectorized if its plan allows; record the event
         (a band's only: a statement outside any loop records none)."""
-        cache = self._plans.get(root)
-        if cache is None:
-            cache = self._plans[root] = _BandCache(root)
-        key = cache.key(self)
-        plan = cache.plans.get(key)
+        bound = self._bound
+        plan = bound.selected.get(root) if bound is not None else None
         reused = plan is not None
         if not reused:
-            try:
-                plan = _BandPlan(self, root)  # phase A
-            except _Fallback as fb:
-                plan = fb.reason
-            cache.plans[key] = plan
+            cache = self._plans.get(root)
+            if cache is None:
+                cache = self._plans[root] = _BandCache(root)
+            key = cache.key(self)
+            plan = cache.plans.get(key)
+            reused = plan is not None
+            if not reused:
+                try:
+                    plan = _BandPlan(self, root)  # phase A
+                except _Fallback as fb:
+                    plan = fb.reason
+                cache.plans[key] = plan
+            if bound is not None and root in bound.top:
+                bound.selected[root] = plan
         name = root.loop_var.name if isinstance(root, _s.For) else None
         try:
             if isinstance(plan, str):
@@ -1095,8 +1230,7 @@ class VectorizedInterpreter(Interpreter):
         plan.execute(self)  # phase B: cannot fail after phase A passed
         if name is not None:
             self.events.append(
-                BandEvent("vectorized", name,
-                          f"{len(plan.leaves)} statement(s)", reused))
+                BandEvent("vectorized", name, plan.detail, reused))
         return True
 
 

@@ -12,6 +12,16 @@ slots and outputs are ``(N, numel)`` arrays (the folded arena is
 one FIFO stream per sample.  Each sample's output is bitwise its batch-1
 output; one input is a batch of one.
 
+Both bind each forward once, as the thesis's host runtime creates its
+kernels and argument bindings once and only re-enqueues them per image:
+a plan keeps one :class:`BoundForward` per batch size and interpreter
+class in its memo (``plan.derived``).  Binding fixes every invocation's
+kernel, interpreter, weights, batchnorm scale/shift, slots and scratch
+buffers, and its interpreter's first run fixes its top-level band plans
+and strided views; a forward then only copies its input in, zeroes each
+slot before the invocation that defines it, and runs phase B.  The
+scalar interpreter goes through the same bound forward.
+
 Tests run LeNet-5 and the reduced MobileNetV1/ResNet-18 twins, which
 instantiate every kernel group of the full networks, bit-identically
 under both interpreters.  Full-size MobileNetV1 and ResNet-18 run
@@ -31,6 +41,7 @@ import numpy as np
 
 from repro.errors import RuntimeSimError
 from repro.ir.interp import ChannelState, Interpreter
+from repro.ir.kernel import Kernel
 from repro.ir.vinterp import VectorizedInterpreter
 from repro.relay.execute import Params
 from repro.relay.passes import FusedGraph
@@ -71,26 +82,207 @@ def _drain_events(it, kernel_name: str, events) -> None:
         events.extend((kernel_name, ev) for ev in it.events)
 
 
-def _weights_for(prefix: str, fn, params: Params, bufs: Dict[str, np.ndarray]) -> None:
-    """Bind a fused node's parameters onto a kernel's buffer names."""
-    layer = fn.anchor.name
-    w = params.get(f"{layer}.weight")
-    if w is not None:
-        bufs[f"{prefix}_w"] = np.ascontiguousarray(w, np.float32).ravel()
-    b = params.get(f"{layer}.bias")
-    if b is not None:
-        bufs[f"{prefix}_b"] = np.ascontiguousarray(b, np.float32).ravel()
-    bn = getattr(fn, "batchnorm_node", None)
-    if bn is not None:
-        eps = np.float32(1e-5)
-        gamma = params[f"{bn.name}.gamma"]
-        beta = params[f"{bn.name}.beta"]
-        mean = params[f"{bn.name}.mean"]
-        var = params[f"{bn.name}.var"]
-        scale = (gamma / np.sqrt(var + eps)).astype(np.float32)
-        shift = (beta - mean * scale).astype(np.float32)
-        bufs[f"{prefix}_scale"] = scale
-        bufs[f"{prefix}_shift"] = shift
+class BoundForward:
+    """One plan's forward, bound for one batch size and interpreter class.
+
+    Binding does once what depends only on (program, plan, fused graph,
+    params, batch size): it resolves each invocation's kernel, weights
+    and batchnorm scale/shift, allocates its slots (the folded arena,
+    the input slot, outputs and scratch buffers) and builds its
+    interpreter, which binds its kernel's top-level band plans and the
+    strided views of these buffers on its first run.  A forward then
+    copies the input into its slot, zeroes each slot a kernel defines
+    just before that kernel runs (for an arena slot, the RM001 order),
+    and runs the interpreters, which re-check channel fill and run
+    phase B.  It returns a copy of the output slot.
+
+    Bound forwards live in the plan's memo (``plan.derived``, emptied by
+    pickling), one per batch size and interpreter class.  One is bound
+    again when the program, the fused graph or the arena differs, or
+    when a params entry it read is missing or is another array: replace
+    a parameter's array rather than writing into it.  Between forwards
+    it holds only what it bound: no band allocation, FIFO or other array
+    of the last run.  Its slots are shared by every forward of the plan
+    at that batch size, so two threads must not run one plan at once.
+    """
+
+    def __init__(self, program, fused: FusedGraph, batch: int,
+                 memory=None) -> None:
+        self.program = program
+        self.fused = fused
+        self.batch = batch
+        #: params entry -> the array binding read from it (None: absent)
+        self.params: Dict[str, Optional[np.ndarray]] = {}
+        #: the folded arena the slots were cut from, and its offsets then
+        self.memory = memory
+        self.offsets = dict(memory.offsets) if memory is not None else None
+        #: (kernel, interpreter, slots zeroed just before it runs)
+        self.steps: List[Tuple[Kernel, Interpreter, List[np.ndarray]]] = []
+        #: each interpreter's buffer map, with the names bound into it
+        self.maps: List[Tuple[Dict[str, np.ndarray], frozenset]] = []
+        self.channels: Dict[str, ChannelState] = {}
+        self.x_slot: Optional[np.ndarray] = None
+        self.out: Optional[np.ndarray] = None
+
+    def matches(self, program, plan, fused: FusedGraph,
+                params: Params) -> bool:
+        """True when this binding still describes the caller's inputs."""
+        if program is not self.program or fused is not self.fused:
+            return False
+        if isinstance(plan, FoldedPlan) and (
+                plan.memory is not self.memory or (
+                    self.memory is not None
+                    and self.memory.offsets != self.offsets)):
+            return False
+        return all(params.get(key) is arr for key, arr in self.params.items())
+
+    def weights(self, prefix: str, fn, params: Params,
+                bufs: Dict[str, np.ndarray]) -> None:
+        """Bind a fused node's parameters onto a kernel's buffer names."""
+        layer = fn.anchor.name
+        for suffix, key in (("w", f"{layer}.weight"), ("b", f"{layer}.bias")):
+            arr = self.params[key] = params.get(key)
+            if arr is not None:
+                bufs[f"{prefix}_{suffix}"] = np.ascontiguousarray(
+                    arr, np.float32).ravel()
+        bn = getattr(fn, "batchnorm_node", None)
+        if bn is not None:
+            stats = {key: params[key] for key in (
+                f"{bn.name}.{stat}" for stat in ("gamma", "beta", "mean", "var"))}
+            self.params.update(stats)
+            gamma, beta, mean, var = stats.values()
+            eps = np.float32(1e-5)
+            scale = (gamma / np.sqrt(var + eps)).astype(np.float32)
+            shift = (beta - mean * scale).astype(np.float32)
+            bufs[f"{prefix}_scale"] = scale
+            bufs[f"{prefix}_shift"] = shift
+
+    def scratch(self, kernel: Kernel, bufs: Dict[str, np.ndarray],
+                bindings=None) -> List[np.ndarray]:
+        """Allocate the kernel's scratch buffers; zeroed before each run
+        like fresh ones (one the bindings cannot size is left to
+        :meth:`Interpreter.run` to report)."""
+        made = []
+        for buf in kernel.args:
+            if buf.name in kernel.scratch_args and buf.name not in bufs:
+                n = buf.num_elements(bindings or {})
+                if n is not None:
+                    bufs[buf.name] = np.zeros((self.batch, n), np.float32)
+                    made.append(bufs[buf.name])
+        return made
+
+    def run(self, rows: np.ndarray, events) -> np.ndarray:
+        """One forward of ``rows`` (``(batch, numel)``): the output rows."""
+        self.x_slot[...] = rows
+        try:
+            for kernel, it, zeroed in self.steps:
+                for slot in zeroed:
+                    slot.fill(0.0)
+                it.run(kernel)
+                _drain_events(it, kernel.name, events)
+        finally:
+            # drop what the run allocated: band allocations left in the
+            # buffer maps, and the FIFOs
+            self.channels.clear()
+            for bufs, bound in self.maps:
+                if len(bufs) != len(bound):
+                    for name in bufs.keys() - bound:
+                        del bufs[name]
+        return self.out.copy()
+
+
+def _bound_forward(plan, program, fused: FusedGraph, params: Params,
+                   batch: int, cls: Type[Interpreter], bind) -> BoundForward:
+    """The plan's bound forward for ``batch`` and ``cls``, bound now by
+    ``bind`` when it is missing or no longer matches its inputs."""
+    forwards = plan.derived.setdefault(BoundForward, {})
+    fwd = forwards.get((batch, cls))
+    if fwd is None or not fwd.matches(program, plan, fused, params):
+        forwards.pop((batch, cls), None)  # free the old slots first
+        fwd = forwards[batch, cls] = bind(
+            program, plan, fused, params, batch, cls)
+    return fwd
+
+
+def _bind_pipelined(program, plan: PipelinePlan, fused: FusedGraph,
+                    params: Params, batch: int,
+                    cls: Type[Interpreter]) -> BoundForward:
+    nodes = list(fused)
+    if len(nodes) != len(plan.stages):
+        raise RuntimeSimError("plan/graph stage mismatch")
+    fwd = BoundForward(program, fused, batch)
+    # one buffer map for the whole pipeline, as in global memory
+    buffers: Dict[str, np.ndarray] = {}
+    first = nodes[0]
+    fwd.x_slot = buffers[f"{first.name}_in"] = np.zeros(
+        (batch, _numel(fused.graph.input.out_shape)), np.float32)
+    stages = []
+    for i, (fn, stage) in enumerate(zip(nodes, plan.stages)):
+        kernel = program.kernel(stage.kernel_name)
+        fwd.weights(fn.name, fn, params, buffers)
+        if not stage.channel_in and fn is not first:
+            # global-memory handoff: previous output becomes this input
+            buffers[f"{fn.name}_in"] = buffers[_output_name(nodes[i - 1])]
+        zeroed = []
+        out = kernel.output_buffer
+        if out is not None and out not in buffers:
+            buffers[out] = np.zeros((batch, _numel(fn.out_shape)), np.float32)
+            zeroed.append(buffers[out])
+        stages.append((kernel, zeroed + fwd.scratch(kernel, buffers)))
+    fwd.maps.append((buffers, frozenset(buffers)))
+    for kernel, zeroed in stages:
+        fwd.steps.append(
+            (kernel, cls(buffers, channels=fwd.channels), zeroed))
+    out_kernel = program.kernel(plan.stages[-1].kernel_name)
+    assert out_kernel.output_buffer is not None
+    fwd.out = buffers[out_kernel.output_buffer][:, :_numel(nodes[-1].out_shape)]
+    return fwd
+
+
+def _bind_folded(program, plan: FoldedPlan, fused: FusedGraph,
+                 params: Params, batch: int,
+                 cls: Type[Interpreter]) -> BoundForward:
+    memory = plan.memory
+    fwd = BoundForward(program, fused, batch, memory)
+    arena = (
+        np.zeros((batch, memory.arena_bytes // 4), np.float32)
+        if memory is not None else None
+    )
+
+    def _slot(name: str, n: int) -> np.ndarray:
+        """A value's storage: its arena columns, or a private buffer when
+        the plan carries no (or a partial) arena."""
+        if arena is not None and name in memory.offsets:
+            view = arena[:, memory.offsets[name] // 4:][:, :n]
+            if view.shape[1] == n:
+                return view
+        return np.zeros((batch, n), np.float32)
+
+    in_name = fused.graph.input.name
+    fwd.x_slot = _slot(in_name, _numel(fused.graph.input.out_shape))
+    values: Dict[str, np.ndarray] = {in_name: fwd.x_slot}
+    node_of = {fn.name: fn for fn in fused}
+    for inv in plan.invocations:
+        fn = node_of[inv.layer]
+        kernel = program.kernel(inv.kernel_name)
+        prefix = inv.buffer_prefix
+        bufs: Dict[str, np.ndarray] = {}
+        bufs[f"{prefix}_in"] = values[inv.input_node]
+        fwd.weights(prefix, fn, params, bufs)
+        for extra in inv.extra_input_nodes:
+            bufs[f"{prefix}_res"] = values[extra]
+        out_name = kernel.output_buffer
+        assert out_name is not None
+        out = bufs[out_name] = _slot(fn.output_node.name, _numel(fn.out_shape))
+        zeroed = [out] + fwd.scratch(kernel, bufs, inv.bindings)
+        fwd.maps.append((bufs, frozenset(bufs)))
+        fwd.steps.append((kernel, cls(bufs, bindings=inv.bindings), zeroed))
+        values[fn.output_node.name] = out
+        # intermediate epilogue nodes share the kernel's output value
+        values[fn.anchor.name] = out
+        fwd.out = out
+    assert fwd.out is not None
+    return fwd
 
 
 def run_pipelined_functional(
@@ -113,40 +305,15 @@ def run_pipelined_functional(
     scalar interpreter; both produce bit-identical float32 results.
     When ``events`` is a list and the vectorized interpreter runs, it
     receives ``(kernel_name, BandEvent)`` pairs for fallback auditing.
+    The forward runs through the plan's :class:`BoundForward` for this
+    batch size and interpreter.
     """
     cls = _interpreter_class(interp)
-    nodes = list(fused)
-    if len(nodes) != len(plan.stages):
-        raise RuntimeSimError("plan/graph stage mismatch")
     rows, batched = _batch(x, fused)
-    buffers: Dict[str, np.ndarray] = {}
-    channels: Dict[str, ChannelState] = {}
-
-    # network input feeds the first kernel's input tensor
-    first = nodes[0]
-    buffers[f"{first.name}_in"] = rows
-
-    for fn, stage in zip(nodes, plan.stages):
-        kernel = program.kernel(stage.kernel_name)
-        _weights_for(fn.name, fn, params, buffers)
-        if not stage.channel_in and fn is not first:
-            # global-memory handoff: previous output becomes this input
-            prev_out = nodes[nodes.index(fn) - 1]
-            src = _output_name(prev_out)
-            buffers[f"{fn.name}_in"] = buffers[src]
-        if kernel.output_buffer is not None and kernel.output_buffer not in buffers:
-            n = _numel(fn.out_shape)
-            buffers[kernel.output_buffer] = np.zeros((len(rows), n),
-                                                     np.float32)
-        it = cls(buffers, channels=channels)
-        it.run(kernel)
-        _drain_events(it, kernel.name, events)
-
-    out_kernel = program.kernel(plan.stages[-1].kernel_name)
-    assert out_kernel.output_buffer is not None
-    n = _numel(nodes[-1].out_shape)
-    out = buffers[out_kernel.output_buffer][:, :n]
-    return out.copy() if batched else out[0].copy()
+    fwd = _bound_forward(plan, program, fused, params, len(rows), cls,
+                 _bind_pipelined)
+    out = fwd.run(rows, events)
+    return out if batched else out[0]
 
 
 def run_folded_functional(
@@ -162,7 +329,8 @@ def run_folded_functional(
 
     ``x`` is one input or a batch, as for
     :func:`run_pipelined_functional`; every invocation runs the whole
-    batch.  When the plan carries a certified ``memory`` arena
+    batch, through the plan's :class:`BoundForward`.  When the plan
+    carries a certified ``memory`` arena
     (:class:`repro.verify.memory.MemoryPlan`), activations live in
     views of one shared float32 array at their assigned offsets — the
     deployment allocates the arena (one row of it per sample), not one
@@ -173,50 +341,9 @@ def run_folded_functional(
     """
     cls = _interpreter_class(interp)
     rows, batched = _batch(x, fused)
-    memory = getattr(plan, "memory", None)
-    arena = (
-        np.zeros((len(rows), memory.arena_bytes // 4), np.float32)
-        if memory is not None else None
-    )
-
-    def _slot(name: str, n: int) -> np.ndarray:
-        """Fresh zeroed storage for a value: its arena columns, or a
-        private buffer when the plan carries no (or a partial) arena."""
-        if arena is not None and name in memory.offsets:
-            view = arena[:, memory.offsets[name] // 4:][:, :n]
-            if view.shape[1] == n:
-                view[:] = 0.0
-                return view
-        return np.zeros((len(rows), n), np.float32)
-
-    in_name = fused.graph.input.name
-    x_slot = _slot(in_name, rows.shape[1])
-    x_slot[:] = rows
-    values: Dict[str, np.ndarray] = {in_name: x_slot}
-    node_of = {fn.name: fn for fn in fused}
-    last = None
-    for inv in plan.invocations:
-        fn = node_of[inv.layer]
-        kernel = program.kernel(inv.kernel_name)
-        prefix = inv.buffer_prefix
-        bufs: Dict[str, np.ndarray] = {}
-        bufs[f"{prefix}_in"] = values[inv.input_node]
-        _weights_for(prefix, fn, params, bufs)
-        for extra in inv.extra_input_nodes:
-            bufs[f"{prefix}_res"] = values[extra]
-        out_name = kernel.output_buffer
-        assert out_name is not None
-        n = _numel(fn.out_shape)
-        bufs[out_name] = _slot(fn.output_node.name, n)
-        it = cls(bufs, bindings=inv.bindings)
-        it.run(kernel)
-        _drain_events(it, kernel.name, events)
-        values[fn.output_node.name] = bufs[out_name]
-        # intermediate epilogue nodes share the kernel's output value
-        values[fn.anchor.name] = bufs[out_name]
-        last = bufs[out_name]
-    assert last is not None
-    return last.copy() if batched else last[0].copy()
+    fwd = _bound_forward(plan, program, fused, params, len(rows), cls, _bind_folded)
+    out = fwd.run(rows, events)
+    return out if batched else out[0]
 
 
 def _output_name(fn) -> str:

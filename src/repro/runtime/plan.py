@@ -20,6 +20,20 @@ from repro.ir import expr as _e
 Bindings = Dict[_e.Var, int]
 
 
+class _Memo:
+    """A plan's lifetime memo, ``derived``: what the executor binds for
+    the plan (:class:`repro.runtime.executor.BoundForward`, one per batch
+    size and interpreter).  It is not a dataclass field, so it stays out
+    of comparisons and fingerprints, and it pickles empty, like
+    :attr:`repro.ir.kernel.Kernel.derived`."""
+
+    def __post_init__(self) -> None:
+        self.derived: Dict[object, object] = {}
+
+    def __getstate__(self) -> Dict[str, object]:
+        return {**self.__dict__, "derived": {}}
+
+
 @dataclass
 class PipelineStage:
     """One kernel in a pipelined deployment."""
@@ -39,7 +53,7 @@ class PipelineStage:
 
 
 @dataclass
-class PipelinePlan:
+class PipelinePlan(_Memo):
     """Pipelined (layer-parallel) deployment description."""
 
     stages: List[PipelineStage]
@@ -75,7 +89,7 @@ class Invocation:
 
 
 @dataclass
-class FoldedPlan:
+class FoldedPlan(_Memo):
     """Folded (time-multiplexed) deployment description."""
 
     invocations: List[Invocation]

@@ -175,12 +175,6 @@ class Server:
             )
         return self._sideline[network]
 
-    def _free_replica(self, network: str, now: float) -> Optional[Replica]:
-        for r in self.replicas:  # replica_id order = deterministic pick
-            if r.network == network and r.busy_until_us <= now:
-                return r
-        return None
-
     def _logits(self, replica: Replica, reqs) -> List[Optional[object]]:
         """Logits of ``reqs``, one forward for the memo's misses."""
         if not self.config.compute_logits:

@@ -19,8 +19,10 @@ Checks ``README.md`` and every ``docs/*.md`` for:
   ``__init__.py``), so the map can't silently omit a subsystem;
 * **performance coverage** — ``docs/performance.md`` must mention every
   metric key the committed trajectory baseline
-  (``benchmarks/results/perf_trajectory.json``) gates in CI, so the
-  documented gate table can't drift from what the ``perf`` job enforces;
+  (``benchmarks/results/perf_trajectory.json``) gates in CI, and must
+  give each exact-count gate of the trajectory test a gate table row,
+  recorded in the baseline or not, so the documented gate table can't
+  drift from what the ``perf`` job enforces;
 * **equivalence rule coverage** — every ``RE`` rule registered in
   ``repro.verify.diagnostics.RULES`` must have a catalog table row in
   ``docs/verification.md`` (the certifier's verdicts gate candidate
@@ -159,8 +161,15 @@ def check_architecture_coverage() -> list:
     return findings
 
 
+#: exact-count gates of ``benchmarks/test_perf_trajectory.py``: no band,
+#: no calibration, so each holds without a baseline entry
+EXACT_GATES = ("serve_forwards", "vinterp_fallbacks", "vinterp_replanned",
+               "fold_temporaries", "plan_keys")
+
+
 def check_performance_coverage() -> list:
-    """Every baseline-gated benchmark metric must be documented."""
+    """Every baseline-gated benchmark metric must be documented, and
+    every exact-count gate must have a gate table row."""
     baseline = ROOT / "benchmarks" / "results" / "perf_trajectory.json"
     doc = ROOT / "docs" / "performance.md"
     if not baseline.exists():
@@ -188,6 +197,14 @@ def check_performance_coverage() -> list:
             findings.append(
                 f"docs/performance.md: gated metric {key!r} from the "
                 "committed perf baseline is not documented"
+            )
+    rows = {line.split("|")[1].strip() for line in text.splitlines()
+            if line.startswith("|") and line.count("|") > 2}
+    for key in EXACT_GATES:
+        if f"`{key}`" not in rows:
+            findings.append(
+                f"docs/performance.md: exact gate {key!r} of the perf "
+                "trajectory has no gate table row"
             )
     return findings
 
