@@ -31,12 +31,14 @@ in CI:
 * pruned 72-point conv1x1 DSE sweep wall-clock, serial vs 4 workers
   (the arms alternate, three samples each after clearing the lower
   cache, and each keeps its best), and the serial arm's exact
-  accounting, no band, no calibration: access tables built must equal
-  lower-cache misses + uncached lowerings + dominance-profile
-  lowerings (a lower-cache hit replays a kernel at zero walks); kernels
-  bounds-checked must equal misses + uncached lowerings (a hit replays
-  the kernel's verdicts); and schedule recipes hashed must equal the
-  distinct recipes fingerprinted;
+  accounting, no band, no calibration: no kernel lowers outside the
+  lower cache, and access tables built must equal lower-cache misses
+  (the dominance profiles and prebuilt softmax go through the cache
+  too; a hit replays a kernel at zero walks); kernels bounds-checked
+  must equal the distinct kernels the builds lowered (a hit replays the
+  kernel's verdicts, and a pruned candidate's profile kernel is never
+  verified); and schedule recipes hashed must equal the distinct
+  recipes fingerprinted;
 * the fingerprints of one more serial sweep (untimed): artifacts
   hashed by content must number exactly the distinct seeded objects
   plus the generated sources, and no plan, program, bitstream or
@@ -108,12 +110,7 @@ from repro.schedule.transforms import ScheduleRecipe
 from repro.serve import RequestTrace, ServeConfig, Server, provision_replicas
 from repro.serve.replica import Replica, replicas_per_board
 from repro.serve.request import input_fingerprint
-from repro.verify import (
-    certify_build,
-    clear_equiv_cache,
-    dominance,
-    dynamic_equiv_check,
-)
+from repro.verify import certify_build, clear_equiv_cache, dynamic_equiv_check
 from repro.verify.memory import weights_bytes
 from repro.verify.verifier import binding_sets_of
 
@@ -475,6 +472,22 @@ def _counting_recipes(counts, distinct):
         yield
 
 
+@contextlib.contextmanager
+def _collecting_kernels(kernels):
+    """Collect every kernel a folded build's ``lower`` stage returns into
+    ``kernels`` (by object identity, which a lower-cache hit shares)."""
+    lower_folded = stages_module.lower_folded
+
+    def collected(sched):
+        program = lower_folded(sched)
+        kernels.update((id(k), k) for k in program.kernels)
+        return program
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stages_module, "lower_folded", collected)
+        yield
+
+
 #: timed samples per sweep arm; the arms alternate and each keeps its best
 SWEEP_REPEATS = 3
 
@@ -489,21 +502,20 @@ def _measure_sweep() -> dict:
     best = {1: float("inf"), SWEEP_WORKERS: float("inf")}
     summaries = {}
     # exact accounting of the first serial sample (a handful of counted
-    # calls, off the timing's noise floor): access tables built and
-    # kernels bounds-checked against lower-cache hits, misses and
-    # uncached lowerings, plus the dominance prover's profile lowerings,
-    # which bypass the cache; and recipes hashed against distinct recipes
-    counts = {"profiled": 0, "tables": 0, "bounds_checked": 0,
-              "recipes_hashed": 0}
+    # calls, off the timing's noise floor): access tables built against
+    # lower-cache misses, kernels bounds-checked against the distinct
+    # kernels the builds lowered, and recipes hashed against distinct
+    # recipes
+    counts = {"tables": 0, "bounds_checked": 0, "recipes_hashed": 0}
     distinct = set()
+    built_kernels = {}
     for repeat in range(SWEEP_REPEATS):
         for workers in (1, SWEEP_WORKERS):
             clear_lower_cache()
             counted = workers == 1 and repeat == 0
             with contextlib.ExitStack() as stack:
                 if counted:
-                    stack.enter_context(_counting_calls(
-                        dominance, "lower", counts, "profiled"))
+                    stack.enter_context(_collecting_kernels(built_kernels))
                     stack.enter_context(_counting_calls(
                         AccessTable, "__init__", counts, "tables"))
                     stack.enter_context(_counting_calls(
@@ -519,6 +531,7 @@ def _measure_sweep() -> dict:
             if counted:
                 counts.update(lower_cache_stats())
                 counts["recipes"] = len(distinct)
+                counts["built_kernels"] = len(built_kernels)
     serial, parallel = summaries[1], summaries[SWEEP_WORKERS]
     fingerprints = _count_sweep_fingerprints()
     # correctness parity between the two arms, regardless of timing
@@ -811,11 +824,11 @@ def _save_report(current, baseline) -> None:
     sc = sweep["serial_counts"]
     rows.append(["sweep serial access tables",
                  f"{sc['tables']}", "-",
-                 f"== {sc['misses']} misses + {sc['uncached']} uncached + "
-                 f"{sc['profiled']} profiled ({sc['hits']} hits walk 0)"])
+                 f"== {sc['misses']} misses, {sc['uncached']} uncached "
+                 f"({sc['hits']} hits walk 0)"])
     rows.append(["sweep serial kernels bounds-checked",
                  f"{sc['bounds_checked']}", "-",
-                 f"== {sc['misses']} misses + {sc['uncached']} uncached "
+                 f"== {sc['built_kernels']} distinct kernels built "
                  f"({sc['hits']} hits replay their verdicts)"])
     rows.append(["sweep serial recipes hashed",
                  f"{sc['recipes_hashed']}", "-",
@@ -998,24 +1011,26 @@ class TestPerfTrajectory:
         current, _, _ = trajectory
         sc = current["sweep"]["serial_counts"]
         assert sc["hits"] > 0 and sc["misses"] > 0, sc
-        lowered = sc["misses"] + sc["uncached"] + sc["profiled"]
-        assert sc["tables"] == lowered, (
+        assert sc["uncached"] == 0, (
+            f"serial sweep lowered {sc['uncached']} kernel(s) outside the "
+            "lower cache — an exact count, gated at zero"
+        )
+        assert sc["tables"] == sc["misses"], (
             f"serial sweep built {sc['tables']} access table(s) for "
-            f"{lowered} lowered kernel(s) ({sc['misses']} lower-cache "
-            f"misses + {sc['uncached']} uncached + {sc['profiled']} "
-            f"dominance profiles; {sc['hits']} hits replay at zero walks) "
+            f"{sc['misses']} lower-cache misses (dominance profiles and "
+            f"softmax included; {sc['hits']} hits replay at zero walks) "
             "— an exact count, no band"
         )
 
     def test_serial_sweep_verifies_each_lowered_kernel_once(self, trajectory):
         current, _, _ = trajectory
         sc = current["sweep"]["serial_counts"]
-        lowered = sc["misses"] + sc["uncached"]
-        assert sc["bounds_checked"] == lowered, (
+        assert sc["bounds_checked"] == sc["built_kernels"], (
             f"serial sweep bounds-checked {sc['bounds_checked']} kernel(s) "
-            f"for {lowered} lowered by the builds ({sc['misses']} lower-cache "
-            f"misses + {sc['uncached']} uncached; {sc['hits']} hits replay "
-            "their verdicts) — an exact count, no band"
+            f"for {sc['built_kernels']} distinct kernel(s) the builds "
+            f"lowered ({sc['hits']} lower-cache hits replay their verdicts; "
+            "pruned candidates' profile kernels are never verified) — an "
+            "exact count, no band"
         )
 
     def test_serial_sweep_hashes_each_recipe_once(self, trajectory):

@@ -124,11 +124,11 @@ def autotune_folded(
     ``workers > 1`` parallelizes candidate *synthesis*, not the search:
     before each round, the trials that round will consider (enumerated
     against the round-entry configuration) are built across
-    :func:`repro.flow.search.fork_map`'s pool into a cache shared with
-    this run, so the serial ascent mostly replays them as hits.  The
-    ascent itself — and therefore the chosen configuration — is
-    identical to ``workers=1``.  Pre-warming needs a real cache to
-    rendezvous in, so it is skipped under ``cache=False``.
+    :func:`repro.flow.search.fork_map`'s pool into this run's cache,
+    so the serial ascent mostly replays them as hits.  The ascent
+    itself — and therefore the chosen configuration — is identical to
+    ``workers=1``.  Pre-warming needs a real cache to fill, so it is
+    skipped under ``cache=False``.
     """
     from repro.verify import certify_build
     from repro.verify.dominance import (
@@ -153,8 +153,7 @@ def autotune_folded(
         model cannot build one — then nothing is pruned)."""
         try:
             return profile_conv_tiling(
-                fused, gid, tiling, constants, config.pin_unit_stride,
-                ddr_bytes,
+                fused, gid, tiling, constants, config, ddr_bytes
             )
         except AOCError:
             return None

@@ -266,7 +266,7 @@ def sweep_conv1x1(
         from repro.verify.dominance import plan_conv_sweep
 
         decisions = plan_conv_sweep(
-            fused, group, tilings, board, constants, base.pin_unit_stride
+            fused, group, tilings, board, constants, base
         )
         for i, decision in enumerate(decisions):
             if decision.pruned:

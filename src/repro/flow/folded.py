@@ -11,13 +11,15 @@ the baseline that fails to fit on the Arria 10.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import repro.ir as ir
 from repro.device.boards import Board
 from repro.errors import ScheduleError, UnsupportedError
 from repro.flow.artifacts import FoldedSchedule, ScheduledKernel
+from repro.flow.incremental import prebuilt_kernel
 from repro.relay.passes import FusedGraph, FusedNode
 from repro.runtime.plan import FoldedPlan, Invocation
 from repro.schedule import ScheduleRecipe, create_schedule
@@ -108,8 +110,127 @@ def op_label(fn: FusedNode) -> str:
     return fn.op
 
 
+def group_key(fn: FusedNode) -> GroupKey:
+    """The kernel a layer shares in a folded build: convolutions by
+    (kind, field, stride, fused-epilogue signature), pads by padding,
+    every other layer its own (``('static', layer)``)."""
+    a = fn.anchor.attrs
+    if fn.op == "conv2d":
+        return (
+            "conv", a["field"], a["stride"], a.get("bias", True),
+            fn.activation, fn.has_residual, fn.has_batchnorm,
+        )
+    if fn.op == "depthwise_conv2d":
+        return (
+            "dw", a["field"], a["stride"], a.get("bias", True),
+            fn.activation, fn.has_batchnorm,
+        )
+    if fn.op == "pad":
+        return ("pad",) + tuple(a["pad"])
+    return ("static", fn.name)
+
+
+def _scheduled(
+    config: FoldedConfig, kname: str, layer: str, out: ir.Tensor,
+    base: ScheduleRecipe,
+) -> ScheduledKernel:
+    """``out`` scheduled by the kernel's final recipe: its override in
+    ``config`` wins, else ``base`` + its delta."""
+    rec = config.recipe_overrides.get(kname)
+    if rec is None:
+        delta = config.recipe_deltas.get(kname)
+        rec = base + delta if delta else base
+    return ScheduledKernel(
+        name=kname, layer=layer, schedule=rec.apply(create_schedule(out)),
+        recipe=rec,
+    )
+
+
+def group_kernel(
+    fn: FusedNode,
+    key: GroupKey,
+    config: FoldedConfig,
+    name_start: Optional[int] = None,
+) -> Tuple[ScheduledKernel, object]:
+    """The parameterized kernel a folded build makes for group ``key``.
+
+    ``fn`` is any member layer.  Returns the scheduled kernel — the
+    build's kernel and tensor names, and its recipe resolved from
+    ``config`` (its tiling for the group, then ``recipe_overrides`` or
+    base + ``recipe_deltas``) — plus the symbolic handle that binds each
+    member's shapes.  ``name_start`` resumes the IR name uniquifier
+    there first (:func:`group_name_starts` gives the build's value), so
+    the kernel's loop variables, and with them its lower key, are the
+    build's; None constructs at the uniquifier's current value.
+    """
+    if name_start is not None:
+        ir.reset_fresh_names(name_start)
+    a = fn.anchor.attrs
+    pin = config.pin_unit_stride
+    base = "_".join(str(p) for p in key).replace("-", "m")
+    kname = f"k_{base}"
+    if fn.op == "conv2d":
+        fn.check_canonical_epilogue()
+        f, s = a["field"], a["stride"]
+        handle, _, out = conv2d_symbolic(
+            f, s, base, bias=a.get("bias", True), activation=fn.activation,
+            residual=fn.has_residual, batchnorm=fn.has_batchnorm,
+            pin_unit_stride=pin,
+        )
+        base_recipe = symbolic_conv_recipe(
+            config.tiling_for("conv", f, s), is_1x1=(f == 1)
+        )
+    elif fn.op == "depthwise_conv2d":
+        fn.check_canonical_epilogue()
+        f, s = a["field"], a["stride"]
+        handle, _, out = depthwise_symbolic(
+            f, s, base, bias=a.get("bias", True), activation=fn.activation,
+            batchnorm=fn.has_batchnorm, pin_unit_stride=pin,
+        )
+        base_recipe = symbolic_conv_recipe(
+            config.tiling_for("dw", f, s), is_1x1=False, depthwise=True
+        )
+    elif fn.op == "pad":
+        before, after = a["pad"]
+        handle, _, out = pad_symbolic(before, after, base)
+        base_recipe = transform_recipe()
+    else:  # pragma: no cover
+        raise UnsupportedError(f"cannot parameterize {fn.op}")
+    return _scheduled(config, kname, fn.name, out, base_recipe), handle
+
+
+#: fused graph -> the uniquifier's value at each group key's first layer
+#: in that graph's folded build (see group_name_starts)
+_NAME_STARTS: "weakref.WeakKeyDictionary[FusedGraph, Dict[GroupKey, int]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def group_name_starts(fused: FusedGraph) -> Dict[GroupKey, int]:
+    """Where a folded build of ``fused`` has the IR name uniquifier when
+    it reaches each group key's first layer.
+
+    Loop-variable names carry the uniquifier's count and the lower key
+    hashes them, so a group kernel constructed outside the build (the
+    dominance prover's) has the build's lower key only when constructed
+    from the build's value.  That value depends on the fused graph
+    alone: recipes construct no tensors, and a ``naive`` build, whose
+    count differs, makes no group kernels.  So one schedule of the
+    default configuration per graph records it.
+    """
+    starts = _NAME_STARTS.get(fused)
+    if starts is None:
+        builder = _FoldedBuilder(fused, FoldedConfig(), None)
+        ir.reset_fresh_names()
+        builder.schedule_graph()
+        starts = _NAME_STARTS[fused] = builder.name_starts
+    return starts
+
+
 class _FoldedBuilder:
-    def __init__(self, fused: FusedGraph, config: FoldedConfig, board: Board) -> None:
+    def __init__(
+        self, fused: FusedGraph, config: FoldedConfig, board: Optional[Board]
+    ) -> None:
         self.fused = fused
         self.config = config
         self.board = board
@@ -117,15 +238,18 @@ class _FoldedBuilder:
         self.invocations: List[Invocation] = []
         #: group key -> (kernel name, symbolic handle or None)
         self.groups: Dict[GroupKey, Tuple[str, object]] = {}
+        #: group key -> the uniquifier's value at its first layer
+        self.name_starts: Dict[GroupKey, int] = {}
 
     # ------------------------------------------------------------------
     def schedule_graph(self) -> FoldedSchedule:
         """Group layers into kernels and pick every kernel's schedule."""
+        keys = [group_key(fn) for fn in self.fused]
         counts: Dict[GroupKey, int] = {}
-        for fn in self.fused:
-            counts[self._group_key(fn)] = counts.get(self._group_key(fn), 0) + 1
-        for fn in self.fused:
-            key = self._group_key(fn)
+        for key in keys:
+            counts[key] = counts.get(key, 0) + 1
+        for fn, key in zip(self.fused, keys):
+            self.name_starts.setdefault(key, ir.fresh_name_count())
             parameterize = (
                 not self.config.naive
                 and counts[key] > 1
@@ -160,77 +284,11 @@ class _FoldedBuilder:
         )
 
     # ------------------------------------------------------------------
-    def _group_key(self, fn: FusedNode) -> GroupKey:
-        a = fn.anchor.attrs
-        if fn.op == "conv2d":
-            return (
-                "conv", a["field"], a["stride"], a.get("bias", True),
-                fn.activation, fn.has_residual, fn.has_batchnorm,
-            )
-        if fn.op == "depthwise_conv2d":
-            return (
-                "dw", a["field"], a["stride"], a.get("bias", True),
-                fn.activation, fn.has_batchnorm,
-            )
-        if fn.op == "pad":
-            return ("pad",) + tuple(a["pad"])
-        return ("static", fn.name)
-
-    # ------------------------------------------------------------------
-    def _resolve_recipe(self, kname: str, base: ScheduleRecipe) -> ScheduleRecipe:
-        """Final recipe for a kernel: override wins, else base + delta."""
-        override = self.config.recipe_overrides.get(kname)
-        if override is not None:
-            return override
-        delta = self.config.recipe_deltas.get(kname)
-        return base + delta if delta else base
-
-    def _apply_recipe(
-        self, kname: str, out: ir.Tensor, base: ScheduleRecipe
-    ) -> Tuple[object, ScheduleRecipe]:
-        rec = self._resolve_recipe(kname, base)
-        return rec.apply(create_schedule(out)), rec
-
-    # ------------------------------------------------------------------
     def _get_group_kernel(self, fn: FusedNode, key: GroupKey):
-        if key in self.groups:
-            return self.groups[key]
-        a = fn.anchor.attrs
-        pin = self.config.pin_unit_stride
-        base = "_".join(str(p) for p in key).replace("-", "m")
-        kname = f"k_{base}"
-        if fn.op == "conv2d":
-            fn.check_canonical_epilogue()
-            f, s = a["field"], a["stride"]
-            handle, _, out = conv2d_symbolic(
-                f, s, base, bias=a.get("bias", True), activation=fn.activation,
-                residual=fn.has_residual, batchnorm=fn.has_batchnorm,
-                pin_unit_stride=pin,
-            )
-            base_recipe = symbolic_conv_recipe(
-                self.config.tiling_for("conv", f, s), is_1x1=(f == 1)
-            )
-        elif fn.op == "depthwise_conv2d":
-            fn.check_canonical_epilogue()
-            f, s = a["field"], a["stride"]
-            handle, _, out = depthwise_symbolic(
-                f, s, base, bias=a.get("bias", True), activation=fn.activation,
-                batchnorm=fn.has_batchnorm, pin_unit_stride=pin,
-            )
-            base_recipe = symbolic_conv_recipe(
-                self.config.tiling_for("dw", f, s), is_1x1=False, depthwise=True
-            )
-        elif fn.op == "pad":
-            before, after = a["pad"]
-            handle, _, out = pad_symbolic(before, after, base)
-            base_recipe = transform_recipe()
-        else:  # pragma: no cover
-            raise UnsupportedError(f"cannot parameterize {fn.op}")
-        sch, rec = self._apply_recipe(kname, out, base_recipe)
-        self.kernels.append(
-            ScheduledKernel(name=kname, layer=fn.name, schedule=sch, recipe=rec)
-        )
-        self.groups[key] = (kname, handle)
+        if key not in self.groups:
+            sk, handle = group_kernel(fn, key, self.config)
+            self.kernels.append(sk)
+            self.groups[key] = (sk.name, handle)
         return self.groups[key]
 
     def _bindings(self, fn: FusedNode, handle):
@@ -333,10 +391,8 @@ class _FoldedBuilder:
                 base_recipe = dense_opt_recipe(factor)
         elif fn.op == "softmax":
             (n,) = fn.anchor.inputs[0].out_shape
-            if naive:
-                kern = softmax_kernel_naive(n, fn.name, kname)
-            else:
-                kern = softmax_kernel_licm(n, fn.name, kname)
+            build = softmax_kernel_naive if naive else softmax_kernel_licm
+            kern = prebuilt_kernel(build, n, fn.name, kname)
         else:  # pragma: no cover
             raise UnsupportedError(f"folded builder: unsupported op {fn.op}")
         if kern is not None:
@@ -344,11 +400,8 @@ class _FoldedBuilder:
                 ScheduledKernel(name=kname, layer=fn.name, prebuilt=kern)
             )
         else:
-            sch, rec = self._apply_recipe(kname, out, base_recipe)
             self.kernels.append(
-                ScheduledKernel(
-                    name=kname, layer=fn.name, schedule=sch, recipe=rec
-                )
+                _scheduled(self.config, kname, fn.name, out, base_recipe)
             )
         return kname
 

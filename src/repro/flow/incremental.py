@@ -12,6 +12,14 @@ kernel's IR; the rest replay from the cache.  The per-run hit/miss
 counts surface as ``lower_hits``/``lower_misses`` counters on the
 ``lower`` stage of the compile trace.
 
+The dominance prover (:mod:`repro.verify.dominance`) lowers its
+candidate group kernels through the same cache, under the build's
+names and recipe, so a kept candidate's build replays the kernel its
+profile lowered.  Prebuilt kernels (softmax, whose builder emits IR
+directly) live in the same cache but are looked up when they are
+scheduled (:func:`prebuilt_kernel`): they count as hits or misses in
+:func:`lower_cache_stats`, not in the ``lower`` stage's counters.
+
 Soundness rests on two facts.  First, a kernel's lowered form is a
 deterministic function of (tensor graph, recipe, lower options):
 builders reset the IR name uniquifier per schedule build
@@ -19,13 +27,13 @@ builders reset the IR name uniquifier per schedule build
 identical names.  Second, the fingerprint only stands in for schedule
 *transform* state when that state is fully recorded as a
 :class:`~repro.schedule.ScheduleRecipe` — kernels without a recipe
-(the pipelined levels mutate schedules directly) and prebuilt kernels
-are lowered unconditionally and counted as ``lower_uncached``.
+(the pipelined levels mutate schedules directly) are lowered
+unconditionally and counted as ``lower_uncached``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import repro.ir as ir
 from repro.ir import expr as _e
@@ -36,7 +44,9 @@ from repro.pipeline.fingerprint import fingerprint
 
 __all__ = [
     "kernel_lower_key",
+    "lower_kernel",
     "lower_kernels",
+    "prebuilt_kernel",
     "lower_cache_stats",
     "clear_lower_cache",
 ]
@@ -103,10 +113,10 @@ def _tensor_canonical(t: Tensor) -> List[object]:
 def kernel_lower_key(sk) -> Optional[str]:
     """Content fingerprint of one scheduled kernel, or ``None``.
 
-    ``None`` means the kernel must be lowered directly: prebuilt IR, a
-    schedule whose transforms are not recorded as a recipe, or lowering
-    options (channel wiring, stage attachment) outside the fingerprint's
-    vocabulary.
+    ``None`` means the kernel is not lowered through the cache: prebuilt
+    IR (see :func:`prebuilt_kernel`), a schedule whose transforms are not
+    recorded as a recipe, or lowering options (channel wiring, stage
+    attachment) outside the fingerprint's vocabulary.
     """
     if sk.prebuilt is not None or sk.recipe is None or sk.schedule is None:
         return None
@@ -131,7 +141,14 @@ def kernel_lower_key(sk) -> Optional[str]:
     )
 
 
-def _lower_one(sk) -> ir.Kernel:
+def lower_kernel(sk) -> ir.Kernel:
+    """Lower one scheduled kernel through the per-kernel cache.
+
+    A prebuilt kernel is returned as is: it was looked up (and counted)
+    when it was scheduled, by :func:`prebuilt_kernel`.
+    """
+    if sk.prebuilt is not None:
+        return sk.prebuilt
     key = sk.lower_key
     if key is None:
         _STATS["uncached"] += 1
@@ -148,7 +165,30 @@ def _lower_one(sk) -> ir.Kernel:
 
 def lower_kernels(scheduled) -> List[ir.Kernel]:
     """Lower a list of scheduled kernels through the per-kernel cache."""
-    return [_lower_one(sk) for sk in scheduled]
+    return [lower_kernel(sk) for sk in scheduled]
+
+
+def prebuilt_kernel(build: Callable[..., ir.Kernel], *args) -> ir.Kernel:
+    """``build(*args)``, built once per (builder, arguments, IR name
+    uniquifier value) — the uniquifier sets its loop-variable names.
+
+    For kernels whose builder emits IR directly (softmax).  The kernel
+    lives in the lower cache, so :func:`clear_lower_cache` drops it, and
+    the lookup counts as a hit or a miss.  A hit moves the uniquifier to
+    where building the kernel would have left it, so no later kernel of
+    the build is renamed.
+    """
+    key = ("prebuilt", build, *args, ir.fresh_name_count())
+    cached = _CACHE.get(key)
+    if cached is not MISS:
+        _STATS["hits"] += 1
+        kernel, names_end = cached
+        ir.reset_fresh_names(names_end)
+        return kernel
+    _STATS["misses"] += 1
+    kernel = build(*args)
+    _CACHE.put(key, (kernel, ir.fresh_name_count()))
+    return kernel
 
 
 def lower_cache_stats() -> Dict[str, int]:

@@ -33,6 +33,7 @@ import repro.ir as ir
 from repro.device.boards import Board
 from repro.errors import ReproError, UnsupportedError
 from repro.flow.artifacts import PipelinedSchedule, ScheduledKernel
+from repro.flow.incremental import prebuilt_kernel
 from repro.relay.passes import FusedGraph, FusedNode
 from repro.runtime.plan import PipelinePlan, PipelineStage
 from repro.schedule import Schedule
@@ -227,9 +228,10 @@ class _ChainKernelBuilder:
             if ch_in is not None or ch_out is not None:
                 return self._softmax_with_channels(fn, n, kname, ch_in, ch_out)
             if self.optimized and self.level != "unroll":
-                kern = softmax_kernel_licm(n, fn.name, kname)
+                build = softmax_kernel_licm
             else:
-                kern = softmax_kernel_naive(n, fn.name, kname)
+                build = softmax_kernel_naive
+            kern = prebuilt_kernel(build, n, fn.name, kname)
             return ScheduledKernel(name=kname, layer=fn.name, prebuilt=kern)
         else:  # pragma: no cover - vocabulary guard
             raise UnsupportedError(f"pipelined builder: unsupported op {op}")

@@ -8,7 +8,8 @@ explorers are three strategies over the steps this module owns:
   build into a :class:`Verdict` (fps, fmax, DSPs, fit/route outcome,
   failure reason, certificate counters);
 * :func:`fork_map` — candidate builds fanned out over a forked process
-  pool that rendezvouses through a shared disk compile cache;
+  pool whose workers hand their compile-cache entries back to the
+  caller (or share the caller's disk cache);
 * :func:`group_extents` — the layer extents each conv group's tiling
   factors must divide;
 * :class:`CertCounters` — the equivalence-certifier accounting every
@@ -23,8 +24,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import shutil
-import tempfile
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -160,26 +159,48 @@ def group_extents(fused: FusedGraph) -> Dict[GroupId, Dict[str, List[int]]]:
 # process-pool candidate synthesis
 #
 # Candidate builds are independent, so a search can fan them out over a
-# fork()ed worker pool.  Workers rendezvous through a *disk* compile
-# cache: source-identical candidates synthesize once pool-wide, and a
-# search sharing the caller's disk cache directory reuses prior runs.
+# fork()ed worker pool.  A caller whose cache has a disk backend shares
+# it with the workers: source-identical candidates synthesize once
+# pool-wide, and later searches reuse the entries.  Otherwise each worker
+# keeps a memory cache and sends the entries each task stored back with
+# its result, pickled once through the pool's pipe.
 
-#: (job, rendezvous directory) of a pool worker, installed in each
-#: worker by fork_map's initializer; fork() hands it over unpickled, so
-#: the job may be any callable, closures included
-_worker_job: Optional[Tuple[Callable, str]] = None
+#: (job, caller's disk cache directory or None, worker memory cache) of
+#: a pool worker, installed in each worker by fork_map's initializer;
+#: fork() hands it over unpickled, so the job may be any callable,
+#: closures included
+_worker_job: Optional[Tuple[Callable, Optional[str], MemoryBackend]] = None
 
 
-def _install_job(job: Callable, directory: str) -> None:
+def _install_job(job: Callable, directory: Optional[str]) -> None:
     global _worker_job
-    _worker_job = (job, directory)
+    _worker_job = (job, directory, MemoryBackend(32))
+
+
+class _Journal:
+    """A cache backend that finds nothing and records, in order, every
+    entry stored through it."""
+
+    def __init__(self) -> None:
+        self.entries: List[Tuple[str, object]] = []
+
+    def get(self, key: str) -> object:
+        return MISS
+
+    def put(self, key: str, value: object) -> None:
+        self.entries.append((key, value))
 
 
 def _run_job(task):
-    job, directory = _worker_job
-    cache = CompileCache(backends=[MemoryBackend(32), DiskBackend(directory)])
+    job, directory, memory = _worker_job
+    if directory is not None:
+        cache = CompileCache(backends=[MemoryBackend(32), DiskBackend(directory)])
+        result = job(task, cache)
+        return (result, *cache_counts(cache), [])
+    journal = _Journal()
+    cache = CompileCache(backends=[memory, journal])
     result = job(task, cache)
-    return (result, *cache_counts(cache))
+    return (result, *cache_counts(cache), journal.entries)
 
 
 def fork_map(
@@ -191,14 +212,14 @@ def fork_map(
     """Run ``job(task, worker_cache)`` over ``tasks`` in forked workers.
 
     Returns the results in task order plus the workers' summed compile
-    cache hits and misses.  Each worker's cache layers a small memory
-    LRU over the disk rendezvous: the caller's disk backend when
-    ``cache`` has one, else a pool-scoped temporary directory whose
-    entries are merged into ``cache`` (probing backends directly, so
-    the caller's hit/miss stats stay untouched) and which is deleted
-    when the pool drains.  The pool holds at most one worker per task
-    and per CPU this process may run on: more workers than either only
-    queue behind one another.
+    cache hits and misses.  When ``cache`` has a disk backend, each
+    worker's cache layers a small memory LRU over that directory, so the
+    workers share their entries.  Otherwise each worker keeps a small
+    memory LRU across its tasks and returns the entries each task stored;
+    the caller's cache receives, in task order, every entry it lacks
+    (probing backends directly, so its hit/miss stats stay untouched).
+    The pool holds at most one worker per task and per CPU this process
+    may run on: more workers than either only queue behind one another.
     """
     if not tasks:
         return [], 0, 0
@@ -208,23 +229,19 @@ def fork_map(
         (str(b.directory) for b in backends if isinstance(b, DiskBackend)),
         None,
     )
-    ephemeral = directory is None
-    if ephemeral:
-        directory = tempfile.mkdtemp(prefix="repro-sweep-cache-")
     ctx = multiprocessing.get_context("fork")
-    try:
-        with ctx.Pool(workers, initializer=_install_job,
-                      initargs=(job, directory)) as pool:
-            out = pool.map(_run_job, tasks)
-    finally:
-        if ephemeral:
-            if cache is not None:
-                _merge_disk_entries(cache, directory)
-            shutil.rmtree(directory, ignore_errors=True)
+    with ctx.Pool(workers, initializer=_install_job,
+                  initargs=(job, directory)) as pool:
+        out = pool.map(_run_job, tasks)
+    if cache is not None:
+        for _, _, _, entries in out:
+            for key, value in entries:
+                if all(b.get(key) is MISS for b in cache.backends):
+                    cache.store(key, value)
     return (
-        [result for result, _, _ in out],
-        sum(hits for _, hits, _ in out),
-        sum(misses for _, _, misses in out),
+        [result for result, _, _, _ in out],
+        sum(hits for _, hits, _, _ in out),
+        sum(misses for _, _, misses, _ in out),
     )
 
 
@@ -234,15 +251,3 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity masks on this platform
         return os.cpu_count() or 1
-
-
-def _merge_disk_entries(cache: CompileCache, directory: str) -> None:
-    """Promote a temporary rendezvous directory into ``cache``."""
-    disk = DiskBackend(directory)
-    for path in sorted(disk.directory.glob("*.pkl")):
-        key = path.stem
-        value = disk.get(key)
-        if value is MISS:
-            continue
-        if all(backend.get(key) is MISS for backend in cache.backends):
-            cache.store(key, value)

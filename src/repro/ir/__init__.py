@@ -67,6 +67,7 @@ from repro.ir.tensor import (
     IterVar,
     Tensor,
     compute,
+    fresh_name_count,
     max_reduce,
     placeholder,
     reduce_axis,
@@ -104,7 +105,7 @@ __all__ = [
     "SeqStmt", "Stmt", "StmtMutator", "StmtVisitor", "Store", "StringImm",
     "Sub", "Tensor", "Var", "compute", "const", "convert",
     "count_flops_expr", "eval_int", "exp", "expr_str", "fmax", "fmin",
-    "free_vars", "max_reduce", "placeholder", "reduce_axis",
+    "free_vars", "fresh_name_count", "max_reduce", "placeholder", "reduce_axis",
     "reset_fresh_names", "run_kernel", "run_kernel_vectorized",
     "run_program_sequential", "seq", "stmt_str", "stride_of",
     "VectorizedInterpreter",

@@ -8,7 +8,7 @@ exactly kernels with a non-empty ``scalar_args`` list.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import IRError
 from repro.ir import expr as _e
@@ -48,10 +48,10 @@ class Kernel:
         #: analyses derived from this kernel, computed once per object (a
         #: lowered kernel is never mutated): its access table — built here
         #: by validation, then read by channels(), local_buffers(), verify
-        #: and the AOC model — plus the AOC analysis, the verifier's
-        #: per-kernel reports, the emitted OpenCL text and the vectorized
-        #: interpreter's band plans.  Not pickled; an unpickled kernel
-        #: rebuilds its table on first use.
+        #: and the AOC model — plus the channels it reads and writes, the
+        #: AOC analysis, the verifier's per-kernel reports, the emitted
+        #: OpenCL text and the vectorized interpreter's band plans.  Not
+        #: pickled; an unpickled kernel rebuilds its table on first use.
         self.derived: Dict[object, object] = {}
         if autorun and self.args:
             raise IRError(
@@ -95,13 +95,18 @@ class Kernel:
         """True if the kernel takes symbolic shape/stride arguments."""
         return bool(self.scalar_args)
 
-    def channels(self) -> Tuple[Set[Channel], Set[Channel]]:
-        """Channels (read, written) by this kernel."""
-        reads: Set[Channel] = set()
-        writes: Set[Channel] = set()
-        for site in access_table(self).channel_sites:
-            (writes if site.is_write else reads).add(site.channel)
-        return reads, writes
+    def channels(self) -> Tuple[FrozenSet[Channel], FrozenSet[Channel]]:
+        """Channels (read, written) by this kernel, computed once."""
+        found = self.derived.get(Kernel.channels)
+        if found is None:
+            reads: Set[Channel] = set()
+            writes: Set[Channel] = set()
+            for site in access_table(self).channel_sites:
+                (writes if site.is_write else reads).add(site.channel)
+            found = self.derived[Kernel.channels] = (
+                frozenset(reads), frozenset(writes)
+            )
+        return found
 
     def local_buffers(self) -> List[Buffer]:
         """All non-global buffers allocated in the body, in pre-order."""

@@ -188,7 +188,7 @@ def _fresh(prefix: str) -> str:
     return f"{prefix}{_unique_counter[0]}"
 
 
-def reset_fresh_names() -> None:
+def reset_fresh_names(start: int = 0) -> None:
     """Restart the name uniquifier (called at the top of a build).
 
     Axis names carry a process-global counter, so without a reset two
@@ -196,8 +196,15 @@ def reset_fresh_names() -> None:
     the generated source is not content-addressable.  Builders reset the
     counter before constructing tensors; uniqueness within one program
     is preserved because the counter only restarts between builds.
+    ``start`` resumes the counter where a build had it, so one kernel of
+    that build can be constructed again under the build's own names.
     """
-    _unique_counter[0] = 0
+    _unique_counter[0] = start
+
+
+def fresh_name_count() -> int:
+    """The uniquifier's current value (see :func:`reset_fresh_names`)."""
+    return _unique_counter[0]
 
 
 def placeholder(shape: Sequence[DimLike], name: str, dtype: str = _e.FLOAT32) -> Tensor:

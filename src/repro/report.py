@@ -358,9 +358,7 @@ def check_deployment(
         ).run()
         report, fused = result.value("verify"), result.value("fused")
         if network != "lenet5":
-            preview = prune_preview(
-                fused, board, DEFAULT_CONSTANTS, config.pin_unit_stride
-            )
+            preview = prune_preview(fused, board, DEFAULT_CONSTANTS, config)
     except VerificationError as e:
         report = e.report
     except ReproError as e:

@@ -10,7 +10,7 @@ report shows how much synthesis a pruned sweep would skip.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.aoc.constants import AOCConstants, DEFAULT_CONSTANTS
 from repro.device.boards import Board
@@ -18,6 +18,9 @@ from repro.relay.passes import FusedGraph
 from repro.topi import ConvTiling
 from repro.verify.diagnostics import VerifyReport
 from repro.verify.dominance import group_members, plan_conv_sweep
+
+if TYPE_CHECKING:
+    from repro.flow.folded import FoldedConfig
 
 #: RP rule -> the cookbook rewrite that removes the finding
 #: (docs/schedule_cookbook.md, "Reading advisor output")
@@ -47,14 +50,15 @@ def prune_preview(
     fused: FusedGraph,
     board: Board,
     constants: AOCConstants = DEFAULT_CONSTANTS,
-    pin_unit_stride: bool = True,
+    config: Optional["FoldedConfig"] = None,
     w2vec_options=(7,),
     c2vec_options=(4, 8, 16, 32),
     c1vec_options=(4, 8, 16),
 ) -> Optional[Dict[str, object]]:
     """Dry-run dominance pruning over the default 1x1 tiling grid.
 
-    Returns None when the network has no 1x1 convolution group (nothing
+    ``config`` is the build's folded configuration (None: the default),
+    whose group kernels the profiles describe.  Returns None when the network has no 1x1 convolution group (nothing
     to sweep).  Otherwise a dict with the candidate/kept/pruned counts
     and the per-pruned-tiling reasons, deterministically ordered — the
     statistics block ``--check`` prints.
@@ -74,9 +78,7 @@ def prune_preview(
         for c2 in c2vec_options if divides_all(c2, c2e)
         for c1 in c1vec_options if divides_all(c1, c1e)
     ]
-    decisions = plan_conv_sweep(
-        fused, group, tilings, board, constants, pin_unit_stride
-    )
+    decisions = plan_conv_sweep(fused, group, tilings, board, constants, config)
     pruned: List[Dict[str, object]] = [
         {
             "tiling": f"w2vec={d.tiling.w2vec} c2vec={d.tiling.c2vec} "

@@ -3,10 +3,11 @@
 A tiling sweep (``repro.flow.dse``) compiles and simulates every
 candidate; most of that work is provably wasted.  This module builds a
 :class:`StaticProfile` of a candidate tiling *without running the
-compile pipeline* — it constructs the same parameterized group kernel
-the folded builder would (same epilogue, same schedule), runs the AOC
-front-half analysis on it, and records every quantity the performance
-model is monotone in:
+compile pipeline* — it takes the parameterized group kernels from the
+folded builder's own constructor (:func:`repro.flow.folded.group_kernel`:
+the build's names, epilogue and resolved recipe), lowers them through
+the per-kernel lower cache, runs the AOC front-half analysis on them,
+and records every quantity the performance model is monotone in:
 
 * the worst loop initiation interval,
 * the widest coalesced access and the LSU replica count,
@@ -27,25 +28,21 @@ reports how many synthesis runs this saved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-import repro.ir as ir
-from repro.aoc.analysis import KernelAnalysis
+from repro.aoc.analysis import analyze
 from repro.aoc.constants import AOCConstants, DEFAULT_CONSTANTS
 from repro.aoc.resources import estimate_kernel
 from repro.device.boards import Board
 from repro.errors import AOCError
 from repro.relay.passes import FusedGraph, FusedNode
-from repro.schedule import lower
-from repro.topi import (
-    ConvTiling,
-    conv2d_symbolic,
-    depthwise_symbolic,
-    schedule_symbolic_conv,
-)
+from repro.topi import ConvTiling
 from repro.verify.memory import network_footprint
 from repro.verify.perf import roof_elems
+
+if TYPE_CHECKING:
+    from repro.flow.folded import FoldedConfig
 
 GroupId = Tuple[str, int, int]
 
@@ -96,35 +93,40 @@ def profile_conv_tiling(
     group: GroupId,
     tiling: ConvTiling,
     constants: AOCConstants = DEFAULT_CONSTANTS,
-    pin_unit_stride: bool = True,
+    config: Optional["FoldedConfig"] = None,
     ddr_bytes: Optional[int] = None,
 ) -> StaticProfile:
     """Static profile of one candidate tiling for one conv group.
 
-    Mirrors ``repro.flow.folded``'s group-kernel construction exactly
-    (one kernel per distinct fused-epilogue signature among the group's
-    members), so the profile describes the very kernels the candidate
-    build would synthesize — the certificate is exact within the model.
+    Mirrors ``repro.flow.folded``'s group-kernel construction exactly:
+    it calls the builder's constructor for each distinct group key among
+    the group's members (one kernel per fused-epilogue signature), on
+    ``config`` (the sweep's base, default :class:`FoldedConfig`) with
+    the group's tiling replaced by ``tiling`` — the build's names,
+    recipe deltas and overrides included.  So the profile describes the
+    very kernels the candidate build would synthesize (the certificate
+    is exact within the model), and, lowered through the lower cache,
+    they are the kernels that build replays, analyses included.
     ``ddr_bytes`` is the network's footprint, tiling-independent, so a
     sweep passes it once for every candidate; None computes it.
     Raises :class:`~repro.errors.AOCError` when the group has no member
     layers or a kernel defeats the front-half analysis.
     """
+    from repro.flow.folded import (
+        FoldedConfig, group_kernel, group_key, group_name_starts,
+    )
+    from repro.flow.incremental import lower_kernel
+
     kind, f, s = group
     members = group_members(fused, group)
     if not members:
         raise AOCError(f"no {kind} {f}x{f}/{s} layers in {fused.graph.name}")
-
-    # one proxy kernel per distinct epilogue signature, like _group_key
-    by_epilogue = {}
+    base = config or FoldedConfig()
+    config = replace(base, conv_tilings={**base.conv_tilings, group: tiling})
+    by_key: Dict[tuple, List[FusedNode]] = {}
     for fn in members:
-        a = fn.anchor.attrs
-        if kind == "conv":
-            key = (a.get("bias", True), fn.activation, fn.has_residual,
-                   fn.has_batchnorm)
-        else:
-            key = (a.get("bias", True), fn.activation, fn.has_batchnorm)
-        by_epilogue.setdefault(key, []).append(fn)
+        by_key.setdefault(group_key(fn), []).append(fn)
+    starts = group_name_starts(fused)
 
     max_ii = 1
     width = 0
@@ -132,26 +134,9 @@ def profile_conv_tiling(
     aluts = ffs = rams = dsps = max_kernel_dsps = 0
     cycles: List[int] = []
     traffic: List[int] = []
-    for key, fns in sorted(by_epilogue.items(), key=lambda kv: str(kv[0])):
-        ir.reset_fresh_names()
-        first = fns[0]
-        a = first.anchor.attrs
-        if kind == "conv":
-            handle, _, out = conv2d_symbolic(
-                f, s, "dom", bias=a.get("bias", True),
-                activation=first.activation, residual=first.has_residual,
-                batchnorm=first.has_batchnorm,
-                pin_unit_stride=pin_unit_stride,
-            )
-            sch = schedule_symbolic_conv(out, tiling, is_1x1=(f == 1))
-        else:
-            handle, _, out = depthwise_symbolic(
-                f, s, "dom", bias=a.get("bias", True),
-                activation=first.activation, batchnorm=first.has_batchnorm,
-                pin_unit_stride=pin_unit_stride,
-            )
-            sch = schedule_symbolic_conv(out, tiling, is_1x1=False)
-        an = KernelAnalysis(lower(sch, "k_dom"), constants)
+    for key, fns in sorted(by_key.items(), key=lambda kv: str(kv[0])):
+        sk, handle = group_kernel(fns[0], key, config, starts[key])
+        an = analyze(lower_kernel(sk), constants)
         res = estimate_kernel(an, constants)
         max_ii = max(max_ii, an.max_ii())
         width = max(width, max((l.width_elems for l in an.lsus), default=0))
@@ -283,14 +268,15 @@ def plan_conv_sweep(
     tilings: List[ConvTiling],
     board: Board,
     constants: AOCConstants = DEFAULT_CONSTANTS,
-    pin_unit_stride: bool = True,
+    config: Optional["FoldedConfig"] = None,
 ) -> List[PruneDecision]:
     """Decide, in sweep order, which candidates need synthesis.
 
     A candidate is pruned when it is statically infeasible or dominated
     by an earlier *kept* candidate; ties break toward the earlier point,
     matching ``choose_tiling``'s first-max selection, so the kept set
-    always contains the sweep's argmax.
+    always contains the sweep's argmax.  ``config`` is the sweep's base
+    configuration, each candidate's tiling replacing the group's.
     """
     decisions: List[PruneDecision] = []
     kept: List[StaticProfile] = []
@@ -298,7 +284,7 @@ def plan_conv_sweep(
     for tiling in tilings:
         try:
             prof = profile_conv_tiling(
-                fused, group, tiling, constants, pin_unit_stride, ddr_bytes
+                fused, group, tiling, constants, config, ddr_bytes
             )
         except AOCError:
             prof = None

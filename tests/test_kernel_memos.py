@@ -14,14 +14,16 @@ import re
 
 import pytest
 
+import repro.ir as ir
 from repro.aoc.constants import DEFAULT_CONSTANTS
 from repro.codegen import generate_opencl
 from repro.device import ARRIA10, STRATIX10_MX, STRATIX10_SX
 from repro.flow.deploy import default_folded_config, deploy_pipelined
 from repro.flow.folded import lower_folded, plan_folded, schedule_folded
-from repro.flow.incremental import clear_lower_cache
+from repro.flow.incremental import clear_lower_cache, lower_cache_stats
 from repro.flow.stages import MODELS
 from repro.ir import expr as _e
+from repro.ir.analysis import AccessTable
 from repro.ir.printer import expr_str
 from repro.pipeline.fingerprint import fingerprint
 from repro.relay import fuse_operators
@@ -235,3 +237,54 @@ class TestRL001Tokens:
         )
         assert _rl001(source) == [("k", n) for n in unused]
         assert _rl001(source) == _rl001_by_regex(source)
+
+
+class TestPrebuiltSoftmax:
+    def _softmax(self, fused, config):
+        sched = schedule_folded(fused, config, ARRIA10)
+        (kernel,) = [sk.prebuilt for sk in sched.kernels if sk.prebuilt]
+        return kernel, ir.fresh_name_count()
+
+    def test_built_once_while_the_lower_cache_lives(self):
+        fused = fuse_operators(MODELS["mobilenet_v1"]())
+        config = default_folded_config("mobilenet_v1", ARRIA10)
+        clear_lower_cache()
+        built, names_after_miss = self._softmax(fused, config)
+        stats = lower_cache_stats()
+        replayed, names_after_hit = self._softmax(fused, config)
+        assert replayed is built
+        # a hit leaves the name uniquifier where building it did
+        assert names_after_hit == names_after_miss
+        after = lower_cache_stats()
+        assert {k: after[k] - stats[k] for k in after} == {
+            "hits": 1, "misses": 0, "uncached": 0,
+        }
+        clear_lower_cache()
+        rebuilt, names_after_rebuild = self._softmax(fused, config)
+        assert rebuilt is not built
+        assert names_after_rebuild == names_after_miss
+        assert generate_opencl(ir.Program([rebuilt])) == \
+            generate_opencl(ir.Program([built]))
+
+    def test_naive_and_licm_variants_are_kept_apart(self):
+        fused = fuse_operators(MODELS["mobilenet_v1"]())
+        licm, _ = self._softmax(fused, default_folded_config(
+            "mobilenet_v1", ARRIA10))
+        naive, _ = self._softmax(fused, default_folded_config(
+            "mobilenet_v1", ARRIA10, naive=True))
+        assert naive is not licm
+        assert generate_opencl(ir.Program([naive])) != \
+            generate_opencl(ir.Program([licm]))
+
+
+class TestChannelsMemo:
+    def test_channels_are_computed_once(self):
+        dep = deploy_pipelined("lenet5", ARRIA10, cache=False)
+        for kernel in dep.bitstream.program.kernels:
+            reads, writes = kernel.channels()
+            assert kernel.channels() == (reads, writes)
+            assert kernel.channels()[0] is reads
+            sites = kernel.derived[AccessTable].channel_sites
+            assert reads == {s.channel for s in sites if not s.is_write}
+            assert writes == {s.channel for s in sites if s.is_write}
+        assert any(k.channels()[1] for k in dep.bitstream.program.kernels)

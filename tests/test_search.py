@@ -17,9 +17,12 @@ from repro.flow import incremental, search
 from repro.flow.incremental import clear_lower_cache
 from repro.flow.search import evaluate, group_extents
 from repro.flow.stages import MODELS, folded_flow
-from repro.pipeline.cache import CompileCache
+from repro.pipeline import Pipeline
+from repro.pipeline.cache import CachedFailure, CompileCache, DiskBackend
 from repro.relay import fuse_operators
+from repro.schedule import recipe
 from repro.topi import ConvTiling
+from repro.verify.dominance import profile_conv_tiling
 from repro.verify.equiv import clear_equiv_cache
 
 
@@ -82,6 +85,46 @@ class TestForkMap:
         assert [cache.lookup(f"task-{t}") for t in tasks] == [
             (True, t * 10) for t in tasks
         ]
+
+
+def _entry(value):
+    """What a compile-cache value says: a replayed failure, or the
+    synthesized design's kernels, resources and clock."""
+    if isinstance(value, CachedFailure):
+        return value
+    return (value.program.name, [k.name for k in value.program.kernels],
+            value.board.name, value.total, value.fmax_mhz)
+
+
+class TestPoolCache:
+    GRID = dict(c2vec_options=(8, 16, 32), c1vec_options=(4, 8))
+
+    def test_pool_hands_the_callers_cache_the_serial_entries(self, mobilenet):
+        """Without a disk cache, the workers return what they stored and
+        the caller's cache holds the serial sweep's keys, in the same
+        order, with the same designs and failures."""
+        caches = {workers: CompileCache() for workers in (1, 2)}
+        for workers, cache in caches.items():
+            sweep_conv1x1(mobilenet, ARRIA10, cache=cache, workers=workers,
+                          **self.GRID)
+        serial, pooled = (c.backends[0]._store for c in caches.values())
+        assert len(serial) == 6
+        assert list(pooled) == list(serial)
+        assert [_entry(v) for v in pooled.values()] == \
+            [_entry(v) for v in serial.values()]
+
+    def test_disk_cache_is_shared_with_the_workers(self, mobilenet, tmp_path):
+        serial = CompileCache()
+        sweep_conv1x1(mobilenet, ARRIA10, cache=serial, workers=1,
+                      **self.GRID)
+        pooled = CompileCache(disk_dir=tmp_path)
+        sweep_conv1x1(mobilenet, ARRIA10, cache=pooled, workers=2,
+                      **self.GRID)
+        disk = DiskBackend(tmp_path)
+        assert sorted(p.stem for p in tmp_path.glob("*.pkl")) == \
+            sorted(serial.backends[0]._store)
+        assert {k: _entry(disk.get(k)) for k in serial.backends[0]._store} == \
+            {k: _entry(v) for k, v in serial.backends[0]._store.items()}
 
 
 class TestGroupExtents:
@@ -162,7 +205,9 @@ class TestSweepStrategy:
 
     def test_each_lower_key_is_computed_once(self, mobilenet, monkeypatch):
         # the lower stage and the equivalence certifier key on the same
-        # fingerprint: one computation per scheduled kernel of a build
+        # fingerprint: one computation per recipe-backed kernel of a build
+        # (prebuilt softmax has none) and per dominance profile, which
+        # lowers the group kernel under the build's name
         clear_lower_cache()
         clear_equiv_cache()
         calls = []
@@ -176,8 +221,57 @@ class TestSweepStrategy:
         )
         built = sum(1 for p in s.points if not p.pruned)
         assert (len(s.points), built) == (24, 16)
-        assert len(calls) == 144  # 16 builds x 9 kernels
-        assert len(set(calls)) == 9
+        assert len(calls) == 152  # 16 builds x 8 kernels + 24 profiles
+        assert len(set(calls)) == 8
+
+
+class TestProfileDescribesTheBuild:
+    GROUP = ("conv", 1, 1)
+    KERNEL = "k_conv_1_1_True_relu6_False_False"
+    TILING = ConvTiling(w2vec=7, c2vec=8, c1vec=4)
+
+    def _config(self, delta):
+        config = default_folded_config("mobilenet_v1", ARRIA10).copy()
+        config.pin_unit_stride = False
+        if delta:
+            config.recipe_deltas[self.KERNEL] = recipe().pin_unit_stride()
+        return config
+
+    def test_profile_lowers_the_kept_builds_kernel(self, mobilenet,
+                                                   monkeypatch):
+        """With a recipe delta on the 1x1 group kernel, the dominance
+        profile lowers the build's own kernel (same lower key), and the
+        build's lower stage replays it as a hit."""
+        config = self._config(delta=True)
+        lowered = []
+        lower_kernel = incremental.lower_kernel
+        monkeypatch.setattr(
+            incremental, "lower_kernel",
+            lambda sk: lowered.append((sk, lower_kernel(sk))) or lowered[-1][1],
+        )
+        clear_lower_cache()
+        profile = profile_conv_tiling(mobilenet, self.GROUP, self.TILING,
+                                      config=config)
+        assert profile != profile_conv_tiling(
+            mobilenet, self.GROUP, self.TILING, config=self._config(False))
+        (profiled, kernel), _ = lowered
+        assert profiled.name == self.KERNEL
+        assert profiled.recipe.steps[-1].op == "pin_unit_stride"
+
+        config.conv_tilings[self.GROUP] = self.TILING
+        flow = folded_flow("mobilenet_v1", ARRIA10, config, cache=False)
+        names = [s.name for s in flow.stages]
+        result = Pipeline(flow.name, flow.stages[: names.index("lower") + 1]
+                          ).run(seed={"graph": mobilenet.graph,
+                                      "fused": mobilenet})
+        (built,) = [sk for sk in result.value("schedule").kernels
+                    if sk.name == self.KERNEL]
+        assert built.lower_key == profiled.lower_key
+        assert result.value("program").kernel(self.KERNEL) is kernel
+        # the other recipe kernels miss; softmax is looked up when scheduled
+        counters = result.trace.stage("lower").counters
+        assert (counters["lower_hits"], counters["lower_misses"],
+                counters["lower_uncached"]) == (1, 7, 0)
 
 
 class TestAscentStrategy:
