@@ -71,6 +71,8 @@ class PipelinedSchedule:
     #: producer layer name -> inter-kernel channel
     channels: Dict[str, ir.Channel]
     uses_channels: bool
+    #: this build's schedule-memo hit/miss deltas (schedule_* counters)
+    schedule_cache: Dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -82,6 +84,8 @@ class FoldedSchedule:
     invocations: List[Invocation]
     #: group key -> kernel name, for introspection/tests
     groups: Dict[Tuple, str] = field(default_factory=dict)
+    #: this build's schedule-memo hit/miss deltas (schedule_* counters)
+    schedule_cache: Dict[str, int] = field(default_factory=dict)
 
 
 # -- pipeline integration ---------------------------------------------------
@@ -115,17 +119,23 @@ register_canonicalizer(
     ],
 )
 
+def _memo_counters(s) -> Dict[str, int]:
+    return {f"schedule_{k}": v for k, v in s.schedule_cache.items()}
+
+
 register_describer(
     PipelinedSchedule,
     lambda s: (
         len(s.kernels),
-        {"kernels": len(s.kernels), "channels": len(s.channels)},
+        {"kernels": len(s.kernels), "channels": len(s.channels),
+         **_memo_counters(s)},
     ),
 )
 register_describer(
     FoldedSchedule,
     lambda s: (
         len(s.kernels),
-        {"kernels": len(s.kernels), "invocations": len(s.invocations)},
+        {"kernels": len(s.kernels), "invocations": len(s.invocations),
+         **_memo_counters(s)},
     ),
 )

@@ -19,7 +19,11 @@ import repro.ir as ir
 from repro.device.boards import Board
 from repro.errors import ScheduleError, UnsupportedError
 from repro.flow.artifacts import FoldedSchedule, ScheduledKernel
-from repro.flow.incremental import prebuilt_kernel
+from repro.flow.incremental import (
+    prebuilt_kernel,
+    schedule_cache_delta,
+    scheduled_kernel,
+)
 from repro.relay.passes import FusedGraph, FusedNode
 from repro.runtime.plan import FoldedPlan, Invocation
 from repro.schedule import ScheduleRecipe, create_schedule
@@ -130,16 +134,25 @@ def group_key(fn: FusedNode) -> GroupKey:
     return ("static", fn.name)
 
 
-def _scheduled(
-    config: FoldedConfig, kname: str, layer: str, out: ir.Tensor,
-    base: ScheduleRecipe,
-) -> ScheduledKernel:
-    """``out`` scheduled by the kernel's final recipe: its override in
-    ``config`` wins, else ``base`` + its delta."""
+def _final_recipe(config: FoldedConfig, kname: str, base):
+    """The kernel's final recipe: its override in ``config`` wins, else
+    ``base`` + its delta.  A ``base`` that reads the kernel's output
+    tensor (``pool_opt_recipe``) resolves to the pair ``(base, delta)``,
+    which :func:`_scheduled` finishes once the tensor exists."""
     rec = config.recipe_overrides.get(kname)
-    if rec is None:
-        delta = config.recipe_deltas.get(kname)
-        rec = base + delta if delta else base
+    if rec is not None:
+        return rec
+    delta = config.recipe_deltas.get(kname)
+    if callable(base):
+        return base, delta
+    return base + delta if delta else base
+
+
+def _scheduled(kname: str, layer: str, out: ir.Tensor, rec) -> ScheduledKernel:
+    """``out`` scheduled by ``rec``, a :func:`_final_recipe`."""
+    if isinstance(rec, tuple):
+        base, delta = rec
+        rec = base(out) + delta if delta else base(out)
     return ScheduledKernel(
         name=kname, layer=layer, schedule=rec.apply(create_schedule(out)),
         recipe=rec,
@@ -161,7 +174,9 @@ def group_kernel(
     member's shapes.  ``name_start`` resumes the IR name uniquifier
     there first (:func:`group_name_starts` gives the build's value), so
     the kernel's loop variables, and with them its lower key, are the
-    build's; None constructs at the uniquifier's current value.
+    build's; None constructs at the uniquifier's current value.  The
+    kernel comes from :func:`~repro.flow.incremental.scheduled_kernel`,
+    so the build and the prover share one object per content.
     """
     if name_start is not None:
         ir.reset_fresh_names(name_start)
@@ -172,31 +187,49 @@ def group_kernel(
     if fn.op == "conv2d":
         fn.check_canonical_epilogue()
         f, s = a["field"], a["stride"]
-        handle, _, out = conv2d_symbolic(
-            f, s, base, bias=a.get("bias", True), activation=fn.activation,
-            residual=fn.has_residual, batchnorm=fn.has_batchnorm,
-            pin_unit_stride=pin,
-        )
+
+        def tensors():
+            return conv2d_symbolic(
+                f, s, base, bias=a.get("bias", True),
+                activation=fn.activation, residual=fn.has_residual,
+                batchnorm=fn.has_batchnorm, pin_unit_stride=pin,
+            )
+
         base_recipe = symbolic_conv_recipe(
             config.tiling_for("conv", f, s), is_1x1=(f == 1)
         )
     elif fn.op == "depthwise_conv2d":
         fn.check_canonical_epilogue()
         f, s = a["field"], a["stride"]
-        handle, _, out = depthwise_symbolic(
-            f, s, base, bias=a.get("bias", True), activation=fn.activation,
-            batchnorm=fn.has_batchnorm, pin_unit_stride=pin,
-        )
+
+        def tensors():
+            return depthwise_symbolic(
+                f, s, base, bias=a.get("bias", True),
+                activation=fn.activation, batchnorm=fn.has_batchnorm,
+                pin_unit_stride=pin,
+            )
+
         base_recipe = symbolic_conv_recipe(
             config.tiling_for("dw", f, s), is_1x1=False, depthwise=True
         )
     elif fn.op == "pad":
         before, after = a["pad"]
-        handle, _, out = pad_symbolic(before, after, base)
+
+        def tensors():
+            return pad_symbolic(before, after, base)
+
         base_recipe = transform_recipe()
     else:  # pragma: no cover
         raise UnsupportedError(f"cannot parameterize {fn.op}")
-    return _scheduled(config, kname, fn.name, out, base_recipe), handle
+    rec = _final_recipe(config, kname, base_recipe)
+
+    def construct():
+        handle, _, out = tensors()
+        return _scheduled(kname, fn.name, out, rec), handle
+
+    return scheduled_kernel(
+        ("group", fn, kname, pin, config.naive, rec), construct
+    )
 
 
 #: fused graph -> the uniquifier's value at each group key's first layer
@@ -307,11 +340,32 @@ class _FoldedBuilder:
 
     # ------------------------------------------------------------------
     def _schedule_static_kernel(self, fn: FusedNode) -> str:
+        """Schedule ``fn``'s own kernel through the schedule memo, keyed
+        like a group kernel (:func:`group_kernel`)."""
+        kname = f"k_{fn.name}"
+        if fn.op == "softmax":
+            (n,) = fn.anchor.inputs[0].out_shape
+            build = (
+                softmax_kernel_naive if self.config.naive
+                else softmax_kernel_licm
+            )
+            self.kernels.append(prebuilt_kernel(build, n, fn.name, kname))
+            return kname
+        tensors, base = self._static_parts(fn)
+        rec = _final_recipe(self.config, kname, base)
+        self.kernels.append(scheduled_kernel(
+            ("static", fn, kname, self.config.pin_unit_stride,
+             self.config.naive, rec),
+            lambda: _scheduled(kname, fn.name, tensors(), rec),
+        ))
+        return kname
+
+    def _static_parts(self, fn: FusedNode):
+        """``(tensors, base)``: a thunk building ``fn``'s output tensor
+        and the kernel's base recipe (``pool_opt_recipe`` itself where
+        the recipe reads that tensor)."""
         a = fn.anchor.attrs
         naive = self.config.naive
-        kname = f"k_{fn.name}"
-        kern = None
-        out = base_recipe = None
         if fn.op == "conv2d":
             fn.check_canonical_epilogue()
             c1, h, w = fn.anchor.inputs[0].out_shape
@@ -320,23 +374,23 @@ class _FoldedBuilder:
                 bias=a.get("bias", True), activation=fn.activation,
                 residual=fn.has_residual, batchnorm=fn.has_batchnorm,
             )
-            _, out = conv2d_tensors(spec, fn.name)
             if naive:
-                base_recipe = conv2d_naive_recipe(
+                base = conv2d_naive_recipe(
                     auto_unroll_ff=self.board.auto_unroll_small_loops
                 )
             else:
                 tiling = self.config.tiling_for("conv", spec.f, spec.s)
                 tiling = self._legal_tiling(tiling, spec)
                 if spec.f == 1:
-                    base_recipe = conv1x1_opt_recipe(tiling)
+                    base = conv1x1_opt_recipe(tiling)
                 else:
                     if tiling.c2vec != 1:
                         raise ScheduleError(
                             "c2vec tiling applies to 1x1 convs only (use conv1x1)"
                         )
-                    base_recipe = conv2d_opt_recipe(tiling)
-        elif fn.op == "depthwise_conv2d":
+                    base = conv2d_opt_recipe(tiling)
+            return lambda: conv2d_tensors(spec, fn.name)[1], base
+        if fn.op == "depthwise_conv2d":
             fn.check_canonical_epilogue()
             c1, h, w = fn.anchor.inputs[0].out_shape
             spec = ConvSpec(
@@ -344,66 +398,56 @@ class _FoldedBuilder:
                 bias=a.get("bias", True), activation=fn.activation,
                 batchnorm=fn.has_batchnorm,
             )
-            _, out = depthwise_tensors(spec, fn.name)
             if naive:
-                base_recipe = depthwise_naive_recipe(
+                base = depthwise_naive_recipe(
                     auto_unroll_ff=self.board.auto_unroll_small_loops
                 )
             else:
                 tiling = self._legal_tiling(
                     self.config.tiling_for("dw", spec.f, spec.s), spec
                 )
-                base_recipe = depthwise_opt_recipe(tiling)
-        elif fn.op == "pad":
+                base = depthwise_opt_recipe(tiling)
+            return lambda: depthwise_tensors(spec, fn.name)[1], base
+        if fn.op == "pad":
             before, after = a["pad"]
             c, h, w = fn.anchor.inputs[0].out_shape
-            _, out = pad_tensors(c, h, w, before, after, fn.name)
-            base_recipe = transform_recipe()
-        elif fn.op in ("maxpool", "avgpool"):
+            return (
+                lambda: pad_tensors(c, h, w, before, after, fn.name)[1],
+                transform_recipe(),
+            )
+        if fn.op in ("maxpool", "avgpool", "global_avgpool"):
             c, h, w = fn.anchor.inputs[0].out_shape
+            base = pool_naive_recipe() if naive else pool_opt_recipe
+            if fn.op == "global_avgpool":
+                return lambda: gap_tensors(c, h, w, fn.name)[1], base
             spec = PoolSpec(
                 c=c, h=h, w=w, field=a["field"], stride=a["stride"],
                 kind="max" if fn.op == "maxpool" else "avg",
             )
-            _, out = pool_tensors(spec, fn.name)
-            base_recipe = pool_naive_recipe() if naive else pool_opt_recipe(out)
-        elif fn.op == "global_avgpool":
+            return lambda: pool_tensors(spec, fn.name)[1], base
+        if fn.op == "flatten":
             c, h, w = fn.anchor.inputs[0].out_shape
-            _, out = gap_tensors(c, h, w, fn.name)
-            base_recipe = pool_naive_recipe() if naive else pool_opt_recipe(out)
-        elif fn.op == "flatten":
-            c, h, w = fn.anchor.inputs[0].out_shape
-            _, out = flatten_tensors(c, h, w, fn.name)
-            base_recipe = transform_recipe()
-        elif fn.op == "dense":
+            return (
+                lambda: flatten_tensors(c, h, w, fn.name)[1],
+                transform_recipe(),
+            )
+        if fn.op == "dense":
             (n,) = fn.anchor.inputs[0].out_shape
             spec = DenseSpec(
                 n=n, m=a["units"], bias=a.get("bias", True),
                 activation=fn.activation,
             )
-            _, out = dense_tensors(spec, fn.name)
             if naive:
-                base_recipe = dense_naive_recipe()
+                base = dense_naive_recipe()
             else:
                 factor = self.config.dense_unroll
                 while factor > 1 and n % factor != 0:
                     factor //= 2
-                base_recipe = dense_opt_recipe(factor)
-        elif fn.op == "softmax":
-            (n,) = fn.anchor.inputs[0].out_shape
-            build = softmax_kernel_naive if naive else softmax_kernel_licm
-            kern = prebuilt_kernel(build, n, fn.name, kname)
-        else:  # pragma: no cover
-            raise UnsupportedError(f"folded builder: unsupported op {fn.op}")
-        if kern is not None:
-            self.kernels.append(
-                ScheduledKernel(name=kname, layer=fn.name, prebuilt=kern)
-            )
-        else:
-            self.kernels.append(
-                _scheduled(self.config, kname, fn.name, out, base_recipe)
-            )
-        return kname
+                base = dense_opt_recipe(factor)
+            return lambda: dense_tensors(spec, fn.name)[1], base
+        raise UnsupportedError(  # pragma: no cover
+            f"folded builder: unsupported op {fn.op}"
+        )
 
     @staticmethod
     def _legal_tiling(tiling: ConvTiling, spec: ConvSpec) -> ConvTiling:
@@ -426,9 +470,18 @@ class _FoldedBuilder:
 def schedule_folded(
     fused: FusedGraph, config: FoldedConfig, board: Board
 ) -> FoldedSchedule:
-    """``schedule`` stage: group layers and pick per-kernel schedules."""
+    """``schedule`` stage: group layers and pick per-kernel schedules.
+
+    Every kernel comes through the schedule memo
+    (:func:`repro.flow.incremental.scheduled_kernel`), so a DSE build
+    constructs only the kernels its tiling changes; this run's hit/miss
+    deltas land on the schedule for the stage's trace counters.
+    """
     ir.reset_fresh_names()
-    return _FoldedBuilder(fused, config, board).schedule_graph()
+    with schedule_cache_delta() as delta:
+        sched = _FoldedBuilder(fused, config, board).schedule_graph()
+    sched.schedule_cache = delta
+    return sched
 
 
 def lower_folded(sched: FoldedSchedule) -> ir.Program:

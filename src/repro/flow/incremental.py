@@ -12,13 +12,28 @@ kernel's IR; the rest replay from the cache.  The per-run hit/miss
 counts surface as ``lower_hits``/``lower_misses`` counters on the
 ``lower`` stage of the compile trace.
 
-The dominance prover (:mod:`repro.verify.dominance`) lowers its
-candidate group kernels through the same cache, under the build's
-names and recipe, so a kept candidate's build replays the kernel its
-profile lowered.  Prebuilt kernels (softmax, whose builder emits IR
-directly) live in the same cache but are looked up when they are
-scheduled (:func:`prebuilt_kernel`): they count as hits or misses in
-:func:`lower_cache_stats`, not in the ``lower`` stage's counters.
+The same LRU memoizes the step before lowering (:func:`scheduled_kernel`):
+every scheduled kernel of a folded build — group kernels, static
+kernels and prebuilt softmax — is constructed once per key, which holds
+the layer (a fused node, by identity, so two graphs that share layer
+names never share a kernel), the kernel name, every configuration input
+the constructor reads (``pin_unit_stride``, ``naive``, the resolved
+recipe) and the IR name uniquifier's value at the start.  A hit returns
+the very object and moves the uniquifier to where construction left
+it, so a DSE build constructs only the kernel its tiling changes, its
+:attr:`~repro.flow.artifacts.ScheduledKernel.lower_key` is computed
+once, and a kept candidate's build holds the kernel its dominance
+profile made (:mod:`repro.verify.dominance` lowers its candidate group
+kernels through both memos, under the build's names and recipe).  The
+per-run hit/miss counts surface as ``schedule_hits``/``schedule_misses``
+counters on the ``schedule`` stage.  Prebuilt kernels (softmax, whose
+builder emits IR directly) are looked up only there: the lookup also
+counts as a hit or miss in :func:`lower_cache_stats`, not in the
+``lower`` stage's counters.  The folded arena plan is memoized in the
+same LRU too (:func:`memoized`, used by
+:func:`repro.verify.memory.plan_memory`), so :func:`clear_lower_cache`
+empties all three.  The pipelined levels mutate schedules directly and
+construct their kernels outside the memo.
 
 Soundness rests on two facts.  First, a kernel's lowered form is a
 deterministic function of (tensor graph, recipe, lower options):
@@ -33,7 +48,8 @@ unconditionally and counted as ``lower_uncached``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+import contextlib
+from typing import Callable, Dict, Hashable, Iterator, List, Optional, TypeVar
 
 import repro.ir as ir
 from repro.ir import expr as _e
@@ -46,8 +62,12 @@ __all__ = [
     "kernel_lower_key",
     "lower_kernel",
     "lower_kernels",
+    "scheduled_kernel",
     "prebuilt_kernel",
+    "memoized",
     "lower_cache_stats",
+    "schedule_cache_stats",
+    "schedule_cache_delta",
     "clear_lower_cache",
 ]
 
@@ -55,10 +75,15 @@ __all__ = [
 #: (anything else — channels, compute_at attachments — bypasses caching)
 _CACHEABLE_OPTIONS = {"autorun"}
 
-#: process-wide memo: fingerprint -> lowered kernel (LRU, bounded)
+#: process-wide memo (LRU, bounded): lower key -> lowered kernel,
+#: schedule-memo key -> (scheduled kernel, uniquifier end), and
+#: :func:`memoized` keys -> values
 _CACHE = MemoryBackend(512)
 
 _STATS: Dict[str, int] = {"hits": 0, "misses": 0, "uncached": 0}
+_SCHEDULE_STATS: Dict[str, int] = {"hits": 0, "misses": 0}
+
+T = TypeVar("T")
 
 
 def _axis_canonical(ax: IterVar) -> List[object]:
@@ -145,7 +170,7 @@ def lower_kernel(sk) -> ir.Kernel:
     """Lower one scheduled kernel through the per-kernel cache.
 
     A prebuilt kernel is returned as is: it was looked up (and counted)
-    when it was scheduled, by :func:`prebuilt_kernel`.
+    when it was scheduled, by :func:`scheduled_kernel`.
     """
     if sk.prebuilt is not None:
         return sk.prebuilt
@@ -168,27 +193,56 @@ def lower_kernels(scheduled) -> List[ir.Kernel]:
     return [lower_kernel(sk) for sk in scheduled]
 
 
-def prebuilt_kernel(build: Callable[..., ir.Kernel], *args) -> ir.Kernel:
-    """``build(*args)``, built once per (builder, arguments, IR name
-    uniquifier value) — the uniquifier sets its loop-variable names.
+def scheduled_kernel(key: tuple, construct: Callable[[], T]) -> T:
+    """``construct()`` once per (``key``, IR name uniquifier value).
 
-    For kernels whose builder emits IR directly (softmax).  The kernel
-    lives in the lower cache, so :func:`clear_lower_cache` drops it, and
-    the lookup counts as a hit or a miss.  A hit moves the uniquifier to
-    where building the kernel would have left it, so no later kernel of
-    the build is renamed.
+    ``key`` holds every input the constructor reads besides the
+    uniquifier (see the module docstring).  A hit returns the stored
+    object itself and moves the uniquifier to where construction left
+    it, so no later kernel of the build is renamed.  Counted in
+    :func:`schedule_cache_stats`; a prebuilt kernel's lookup also counts
+    as a lower-cache hit or miss.
     """
-    key = ("prebuilt", build, *args, ir.fresh_name_count())
-    cached = _CACHE.get(key)
-    if cached is not MISS:
-        _STATS["hits"] += 1
-        kernel, names_end = cached
+    full = ("schedule", *key, ir.fresh_name_count())
+    cached = _CACHE.get(full)
+    hit = cached is not MISS
+    if hit:
+        value, names_end = cached
         ir.reset_fresh_names(names_end)
-        return kernel
-    _STATS["misses"] += 1
-    kernel = build(*args)
-    _CACHE.put(key, (kernel, ir.fresh_name_count()))
-    return kernel
+    else:
+        value = construct()
+        _CACHE.put(full, (value, ir.fresh_name_count()))
+    _SCHEDULE_STATS["hits" if hit else "misses"] += 1
+    if getattr(value, "prebuilt", None) is not None:
+        _STATS["hits" if hit else "misses"] += 1
+    return value
+
+
+def prebuilt_kernel(build: Callable[..., ir.Kernel], n: int, layer: str,
+                    kname: str):
+    """The scheduled form of ``build(n, layer, kname)``, for kernels
+    whose builder emits IR directly (softmax), through
+    :func:`scheduled_kernel`: the arguments and the uniquifier (which
+    sets its loop-variable names) determine the kernel."""
+    from repro.flow.artifacts import ScheduledKernel
+
+    return scheduled_kernel(
+        ("prebuilt", build, n, layer, kname),
+        lambda: ScheduledKernel(
+            name=kname, layer=layer, prebuilt=build(n, layer, kname)
+        ),
+    )
+
+
+def memoized(key: Hashable, compute: Callable[[], T]) -> T:
+    """``compute()`` once per ``key`` while the lower cache lives
+    (uncounted; ``key`` must not collide with a lower key or a
+    schedule-memo key, so callers tag it)."""
+    value = _CACHE.get(key)
+    if value is MISS:
+        value = compute()
+        _CACHE.put(key, value)
+    return value
 
 
 def lower_cache_stats() -> Dict[str, int]:
@@ -196,8 +250,25 @@ def lower_cache_stats() -> Dict[str, int]:
     return dict(_STATS)
 
 
+def schedule_cache_stats() -> Dict[str, int]:
+    """Cumulative process-wide ``{hits, misses}`` of :func:`scheduled_kernel`."""
+    return dict(_SCHEDULE_STATS)
+
+
+@contextlib.contextmanager
+def schedule_cache_delta() -> Iterator[Dict[str, int]]:
+    """Yield a dict that holds, on exit, the :func:`schedule_cache_stats`
+    deltas of the block (a stage's ``schedule_*`` trace counters)."""
+    before = schedule_cache_stats()
+    delta: Dict[str, int] = {}
+    yield delta
+    delta.update((k, v - before[k]) for k, v in _SCHEDULE_STATS.items())
+
+
 def clear_lower_cache() -> None:
-    """Drop all memoized kernels and reset the counters (test isolation)."""
+    """Drop all memoized kernels, schedules and arena plans, and reset
+    the counters (test isolation)."""
     _CACHE.clear()
-    for k in _STATS:
-        _STATS[k] = 0
+    for stats in (_STATS, _SCHEDULE_STATS):
+        for k in stats:
+            stats[k] = 0

@@ -33,7 +33,7 @@ import repro.ir as ir
 from repro.device.boards import Board
 from repro.errors import ReproError, UnsupportedError
 from repro.flow.artifacts import PipelinedSchedule, ScheduledKernel
-from repro.flow.incremental import prebuilt_kernel
+from repro.flow.incremental import prebuilt_kernel, schedule_cache_delta
 from repro.relay.passes import FusedGraph, FusedNode
 from repro.runtime.plan import PipelinePlan, PipelineStage
 from repro.schedule import Schedule
@@ -231,8 +231,7 @@ class _ChainKernelBuilder:
                 build = softmax_kernel_licm
             else:
                 build = softmax_kernel_naive
-            kern = prebuilt_kernel(build, n, fn.name, kname)
-            return ScheduledKernel(name=kname, layer=fn.name, prebuilt=kern)
+            return prebuilt_kernel(build, n, fn.name, kname)
         else:  # pragma: no cover - vocabulary guard
             raise UnsupportedError(f"pipelined builder: unsupported op {op}")
 
@@ -301,7 +300,10 @@ def schedule_pipelined(
     """
     ir.reset_fresh_names()
     builder = _ChainKernelBuilder(level, board, channel_depth_scale)
-    return builder.schedule_graph(fused)
+    with schedule_cache_delta() as delta:
+        sched = builder.schedule_graph(fused)
+    sched.schedule_cache = delta
+    return sched
 
 
 def lower_pipelined(sched: PipelinedSchedule) -> ir.Program:

@@ -56,7 +56,7 @@ NETWORK[:BOARD]`` prints the liveness table and arena map the pipeline's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.device.boards import Board
@@ -392,14 +392,40 @@ def plan_memory(fused, plan, subject: str = "") -> Optional[MemoryPlan]:
 
     Returns ``None`` when liveness cannot be bounded (symbolic shapes
     or plan/graph drift) — the verify stage reports the RM002/RM004
-    finding; builders just skip arena adoption.
+    finding; builders just skip arena adoption.  A folded plan's arena
+    is computed once per (fused graph, the sequence liveness reads:
+    each invocation's layer, input node and extra inputs) while the
+    lower cache lives (:func:`repro.flow.incremental.memoized`), so the
+    builds of a DSE sweep color one arena; each call still returns a
+    new plan with its own tables.
     """
+    if isinstance(plan, FoldedPlan):
+        from repro.flow.incremental import memoized
+
+        seq = tuple(
+            (inv.layer, inv.input_node, tuple(inv.extra_input_nodes))
+            for inv in plan.invocations
+        )
+        mp = memoized(("memory-plan", fused, seq),
+                      lambda: _arena_plan(fused, plan))
+    else:
+        mp = _arena_plan(fused, plan)
+    if mp is None:
+        return None
+    return replace(
+        mp, subject=subject, offsets=dict(mp.offsets), sizes=dict(mp.sizes),
+        intervals=dict(mp.intervals), layers=dict(mp.layers),
+        reuse_pairs=list(mp.reuse_pairs),
+    )
+
+
+def _arena_plan(fused, plan) -> Optional[MemoryPlan]:
     lives = _lives_of(fused, plan)
     if lives is None:
         return None
     arena, offsets = _color(lives)
     mp = MemoryPlan(
-        subject=subject,
+        subject="",
         arena_bytes=arena,
         naive_bytes=sum(l.size_bytes for l in lives),
         offsets=offsets,

@@ -205,9 +205,11 @@ class TestSweepStrategy:
 
     def test_each_lower_key_is_computed_once(self, mobilenet, monkeypatch):
         # the lower stage and the equivalence certifier key on the same
-        # fingerprint: one computation per recipe-backed kernel of a build
-        # (prebuilt softmax has none) and per dominance profile, which
-        # lowers the group kernel under the build's name
+        # fingerprint, computed once per scheduled kernel object, and the
+        # schedule memo makes one object per content: one computation per
+        # dominance profile (which schedules the 1x1 group kernel under
+        # the build's name, so a kept candidate's build reuses it) and one
+        # per other recipe-backed kernel (prebuilt softmax has none)
         clear_lower_cache()
         clear_equiv_cache()
         calls = []
@@ -221,7 +223,7 @@ class TestSweepStrategy:
         )
         built = sum(1 for p in s.points if not p.pruned)
         assert (len(s.points), built) == (24, 16)
-        assert len(calls) == 152  # 16 builds x 8 kernels + 24 profiles
+        assert len(calls) == 31  # 24 profiles + 7 recipe kernels
         assert len(set(calls)) == 8
 
 
