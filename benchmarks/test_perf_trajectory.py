@@ -37,8 +37,11 @@ in CI:
   too; a hit replays a kernel at zero walks); kernels bounds-checked
   must equal the distinct kernels the builds lowered (a hit replays the
   kernel's verdicts, and a pruned candidate's profile kernel is never
-  verified); and schedule recipes hashed must equal the distinct
-  recipes fingerprinted;
+  verified); schedule recipes hashed must equal the distinct
+  recipes fingerprinted; scheduled kernels constructed must equal both
+  the schedule memo's misses and the distinct kernels by content (a
+  hit returns the kernel a profile or an earlier build made); and the
+  builds' one invocation sequence must color exactly one memory plan;
 * the fingerprints of one more serial sweep (untimed): artifacts
   hashed by content must number exactly the distinct seeded objects
   plus the generated sources, and no plan, program, bitstream or
@@ -90,15 +93,21 @@ import numpy as np
 import pytest
 from conftest import RESULTS_DIR, fmt_table, save_table
 
+from repro.codegen import generate_opencl
 from repro.device import ARRIA10, board_by_name
 from repro.flow import build_folded
 from repro.flow.deploy import default_folded_config, deploy_pipelined
 from repro.flow.dse import sweep_conv1x1
 from repro.flow.folded import FoldedConfig, plan_folded, schedule_folded
-from repro.flow.incremental import clear_lower_cache, lower_cache_stats
+from repro.flow.artifacts import ScheduledKernel
+from repro.flow.incremental import (
+    clear_lower_cache,
+    lower_cache_stats,
+    schedule_cache_stats,
+)
 from repro.flow import stages as stages_module
 from repro.flow.stages import MODELS, folded_flow, pipelined_flow
-from repro.ir import vinterp
+from repro.ir import Program, vinterp
 from repro.ir.analysis import AccessTable
 from repro.ir.interp import Interpreter
 from repro.models.twins import TWINS
@@ -111,7 +120,7 @@ from repro.serve import RequestTrace, ServeConfig, Server, provision_replicas
 from repro.serve.replica import Replica, replicas_per_board
 from repro.serve.request import input_fingerprint
 from repro.verify import certify_build, clear_equiv_cache, dynamic_equiv_check
-from repro.verify.memory import weights_bytes
+from repro.verify.memory import MemoryPlan, weights_bytes
 from repro.verify.verifier import binding_sets_of
 
 #: the modules themselves: ``repro.pipeline`` re-exports a function
@@ -488,6 +497,28 @@ def _collecting_kernels(kernels):
         yield
 
 
+@contextlib.contextmanager
+def _collecting_scheduled(kernels):
+    """Append every :class:`ScheduledKernel` constructed to ``kernels``."""
+    init = ScheduledKernel.__init__
+
+    def collected(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        kernels.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ScheduledKernel, "__init__", collected)
+        yield
+
+
+def _scheduled_content(sk):
+    """A scheduled kernel by value: its lower key, or a prebuilt kernel's
+    name and emitted source."""
+    if sk.prebuilt is not None:
+        return sk.name, generate_opencl(Program([sk.prebuilt]))
+    return sk.lower_key
+
+
 #: timed samples per sweep arm; the arms alternate and each keeps its best
 SWEEP_REPEATS = 3
 
@@ -504,11 +535,14 @@ def _measure_sweep() -> dict:
     # exact accounting of the first serial sample (a handful of counted
     # calls, off the timing's noise floor): access tables built against
     # lower-cache misses, kernels bounds-checked against the distinct
-    # kernels the builds lowered, and recipes hashed against distinct
-    # recipes
-    counts = {"tables": 0, "bounds_checked": 0, "recipes_hashed": 0}
+    # kernels the builds lowered, recipes hashed against distinct
+    # recipes, kernels scheduled against distinct ones, and memory plans
+    # computed (keys hashed)
+    counts = {"tables": 0, "bounds_checked": 0, "recipes_hashed": 0,
+              "plans_computed": 0}
     distinct = set()
     built_kernels = {}
+    scheduled = []
     for repeat in range(SWEEP_REPEATS):
         for workers in (1, SWEEP_WORKERS):
             clear_lower_cache()
@@ -522,6 +556,9 @@ def _measure_sweep() -> dict:
                         verifier_module, "check_bounds", counts,
                         "bounds_checked"))
                     stack.enter_context(_counting_recipes(counts, distinct))
+                    stack.enter_context(_counting_calls(
+                        MemoryPlan, "compute_key", counts, "plans_computed"))
+                    stack.enter_context(_collecting_scheduled(scheduled))
                 t0 = time.perf_counter()
                 summary = sweep_conv1x1(
                     fused, ARRIA10, cache=CompileCache(), prune=True,
@@ -530,8 +567,13 @@ def _measure_sweep() -> dict:
             summaries[workers] = summary
             if counted:
                 counts.update(lower_cache_stats())
+                counts.update({f"schedule_{k}": v for k, v in
+                               schedule_cache_stats().items()})
                 counts["recipes"] = len(distinct)
                 counts["built_kernels"] = len(built_kernels)
+                counts["scheduled"] = len(scheduled)
+                counts["distinct_scheduled"] = len(
+                    {_scheduled_content(sk) for sk in scheduled})
     serial, parallel = summaries[1], summaries[SWEEP_WORKERS]
     fingerprints = _count_sweep_fingerprints()
     # correctness parity between the two arms, regardless of timing
@@ -833,6 +875,13 @@ def _save_report(current, baseline) -> None:
     rows.append(["sweep serial recipes hashed",
                  f"{sc['recipes_hashed']}", "-",
                  f"== {sc['recipes']} distinct recipes"])
+    rows.append(["sweep serial kernels scheduled",
+                 f"{sc['scheduled']}", "-",
+                 f"== {sc['schedule_misses']} schedule misses == "
+                 f"{sc['distinct_scheduled']} distinct kernels "
+                 f"({sc['schedule_hits']} hits)"])
+    rows.append(["sweep serial memory plans computed",
+                 f"{sc['plans_computed']}", "-", "== 1 (one sequence)"])
     fc = sweep["fingerprint_counts"]
     rows.append(["sweep serial content fingerprints",
                  f"{fc['content']}", "-",
@@ -1040,6 +1089,27 @@ class TestPerfTrajectory:
         assert sc["recipes_hashed"] == sc["recipes"], (
             f"serial sweep hashed {sc['recipes_hashed']} schedule recipe(s) "
             f"for {sc['recipes']} distinct one(s) — an exact count, no band"
+        )
+
+    def test_serial_sweep_schedules_each_kernel_once(self, trajectory):
+        current, _, _ = trajectory
+        sc = current["sweep"]["serial_counts"]
+        assert sc["schedule_hits"] > 0, sc
+        assert (sc["scheduled"] == sc["schedule_misses"]
+                == sc["distinct_scheduled"]), (
+            f"serial sweep constructed {sc['scheduled']} scheduled "
+            f"kernel(s) on {sc['schedule_misses']} schedule-memo miss(es) "
+            f"for {sc['distinct_scheduled']} distinct kernel(s) by content "
+            f"({sc['schedule_hits']} hits) — an exact count, no band"
+        )
+
+    def test_serial_sweep_plans_one_arena(self, trajectory):
+        current, _, _ = trajectory
+        sc = current["sweep"]["serial_counts"]
+        assert sc["plans_computed"] == 1, (
+            f"serial sweep computed {sc['plans_computed']} memory plan(s) "
+            "for its builds' one invocation sequence — an exact count, "
+            "no band"
         )
 
     def test_serial_sweep_hashes_only_sources(self, trajectory):

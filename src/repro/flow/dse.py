@@ -240,10 +240,10 @@ def sweep_conv1x1(
     Returns the evaluated points plus the compile-cache hits/misses this
     sweep incurred.
 
-    With ``workers > 1`` surviving candidates are synthesized across
-    :func:`repro.flow.search.fork_map`'s process pool; point order and
-    values match the serial sweep, and the hit/miss counts aggregate
-    the workers'.
+    With ``workers > 1`` the first surviving candidate is synthesized
+    here and the rest across :func:`repro.flow.search.fork_map`'s
+    process pool; point order and values match the serial sweep, and
+    the hit/miss counts add the workers' to this process's.
     """
     from repro.flow.deploy import default_folded_config
 
@@ -290,14 +290,19 @@ def sweep_conv1x1(
         return point
 
     resolved = resolve_cache(cache)
+    point_cache = resolved if resolved is not None else False
+    hits0, misses0 = cache_counts(resolved)
+    # a pooled sweep builds its first candidate here, before forking:
+    # the workers inherit its kernels lowered, verified and certified,
+    # and its arena plan, so each pays only for its own group kernel
+    built = [build(i, point_cache) for i in live[:1 if workers > 1 else None]]
+    hits1, misses1 = cache_counts(resolved)
+    hits, misses = hits1 - hits0, misses1 - misses0
     if workers > 1:
-        built, hits, misses = fork_map(build, live, workers, resolved)
-    else:
-        hits0, misses0 = cache_counts(resolved)
-        point_cache = resolved if resolved is not None else False
-        built = [build(i, point_cache) for i in live]
-        hits1, misses1 = cache_counts(resolved)
-        hits, misses = hits1 - hits0, misses1 - misses0
+        rest, pool_hits, pool_misses = fork_map(build, live[1:], workers,
+                                                resolved)
+        built += rest
+        hits, misses = hits + pool_hits, misses + pool_misses
     for i, point in zip(live, built):
         points[i] = point
     return SweepSummary(points=points, cache_hits=hits, cache_misses=misses)

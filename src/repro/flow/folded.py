@@ -187,49 +187,31 @@ def group_kernel(
     if fn.op == "conv2d":
         fn.check_canonical_epilogue()
         f, s = a["field"], a["stride"]
-
-        def tensors():
-            return conv2d_symbolic(
-                f, s, base, bias=a.get("bias", True),
-                activation=fn.activation, residual=fn.has_residual,
-                batchnorm=fn.has_batchnorm, pin_unit_stride=pin,
-            )
-
+        call = (conv2d_symbolic, f, s, base, a.get("bias", True),
+                fn.activation, fn.has_residual, fn.has_batchnorm, pin)
         base_recipe = symbolic_conv_recipe(
             config.tiling_for("conv", f, s), is_1x1=(f == 1)
         )
     elif fn.op == "depthwise_conv2d":
         fn.check_canonical_epilogue()
         f, s = a["field"], a["stride"]
-
-        def tensors():
-            return depthwise_symbolic(
-                f, s, base, bias=a.get("bias", True),
-                activation=fn.activation, batchnorm=fn.has_batchnorm,
-                pin_unit_stride=pin,
-            )
-
+        call = (depthwise_symbolic, f, s, base, a.get("bias", True),
+                fn.activation, fn.has_batchnorm, pin)
         base_recipe = symbolic_conv_recipe(
             config.tiling_for("dw", f, s), is_1x1=False, depthwise=True
         )
     elif fn.op == "pad":
-        before, after = a["pad"]
-
-        def tensors():
-            return pad_symbolic(before, after, base)
-
+        call = (pad_symbolic, *a["pad"], base)
         base_recipe = transform_recipe()
     else:  # pragma: no cover
         raise UnsupportedError(f"cannot parameterize {fn.op}")
     rec = _final_recipe(config, kname, base_recipe)
 
     def construct():
-        handle, _, out = tensors()
+        handle, _, out = call[0](*call[1:])
         return _scheduled(kname, fn.name, out, rec), handle
 
-    return scheduled_kernel(
-        ("group", fn, kname, pin, config.naive, rec), construct
-    )
+    return scheduled_kernel(("group", fn.name, kname, call, rec), construct)
 
 
 #: fused graph -> the uniquifier's value at each group key's first layer
@@ -351,19 +333,19 @@ class _FoldedBuilder:
             )
             self.kernels.append(prebuilt_kernel(build, n, fn.name, kname))
             return kname
-        tensors, base = self._static_parts(fn)
+        call, base = self._static_parts(fn)
         rec = _final_recipe(self.config, kname, base)
         self.kernels.append(scheduled_kernel(
-            ("static", fn, kname, self.config.pin_unit_stride,
-             self.config.naive, rec),
-            lambda: _scheduled(kname, fn.name, tensors(), rec),
+            ("static", fn.name, kname, call, rec),
+            lambda: _scheduled(kname, fn.name, call[0](*call[1:])[1], rec),
         ))
         return kname
 
     def _static_parts(self, fn: FusedNode):
-        """``(tensors, base)``: a thunk building ``fn``'s output tensor
-        and the kernel's base recipe (``pool_opt_recipe`` itself where
-        the recipe reads that tensor)."""
+        """``(call, base)``: the call ``(constructor, *args)`` that
+        builds ``fn``'s tensors (the output second), and the kernel's
+        base recipe (``pool_opt_recipe`` itself where the recipe reads
+        the output tensor)."""
         a = fn.anchor.attrs
         naive = self.config.naive
         if fn.op == "conv2d":
@@ -389,7 +371,7 @@ class _FoldedBuilder:
                             "c2vec tiling applies to 1x1 convs only (use conv1x1)"
                         )
                     base = conv2d_opt_recipe(tiling)
-            return lambda: conv2d_tensors(spec, fn.name)[1], base
+            return (conv2d_tensors, spec, fn.name), base
         if fn.op == "depthwise_conv2d":
             fn.check_canonical_epilogue()
             c1, h, w = fn.anchor.inputs[0].out_shape
@@ -407,30 +389,25 @@ class _FoldedBuilder:
                     self.config.tiling_for("dw", spec.f, spec.s), spec
                 )
                 base = depthwise_opt_recipe(tiling)
-            return lambda: depthwise_tensors(spec, fn.name)[1], base
+            return (depthwise_tensors, spec, fn.name), base
         if fn.op == "pad":
             before, after = a["pad"]
             c, h, w = fn.anchor.inputs[0].out_shape
-            return (
-                lambda: pad_tensors(c, h, w, before, after, fn.name)[1],
-                transform_recipe(),
-            )
+            call = (pad_tensors, c, h, w, before, after, fn.name)
+            return call, transform_recipe()
         if fn.op in ("maxpool", "avgpool", "global_avgpool"):
             c, h, w = fn.anchor.inputs[0].out_shape
             base = pool_naive_recipe() if naive else pool_opt_recipe
             if fn.op == "global_avgpool":
-                return lambda: gap_tensors(c, h, w, fn.name)[1], base
+                return (gap_tensors, c, h, w, fn.name), base
             spec = PoolSpec(
                 c=c, h=h, w=w, field=a["field"], stride=a["stride"],
                 kind="max" if fn.op == "maxpool" else "avg",
             )
-            return lambda: pool_tensors(spec, fn.name)[1], base
+            return (pool_tensors, spec, fn.name), base
         if fn.op == "flatten":
             c, h, w = fn.anchor.inputs[0].out_shape
-            return (
-                lambda: flatten_tensors(c, h, w, fn.name)[1],
-                transform_recipe(),
-            )
+            return (flatten_tensors, c, h, w, fn.name), transform_recipe()
         if fn.op == "dense":
             (n,) = fn.anchor.inputs[0].out_shape
             spec = DenseSpec(
@@ -444,7 +421,7 @@ class _FoldedBuilder:
                 while factor > 1 and n % factor != 0:
                     factor //= 2
                 base = dense_opt_recipe(factor)
-            return lambda: dense_tensors(spec, fn.name)[1], base
+            return (dense_tensors, spec, fn.name), base
         raise UnsupportedError(  # pragma: no cover
             f"folded builder: unsupported op {fn.op}"
         )

@@ -14,26 +14,30 @@ counts surface as ``lower_hits``/``lower_misses`` counters on the
 
 The same LRU memoizes the step before lowering (:func:`scheduled_kernel`):
 every scheduled kernel of a folded build — group kernels, static
-kernels and prebuilt softmax — is constructed once per key, which holds
-the layer (a fused node, by identity, so two graphs that share layer
-names never share a kernel), the kernel name, every configuration input
-the constructor reads (``pin_unit_stride``, ``naive``, the resolved
-recipe) and the IR name uniquifier's value at the start.  A hit returns
-the very object and moves the uniquifier to where construction left
-it, so a DSE build constructs only the kernel its tiling changes, its
+kernels and prebuilt softmax — is constructed once per key.  The key is
+built from values, never hashed: the layer and kernel names, the call
+that constructs the kernel's tensors (constructor and arguments: the
+layer's shapes and epilogue flags, and ``pin_unit_stride`` where the
+tensors read it), the resolved recipe (which carries ``naive``, the
+tiling, deltas and overrides) and the IR name uniquifier's value at the
+start.  So two graphs that share layer names but not shapes (a network
+and its twin) share no kernel.  A hit returns the very object and moves
+the uniquifier to where construction left it, so a DSE build constructs
+only the kernel its tiling changes, each kernel's
 :attr:`~repro.flow.artifacts.ScheduledKernel.lower_key` is computed
 once, and a kept candidate's build holds the kernel its dominance
-profile made (:mod:`repro.verify.dominance` lowers its candidate group
+profile made (:mod:`repro.verify.dominance` takes its candidate group
 kernels through both memos, under the build's names and recipe).  The
 per-run hit/miss counts surface as ``schedule_hits``/``schedule_misses``
 counters on the ``schedule`` stage.  Prebuilt kernels (softmax, whose
 builder emits IR directly) are looked up only there: the lookup also
 counts as a hit or miss in :func:`lower_cache_stats`, not in the
-``lower`` stage's counters.  The folded arena plan is memoized in the
+``lower`` stage's counters.  A folded arena plan is memoized in the
 same LRU too (:func:`memoized`, used by
 :func:`repro.verify.memory.plan_memory`), so :func:`clear_lower_cache`
-empties all three.  The pipelined levels mutate schedules directly and
-construct their kernels outside the memo.
+empties all three and a cold compile stays cold.  The pipelined levels
+mutate schedules directly and construct their kernels outside the memo
+(their prebuilt softmax excepted).
 
 Soundness rests on two facts.  First, a kernel's lowered form is a
 deterministic function of (tensor graph, recipe, lower options):
@@ -65,6 +69,7 @@ __all__ = [
     "scheduled_kernel",
     "prebuilt_kernel",
     "memoized",
+    "cached_kernels",
     "lower_cache_stats",
     "schedule_cache_stats",
     "schedule_cache_delta",
@@ -243,6 +248,18 @@ def memoized(key: Hashable, compute: Callable[[], T]) -> T:
         value = compute()
         _CACHE.put(key, value)
     return value
+
+
+def cached_kernels() -> Dict[int, ir.Kernel]:
+    """Every kernel the lower cache holds (lowered, or prebuilt in a
+    schedule-memo entry), by ``id``; the dict keeps them alive."""
+    kernels: Dict[int, ir.Kernel] = {}
+    for value in _CACHE.values():
+        if isinstance(value, tuple):  # a schedule-memo entry
+            value = getattr(value[0], "prebuilt", None)
+        if isinstance(value, ir.Kernel):
+            kernels[id(value)] = value
+    return kernels
 
 
 def lower_cache_stats() -> Dict[str, int]:

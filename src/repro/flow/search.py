@@ -22,8 +22,10 @@ advice fixpoint (:mod:`repro.flow.autofix`).
 
 from __future__ import annotations
 
+import io
 import multiprocessing
 import os
+import pickle
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -31,6 +33,7 @@ from repro.aoc.constants import AOCConstants, DEFAULT_CONSTANTS
 from repro.device.boards import Board
 from repro.errors import AOCError, FitError, RoutingError
 from repro.flow.folded import FoldedConfig
+from repro.flow.incremental import cached_kernels
 from repro.flow.stages import CacheOption, folded_flow
 from repro.pipeline.cache import CompileCache, DiskBackend, MemoryBackend, MISS
 from repro.relay.passes import FusedGraph, FusedNode
@@ -163,18 +166,56 @@ def group_extents(fused: FusedGraph) -> Dict[GroupId, Dict[str, List[int]]]:
 # it with the workers: source-identical candidates synthesize once
 # pool-wide, and later searches reuse the entries.  Otherwise each worker
 # keeps a memory cache and sends the entries each task stored back with
-# its result, pickled once through the pool's pipe.
+# its result.  Those entries (bitstreams) hold the kernels they were
+# built from, and every kernel the caller's lower cache held when the
+# pool forked is pickled as a reference to the caller's own object, so
+# the caller neither rebuilds nor re-analyzes the kernels it already has.
 
-#: (job, caller's disk cache directory or None, worker memory cache) of
-#: a pool worker, installed in each worker by fork_map's initializer;
-#: fork() hands it over unpickled, so the job may be any callable,
-#: closures included
-_worker_job: Optional[Tuple[Callable, Optional[str], MemoryBackend]] = None
+#: (job, caller's disk cache directory or None, worker memory cache, the
+#: caller's cached kernels by id) of a pool worker, installed in each
+#: worker by fork_map's initializer; fork() hands it over unpickled, so
+#: the job may be any callable, closures included
+_worker_job: Optional[
+    Tuple[Callable, Optional[str], MemoryBackend, Dict[int, object]]
+] = None
 
 
-def _install_job(job: Callable, directory: Optional[str]) -> None:
+def _install_job(job: Callable, directory: Optional[str],
+                 shared: Dict[int, object], started) -> None:
     global _worker_job
-    _worker_job = (job, directory, MemoryBackend(32))
+    _worker_job = (job, directory, MemoryBackend(32), shared)
+    # the n-th worker started runs on the n-th usable CPU: left to the
+    # scheduler, the forked workers were seen sharing the caller's CPU
+    # while another one idled (worker wall time twice its CPU time)
+    if started is not None:
+        with started.get_lock():
+            n = started.value
+            started.value += 1
+        cpus = sorted(os.sched_getaffinity(0))
+        try:
+            os.sched_setaffinity(0, {cpus[n % len(cpus)]})
+        except OSError:  # a CPU outside this process's cpuset
+            pass
+
+
+class _SharingPickler(pickle.Pickler):
+    """Pickles each object of ``shared`` as its ``id`` in the caller."""
+
+    def __init__(self, file, shared: Dict[int, object]) -> None:
+        super().__init__(file, pickle.HIGHEST_PROTOCOL)
+        self.shared = shared
+
+    def persistent_id(self, obj):
+        return id(obj) if self.shared.get(id(obj), self) is obj else None
+
+
+class _SharingUnpickler(pickle.Unpickler):
+    def __init__(self, file, shared: Dict[int, object]) -> None:
+        super().__init__(file)
+        self.shared = shared
+
+    def persistent_load(self, pid):
+        return self.shared[pid]
 
 
 class _Journal:
@@ -192,15 +233,17 @@ class _Journal:
 
 
 def _run_job(task):
-    job, directory, memory = _worker_job
+    job, directory, memory, shared = _worker_job
     if directory is not None:
         cache = CompileCache(backends=[MemoryBackend(32), DiskBackend(directory)])
         result = job(task, cache)
-        return (result, *cache_counts(cache), [])
+        return (result, *cache_counts(cache), None)
     journal = _Journal()
     cache = CompileCache(backends=[memory, journal])
     result = job(task, cache)
-    return (result, *cache_counts(cache), journal.entries)
+    entries = io.BytesIO()
+    _SharingPickler(entries, shared).dump(journal.entries)
+    return (result, *cache_counts(cache), entries.getvalue())
 
 
 def fork_map(
@@ -215,11 +258,16 @@ def fork_map(
     cache hits and misses.  When ``cache`` has a disk backend, each
     worker's cache layers a small memory LRU over that directory, so the
     workers share their entries.  Otherwise each worker keeps a small
-    memory LRU across its tasks and returns the entries each task stored;
-    the caller's cache receives, in task order, every entry it lacks
-    (probing backends directly, so its hit/miss stats stay untouched).
+    memory LRU across its tasks and returns the entries each task stored,
+    with every kernel of the caller's lower cache pickled as a reference
+    (:func:`~repro.flow.incremental.cached_kernels`); the caller's cache
+    receives, in task order, every entry it lacks (probing backends
+    directly, so its hit/miss stats stay untouched).  Workers inherit
+    every process-wide memo by fork, so a caller that has built one
+    candidate first leaves them only what that candidate did not share.
     The pool holds at most one worker per task and per CPU this process
     may run on: more workers than either only queue behind one another.
+    Each worker is pinned to its own one of those CPUs.
     """
     if not tasks:
         return [], 0, 0
@@ -229,13 +277,20 @@ def fork_map(
         (str(b.directory) for b in backends if isinstance(b, DiskBackend)),
         None,
     )
+    # taken before forking, so the workers inherit the very same dict
+    shared = cached_kernels()
     ctx = multiprocessing.get_context("fork")
+    started = (multiprocessing.Value("i", 0)
+               if hasattr(os, "sched_setaffinity") else None)
     with ctx.Pool(workers, initializer=_install_job,
-                  initargs=(job, directory)) as pool:
+                  initargs=(job, directory, shared, started)) as pool:
         out = pool.map(_run_job, tasks)
     if cache is not None:
         for _, _, _, entries in out:
-            for key, value in entries:
+            if entries is None:
+                continue
+            for key, value in _SharingUnpickler(io.BytesIO(entries),
+                                                shared).load():
                 if all(b.get(key) is MISS for b in cache.backends):
                     cache.store(key, value)
     return (

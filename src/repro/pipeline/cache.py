@@ -68,6 +68,10 @@ class MemoryBackend:
     def clear(self) -> None:
         self._store.clear()
 
+    def values(self) -> List[object]:
+        """The stored values, least recently used first."""
+        return list(self._store.values())
+
     def __len__(self) -> int:
         return len(self._store)
 
