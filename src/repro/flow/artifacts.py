@@ -119,7 +119,9 @@ register_canonicalizer(
     ],
 )
 
+
 def _memo_counters(s) -> Dict[str, int]:
+    """A schedule's memo deltas as ``schedule_hits``/``schedule_misses``."""
     return {f"schedule_{k}": v for k, v in s.schedule_cache.items()}
 
 

@@ -210,6 +210,9 @@ class _SharingPickler(pickle.Pickler):
 
 
 class _SharingUnpickler(pickle.Unpickler):
+    """Loads :class:`_SharingPickler` output, each id as the object of
+    ``shared`` it names."""
+
     def __init__(self, file, shared: Dict[int, object]) -> None:
         super().__init__(file)
         self.shared = shared
