@@ -105,8 +105,9 @@ def profile_conv_tiling(
     the group's tiling replaced by ``tiling`` — the build's names,
     recipe deltas and overrides included.  So the profile describes the
     very kernels the candidate build would synthesize (the certificate
-    is exact within the model), and, lowered through the lower cache,
-    they are the kernels that build replays, analyses included.
+    is exact within the model), and, taken from the schedule memo and
+    lowered through the lower cache, they are the very kernels that
+    build schedules and replays, analyses included.
     ``ddr_bytes`` is the network's footprint, tiling-independent, so a
     sweep passes it once for every candidate; None computes it.
     Raises :class:`~repro.errors.AOCError` when the group has no member

@@ -86,6 +86,27 @@ class TestForkMap:
             (True, t * 10) for t in tasks
         ]
 
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity")
+        or len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+        reason="needs CPU affinity and two usable CPUs",
+    )
+    def test_each_worker_runs_on_its_own_cpu(self):
+        """fork_map pins its n-th worker to the n-th usable CPU, so no
+        two workers share one while another idles."""
+        cpus = sorted(os.sched_getaffinity(0))[:2]
+        # each worker holds its task until the other has one too
+        barrier = multiprocessing.get_context("fork").Barrier(2, timeout=60)
+
+        def affinity(task, cache):
+            barrier.wait()
+            return os.getpid(), frozenset(os.sched_getaffinity(0))
+
+        results, _, _ = search.fork_map(affinity, [0, 1], 2, None)
+        assert sorted(dict(results).values(), key=sorted) == [
+            frozenset({cpu}) for cpu in cpus]
+        assert os.sched_getaffinity(0) >= set(cpus)  # the caller stays free
+
 
 def _entry(value):
     """What a compile-cache value says: a replayed failure, or the
