@@ -17,10 +17,14 @@ in CI:
 * bands each twin's second vectorized forward (again at batch 1 and
   batch 8) plans again instead of replaying the kernel's cached plan,
   likewise an exact count gated at zero;
-* the largest array a reduction's blocked fold evaluates, over forwards
-  of LeNet-5 at batch 8 and both twins at batch 1 and 8: every one must
-  stay within ``max(FOLD_BLOCK_LIMIT, lanes)`` elements of its leaf (an
-  exact count, no timing);
+* the largest array a reduction's blocked fold evaluates or compacts,
+  over forwards of LeNet-5 at batch 8 and both twins at batch 1 and 8:
+  every one must stay within ``max(FOLD_BLOCK_LIMIT, lanes)`` elements
+  of its leaf (an exact count, no timing);
+* the operands the second of those forwards compacts before a reduction
+  block's top op (one copy per operand per block): each count is exactly
+  the committed baseline's and above zero, so the compaction rule
+  decides the same on every shipped reduction;
 * the per-sample sub-interpreters those same forwards build: a batched
   run plans every statement outside a loop over the batch axis, so the
   count is gated at zero exactly;
@@ -338,19 +342,48 @@ def _measure_serve_forwards() -> dict:
     }
 
 
+def _fold_forwards() -> list:
+    """``(key, forward)`` of pipelined LeNet-5 at batch 8 and of both
+    twins at each of :data:`TWIN_BATCHES`, each on fresh seeded input."""
+    rng = np.random.default_rng(5)
+    dep = deploy_pipelined("lenet5", ARRIA10, cache=False)
+    forwards = [("lenet5@pipelined/8", lambda: dep.forward_functional(
+        rng.standard_normal((8, 1, 28, 28)).astype(np.float32)))]
+    for net in sorted(TWINS):
+        graph = TWINS[net]()
+        fused = fuse_operators(graph)
+        prog, plan = build_folded(fused, default_folded_config(net, ARRIA10),
+                                  ARRIA10)
+        params = init_params(graph, seed=0)
+        for n in TWIN_BATCHES:
+            shape = graph.input.out_shape if n is None else (
+                (n,) + graph.input.out_shape)
+            forwards.append((
+                f"{net}@twin/{n or 1}",
+                lambda prog=prog, plan=plan, fused=fused, params=params,
+                shape=shape: run_folded_functional(
+                    prog, plan, fused,
+                    rng.standard_normal(shape).astype(np.float32), params,
+                    interp="vector")))
+    return forwards
+
+
 def _measure_fold_temporaries() -> dict:
     """The largest array a reduction's blocked fold evaluates (exact),
     and the per-sample sub-interpreters the same forwards build.
 
     Records every array :func:`repro.ir.vinterp._eval_block` reads (each
-    operand's block) or writes, with its leaf's lane count, over forwards
-    of pipelined LeNet-5 at batch 8 and of both twins at each of
-    :data:`TWIN_BATCHES`.  ``excess`` is the largest amount by which one
-    exceeds ``max(FOLD_BLOCK_LIMIT, lanes)``.  ``per_sample`` counts the
-    forwards' :meth:`repro.ir.interp.Interpreter._sample` calls.
+    operand's block) or writes, and every operand copy
+    :func:`repro.ir.vinterp._compact` makes, with its leaf's lane count,
+    over the forwards of :func:`_fold_forwards`.  ``excess`` is the
+    largest amount by which one exceeds ``max(FOLD_BLOCK_LIMIT, lanes)``.
+    ``per_sample`` counts the forwards'
+    :meth:`repro.ir.interp.Interpreter._sample` calls.
     """
     out = {"elements": 0, "lanes": 0, "excess": -math.inf, "per_sample": 0}
-    eval_block = vinterp._eval_block
+    eval_block, fold_blocks = vinterp._eval_block, vinterp._fold_blocks
+    compact = vinterp._compact
+    folding = {}
 
     def note(leaf, size):
         lanes = math.prod(leaf.lane_shape)
@@ -365,31 +398,37 @@ def _measure_fold_temporaries() -> dict:
         note(leaf, dest.size)
         return eval_block(leaf, ops, dest)
 
-    rng = np.random.default_rng(5)
-    dep = deploy_pipelined("lenet5", ARRIA10, cache=False)
-    forwards = [lambda: dep.forward_functional(
-        rng.standard_normal((8, 1, 28, 28)).astype(np.float32))]
-    for net in sorted(TWINS):
-        graph = TWINS[net]()
-        fused = fuse_operators(graph)
-        prog, plan = build_folded(fused, default_folded_config(net, ARRIA10),
-                                  ARRIA10)
-        params = init_params(graph, seed=0)
-        for n in TWIN_BATCHES:
-            shape = graph.input.out_shape if n is None else (
-                (n,) + graph.input.out_shape)
-            forwards.append(
-                lambda prog=prog, plan=plan, fused=fused, params=params,
-                shape=shape: run_folded_functional(
-                    prog, plan, fused,
-                    rng.standard_normal(shape).astype(np.float32), params,
-                    interp="vector"))
+    def counted_fold_blocks(leaf, it, scratch):
+        folding["leaf"] = leaf
+        return fold_blocks(leaf, it, scratch)
+
+    def counted_compact(view, c, spare):
+        copy = compact(view, c, spare)
+        note(folding["leaf"], copy.size)
+        return copy
+
+    forwards = _fold_forwards()
     with pytest.MonkeyPatch.context() as mp, _counting_calls(
             Interpreter, "_sample", out, "per_sample"):
         mp.setattr(vinterp, "_eval_block", counted_eval_block)
-        for forward in forwards:
+        mp.setattr(vinterp, "_fold_blocks", counted_fold_blocks)
+        mp.setattr(vinterp, "_compact", counted_compact)
+        for _, forward in forwards:
             forward()
     out["budget"] = vinterp.FOLD_BLOCK_LIMIT
+    return out
+
+
+def _measure_fold_compactions() -> dict:
+    """Operands the second forward of each of :func:`_fold_forwards`
+    compacts before a reduction block's top op (exact counts: one
+    :func:`repro.ir.vinterp._compact` call per operand per block)."""
+    out = {}
+    for key, forward in _fold_forwards():
+        out[key] = 0
+        forward()
+        with _counting_calls(vinterp, "_compact", out, key):
+            forward()
     return out
 
 
@@ -752,6 +791,7 @@ def trajectory():
         "vinterp_fallbacks": fallbacks,
         "vinterp_replanned": replanned,
         "fold_temporaries": _measure_fold_temporaries(),
+        "fold_compactions": _measure_fold_compactions(),
         "plan_keys": _measure_plan_keys(),
         "lenet5": _measure_lenet_speedup(
             throughput["lenet5@pipelined"]["value"]),
@@ -846,6 +886,11 @@ def _save_report(current, baseline) -> None:
                  f"{ft['per_sample']}",
                  f"{baseline.get('fold_temporaries', {}).get('per_sample', '-')}",
                  "== 0 exactly"])
+    for key in sorted(current["fold_compactions"]):
+        rows.append([f"{key} second-forward operands compacted",
+                     f"{current['fold_compactions'][key]}",
+                     f"{baseline.get('fold_compactions', {}).get(key, '-')}",
+                     "== baseline exactly"])
     for key in sorted(current["plan_keys"]):
         rows.append([f"{key} second-forward plan keys",
                      f"{current['plan_keys'][key]}",
@@ -1003,6 +1048,19 @@ class TestPerfTrajectory:
             f"a reduction's blocked fold evaluated an array "
             f"{ft['excess']} elements over max(budget, lanes) — an exact "
             "count, no band"
+        )
+
+    def test_fold_compactions_match_baseline(self, trajectory):
+        current, baseline, _ = trajectory
+        fc, base = current["fold_compactions"], baseline.get("fold_compactions")
+        assert sorted(fc) == ["lenet5@pipelined/8"] + [
+            f"{net}@twin/{n or 1}" for net in sorted(TWINS)
+            for n in TWIN_BATCHES]
+        assert all(count > 0 for count in fc.values()), fc
+        assert fc == base, (
+            f"operands compacted per second forward {fc} differ from the "
+            f"committed {base}: the compaction rule decided otherwise on a "
+            "shipped reduction — an exact count, no band"
         )
 
     def test_no_statement_runs_per_sample(self, trajectory):

@@ -65,6 +65,23 @@ operands — a strided view of the buffer per affine access, a gather per
 other one, the channel chunks — calls the closures and stores; by
 construction it cannot fail after phase A passed.
 
+A reduction whose update ends in a float32 binary op (``leaf.top``)
+reads, per block, views that step some axes by 0: a conv's input window
+along its output channels, its weights along the batch and the output
+pixels.  NumPy's iterator merges axes into one inner loop only while
+every operand steps them contiguously, so such a view can cut the op
+into inner loops as short as one output row.  Phase A therefore decides
+once per block shape which operands to *compact*: a float32 load with a
+zero-stride axis is copied, each block, into one contiguous array with
+those axes at extent 1, which the ufunc broadcasts back.  It compacts
+the smallest set of operands that makes the op's innermost coalesced run
+(:func:`_inner_run`, from the block's shape and the byte strides of the
+output and both operands as phase A's buffers make them) longest, and
+none unless that is strictly longer than without.  Phase B only copies.
+The same values meet the same ufunc in the same order, so results stay
+bit-identical whatever is decided; a plan replayed over buffers of other
+strides keeps its decision, which then affects speed only.
+
 Plan once, run many
 -------------------
 A plan reads nothing but the band, the scalar environment and the sizes
@@ -256,7 +273,7 @@ class _Leaf:
         "stmt", "path", "shape", "numel", "kind", "perm",
         "red_shape", "lane_shape", "combine", "update", "access", "env",
         "reads", "reads_channels", "sources", "value", "top", "blocks",
-        "target",
+        "compact", "spare", "target",
     )
 
     def __init__(self, stmt: _s.Stmt, path: Tuple[_Axis, ...]) -> None:
@@ -386,19 +403,23 @@ class _BandPlan:
         make its operands and ``value(ops)`` computes its stored, written
         or (one block at a time) folded value.  A reduction also gets its
         ``blocks`` and, when its update ends in a float32 op, ``top``:
-        that op's ufunc and operands, to write each block in place."""
+        that op's ufunc and operands, to write each block in place, and
+        the operands each block compacts (:func:`_plan_compactions`)."""
         s = leaf.stmt
         fold = leaf.kind == "reduce"
         leaf.target = _target(leaf, self.privates)
         comp = _Compiler(leaf, it, self.privates, fold)
         leaf.value = comp.compile(leaf.update if fold else s.value)
-        leaf.top, leaf.blocks = None, ()
+        leaf.top, leaf.blocks, leaf.compact, leaf.spare = None, (), (), {}
         if fold:
             u = leaf.update
+            layouts = None
             if type(u) in _UFUNC and u.dtype == _e.FLOAT32:
                 leaf.top = (_UFUNC[type(u)], comp.as_f32(comp.compile(u.a)),
                             comp.as_f32(comp.compile(u.b)))
+                layouts = [comp.layout(u.a), comp.layout(u.b)]
             leaf.blocks = _blocks(leaf.red_shape, leaf.lane_shape)
+            _plan_compactions(leaf, layouts)
         leaf.sources = tuple(comp.sources)
 
     # -- cross-leaf dependence + channel rules --------------------------
@@ -479,11 +500,13 @@ class _BandPlan:
                     np.broadcast_to(val, leaf.shape))
         # Scalar semantics leave the last iteration's allocation visible in
         # the buffer map after the band; reproduce that so post-run buffer
-        # inspection (and the soundness tests) see identical state.
+        # inspection (and the soundness tests) see identical state.  Each
+        # execution allocates its own scratch, so a view of the last lane
+        # is never written again.
         for name, pb in self.privates.items():
             if pb.lane_count > 0:
                 start = (pb.lane_count - 1) * pb.numel
-                it.buffers[name] = scratch[name][start : start + pb.numel].copy()
+                it.buffers[name] = scratch[name][start : start + pb.numel]
 
 
 #: the statements a plan evaluates over its iteration space
@@ -529,6 +552,124 @@ def _blocks(red: Tuple[int, ...], lanes: Tuple[int, ...]) -> tuple:
     return tuple(blocks)
 
 
+def _c_strides(shape: Tuple[int, ...], item: int) -> Tuple[int, ...]:
+    """The byte strides of a C-contiguous array of ``shape`` as NumPy's
+    iterator sees them: 0 along each axis of extent 1."""
+    strides, step = [], item
+    for n in reversed(shape):
+        strides.append(step if n > 1 else 0)
+        step *= n
+    return tuple(reversed(strides))
+
+
+def _inner_run(shape: Tuple[int, ...], operands: List[tuple]) -> int:
+    """The innermost run of an elementwise ufunc over ``shape`` whose
+    output is C-contiguous: how many elements one call of its inner loop
+    covers, given each operand's byte strides (the output's included).
+
+    The output's strides shrink from the outer to the inner axis, so it
+    votes against every reordering of NumPy's iterator (and C order wins
+    a conflict): the axes stay in C order.  Axes of extent 1 drop out.
+    From the innermost axis, each next one coalesces into the run while
+    every operand steps it by the run's length times its innermost
+    stride.
+    """
+    run, first = 1, None
+    for j in reversed(range(len(shape))):
+        if shape[j] == 1:
+            continue
+        if first is None:
+            first = j
+        elif any(s[j] != s[first] * run for s in operands):
+            break
+        run *= shape[j]
+    return run
+
+
+class _Compaction(NamedTuple):
+    """One operand of a block's top op, copied to a contiguous array.
+
+    ``select`` keeps index 0 of every axis the operand's view does not
+    advance along, which leaves its distinct values; they are copied to
+    a C-contiguous array of ``shape`` (those axes of extent 1), which the
+    ufunc broadcasts.
+    """
+
+    slot: int
+    select: tuple
+    shape: Tuple[int, ...]
+    size: int
+
+
+def _compactions(
+    shape: Tuple[int, ...], layouts: List[tuple]
+) -> Tuple[_Compaction, ...]:
+    """The operands of one block's top op worth compacting.
+
+    ``layouts`` are its two operands' ``(slot, byte strides)`` over the
+    block (``slot`` None for a constant).  A float32 load with a
+    broadcast (zero-stride) axis of extent > 1 may be compacted; the
+    chosen set is the smallest that makes :func:`_inner_run` longest,
+    and empty unless it strictly lengthens the run.  The same values
+    meet the same ufunc in the same order either way, so the choice
+    changes speed only.
+    """
+    item = np.dtype(_F32).itemsize
+    out = _c_strides(shape, item)
+    compacted = {}
+    for slot, strides in layouts:
+        if slot is not None and any(
+                not s and n > 1 for s, n in zip(strides, shape)):
+            cshape = tuple(n if s else 1 for s, n in zip(strides, shape))
+            compacted[slot] = (_c_strides(cshape, item), _Compaction(
+                slot, tuple(slice(None) if s else slice(0, 1)
+                            for s in strides), cshape, math.prod(cshape)))
+
+    def run(chosen) -> int:
+        return _inner_run(shape, [out] + [
+            compacted[slot][0] if slot in chosen else strides
+            for slot, strides in layouts])
+
+    best, pick = run(()), ()
+    for k in range(1, len(compacted) + 1):
+        for chosen in itertools.combinations(sorted(compacted), k):
+            length = run(chosen)
+            if length > best:
+                best, pick = length, chosen
+    return tuple(compacted[slot][1] for slot in pick)
+
+
+def _plan_compactions(leaf: _Leaf, layouts: Optional[list]) -> None:
+    """Decide, once per block shape, which operands of the leaf's top op
+    each block compacts (:func:`_compactions`; none without a top op or
+    when an operand's layout is unknown).  ``leaf.compact`` runs
+    parallel to ``leaf.blocks``, and ``leaf.spare`` sizes each
+    compacted slot's copy buffer for the largest of its blocks."""
+    if layouts is None or None in layouts:
+        leaf.compact = ((),) * len(leaf.blocks)
+        return
+    decided: Dict[Tuple[int, ...], tuple] = {}
+    compact = []
+    for index, shape, _ in leaf.blocks:
+        if shape not in decided:
+            # a block drops the leading reduction axes its index fixes
+            drop = max(len(index) - 1, 0)
+            decided[shape] = _compactions(shape, [
+                (slot, strides[drop:]) for slot, strides in layouts])
+        compact.append(decided[shape])
+        for c in decided[shape]:
+            leaf.spare[c.slot] = max(leaf.spare.get(c.slot, 0), c.size)
+    leaf.compact = tuple(compact)
+
+
+def _compact(view: np.ndarray, c: _Compaction, spare: np.ndarray) -> np.ndarray:
+    """The distinct values of a block operand's ``view``, copied to a
+    contiguous array in ``spare``."""
+    out = spare[:c.size].reshape(c.shape)
+    np.copyto(out, view[c.select])
+    return out
+
+
 def _eval_block(leaf: _Leaf, ops: list, out: np.ndarray) -> None:
     """Evaluate a reduction's update into ``out`` from ``ops``, the block
     of each of its operands (a float32 top-level op writes ``out=``)."""
@@ -561,10 +702,14 @@ def _fold_blocks(
     carry = lanes.astype(lanes.dtype).reshape(leaf.lane_shape)
     combine = leaf.combine
     views = [source(it, scratch) for source in leaf.sources]
+    spare = {slot: np.empty(size, _F32) for slot, size in leaf.spare.items()}
     buf = np.empty((leaf.blocks[0][2],) + leaf.lane_shape, lanes.dtype)
-    for index, shape, rows in leaf.blocks:
+    for (index, shape, rows), compact in zip(leaf.blocks, leaf.compact):
         out = buf[:rows]
-        _eval_block(leaf, [x[index] for x in views], out.reshape(shape))
+        ops = [x[index] for x in views]
+        for c in compact:
+            ops[c.slot] = _compact(ops[c.slot], c, spare[c.slot])
+        _eval_block(leaf, ops, out.reshape(shape))
         combine(carry, out[0], out=out[0])
         if carry.size == 1:
             # one lane makes the rows the contiguous axis, which
@@ -864,7 +1009,10 @@ class _Compiler:
         self.fold = fold
         #: ``source(it, scratch)`` of each operand, in ``ops`` order
         self.sources: List[Callable] = []
-        self._slots: Dict[int, Callable] = {}
+        #: the fold-order byte strides of each float32 load's operand, as
+        #: this interpreter's buffers make it (None for any other operand)
+        self.strides: List[Optional[Tuple[int, ...]]] = []
+        self._slots: Dict[int, int] = {}
 
     def compile(self, e: _e.Expr) -> Callable:
         """``fn(ops)`` computing ``e``."""
@@ -922,10 +1070,50 @@ class _Compiler:
         load, channel read or loop index node, however often it appears."""
         slot = self._slots.get(id(e))
         if slot is None:
-            slot = operator.itemgetter(len(self.sources))
-            self._slots[id(e)] = slot
+            slot = self._slots[id(e)] = len(self.sources)
             self.sources.append(source)
-        return slot
+            self.strides.append(self._fold_strides(e) if (
+                self.fold and isinstance(e, _e.Load)) else None)
+        return operator.itemgetter(slot)
+
+    def layout(self, e: _e.Expr) -> Optional[Tuple[Optional[int], tuple]]:
+        """``(slot, fold-order byte strides)`` of the operand that
+        compiles ``e`` when it is a float32 load, ``(None, zeros)`` for a
+        scalar constant, None for a computed value (its layout is
+        NumPy's choice)."""
+        slot = self._slots.get(id(e))
+        if slot is not None:
+            strides = self.strides[slot]
+            return None if strides is None else (slot, strides)
+        if isinstance(e, (_e.IntImm, _e.FloatImm)) or (
+                isinstance(e, _e.Var) and e not in self.leaf.env):
+            return None, (0,) * len(self.leaf.shape)
+        return None
+
+    def _fold_strides(self, e: _e.Load) -> Optional[Tuple[int, ...]]:
+        """The byte strides, in fold order, of the operand
+        :meth:`_source` makes for float32 load ``e`` from this
+        interpreter's buffers: a strided view's own, or a gather's
+        (a new C-contiguous array) broadcast to the leaf's shape."""
+        leaf, name = self.leaf, e.buffer.name
+        if name in self.privates:
+            arr = None
+        else:
+            arr = self.it.buffers[name]
+            if arr.dtype != _F32:
+                return None
+        acc = leaf.access[id(e)]
+        item = np.dtype(_F32).itemsize
+        if isinstance(acc, _Strided):
+            acc = acc._replace(shape=leaf.shape)
+            strides = (_view(arr, acc).strides if arr is not None
+                       else tuple(s * item for s in acc.strides))
+        else:
+            parts = acc if isinstance(acc, tuple) else (acc,)
+            shape = np.broadcast_shapes(*(np.shape(p) for p in parts))
+            shape = (1,) * (len(leaf.shape) - len(shape)) + shape
+            strides = _c_strides(shape, item)
+        return tuple(strides[j] for j in leaf.perm)
 
     def _source(self, e: Union[_e.Load, _e.ChannelRead]) -> Callable:
         leaf = self.leaf

@@ -21,9 +21,10 @@ spent:
    non-interfering values into one shared DDR *arena*: values are
    placed in definition order, each at the lowest 4-byte-aligned offset
    where it fits below/above every already-placed interfering slot.
-4. **Certification** — :func:`check_memory` re-derives liveness from
-   the graph+plan and proves the :class:`MemoryPlan` sound: every pair
-   of address-overlapping slots has disjoint live ranges (else RM001),
+4. **Certification** — :func:`check_memory` derives liveness from the
+   graph+plan (a folded sequence's once, shared with planning) and
+   proves the :class:`MemoryPlan` sound: every pair of
+   address-overlapping slots has disjoint live ranges (else RM001),
    every slot lies inside the arena with its recorded size matching the
    value's actual byte count — and, when the lowered program is
    available, the kernel's output-buffer capacity under its invocation
@@ -387,29 +388,45 @@ def _lives_of(fused, plan, report: Optional[VerifyReport] = None):
     return _liveness(fused, seq, report)
 
 
+def _derived(fused, plan):
+    """``(lives, findings, arena plan)`` of a deployment plan: its
+    liveness, the RM002/RM004 findings deriving it raised, and its
+    first-fit coloring (``lives`` and the plan are None when liveness
+    cannot be bounded).
+
+    A folded plan's are derived once per (fused graph, the sequence
+    liveness reads: each invocation's layer, input node and extra
+    inputs) while the lower cache lives
+    (:func:`repro.flow.incremental.memoized`), so the builds of a DSE
+    sweep derive and color one arena, for planning and certifying alike.
+    """
+    def derive():
+        report = VerifyReport(subject="memory")
+        lives = _lives_of(fused, plan, report)
+        return (lives, tuple(report.diagnostics),
+                None if lives is None else _arena_plan(lives))
+
+    if not isinstance(plan, FoldedPlan):
+        return derive()
+    from repro.flow.incremental import memoized
+
+    seq = tuple(
+        (inv.layer, inv.input_node, tuple(inv.extra_input_nodes))
+        for inv in plan.invocations
+    )
+    return memoized(("memory-plan", fused, seq), derive)
+
+
 def plan_memory(fused, plan, subject: str = "") -> Optional[MemoryPlan]:
     """Liveness + coloring for a deployment plan.
 
     Returns ``None`` when liveness cannot be bounded (symbolic shapes
     or plan/graph drift) — the verify stage reports the RM002/RM004
-    finding; builders just skip arena adoption.  A folded plan's arena
-    is computed once per (fused graph, the sequence liveness reads:
-    each invocation's layer, input node and extra inputs) while the
-    lower cache lives (:func:`repro.flow.incremental.memoized`), so the
-    builds of a DSE sweep color one arena; each call still returns a
-    new plan with its own tables.
+    finding; builders just skip arena adoption.  The arena comes from
+    :func:`_derived`, computed once per folded sequence; each call still
+    returns a new plan with its own tables.
     """
-    if isinstance(plan, FoldedPlan):
-        from repro.flow.incremental import memoized
-
-        seq = tuple(
-            (inv.layer, inv.input_node, tuple(inv.extra_input_nodes))
-            for inv in plan.invocations
-        )
-        mp = memoized(("memory-plan", fused, seq),
-                      lambda: _arena_plan(fused, plan))
-    else:
-        mp = _arena_plan(fused, plan)
+    mp = _derived(fused, plan)[2]
     if mp is None:
         return None
     return replace(
@@ -419,10 +436,7 @@ def plan_memory(fused, plan, subject: str = "") -> Optional[MemoryPlan]:
     )
 
 
-def _arena_plan(fused, plan) -> Optional[MemoryPlan]:
-    lives = _lives_of(fused, plan)
-    if lives is None:
-        return None
+def _arena_plan(lives: List[BufferLife]) -> MemoryPlan:
     arena, offsets = _color(lives)
     mp = MemoryPlan(
         subject="",
@@ -622,7 +636,8 @@ def check_memory(
     report = VerifyReport(subject=subject or "memory")
     checks = 0
 
-    lives = _lives_of(fused, plan, report)
+    lives, found, colored = _derived(fused, plan)
+    report.extend(found)
     if memory is None:
         memory = getattr(plan, "memory", None)
     if lives is None:
@@ -673,7 +688,7 @@ def check_memory(
                 )])
 
     # -- RM005: reuse left on the table --------------------------------
-    optimal_arena, _ = _color(lives)
+    optimal_arena = colored.arena_bytes
     if memory.arena_bytes > optimal_arena:
         wasted = memory.arena_bytes - optimal_arena
         report.extend([Diagnostic(

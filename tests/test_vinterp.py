@@ -3,7 +3,7 @@
 The vectorized interpreter's contract (:mod:`repro.ir.vinterp`) is that
 every result is **bit-identical in float32** to the element-wise scalar
 interpreter — vectorization is a pure execution-speed transform, never a
-numerics change.  These tests pin that contract five ways:
+numerics change.  These tests pin that contract in these ways:
 
 * a soundness matrix running every shipped network on every board
   (LeNet-5 at full size, MobileNetV1/ResNet-18 through their reduced
@@ -24,7 +24,11 @@ numerics change.  These tests pin that contract five ways:
   at any N;
 * blocked-fold tests: hand-built reductions under block budgets that
   force one-row, ragged and whole blocks equal the scalar interpreter,
-  and no array the fold evaluates exceeds one block.
+  and no array the fold evaluates exceeds one block;
+* compaction tests: conv tilings, dense unrolls and hand-built windows
+  whose blocks compact no, one or both operands equal the scalar
+  interpreter at batch 1 and 8, strided buffers included, a replayed
+  plan decides nothing again, and the run the rule compares is NumPy's.
 """
 
 import math
@@ -954,6 +958,185 @@ class TestBlockedFold:
             got = [shape[0] * math.prod(shape[1:-2])
                    for _, shape, _ in leaf.blocks]
             assert got == blocks == [rows for _, _, rows in leaf.blocks]
+
+
+class TestFoldCompaction:
+    """A block's top op reads a broadcast operand compacted, bitwise alike.
+
+    Before each block's top op, a float32 load with a zero-stride axis
+    is copied to a contiguous array (that axis kept at extent 1) when
+    that strictly lengthens the op's innermost coalesced run.  The same
+    values meet the same ufunc in the same order, so every result stays
+    bitwise the scalar interpreter's, at batch 1 and 8; the plan decides
+    once per block shape and a replayed plan only applies the decision.
+    """
+
+    #: (c1, h, k, f, s, c1vec); w2vec takes the largest and smallest
+    #: divisor of the output width
+    CONVS = ((3, 9, 4, 3, 1, 1), (4, 11, 2, 3, 2, 2), (2, 8, 4, 1, 1, 2),
+             (2, 7, 3, 3, 1, 1))
+    #: (n, m, unroll factor)
+    DENSES = ((24, 6, 4), (12, 3, 1), (8, 5, 2))
+    BATCH = 8
+
+    def _conv(self, c1, h, k, f, s, c1vec, w2vec):
+        spec = ConvSpec(c1=c1, h=h, w=h, k=k, f=f, s=s, bias=True)
+        _, out = conv2d_tensors(spec, "c")
+        kern = lower(schedule_conv2d_opt(
+            out, ConvTiling(w2vec=w2vec, c1vec=c1vec)), "k")
+        return kern, {"c_in": c1 * h * h, "c": k * spec.ho * spec.wo}, {
+            "c_w": k * c1 * f * f, "c_b": k}
+
+    def _dense(self, n, m, factor):
+        _, out = dense_tensors(DenseSpec(n=n, m=m, bias=True), "d")
+        kern = lower(schedule_dense_opt(out, factor), "k")
+        return kern, {"d_in": n, "d": m}, {"d_w": m * n, "d_b": m}
+
+    def _two_windows(self):
+        """``Y[j, y, x] += A[(y + r) * 7 + x] * B[(y + r) * 6 + x + 1]``:
+        both loads broadcast over ``j`` and step ``y`` by more than the
+        row, so only compacting both makes ``(y, x)`` one run."""
+        a, b = ir.Buffer("A", (42,)), ir.Buffer("B", (37,))
+        y_ = ir.Buffer("Y", (60,))
+        j, y, x, r = (ir.Var(v) for v in "jyxr")
+        at = (y + r) * 7 + x
+        bt = (y + r) * 6 + x + 1
+        out = j * 20 + y * 5 + x
+        body = ir.For(r, ir.IntImm(3), ir.Store(y_, out, ir.Add(
+            ir.Load(y_, out), ir.Load(a, at) * ir.Load(b, bt))))
+        kern = ir.Kernel("k", [a, b, y_], ir.For(j, ir.IntImm(3), ir.For(
+            y, ir.IntImm(4), ir.For(x, ir.IntImm(5), body))))
+        return kern, {"A": 42, "B": 37, "Y": 60}, {}
+
+    def _gathered(self):
+        """``Y[j, x] += A[(x + r) % 5] * B[r]``: a gathered load (outside
+        the affine fragment) broadcast over ``j``."""
+        a, b, y_ = ir.Buffer("A", (5,)), ir.Buffer("B", (3,)), ir.Buffer(
+            "Y", (20,))
+        j, x, r = (ir.Var(v) for v in "jxr")
+        out = j * 5 + x
+        kern = ir.Kernel("k", [a, b, y_], ir.For(j, ir.IntImm(4), ir.For(
+            x, ir.IntImm(5), ir.For(r, ir.IntImm(3), ir.Store(
+                y_, out, ir.Add(ir.Load(y_, out), ir.Load(
+                    a, ir.Mod(x + r, ir.IntImm(5))) * ir.Load(b, r)))))))
+        return kern, {"A": 5, "Y": 20}, {"B": 3}
+
+    def _cases(self):
+        for c1, h, k, f, s, c1vec in self.CONVS:
+            wo = (h - f) // s + 1
+            for w2vec in {max(_divisors(wo)), 1}:
+                yield self._conv(c1, h, k, f, s, c1vec, w2vec)
+        for n, m, factor in self.DENSES:
+            yield self._dense(n, m, factor)
+        yield self._two_windows()
+        yield self._gathered()
+
+    @staticmethod
+    def _data(sizes, shared, seed, batch=None):
+        rng = np.random.default_rng(seed)
+        bufs = {name: rng.standard_normal(
+            n if batch is None else (batch, n)).astype(np.float32)
+            for name, n in sizes.items()}
+        bufs.update((name, rng.standard_normal(n).astype(np.float32))
+                    for name, n in shared.items())
+        return bufs
+
+    def _check(self, kern, sizes, shared, seed=0, layout=None):
+        """Vectorized at batch 1 and :attr:`BATCH` equals the scalar
+        interpreter bitwise on every argument and sample.  ``layout(arr)``
+        places each argument array in the buffer map (default: as is)."""
+        place = layout or (lambda arr: arr)
+        data = self._data(sizes, shared, seed, self.BATCH)
+        wants = []
+        for n in range(self.BATCH):
+            want = {k: (v[n] if k in sizes else v).copy()
+                    for k, v in data.items()}
+            ir.run_kernel(kern, want)
+            wants.append(want)
+        for first in (True, False):
+            got = {k: place((v[0] if first and k in sizes else v).copy())
+                   for k, v in data.items()}
+            vi = run_kernel_vectorized(kern, got)
+            assert {ev.kind for ev in vi.events} == {"vectorized"}
+            for name in sizes:
+                want = [w[name] for w in wants[:1 if first else None]]
+                assert got[name].tobytes() == np.stack(want).tobytes(), name
+
+    @staticmethod
+    def _record(monkeypatch):
+        """(decisions, copies): the most operands any block of each
+        planned leaf compacts, and every compacted copy's size."""
+        decisions, copies = [], []
+        plan, compact = vinterp._plan_compactions, vinterp._compact
+
+        def planned(leaf, layouts):
+            plan(leaf, layouts)
+            decisions.append(max(map(len, leaf.compact)))
+
+        def copied(view, c, spare):
+            copies.append(c.size)
+            return compact(view, c, spare)
+
+        monkeypatch.setattr(vinterp, "_plan_compactions", planned)
+        monkeypatch.setattr(vinterp, "_compact", copied)
+        return decisions, copies
+
+    def test_matches_scalar_compacting_none_one_or_both(self, monkeypatch):
+        decisions, copies = self._record(monkeypatch)
+        for kern, sizes, shared in self._cases():
+            self._check(kern, sizes, shared)
+        assert {0, 1, 2} <= set(decisions)
+        assert copies
+
+    def test_replayed_plan_makes_no_new_decision(self, monkeypatch):
+        decisions, copies = self._record(monkeypatch)
+        kern, sizes, shared = self._conv(3, 9, 4, 3, 1, 1, 7)
+        self._check(kern, sizes, shared, seed=1)
+        assert decisions and copies
+        planned, made = len(decisions), len(copies)
+        self._check(kern, sizes, shared, seed=2)
+        assert len(decisions) == planned
+        assert len(copies) == 2 * made
+
+    def test_strided_views_of_non_contiguous_buffers(self, monkeypatch):
+        # every argument is a strided view, every other element (or
+        # column, in a batch) of a wider array
+        _, copies = self._record(monkeypatch)
+
+        def strided(arr):
+            wide = np.zeros(arr.shape[:-1] + (2 * arr.shape[-1] + 1,),
+                            arr.dtype)
+            view = wide[..., 1::2]
+            view[...] = arr
+            assert not view.flags.c_contiguous
+            return view
+
+        for kern, sizes, shared in (self._conv(3, 9, 4, 3, 1, 1, 7),
+                                    self._two_windows()):
+            self._check(kern, sizes, shared, seed=3, layout=strided)
+        assert copies
+
+    def test_inner_run_is_numpys(self):
+        # the run the rule compares is the one NumPy's iterator makes:
+        # an external loop over random broadcast views and a C output
+        rng = np.random.default_rng(0)
+        base = np.zeros(1 << 12, np.float32)
+        for _ in range(300):
+            shape = tuple(int(n) for n in rng.choice([1, 2, 3, 5],
+                                                     rng.integers(1, 6)))
+            operands = [tuple(int(s) for s in rng.choice(
+                [0, 4, 8, 12, 20, 40, 60], len(shape))) for _ in range(2)]
+            operands[0] = vinterp._c_strides(
+                tuple(1 if s else n for s, n in zip(operands[0], shape)), 4)
+            out = np.empty(shape, np.float32)
+            it = np.nditer(
+                [np.lib.stride_tricks.as_strided(base, shape, s)
+                 for s in operands] + [out],
+                flags=["external_loop"],
+                op_flags=[["readonly"], ["readonly"], ["writeonly"]])
+            assert len(it[0]) == vinterp._inner_run(
+                shape, [vinterp._c_strides(shape, 4)] + operands), (
+                    shape, operands)
 
 
 class TestStaticStoreProof:

@@ -164,7 +164,7 @@ def check_architecture_coverage() -> list:
 #: exact-count gates of ``benchmarks/test_perf_trajectory.py``: no band,
 #: no calibration, so each holds without a baseline entry
 EXACT_GATES = ("serve_forwards", "vinterp_fallbacks", "vinterp_replanned",
-               "fold_temporaries", "plan_keys",
+               "fold_temporaries", "fold_compactions", "plan_keys",
                "sweep.serial_counts.scheduled",
                "sweep.serial_counts.plans_computed")
 
