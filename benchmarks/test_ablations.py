@@ -20,7 +20,7 @@ from repro.flow import (
     default_folded_config,
     deploy_folded,
     deploy_pipelined,
-    explore_conv1x1,
+    sweep_conv1x1,
 )
 from repro.aoc import compile_program
 from repro.models import mobilenet_v1
@@ -61,11 +61,11 @@ def test_ablation_dse_vs_manual(benchmark):
     def run():
         fused = fuse_operators(mobilenet_v1())
         manual = deploy_folded("mobilenet_v1", ARRIA10).fps()
-        points = explore_conv1x1(
+        points = sweep_conv1x1(
             fused, ARRIA10,
             c2vec_options=(4, 8, 16, 32),
             c1vec_options=(4, 8, 16),
-        )
+        ).points
         best = choose_tiling(points)
         return manual, best
 

@@ -61,6 +61,10 @@ in CI:
   These are exact byte counts, not timings: the arena must stay
   strictly smaller than naive and must never regress vs the baseline.
 
+Every exact event count above is a delta of the process-wide counter
+registry (:mod:`repro.counters`), counted where the event happens; the
+patches below only measure array sizes or collect objects.
+
 Results are compared against the committed baseline
 ``benchmarks/results/perf_trajectory.json``.  Raw seconds are not
 portable across machines (or even across minutes on a shared host), so
@@ -97,6 +101,7 @@ import numpy as np
 import pytest
 from conftest import RESULTS_DIR, fmt_table, save_table
 
+from repro import counters
 from repro.codegen import generate_opencl
 from repro.device import ARRIA10, board_by_name
 from repro.flow import build_folded
@@ -112,8 +117,6 @@ from repro.flow.incremental import (
 from repro.flow import stages as stages_module
 from repro.flow.stages import MODELS, folded_flow, pipelined_flow
 from repro.ir import Program, vinterp
-from repro.ir.analysis import AccessTable
-from repro.ir.interp import Interpreter
 from repro.models.twins import TWINS
 from repro.pipeline import Pipeline
 from repro.pipeline.cache import CompileCache
@@ -121,10 +124,10 @@ from repro.relay import fuse_operators, init_params
 from repro.runtime.executor import run_folded_functional, run_pipelined_functional
 from repro.schedule.transforms import ScheduleRecipe
 from repro.serve import RequestTrace, ServeConfig, Server, provision_replicas
-from repro.serve.replica import Replica, replicas_per_board
+from repro.serve.replica import replicas_per_board
 from repro.serve.request import input_fingerprint
 from repro.verify import certify_build, clear_equiv_cache, dynamic_equiv_check
-from repro.verify.memory import MemoryPlan, weights_bytes
+from repro.verify.memory import weights_bytes
 from repro.verify.verifier import binding_sets_of
 
 #: the modules themselves: ``repro.pipeline`` re-exports a function
@@ -132,7 +135,6 @@ from repro.verify.verifier import binding_sets_of
 fingerprint_module = importlib.import_module("repro.pipeline.fingerprint")
 pipeline_module = importlib.import_module("repro.pipeline.pipeline")
 transforms_module = importlib.import_module("repro.schedule.transforms")
-verifier_module = importlib.import_module("repro.verify.verifier")
 
 BASELINE_PATH = os.path.join(RESULTS_DIR, "perf_trajectory.json")
 UPDATE = os.environ.get("REPRO_PERF_UPDATE") == "1"
@@ -322,8 +324,7 @@ def _measure_serve_forwards() -> dict:
     """
     replicas, trace = _serving()
     server = Server(replicas, SERVE_CONFIG)
-    counts = {"forwards": 0}
-    with _counting_calls(Replica, "forward", counts, "forwards"):
+    with counters.delta() as counted:
         result = server.run(trace)
     key_of = {req.rid: input_fingerprint(req.x) for req in trace}
     done = sorted((b for b in result.batches if b["outcome"] == "ok"),
@@ -334,7 +335,7 @@ def _measure_serve_forwards() -> dict:
         with_miss += bool(keys - seen)
         seen |= keys
     return {
-        "forwards": counts["forwards"],
+        "forwards": counted.get("serve_forwards", 0),
         "batches": len(result.batches),
         "batches_with_miss": with_miss,
         "shed": result.metrics.shed,
@@ -368,19 +369,21 @@ def _fold_forwards() -> list:
     return forwards
 
 
-def _measure_fold_temporaries() -> dict:
-    """The largest array a reduction's blocked fold evaluates (exact),
-    and the per-sample sub-interpreters the same forwards build.
+def _measure_folds() -> tuple:
+    """``(temporaries, compactions)`` over the forwards of
+    :func:`_fold_forwards` (exact counts, no timing).
 
-    Records every array :func:`repro.ir.vinterp._eval_block` reads (each
-    operand's block) or writes, and every operand copy
-    :func:`repro.ir.vinterp._compact` makes, with its leaf's lane count,
-    over the forwards of :func:`_fold_forwards`.  ``excess`` is the
-    largest amount by which one exceeds ``max(FOLD_BLOCK_LIMIT, lanes)``.
-    ``per_sample`` counts the forwards'
-    :meth:`repro.ir.interp.Interpreter._sample` calls.
+    ``temporaries`` records every array :func:`repro.ir.vinterp._eval_block`
+    reads (each operand's block) or writes, and every operand copy
+    :func:`repro.ir.vinterp._compact` makes, with its leaf's lane count:
+    ``excess`` is the largest amount by which one exceeds
+    ``max(FOLD_BLOCK_LIMIT, lanes)``, and ``per_sample`` the forwards'
+    ``per_sample`` registry count (per-sample sub-interpreters built).
+    ``compactions`` maps each forward to the operands its second run
+    compacts before a reduction block's top op (the ``fold_compactions``
+    registry count, one per operand per block).
     """
-    out = {"elements": 0, "lanes": 0, "excess": -math.inf, "per_sample": 0}
+    out = {"elements": 0, "lanes": 0, "excess": -math.inf}
     eval_block, fold_blocks = vinterp._eval_block, vinterp._fold_blocks
     compact = vinterp._compact
     folding = {}
@@ -408,28 +411,20 @@ def _measure_fold_temporaries() -> dict:
         return copy
 
     forwards = _fold_forwards()
-    with pytest.MonkeyPatch.context() as mp, _counting_calls(
-            Interpreter, "_sample", out, "per_sample"):
+    with pytest.MonkeyPatch.context() as mp, counters.delta() as counted:
         mp.setattr(vinterp, "_eval_block", counted_eval_block)
         mp.setattr(vinterp, "_fold_blocks", counted_fold_blocks)
         mp.setattr(vinterp, "_compact", counted_compact)
         for _, forward in forwards:
             forward()
+    out["per_sample"] = counted.get("per_sample", 0)
     out["budget"] = vinterp.FOLD_BLOCK_LIMIT
-    return out
-
-
-def _measure_fold_compactions() -> dict:
-    """Operands the second forward of each of :func:`_fold_forwards`
-    compacts before a reduction block's top op (exact counts: one
-    :func:`repro.ir.vinterp._compact` call per operand per block)."""
-    out = {}
-    for key, forward in _fold_forwards():
-        out[key] = 0
-        forward()
-        with _counting_calls(vinterp, "_compact", out, key):
+    compactions = {}
+    for key, forward in forwards:
+        with counters.delta() as counted:
             forward()
-    return out
+        compactions[key] = counted.get("fold_compactions", 0)
+    return out, compactions
 
 
 def _measure_plan_keys() -> dict:
@@ -461,8 +456,9 @@ def _measure_plan_keys() -> dict:
             xs = [rng.standard_normal(shape if n is None else (n,) + shape)
                   .astype(np.float32) for _ in range(2)]
             forward(xs[0])
-            with _counting_calls(vinterp._BandCache, "key", out, key):
+            with counters.delta() as counted:
                 forward(xs[1])
+            out[key] += counted.get("plan_keys", 0)
     return out
 
 
@@ -478,36 +474,13 @@ def _measure_lenet_speedup(vector_ips: float) -> dict:
 
 
 @contextlib.contextmanager
-def _counting_calls(owner, name, counts, key):
-    """Count calls of ``owner.name`` into ``counts[key]`` while active."""
-    original = getattr(owner, name)
-
-    def counted(*args, **kwargs):
-        counts[key] += 1
-        return original(*args, **kwargs)
-
-    setattr(owner, name, counted)
-    try:
-        yield
-    finally:
-        setattr(owner, name, original)
-
-
-@contextlib.contextmanager
-def _counting_recipes(counts, distinct):
-    """Count recipe hashes into ``counts["recipes_hashed"]`` and collect
-    the steps of every recipe fingerprinted into ``distinct``.
+def _collecting_recipes(distinct):
+    """Collect the steps of every recipe fingerprinted into ``distinct``.
 
     The content memo is emptied first, so every distinct recipe of the
-    run is hashed here or not at all.
+    run is hashed (counted as ``recipes_hashed``) here or not at all.
     """
-    fingerprint = fingerprint_module.fingerprint
     recipe_fingerprint = ScheduleRecipe.fingerprint
-
-    def counted_fingerprint(obj):
-        if isinstance(obj, list) and obj[:1] == ["schedule-recipe"]:
-            counts["recipes_hashed"] += 1
-        return fingerprint(obj)
 
     def recorded(self):
         distinct.add(self.steps)
@@ -515,7 +488,6 @@ def _counting_recipes(counts, distinct):
 
     transforms_module._recipe_fingerprint.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fingerprint_module, "fingerprint", counted_fingerprint)
         mp.setattr(ScheduleRecipe, "fingerprint", recorded)
         yield
 
@@ -571,14 +543,13 @@ def _measure_sweep() -> dict:
     # serial sample certifies from an empty one, as before.
     best = {1: float("inf"), SWEEP_WORKERS: float("inf")}
     summaries = {}
-    # exact accounting of the first serial sample (a handful of counted
-    # calls, off the timing's noise floor): access tables built against
-    # lower-cache misses, kernels bounds-checked against the distinct
-    # kernels the builds lowered, recipes hashed against distinct
-    # recipes, kernels scheduled against distinct ones, and memory plans
-    # computed (keys hashed)
-    counts = {"tables": 0, "bounds_checked": 0, "recipes_hashed": 0,
-              "plans_computed": 0}
+    # exact accounting of the first serial sample (registry deltas and a
+    # few collecting patches, off the timing's noise floor): access
+    # tables built against lower-cache misses, kernels bounds-checked
+    # against the distinct kernels the builds lowered, recipes hashed
+    # against distinct recipes, kernels scheduled against distinct ones,
+    # and memory plans computed (keys hashed)
+    counts = {}
     distinct = set()
     built_kernels = {}
     scheduled = []
@@ -589,15 +560,9 @@ def _measure_sweep() -> dict:
             with contextlib.ExitStack() as stack:
                 if counted:
                     stack.enter_context(_collecting_kernels(built_kernels))
-                    stack.enter_context(_counting_calls(
-                        AccessTable, "__init__", counts, "tables"))
-                    stack.enter_context(_counting_calls(
-                        verifier_module, "check_bounds", counts,
-                        "bounds_checked"))
-                    stack.enter_context(_counting_recipes(counts, distinct))
-                    stack.enter_context(_counting_calls(
-                        MemoryPlan, "compute_key", counts, "plans_computed"))
+                    stack.enter_context(_collecting_recipes(distinct))
                     stack.enter_context(_collecting_scheduled(scheduled))
+                events = stack.enter_context(counters.delta())
                 t0 = time.perf_counter()
                 summary = sweep_conv1x1(
                     fused, ARRIA10, cache=CompileCache(), prune=True,
@@ -605,6 +570,11 @@ def _measure_sweep() -> dict:
                 best[workers] = min(best[workers], time.perf_counter() - t0)
             summaries[workers] = summary
             if counted:
+                counts.update(
+                    tables=events.get("access_tables", 0),
+                    bounds_checked=events.get("bounds_checked", 0),
+                    recipes_hashed=events.get("recipes_hashed", 0),
+                    plans_computed=events.get("plans_computed", 0))
                 counts.update(lower_cache_stats())
                 counts.update({f"schedule_{k}": v for k, v in
                                schedule_cache_stats().items()})
@@ -783,6 +753,7 @@ def trajectory():
     for key, fn in _throughput_measurers(fallbacks, replanned).items():
         throughput[key] = fn()
         remeasure[key] = fn
+    temporaries, compactions = _measure_folds()
     current = {
         "schema": 2,
         "cpus": _usable_cpus(),
@@ -790,8 +761,8 @@ def trajectory():
         "throughput_ips": throughput,
         "vinterp_fallbacks": fallbacks,
         "vinterp_replanned": replanned,
-        "fold_temporaries": _measure_fold_temporaries(),
-        "fold_compactions": _measure_fold_compactions(),
+        "fold_temporaries": temporaries,
+        "fold_compactions": compactions,
         "plan_keys": _measure_plan_keys(),
         "lenet5": _measure_lenet_speedup(
             throughput["lenet5@pipelined"]["value"]),

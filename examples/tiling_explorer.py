@@ -15,7 +15,7 @@ from repro.flow import (
     bandwidth_roof_elems,
     choose_tiling,
     deploy_folded,
-    explore_conv1x1,
+    sweep_conv1x1,
 )
 from repro.models import mobilenet_v1
 from repro.relay import fuse_operators
@@ -31,9 +31,9 @@ def main() -> None:
     print("(thesis: 'the factor should not exceed 32 for the Arria 10')\n")
 
     print("sweeping 1x1-conv tilings (w2vec=7; c2vec, c1vec vary)...")
-    points = explore_conv1x1(
+    points = sweep_conv1x1(
         fused, board, c2vec_options=(4, 8, 16, 32), c1vec_options=(4, 8, 16)
-    )
+    ).points
     labels, values = [], []
     for p in points:
         tag = f"{p.tiling.w2vec}/{p.tiling.c2vec}/{p.tiling.c1vec}"

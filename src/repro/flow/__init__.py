@@ -54,7 +54,6 @@ from repro.flow.dse import (
     choose_tiling,
     divides_all,
     evaluate_tiling,
-    explore_conv1x1,
     sweep_conv1x1,
 )
 
@@ -69,7 +68,7 @@ __all__ = [
     "bandwidth_roof_elems", "build_folded", "build_pipelined", "build_rung",
     "choose_tiling",
     "default_folded_config", "deploy_folded", "deploy_pipelined", "divides_all",
-    "evaluate_tiling", "explore_conv1x1", "folded_flow", "lower_folded",
+    "evaluate_tiling", "folded_flow", "lower_folded",
     "lower_pipelined", "op_label", "pipelined_flow", "plan_folded",
     "plan_pipelined", "schedule_folded", "schedule_pipelined", "sweep_conv1x1",
     "synthesize_key",

@@ -9,7 +9,7 @@ implements that explorer against the reproduction's AOC model:
 2. factors must evenly divide every layer extent they tile;
 3. the synthesized design must fit (and route on) the board.
 
-``explore_conv1x1`` sweeps (w2vec, c2vec, c1vec) space for the MobileNet
+``sweep_conv1x1`` sweeps (w2vec, c2vec, c1vec) space for the MobileNet
 pointwise kernel the way Table 6.6 does, and ``choose_tiling`` returns
 the best configuration by modelled throughput.
 
@@ -210,12 +210,37 @@ def evaluate_tiling(
     return DSEPoint(tiling, recipe=recipe, **vars(verdict))
 
 
+#: the default 1x1 tiling grid (Table 6.6's factors), swept by
+#: :func:`sweep_conv1x1` and previewed by ``--check``
+W2VEC_OPTIONS, C2VEC_OPTIONS, C1VEC_OPTIONS = (7,), (4, 8, 16, 32), (4, 8, 16)
+
+
+def conv1x1_tilings(
+    fused: FusedGraph,
+    w2vec_options: Sequence[int] = W2VEC_OPTIONS,
+    c2vec_options: Sequence[int] = C2VEC_OPTIONS,
+    c1vec_options: Sequence[int] = C1VEC_OPTIONS,
+) -> Optional[List[ConvTiling]]:
+    """Every option combination whose factors divide all ``('conv', 1,
+    1)`` group layers' extents (requirement 2), in grid order; None when
+    the network has no such layers."""
+    extents = group_extents(fused).get(("conv", 1, 1))
+    if extents is None:
+        return None
+    return [
+        ConvTiling(w2vec=w2, c2vec=c2, c1vec=c1)
+        for w2 in w2vec_options if divides_all(w2, extents["w2"])
+        for c2 in c2vec_options if divides_all(c2, extents["c2"])
+        for c1 in c1vec_options if divides_all(c1, extents["c1"])
+    ]
+
+
 def sweep_conv1x1(
     fused: FusedGraph,
     board: Board,
-    w2vec_options: Sequence[int] = (7,),
-    c2vec_options: Sequence[int] = (4, 8, 16, 32),
-    c1vec_options: Sequence[int] = (4, 8, 16),
+    w2vec_options: Sequence[int] = W2VEC_OPTIONS,
+    c2vec_options: Sequence[int] = C2VEC_OPTIONS,
+    c1vec_options: Sequence[int] = C1VEC_OPTIONS,
     constants: AOCConstants = DEFAULT_CONSTANTS,
     cache: CacheOption = None,
     prune: bool = False,
@@ -248,18 +273,13 @@ def sweep_conv1x1(
     from repro.flow.deploy import default_folded_config
 
     group = ("conv", 1, 1)
-    extents = group_extents(fused).get(group)
-    if extents is None:
+    tilings = conv1x1_tilings(fused, w2vec_options, c2vec_options,
+                              c1vec_options)
+    if tilings is None:
         raise ReproError(
             f"{fused.graph.name} has no layers in the swept conv group "
             f"{group}"
         )
-    tilings = [
-        ConvTiling(w2vec=w2, c2vec=c2, c1vec=c1)
-        for w2 in w2vec_options if divides_all(w2, extents["w2"])
-        for c2 in c2vec_options if divides_all(c2, extents["c2"])
-        for c1 in c1vec_options if divides_all(c1, extents["c1"])
-    ]
     base = base_config or default_folded_config(fused.graph.name, board)
     points: List[Optional[DSEPoint]] = [None] * len(tilings)
     if prune:
@@ -306,22 +326,6 @@ def sweep_conv1x1(
     for i, point in zip(live, built):
         points[i] = point
     return SweepSummary(points=points, cache_hits=hits, cache_misses=misses)
-
-
-def explore_conv1x1(
-    fused: FusedGraph,
-    board: Board,
-    w2vec_options: Sequence[int] = (7,),
-    c2vec_options: Sequence[int] = (4, 8, 16, 32),
-    c1vec_options: Sequence[int] = (4, 8, 16),
-    constants: AOCConstants = DEFAULT_CONSTANTS,
-    prune: bool = False,
-) -> List[DSEPoint]:
-    """Points-only view of :func:`sweep_conv1x1` (original API)."""
-    return sweep_conv1x1(
-        fused, board, w2vec_options, c2vec_options, c1vec_options, constants,
-        prune=prune,
-    ).points
 
 
 def choose_tiling(points: Sequence[DSEPoint]) -> DSEPoint:

@@ -16,12 +16,15 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 import repro.ir as ir
+from repro import counters
 from repro.device.boards import Board
 from repro.errors import ScheduleError, UnsupportedError
 from repro.flow.artifacts import FoldedSchedule, ScheduledKernel
 from repro.flow.incremental import (
+    LOWER_COUNTS,
+    SCHEDULE_COUNTS,
+    lower_kernels,
     prebuilt_kernel,
-    schedule_cache_delta,
     scheduled_kernel,
 )
 from repro.relay.passes import FusedGraph, FusedNode
@@ -455,9 +458,9 @@ def schedule_folded(
     deltas land on the schedule for the stage's trace counters.
     """
     ir.reset_fresh_names()
-    with schedule_cache_delta() as delta:
+    with counters.delta("schedule_", SCHEDULE_COUNTS) as memo:
         sched = _FoldedBuilder(fused, config, board).schedule_graph()
-    sched.schedule_cache = delta
+    sched.schedule_cache = memo
     return sched
 
 
@@ -470,12 +473,9 @@ def lower_folded(sched: FoldedSchedule) -> ir.Program:
     per-kernel cache; this run's hit/miss/uncached deltas land on the
     program for the ``lower`` stage trace counters.
     """
-    from repro.flow.incremental import lower_cache_stats, lower_kernels
-
-    before = lower_cache_stats()
-    program = ir.Program(lower_kernels(sched.kernels), sched.program_name)
-    after = lower_cache_stats()
-    program.lower_cache = {k: after[k] - before[k] for k in after}
+    with counters.delta("lower_", LOWER_COUNTS) as memo:
+        program = ir.Program(lower_kernels(sched.kernels), sched.program_name)
+    program.lower_cache = memo
     return program
 
 

@@ -31,11 +31,12 @@ kernels through both memos, under the build's names and recipe).  The
 per-run hit/miss counts surface as ``schedule_hits``/``schedule_misses``
 counters on the ``schedule`` stage.  Prebuilt kernels (softmax, whose
 builder emits IR directly) are looked up only there: the lookup also
-counts as a hit or miss in :func:`lower_cache_stats`, not in the
-``lower`` stage's counters.  A folded arena plan is memoized in the
-same LRU too (:func:`memoized`, used by
-:func:`repro.verify.memory.plan_memory`), so :func:`clear_lower_cache`
-empties all three and a cold compile stays cold.  The pipelined levels
+counts as a ``lower_hits``/``lower_misses`` event in the registry
+(:mod:`repro.counters`), not in the ``lower`` stage's counters.  A
+folded arena plan is memoized in the same LRU too (:func:`memoized`,
+used by :func:`repro.verify.memory.plan_memory`), so
+:func:`clear_lower_cache` empties all three and a cold compile stays
+cold.  The pipelined levels
 mutate schedules directly and construct their kernels outside the memo
 (their prebuilt softmax excepted).
 
@@ -52,10 +53,11 @@ unconditionally and counted as ``lower_uncached``.
 
 from __future__ import annotations
 
-import contextlib
-from typing import Callable, Dict, Hashable, Iterator, List, Optional, TypeVar
+from typing import Callable, Dict, Hashable, List, Optional, TypeVar
 
 import repro.ir as ir
+from repro import counters
+from repro.counters import count
 from repro.ir import expr as _e
 from repro.ir.printer import expr_str
 from repro.ir.tensor import IterVar, Tensor
@@ -72,8 +74,9 @@ __all__ = [
     "cached_kernels",
     "lower_cache_stats",
     "schedule_cache_stats",
-    "schedule_cache_delta",
     "clear_lower_cache",
+    "LOWER_COUNTS",
+    "SCHEDULE_COUNTS",
 ]
 
 #: lowering options that do not invalidate the fingerprint scheme
@@ -85,8 +88,9 @@ _CACHEABLE_OPTIONS = {"autorun"}
 #: :func:`memoized` keys -> values
 _CACHE = MemoryBackend(512)
 
-_STATS: Dict[str, int] = {"hits": 0, "misses": 0, "uncached": 0}
-_SCHEDULE_STATS: Dict[str, int] = {"hits": 0, "misses": 0}
+#: the registry's ``lower_`` and ``schedule_`` counters, unprefixed
+LOWER_COUNTS = ("hits", "misses", "uncached")
+SCHEDULE_COUNTS = ("hits", "misses")
 
 T = TypeVar("T")
 
@@ -181,13 +185,13 @@ def lower_kernel(sk) -> ir.Kernel:
         return sk.prebuilt
     key = sk.lower_key
     if key is None:
-        _STATS["uncached"] += 1
+        count("lower_uncached")
         return sk.lower()
     cached = _CACHE.get(key)
     if cached is not MISS:
-        _STATS["hits"] += 1
+        count("lower_hits")
         return cached
-    _STATS["misses"] += 1
+    count("lower_misses")
     kernel = sk.lower()
     _CACHE.put(key, kernel)
     return kernel
@@ -217,9 +221,9 @@ def scheduled_kernel(key: tuple, construct: Callable[[], T]) -> T:
     else:
         value = construct()
         _CACHE.put(full, (value, ir.fresh_name_count()))
-    _SCHEDULE_STATS["hits" if hit else "misses"] += 1
+    count("schedule_hits" if hit else "schedule_misses")
     if getattr(value, "prebuilt", None) is not None:
-        _STATS["hits" if hit else "misses"] += 1
+        count("lower_hits" if hit else "lower_misses")
     return value
 
 
@@ -264,28 +268,17 @@ def cached_kernels() -> Dict[int, ir.Kernel]:
 
 def lower_cache_stats() -> Dict[str, int]:
     """Cumulative process-wide ``{hits, misses, uncached}`` counts."""
-    return dict(_STATS)
+    return counters.read("lower_", LOWER_COUNTS)
 
 
 def schedule_cache_stats() -> Dict[str, int]:
     """Cumulative process-wide ``{hits, misses}`` of :func:`scheduled_kernel`."""
-    return dict(_SCHEDULE_STATS)
-
-
-@contextlib.contextmanager
-def schedule_cache_delta() -> Iterator[Dict[str, int]]:
-    """Yield a dict that holds, on exit, the :func:`schedule_cache_stats`
-    deltas of the block (a stage's ``schedule_*`` trace counters)."""
-    before = schedule_cache_stats()
-    delta: Dict[str, int] = {}
-    yield delta
-    delta.update((k, v - before[k]) for k, v in _SCHEDULE_STATS.items())
+    return counters.read("schedule_", SCHEDULE_COUNTS)
 
 
 def clear_lower_cache() -> None:
     """Drop all memoized kernels, schedules and arena plans, and reset
-    the counters (test isolation)."""
+    the ``lower_`` and ``schedule_`` counters (test isolation)."""
     _CACHE.clear()
-    for stats in (_STATS, _SCHEDULE_STATS):
-        for k in stats:
-            stats[k] = 0
+    counters.reset("lower_")
+    counters.reset("schedule_")

@@ -30,10 +30,16 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 import repro.ir as ir
+from repro import counters
 from repro.device.boards import Board
 from repro.errors import ReproError, UnsupportedError
 from repro.flow.artifacts import PipelinedSchedule, ScheduledKernel
-from repro.flow.incremental import prebuilt_kernel, schedule_cache_delta
+from repro.flow.incremental import (
+    LOWER_COUNTS,
+    SCHEDULE_COUNTS,
+    lower_kernels,
+    prebuilt_kernel,
+)
 from repro.relay.passes import FusedGraph, FusedNode
 from repro.runtime.plan import PipelinePlan, PipelineStage
 from repro.schedule import Schedule
@@ -300,9 +306,9 @@ def schedule_pipelined(
     """
     ir.reset_fresh_names()
     builder = _ChainKernelBuilder(level, board, channel_depth_scale)
-    with schedule_cache_delta() as delta:
+    with counters.delta("schedule_", SCHEDULE_COUNTS) as memo:
         sched = builder.schedule_graph(fused)
-    sched.schedule_cache = delta
+    sched.schedule_cache = memo
     return sched
 
 
@@ -314,12 +320,9 @@ def lower_pipelined(sched: PipelinedSchedule) -> ir.Program:
     wiring in their lowering options, so most lower uncached today and
     are counted as such in the ``lower`` stage trace counters.
     """
-    from repro.flow.incremental import lower_cache_stats, lower_kernels
-
-    before = lower_cache_stats()
-    program = ir.Program(lower_kernels(sched.kernels), sched.program_name)
-    after = lower_cache_stats()
-    program.lower_cache = {k: after[k] - before[k] for k in after}
+    with counters.delta("lower_", LOWER_COUNTS) as memo:
+        program = ir.Program(lower_kernels(sched.kernels), sched.program_name)
+    program.lower_cache = memo
     return program
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.counters import count
 from repro.ir import expr as _e
 from repro.ir import stmt as _s
 from repro.ir.buffer import Buffer, Channel
@@ -120,6 +121,7 @@ class AccessTable:
         self.nest: List[Tuple[str, object]] = []
         #: flop nodes walked so far; a leaf takes its value's share
         self._flop_count = 0
+        count("access_tables")
         self._stmt(body, (), False)
 
     def _stmt(self, s: _s.Stmt, loops: Tuple[_s.For, ...], guarded: bool) -> None:

@@ -17,6 +17,7 @@ from typing import Deque, Dict, List, Optional
 
 import numpy as np
 
+from repro.counters import count
 from repro.errors import RuntimeSimError
 from repro.ir import expr as _e
 from repro.ir import stmt as _s
@@ -226,6 +227,7 @@ class Interpreter:
 
     def _sample(self, n: int) -> "Interpreter":
         """An interpreter over sample ``n``'s rows and streams."""
+        count("per_sample")
         return type(self)(
             {k: v[n] if v.ndim == 2 else v for k, v in self.buffers.items()},
             self.env,

@@ -140,6 +140,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.counters import count
 from repro.errors import RuntimeSimError
 from repro.ir import expr as _e
 from repro.ir import stmt as _s
@@ -665,6 +666,7 @@ def _plan_compactions(leaf: _Leaf, layouts: Optional[list]) -> None:
 def _compact(view: np.ndarray, c: _Compaction, spare: np.ndarray) -> np.ndarray:
     """The distinct values of a block operand's ``view``, copied to a
     contiguous array in ``spare``."""
+    count("fold_compactions")
     out = spare[:c.size].reshape(c.shape)
     np.copyto(out, view[c.select])
     return out
@@ -1253,6 +1255,7 @@ class _BandCache:
         self.plans: Dict[tuple, Union[_BandPlan, str]] = {}
 
     def key(self, it: "VectorizedInterpreter") -> tuple:
+        count("plan_keys")
         shapes = tuple(getattr(it.buffers.get(name), "shape", None)
                        for name in self.buffers)
         return tuple(it.env.get(v) for v in self.vars), shapes, it.batch

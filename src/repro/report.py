@@ -472,6 +472,10 @@ def serve_demo(
     except ValueError:
         return _bad_spec(
             out, f"replica count {parts[2]!r} is not an integer")
+    if n_replicas < 1:
+        return _bad_spec(out, f"replica count {n_replicas} is below 1")
+    if n_requests < 0:
+        return _bad_spec(out, f"request count {n_requests} is negative")
 
     replicas = provision_replicas(network, board, n_replicas)
     per_image_us = replicas[0].service_us(1)

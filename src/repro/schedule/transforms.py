@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.counters import count
 from repro.errors import ScheduleError
 from repro.ir import expr as _e
 
@@ -231,6 +232,7 @@ def _recipe_fingerprint(steps: Tuple[TransformStep, ...]) -> str:
     # frozen and their args frozen tuples, so equal steps hash equal.
     from repro.pipeline.fingerprint import fingerprint
 
+    count("recipes_hashed")
     return fingerprint(["schedule-recipe", ScheduleRecipe(steps).to_dict()])
 
 

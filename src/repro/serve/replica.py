@@ -24,6 +24,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.aoc.constants import AOCConstants, DEFAULT_CONSTANTS
+from repro.counters import count
 from repro.device.boards import Board
 from repro.errors import ReproError
 from repro.flow.deploy import Deployment, build_rung
@@ -140,6 +141,7 @@ class Replica:
         exercise the same compiled program the timing model charges
         for; the CPU rung runs the NumPy executor per input.
         """
+        count("serve_forwards")
         if self.rung == "cpu":
             if self._cpu_fused is None:
                 graph = MODELS[self.network]()

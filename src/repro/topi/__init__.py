@@ -38,7 +38,6 @@ from repro.topi.recipes import (
     depthwise_opt_recipe,
     pool_naive_recipe,
     pool_opt_recipe,
-    recipe_for_kernel,
     symbolic_conv_recipe,
     transform_recipe,
 )
@@ -59,7 +58,7 @@ __all__ = [
     "depthwise_naive_recipe", "depthwise_opt_recipe", "depthwise_symbolic",
     "depthwise_tensors", "flatten_tensors", "gap_tensors",
     "make_activation", "pad_symbolic", "pad_tensors", "pool_naive_recipe",
-    "pool_opt_recipe", "pool_tensors", "recipe_for_kernel",
+    "pool_opt_recipe", "pool_tensors",
     "schedule_conv1x1_opt", "schedule_conv2d_naive", "schedule_conv2d_opt",
     "schedule_dense_naive", "schedule_dense_opt",
     "schedule_depthwise_naive", "schedule_depthwise_opt",

@@ -12,7 +12,7 @@ and the committed advice baseline pin that equivalence.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import repro.ir as ir
 from repro.schedule.transforms import ScheduleRecipe, recipe
@@ -166,39 +166,3 @@ def transform_recipe() -> ScheduleRecipe:
     """Pad/flatten kernels are never unrolled (thesis Table 4.1)."""
     return recipe()
 
-
-def recipe_for_kernel(
-    op: str,
-    tiling: Optional[ConvTiling] = None,
-    **kwargs: object,
-) -> ScheduleRecipe:
-    """Dispatch helper: recipe for a named op flavor (used by flows)."""
-    if op == "conv2d_naive":
-        return conv2d_naive_recipe(bool(kwargs.get("auto_unroll_ff", False)))
-    if op == "conv2d_opt":
-        assert tiling is not None
-        return conv2d_opt_recipe(tiling)
-    if op == "conv1x1_opt":
-        assert tiling is not None
-        return conv1x1_opt_recipe(tiling)
-    if op == "symbolic_conv":
-        assert tiling is not None
-        return symbolic_conv_recipe(
-            tiling,
-            is_1x1=bool(kwargs.get("is_1x1", False)),
-            depthwise=bool(kwargs.get("depthwise", False)),
-        )
-    if op == "depthwise_naive":
-        return depthwise_naive_recipe(bool(kwargs.get("auto_unroll_ff", False)))
-    if op == "depthwise_opt":
-        assert tiling is not None
-        return depthwise_opt_recipe(tiling)
-    if op == "dense_naive":
-        return dense_naive_recipe()
-    if op == "dense_opt":
-        return dense_opt_recipe(int(kwargs["unroll_factor"]))  # type: ignore[arg-type]
-    if op == "pool_naive":
-        return pool_naive_recipe()
-    if op == "transform":
-        return transform_recipe()
-    raise ValueError(f"no recipe builder for op flavor {op!r}")

@@ -15,9 +15,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 from repro.aoc.constants import AOCConstants, DEFAULT_CONSTANTS
 from repro.device.boards import Board
 from repro.relay.passes import FusedGraph
-from repro.topi import ConvTiling
 from repro.verify.diagnostics import VerifyReport
-from repro.verify.dominance import group_members, plan_conv_sweep
+from repro.verify.dominance import plan_conv_sweep
 
 if TYPE_CHECKING:
     from repro.flow.folded import FoldedConfig
@@ -51,9 +50,6 @@ def prune_preview(
     board: Board,
     constants: AOCConstants = DEFAULT_CONSTANTS,
     config: Optional["FoldedConfig"] = None,
-    w2vec_options=(7,),
-    c2vec_options=(4, 8, 16, 32),
-    c1vec_options=(4, 8, 16),
 ) -> Optional[Dict[str, object]]:
     """Dry-run dominance pruning over the default 1x1 tiling grid.
 
@@ -63,22 +59,13 @@ def prune_preview(
     and the per-pruned-tiling reasons, deterministically ordered — the
     statistics block ``--check`` prints.
     """
-    from repro.flow.dse import divides_all
+    from repro.flow.dse import conv1x1_tilings
 
-    group = ("conv", 1, 1)
-    members = group_members(fused, group)
-    if not members:
+    tilings = conv1x1_tilings(fused)
+    if tilings is None:
         return None
-    w2e = [fn.anchor.out_shape[2] for fn in members]
-    c2e = [fn.anchor.out_shape[0] for fn in members]
-    c1e = [fn.anchor.inputs[0].out_shape[0] for fn in members]
-    tilings = [
-        ConvTiling(w2vec=w2, c2vec=c2, c1vec=c1)
-        for w2 in w2vec_options if divides_all(w2, w2e)
-        for c2 in c2vec_options if divides_all(c2, c2e)
-        for c1 in c1vec_options if divides_all(c1, c1e)
-    ]
-    decisions = plan_conv_sweep(fused, group, tilings, board, constants, config)
+    decisions = plan_conv_sweep(fused, ("conv", 1, 1), tilings, board,
+                                constants, config)
     pruned: List[Dict[str, object]] = [
         {
             "tiling": f"w2vec={d.tiling.w2vec} c2vec={d.tiling.c2vec} "

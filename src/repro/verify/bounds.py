@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.counters import count
 from repro.ir import expr as _e
 from repro.ir import stmt as _s
 from repro.ir.analysis import AccessSite, access_table
@@ -103,6 +104,7 @@ def check_bounds(
     parameterization of a folded kernel); static kernels pass none and
     are checked once with an empty binding set.
     """
+    count("bounds_checked")
     if report is None:
         report = VerifyReport(subject=kernel.name)
     sites = access_table(kernel).sites

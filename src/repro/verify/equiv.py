@@ -63,6 +63,8 @@ import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro import counters
+from repro.counters import count
 from repro.ir import expr as _e
 from repro.ir import stmt as _s
 from repro.ir.analysis import Bindings, dependence_distance, eval_int
@@ -182,21 +184,20 @@ class EquivCertificate:
 #: :func:`_cert_key` tuple -> (certificate, diagnostics) (LRU, bounded)
 _CACHE = MemoryBackend(512)
 
-_STATS: Dict[str, int] = {
-    "hits": 0, "misses": 0, "uncached": 0, "dynamic_runs": 0,
-}
+#: the registry's ``equiv_`` counters, without the prefix
+EQUIV_COUNTS = ("hits", "misses", "uncached", "dynamic_runs")
 
 
 def equiv_cache_stats() -> Dict[str, int]:
     """Cumulative ``{hits, misses, uncached, dynamic_runs}`` counts."""
-    return dict(_STATS)
+    return counters.read("equiv_", EQUIV_COUNTS)
 
 
 def clear_equiv_cache() -> None:
-    """Drop memoized certificates and reset counters (test isolation)."""
+    """Drop memoized certificates and reset the ``equiv_`` counters
+    (test isolation)."""
     _CACHE.clear()
-    for k in _STATS:
-        _STATS[k] = 0
+    counters.reset("equiv_")
 
 
 # -- helpers ------------------------------------------------------------------
@@ -761,12 +762,12 @@ def certify_kernel(
     if key is not None:
         hit = _CACHE.get(key)
         if hit is not MISS:
-            _STATS["hits"] += 1
+            count("equiv_hits")
             cert, diags = hit
             return cert, list(diags)
-        _STATS["misses"] += 1
+        count("equiv_misses")
     else:
-        _STATS["uncached"] += 1
+        count("equiv_uncached")
 
     sch = sk.schedule
     stage = sch.stages[0]
@@ -806,7 +807,7 @@ def certify_kernel(
             if ok is not None:
                 dynamic_checked = True
                 dynamic_ok = ok
-                _STATS["dynamic_runs"] += 1
+                count("equiv_dynamic_runs")
                 if not ok:
                     status = "rejected"
                     diags.append(
@@ -860,13 +861,13 @@ def certify_build(
         report.bump(c, 0)
     bsets = binding_sets_of(plan) if isinstance(plan, FoldedPlan) else {}
     certs: Dict[str, EquivCertificate] = {}
-    for sk in scheduled.kernels:
-        before = _STATS["dynamic_runs"]
-        cert, diags = certify_kernel(
-            sk, bsets.get(sk.name), dynamic_fallback=dynamic_fallback
-        )
-        report.extend(diags)
-        report.bump("equiv_" + cert.status)
-        report.bump("equiv_dynamic_runs", _STATS["dynamic_runs"] - before)
-        certs[sk.name] = cert
+    with counters.delta("equiv_", EQUIV_COUNTS) as stats:
+        for sk in scheduled.kernels:
+            cert, diags = certify_kernel(
+                sk, bsets.get(sk.name), dynamic_fallback=dynamic_fallback
+            )
+            report.extend(diags)
+            report.bump("equiv_" + cert.status)
+            certs[sk.name] = cert
+    report.bump("equiv_dynamic_runs", stats["dynamic_runs"])
     return report, certs

@@ -60,6 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.counters import count
 from repro.device.boards import Board
 from repro.pipeline.fingerprint import fingerprint
 from repro.runtime.plan import FoldedPlan, PipelinePlan
@@ -325,6 +326,7 @@ class MemoryPlan:
         return off, off + self.sizes[name]
 
     def compute_key(self) -> str:
+        count("plans_computed")
         return fingerprint([
             "memory-plan",
             self.arena_bytes,

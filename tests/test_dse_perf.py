@@ -8,7 +8,7 @@ from repro.flow import (
     bandwidth_roof_elems,
     choose_tiling,
     divides_all,
-    explore_conv1x1,
+    sweep_conv1x1,
 )
 from repro.models import mobilenet_v1
 from repro.perf import (
@@ -33,9 +33,9 @@ class TestDSERequirements:
 
     def test_indivisible_factors_skipped(self):
         fused = fuse_operators(mobilenet_v1())
-        pts = explore_conv1x1(
+        pts = sweep_conv1x1(
             fused, ARRIA10, w2vec_options=(5,), c2vec_options=(8,), c1vec_options=(4,)
-        )
+        ).points
         assert pts == []  # 5 divides no MobileNet W2
 
 
@@ -43,9 +43,9 @@ class TestDSESweep:
     @pytest.fixture(scope="class")
     def points(self):
         fused = fuse_operators(mobilenet_v1())
-        return explore_conv1x1(
+        return sweep_conv1x1(
             fused, ARRIA10, c2vec_options=(4, 8, 16, 32), c1vec_options=(4, 8, 16)
-        )
+        ).points
 
     def test_dsps_grow_with_tiling(self, points):
         feasible = [p for p in points if p.feasible]

@@ -10,9 +10,11 @@ assert that with the ``equiv_dynamic_runs`` counter.
 """
 
 import io
+from types import SimpleNamespace
 
 import pytest
 
+from repro import counters
 from repro.device.boards import STRATIX10_SX, board_by_name
 from repro.flow.artifacts import ScheduledKernel
 from repro.flow.folded import FoldedConfig, plan_folded, schedule_folded
@@ -21,6 +23,7 @@ from repro.ir import stmt as _s
 from repro.relay import fuse_operators
 from repro.schedule import create_schedule
 from repro.schedule.lower import lower_stage_body
+from repro.topi import ConvSpec, conv2d_tensors
 from repro.topi.recipes import recipe
 from repro.topi.symbolic import conv2d_symbolic
 from repro.verify import (
@@ -30,7 +33,6 @@ from repro.verify import (
     certify_kernel,
     clear_equiv_cache,
     dynamic_equiv_check,
-    equiv_cache_stats,
 )
 
 CI_NETWORKS = ("lenet5", "mobilenet_v1", "resnet18")
@@ -210,12 +212,24 @@ class TestCertificates:
         handle, sk, _ = _make_kernel(rec, "tcache")
         b = _bind(handle)
         certify_kernel(sk, [b], dynamic_fallback=False)
-        before = equiv_cache_stats()
-        cert, _ = certify_kernel(sk, [b], dynamic_fallback=False)
-        after = equiv_cache_stats()
-        assert after["hits"] == before["hits"] + 1
-        assert after["misses"] == before["misses"]
+        with counters.delta("equiv_", ("hits", "misses")) as certified:
+            cert, _ = certify_kernel(sk, [b], dynamic_fallback=False)
+        assert certified == {"hits": 1, "misses": 0}
         assert cert.status == "certified"
+
+    def test_build_reports_the_dynamic_runs_it_counts(self):
+        # reduction axes reordered: the fold is reassociated, so one
+        # interpreter cross-check runs (and rejects the changed sums)
+        _, out = conv2d_tensors(ConvSpec(3, 6, 6, 4, 3, bias=False), "tre")
+        sch = create_schedule(out)
+        rec = recipe().reorder("ff", "yy", "xx", "rx", "ry", "rc")
+        rec.apply(sch)
+        build = SimpleNamespace(program_name="tre", kernels=[ScheduledKernel(
+            name="k_tre", layer="tre", schedule=sch, recipe=rec)])
+        with counters.delta("equiv_", ("dynamic_runs",)) as added:
+            report, _ = certify_build(build)
+        assert report.counters["equiv_dynamic_runs"] == added[
+            "dynamic_runs"] == 1
 
     def test_verify_stage_records_equiv_counters(self):
         from repro.flow import deploy_folded

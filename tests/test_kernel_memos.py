@@ -15,12 +15,13 @@ import re
 import pytest
 
 import repro.ir as ir
+from repro import counters
 from repro.aoc.constants import DEFAULT_CONSTANTS
 from repro.codegen import generate_opencl
 from repro.device import ARRIA10, STRATIX10_MX, STRATIX10_SX
 from repro.flow.deploy import default_folded_config, deploy_pipelined
 from repro.flow.folded import lower_folded, plan_folded, schedule_folded
-from repro.flow.incremental import clear_lower_cache, lower_cache_stats
+from repro.flow.incremental import LOWER_COUNTS, clear_lower_cache
 from repro.flow.stages import MODELS
 from repro.ir import expr as _e
 from repro.ir.analysis import AccessTable
@@ -250,15 +251,12 @@ class TestPrebuiltSoftmax:
         config = default_folded_config("mobilenet_v1", ARRIA10)
         clear_lower_cache()
         built, names_after_miss = self._softmax(fused, config)
-        stats = lower_cache_stats()
-        replayed, names_after_hit = self._softmax(fused, config)
+        with counters.delta("lower_", LOWER_COUNTS) as lowered:
+            replayed, names_after_hit = self._softmax(fused, config)
         assert replayed is built
         # a hit leaves the name uniquifier where building it did
         assert names_after_hit == names_after_miss
-        after = lower_cache_stats()
-        assert {k: after[k] - stats[k] for k in after} == {
-            "hits": 1, "misses": 0, "uncached": 0,
-        }
+        assert lowered == {"hits": 1, "misses": 0, "uncached": 0}
         clear_lower_cache()
         rebuilt, names_after_rebuild = self._softmax(fused, config)
         assert rebuilt is not built

@@ -12,11 +12,16 @@ build's plan can be corrupted without touching the next one's.
 
 import pytest
 
+from repro import counters
 from repro.device import ARRIA10, STRATIX10_SX
 from repro.flow import FoldedConfig, build_folded
 from repro.flow.deploy import default_folded_config
 from repro.flow.folded import plan_folded, schedule_folded
-from repro.flow.incremental import clear_lower_cache, schedule_cache_stats
+from repro.flow.incremental import (
+    clear_lower_cache,
+    lower_cache_stats,
+    schedule_cache_stats,
+)
 from repro.flow.stages import MODELS, folded_flow
 from repro.models.twins import TWINS
 from repro.pipeline import Pipeline
@@ -24,7 +29,7 @@ from repro.relay import fuse_operators
 from repro.schedule import recipe
 from repro.topi import ConvTiling, symbolic_conv_recipe
 from repro.verify.dominance import plan_conv_sweep
-from repro.verify.equiv import clear_equiv_cache
+from repro.verify.equiv import clear_equiv_cache, equiv_cache_stats
 from repro.verify.memory import check_memory
 
 GROUP = ("conv", 1, 1)
@@ -173,6 +178,23 @@ class TestSharing:
         assert [k.lower_key for k in rebuilt.values()] == \
             [k.lower_key for k in first.values()]
         assert schedule_cache_stats() == {"hits": 0, "misses": len(first)}
+
+    def test_each_clear_resets_only_its_family(self, mobilenet):
+        clear_lower_cache()
+        clear_equiv_cache()
+        _front(mobilenet, _base())
+        built, equiv = counters.read(), counters.read("equiv_")
+        families = ("lower_", "schedule_", "equiv_")
+        assert all(built[f"{f}misses"] > 0 for f in families), built
+        others = {k: n for k, n in built.items() if not k.startswith(families)}
+        clear_lower_cache()
+        assert lower_cache_stats() == {"hits": 0, "misses": 0, "uncached": 0}
+        assert schedule_cache_stats() == {"hits": 0, "misses": 0}
+        assert counters.read("equiv_") == equiv
+        clear_equiv_cache()
+        assert equiv_cache_stats() == {
+            "hits": 0, "misses": 0, "uncached": 0, "dynamic_runs": 0}
+        assert counters.read() == others
 
 
 class TestArenaPlanMemo:

@@ -520,6 +520,9 @@ class TestServeReport:
         assert serve_demo("vgg16", io.StringIO()) == 2
         assert serve_demo("lenet5:BOGUS", io.StringIO()) == 2
         assert serve_demo("lenet5:S10SX:x", io.StringIO()) == 2
+        assert serve_demo("lenet5:S10SX:0", io.StringIO()) == 2
+        assert serve_demo("lenet5:S10SX:-2", io.StringIO()) == 2
+        assert serve_demo("lenet5", io.StringIO(), n_requests=-3) == 2
 
     def test_usage_lists_all_flags(self):
         from repro.report import USAGE

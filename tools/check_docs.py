@@ -23,6 +23,11 @@ Checks ``README.md`` and every ``docs/*.md`` for:
   give each exact-count gate of the trajectory test a gate table row,
   recorded in the baseline or not, so the documented gate table can't
   drift from what the ``perf`` job enforces;
+* **counter coverage** — every counter name ``src`` counts into the
+  registry (a string in a ``count(...)`` call, ``count`` imported from
+  ``repro.counters``) must have a row in the counter table of
+  ``docs/performance.md`` (its *Event counters* section), and every row
+  there must name such a counter;
 * **equivalence rule coverage** — every ``RE`` rule registered in
   ``repro.verify.diagnostics.RULES`` must have a catalog table row in
   ``docs/verification.md`` (the certifier's verdicts gate candidate
@@ -211,6 +216,58 @@ def check_performance_coverage() -> list:
     return findings
 
 
+COUNTERS_HEADING = "## Event counters"
+
+
+def counted_names() -> dict:
+    """Every counter name a ``src/repro`` module passes to
+    ``repro.counters.count``, mapped to the first module counting it."""
+    names = {}
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        if not any(isinstance(node, ast.ImportFrom)
+                   and node.module == "repro.counters"
+                   and any(a.name == "count" for a in node.names)
+                   for node in tree.body):
+            continue
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "count" and node.args):
+                for const in ast.walk(node.args[0]):
+                    if isinstance(const, ast.Constant) and isinstance(
+                            const.value, str):
+                        names.setdefault(const.value,
+                                         str(path.relative_to(ROOT)))
+    return names
+
+
+def check_counter_coverage() -> list:
+    """Every registry counter counted in src has a counter table row in
+    docs/performance.md, and every row names one."""
+    doc = ROOT / "docs" / "performance.md"
+    if not doc.exists():
+        return ["docs/performance.md: missing"]
+    text = doc.read_text()
+    if COUNTERS_HEADING not in text:
+        return [f"docs/performance.md: no {COUNTERS_HEADING!r} section"]
+    section = text.split(COUNTERS_HEADING, 1)[1].split("\n## ", 1)[0]
+    rows = {line.split("|")[1].strip().strip("`")
+            for line in section.splitlines()
+            if line.startswith("| `")}
+    names = counted_names()
+    findings = [
+        f"docs/performance.md: counter {name!r} (counted in {where}) has "
+        "no counter table row"
+        for name, where in sorted(names.items()) if name not in rows
+    ]
+    findings += [
+        f"docs/performance.md: counter table row {name!r} names no "
+        "counter src counts"
+        for name in sorted(rows - set(names))
+    ]
+    return findings
+
+
 #: rule families whose every rule needs a catalog table row -> family name
 TABLE_FAMILIES = {"RE": "equivalence", "RM": "memory"}
 
@@ -253,6 +310,7 @@ def main() -> int:
         findings.extend(check_fences(path, text))
     findings.extend(check_architecture_coverage())
     findings.extend(check_performance_coverage())
+    findings.extend(check_counter_coverage())
     findings.extend(check_rule_table_coverage())
     for f in findings:
         print(f)
