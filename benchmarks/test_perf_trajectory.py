@@ -32,6 +32,10 @@ in CI:
   forward of LeNet-5 and of both twins, at batch 1 and batch 8: the
   first forward binds each plan's forward, which selects its top-level
   band plans once, so the count is gated at zero exactly;
+* per-sample FIFO pops (the ``fifo_pops`` count) of the second forward
+  of LeNet-5 at batch 1 and batch 8: each vectorized band writes its
+  channel chunk whole and the next reads it whole, as one array, so the
+  count is gated at zero exactly;
 * pruned 72-point conv1x1 DSE sweep wall-clock, serial vs 4 workers
   (the arms alternate, three samples each after clearing the lower
   cache, and each keeps its best), and the serial arm's exact
@@ -462,6 +466,21 @@ def _measure_plan_keys() -> dict:
     return out
 
 
+def _measure_fifo_pops() -> dict:
+    """Per-sample FIFO pops of the second forward of pipelined LeNet-5
+    at batch 1 and batch 8 (exact counts, no timing)."""
+    dep = deploy_pipelined("lenet5", ARRIA10, cache=False)
+    rng = np.random.default_rng(11)
+    out = {}
+    for n in (1, 8):
+        xs = rng.standard_normal((2, n, 1, 28, 28)).astype(np.float32)
+        dep.forward_functional(xs[0])
+        with counters.delta() as counted:
+            dep.forward_functional(xs[1])
+        out[f"lenet5@pipelined/{n}"] = counted.get("fifo_pops", 0)
+    return out
+
+
 def _measure_lenet_speedup(vector_ips: float) -> dict:
     dep = deploy_pipelined("lenet5", ARRIA10, cache=False)
     x = np.random.default_rng(0).standard_normal((1, 28, 28)).astype(np.float32)
@@ -764,6 +783,7 @@ def trajectory():
         "fold_temporaries": temporaries,
         "fold_compactions": compactions,
         "plan_keys": _measure_plan_keys(),
+        "fifo_pops": _measure_fifo_pops(),
         "lenet5": _measure_lenet_speedup(
             throughput["lenet5@pipelined"]["value"]),
         "serve_forwards": _measure_serve_forwards(),
@@ -866,6 +886,11 @@ def _save_report(current, baseline) -> None:
         rows.append([f"{key} second-forward plan keys",
                      f"{current['plan_keys'][key]}",
                      f"{baseline.get('plan_keys', {}).get(key, '-')}",
+                     "== 0 exactly"])
+    for key in sorted(current["fifo_pops"]):
+        rows.append([f"{key} second-forward FIFO pops",
+                     f"{current['fifo_pops'][key]}",
+                     f"{baseline.get('fifo_pops', {}).get(key, '-')}",
                      "== 0 exactly"])
     rows.append(["lenet5 scalar", f"{current['lenet5']['scalar_ips']:.2f} ips",
                  f"{baseline['lenet5']['scalar_ips']:.2f} ips", "-"])
@@ -1052,6 +1077,17 @@ class TestPerfTrajectory:
                 f"{key}: the second forward computed {count} band plan "
                 "key(s) instead of using the plans its bound forward "
                 "selected — an exact count, gated at zero"
+            )
+
+    def test_bound_forward_pops_no_fifo(self, trajectory):
+        current, _, _ = trajectory
+        assert sorted(current["fifo_pops"]) == [
+            "lenet5@pipelined/1", "lenet5@pipelined/8"]
+        for key, count in sorted(current["fifo_pops"].items()):
+            assert count == 0, (
+                f"{key}: the second forward popped {count} per-sample "
+                "FIFO stream(s) instead of handing each channel chunk on "
+                "as one array — an exact count, gated at zero"
             )
 
     def test_certificate_path_beats_interpreter(self, trajectory):

@@ -13,7 +13,7 @@ functional path for whole networks lives in :mod:`repro.runtime.executor`.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -42,82 +42,192 @@ _INTRINSICS = {
 }
 
 
-class _Fifo:
-    """One float32 stream: array chunks, a read cursor into the first,
-    and a tail of scalar writes not yet packed into a chunk."""
+class _Streams:
+    """The queued values of one channel: one float32 stream per sample.
 
-    __slots__ = ("chunks", "head", "tail", "size")
+    ``chunks`` holds ``(owner, rows)`` in write order: ``rows`` is a
+    ``(lanes, k)`` chunk every sample's stream continues with (owner
+    None), or a ``(1, k)`` chunk of sample ``owner``'s stream alone.
+    While every sample has read the same values and only whole chunks
+    were written, the streams are *even*: one column cursor ``head``
+    into the first chunk serves every sample, and :meth:`pop` hands a
+    whole chunk, or a column slice of it, on as one array.  A sample's
+    own access (:meth:`pop_lane`, :meth:`append`, :meth:`push_lane`)
+    splits them: each sample then has its own cursor (chunk number,
+    column), its own count and its own tail of scalar writes not yet
+    packed into a chunk, until every value is read.
+    """
 
-    def __init__(self) -> None:
-        self.chunks: Deque[np.ndarray] = deque()
+    __slots__ = ("lanes", "chunks", "head", "size", "base", "cursors",
+                 "tails", "sizes")
+
+    def __init__(self, lanes: int) -> None:
+        self.lanes = lanes
+        self.chunks: Deque[Tuple[Optional[int], np.ndarray]] = deque()
+        #: even: the column of every stream's next value in chunks[0]
         self.head = 0
-        self.tail: List[float] = []
+        #: even: the values queued in every stream
         self.size = 0
+        #: split: the chunk number of chunks[0]
+        self.base = 0
+        #: split, per sample: (chunk number, column) of its next value,
+        #: its scalar writes not yet packed, and its queued values
+        self.cursors: Optional[List[Tuple[int, int]]] = None
+        self.tails: List[List[float]] = []
+        self.sizes: List[int] = []
 
-    def _pack(self) -> None:
-        """Append the scalar tail as one chunk, after every earlier one."""
-        self.chunks.append(np.array(self.tail, dtype=_F32))
-        self.tail = []
+    def queued(self, n: Optional[int] = None) -> int:
+        """Values queued in sample ``n``'s stream, or in every stream."""
+        if self.cursors is None:
+            return self.size
+        return min(self.sizes) if n is None else self.sizes[n]
 
-    def append(self, value: float) -> None:
-        self.tail.append(value)
-        self.size += 1
+    def _split(self) -> None:
+        if self.cursors is None:
+            self.cursors = [(0, self.head)] * self.lanes
+            self.base = 0
+            self.tails = [[] for _ in range(self.lanes)]
+            self.sizes = [self.size] * self.lanes
 
-    def push(self, values: np.ndarray) -> None:
-        if values.size:
-            if self.tail:
-                self._pack()
-            self.chunks.append(values)
-            self.size += values.size
+    def _pack(self, n: int) -> None:
+        """Append sample ``n``'s scalar tail as one chunk of its own."""
+        self.chunks.append((n, np.array([self.tails[n]], dtype=_F32)))
+        self.tails[n] = []
 
-    def pop(self, n: int) -> np.ndarray:
-        if self.size - len(self.tail) < n:  # reaches into the tail
-            self._pack()
+    # -- every sample at once ------------------------------------------
+    def push(self, rows: np.ndarray) -> None:
+        """Continue every stream with its row of ``rows`` ``(lanes, k)``."""
+        k = rows.shape[1]
+        if not k:
+            return
+        if self.cursors is None:
+            self.size += k
+        else:
+            for n, tail in enumerate(self.tails):
+                if tail:
+                    self._pack(n)
+            self.sizes = [size + k for size in self.sizes]
+        self.chunks.append((None, rows))
+
+    def pop(self, k: int) -> np.ndarray:
+        """The next ``k`` values of every stream, ``(lanes, k)``."""
+        if self.cursors is not None:
+            if self.lanes == 1:
+                return self.pop_lane(0, k).reshape(1, k)
+            return np.stack([self.pop_lane(n, k) for n in range(self.lanes)])
+        self.size -= k
         parts = []
-        while n:
-            chunk = self.chunks[0]
-            take = min(n, chunk.size - self.head)
-            parts.append(chunk[self.head : self.head + take])
-            self.head += take
-            self.size -= take
-            n -= take
-            if self.head == chunk.size:
+        head = self.head
+        while k:
+            rows = self.chunks[0][1]
+            take = min(k, rows.shape[1] - head)
+            parts.append(rows[:, head : head + take])
+            head += take
+            k -= take
+            if head == rows.shape[1]:
                 self.chunks.popleft()
-                self.head = 0
+                head = 0
+        self.head = head
+        if len(parts) == 1:
+            return parts[0]
+        if parts:
+            return np.concatenate(parts, axis=1)
+        return np.empty((self.lanes, 0), _F32)
+
+    # -- one sample ----------------------------------------------------
+    def append(self, n: int, value: float) -> None:
+        self._split()
+        self.tails[n].append(value)
+        self.sizes[n] += 1
+
+    def push_lane(self, n: int, row: np.ndarray) -> None:
+        if row.size:
+            self._split()
+            if self.tails[n]:
+                self._pack(n)
+            self.chunks.append((n, row.reshape(1, -1)))
+            self.sizes[n] += row.size
+
+    def pop_lane(self, n: int, k: int) -> np.ndarray:
+        """The next ``k`` values of sample ``n``'s stream."""
+        count("fifo_pops")
+        self._split()
+        if self.sizes[n] - len(self.tails[n]) < k:  # reaches into the tail
+            self._pack(n)
+        # a cursor behind chunks[0] only passed over other samples' chunks
+        index, col = max(self.cursors[n], (self.base, 0))
+        parts = []
+        left = k
+        while left:
+            owner, rows = self.chunks[index - self.base]
+            if owner is None or owner == n:
+                row = rows[0 if owner == n else n]
+                take = min(left, row.size - col)
+                parts.append(row[col : col + take])
+                col += take
+                left -= take
+                if col < row.size:
+                    break
+            index, col = index + 1, 0
+        self.cursors[n] = (index, col)
+        self.sizes[n] -= k
+        self._drop_read()
         if len(parts) == 1:
             return parts[0]
         return np.concatenate(parts) if parts else np.empty(0, _F32)
+
+    def _drop_read(self) -> None:
+        """Drop the chunks every sample they feed has read past; once all
+        is read the streams are even again."""
+        cursors = self.cursors
+        while self.chunks:
+            owner = self.chunks[0][0]
+            readers = cursors if owner is None else (cursors[owner],)
+            if any(index <= self.base for index, _ in readers):
+                break
+            self.chunks.popleft()
+            self.base += 1
+        if not self.chunks and not any(self.tails):
+            self.cursors = None
+            self.head = self.size = 0
+            self.tails, self.sizes = [], []
 
 
 class ChannelState:
     """FIFO state shared between interpreted kernels: one stream per sample.
 
     A batched run (``lanes`` samples) keeps one stream per sample, so
-    every sample sees exactly the FIFO order it would see alone.  Each
-    stream holds float32 array chunks plus a read cursor, so the
-    vectorized interpreter pushes and pops whole chunks of shape
-    ``(lanes, k)`` (:meth:`write_chunk` / :meth:`read_chunk`) with no
-    per-element traffic.  The scalar :meth:`write` / :meth:`read` API
-    works on a single-stream state, e.g. one sample's :meth:`lane`.
+    every sample sees exactly the FIFO order it would see alone.  The
+    streams share one store of float32 chunks (:class:`_Streams`): a
+    ``(lanes, k)`` chunk written whole (:meth:`write_chunk`) and read
+    whole (:meth:`read_chunk`) passes from producer to consumer as that
+    one array, or a column slice of it, with no per-sample pop.  Any
+    other access — a sample's :meth:`lane` view, the scalar
+    :meth:`write` / :meth:`read` of a single-stream state, a read of
+    part of a chunk by one sample — reads and writes sample by sample
+    in the same order.
     """
 
     def __init__(self, channel: Channel, lanes: int = 1) -> None:
         self.channel = channel
-        self._fifos = [_Fifo() for _ in range(lanes)]
+        self._streams = _Streams(lanes)
+        #: the sample a lane view reads and writes, None for all of them
+        self._sample: Optional[int] = None
 
     @property
     def lanes(self) -> int:
-        return len(self._fifos)
+        return self._streams.lanes if self._sample is None else 1
 
     def lane(self, n: int) -> "ChannelState":
         """Sample ``n``'s stream as a single-stream state sharing it."""
         view = ChannelState(self.channel, 0)
-        view._fifos = [self._fifos[n]]
+        view._streams = self._streams
+        view._sample = n
         return view
 
     def __len__(self) -> int:
         """Values queued in every stream."""
-        return min(f.size for f in self._fifos)
+        return self._streams.queued(self._sample)
 
     def _empty(self) -> RuntimeSimError:
         return RuntimeSimError(
@@ -126,28 +236,29 @@ class ChannelState:
         )
 
     def write(self, value: float) -> None:
-        self._fifos[0].append(value)
+        self._streams.append(self._sample or 0, value)
 
     def read(self) -> float:
-        fifo = self._fifos[0]
-        if not fifo.size:
+        if not self._streams.queued(self._sample or 0):
             raise self._empty()
-        return fifo.pop(1)[0]
+        return self._streams.pop_lane(self._sample or 0, 1)[0]
 
     def write_chunk(self, values: np.ndarray) -> None:
         """Append ``k`` values per stream (shape ``(lanes, k)`` or flat,
         row-major by stream), preserving element order."""
         rows = np.array(values, dtype=_F32).reshape(self.lanes, -1)
-        for fifo, row in zip(self._fifos, rows):
-            fifo.push(row)
+        if self._sample is None:
+            self._streams.push(rows)
+        else:
+            self._streams.push_lane(self._sample, rows)
 
     def read_chunk(self, n: int) -> np.ndarray:
         """Pop the next ``n`` values of every stream, shape ``(lanes, n)``."""
         if len(self) < n:
             raise self._empty()
-        if len(self._fifos) == 1:
-            return self._fifos[0].pop(n).reshape(1, n)
-        return np.stack([fifo.pop(n) for fifo in self._fifos])
+        if self._sample is None:
+            return self._streams.pop(n)
+        return self._streams.pop_lane(self._sample, n).reshape(1, n)
 
 
 class Interpreter:

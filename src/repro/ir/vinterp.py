@@ -92,7 +92,8 @@ variables the band reads from outside itself and by the sizes of the
 buffers it touches.  Symbolic variables are interned
 (:func:`repro.ir.expr.sym`), so a kernel replayed from the lower or
 disk cache hits with the bindings of a later build.  A refused band is
-cached with its reason.  On a hit only the channel-fill check runs
+cached with its reason.  On a hit only the channel-fill check
+(:meth:`_BandPlan.check_channels`, one length per channel read) runs
 again, since FIFO state is the one runtime input of phase A.  A plan
 holds no per-run state: no interpreter, buffer or FIFO, and its
 privatized scratch is allocated per execution.
@@ -103,9 +104,13 @@ binds the kernel (:class:`_Binding`): the plan each top-level band's
 key selects is kept, since outside any loop that key reads only
 bindings, buffer shapes and the batch size, and so is the strided view
 of each affine access to one of those arrays, whose byte strides and
-contiguity are then decided once.  A later run of the same kernel over
-the same arrays computes no key and makes no such view; a band nested
-in a loop that fell back keeps its per-call key.
+contiguity are then decided once.  A plan is kept once its channels
+held the chunks it reads, and its replay skips the fill check: a bound
+forward runs its producers in the same order every time.  A later run
+of the same kernel over the same arrays computes no key, checks no fill
+and makes no such view; a band nested in a loop that fell back keeps
+its per-call key.  (A kept plan whose channel is short anyway raises
+the scalar interpreter's empty-channel error from its read.)
 
 Batches
 -------
@@ -117,12 +122,16 @@ row, shared ones by 0.  It is never a reduction axis, so each sample's
 lanes fold in scalar order and its results are bitwise its batch-1
 results; a store to a shared buffer would race across the batch and is
 refused.  ``N`` enters the plan key through the buffer shapes, so a
-batch costs one plan and one phase-B pass.  Channels keep one FIFO
-stream per sample (:class:`~repro.ir.interp.ChannelState`).  A statement
-outside any loop (softmax's scalar initializers) is planned likewise,
-over the batch axis alone, and records no event.  A band or statement
-the batched plan refuses runs once per sample on that sample's rows and
-stream, through the same interpreter.
+batch costs one plan and one phase-B pass.  A channel keeps one FIFO
+stream per sample in one store of chunks
+(:class:`~repro.ir.interp.ChannelState`): a band writes its chunk whole,
+as one ``(N, k)`` array, and a band reading that chunk whole gets the
+array itself (or a column slice of it) with no per-sample pop; a
+per-sample access reads and writes the same streams sample by sample.
+A statement outside any loop (softmax's scalar initializers) is planned
+likewise, over the batch axis alone, and records no event.  A band or
+statement the batched plan refuses runs once per sample on that
+sample's rows and stream, through the same interpreter.
 
 Every band attempt is recorded in :attr:`VectorizedInterpreter.events`
 (kind ``"vectorized"`` or ``"fallback"`` plus a reason, and whether the
@@ -460,15 +469,14 @@ class _BandPlan:
             if len(w) > 1:
                 raise _Fallback(f"channel {name} written by multiple statements")
 
-    def check_channels(self, it: "VectorizedInterpreter") -> None:
-        """The FIFO budget, per sample: the one phase-A check re-run on
-        every call."""
+    def check_channels(self, it: "VectorizedInterpreter") -> Optional[str]:
+        """Why the FIFOs cannot feed a run, or None: the budget per
+        sample, the one phase-A check a plan's key does not cover."""
         for name, needed in self.channel_needs:
             state = it.channels.get(name)
             if state is None or len(state) < needed:
-                raise _Fallback(
-                    f"channel {name} holds fewer than {needed} values"
-                )
+                return f"channel {name} holds fewer than {needed} values"
+        return None
 
     # -- phase B --------------------------------------------------------
     def execute(self, it: "VectorizedInterpreter") -> None:
@@ -1268,10 +1276,11 @@ class _Binding:
     array; the binding holds while the interpreter runs the same kernel
     over the same arrays.  ``top`` are the statements at the kernel's
     top level (outside any loop), whose plan keys read only bindings,
-    buffer shapes and the batch size, so ``selected`` keeps the plan or
-    refusal each one's key selected.  ``views`` keeps each strided view
-    of a fixed buffer, by the plan closure that makes it, so its byte
-    strides and contiguity are decided once.
+    buffer shapes and the batch size, so ``selected`` keeps the refusal
+    each one's key selected, or its plan once the channels fed it: a
+    replay of a selected plan runs no fill check.  ``views`` keeps each
+    strided view of a fixed buffer, by the plan closure that makes it,
+    so its byte strides and contiguity are decided once.
     """
 
     __slots__ = ("kernel", "fixed", "top", "selected", "views")
@@ -1392,7 +1401,7 @@ class VectorizedInterpreter(Interpreter):
         (a band's only: a statement outside any loop records none)."""
         bound = self._bound
         plan = bound.selected.get(root) if bound is not None else None
-        reused = plan is not None
+        proven = reused = plan is not None
         if not reused:
             cache = self._plans.get(root)
             if cache is None:
@@ -1406,17 +1415,20 @@ class VectorizedInterpreter(Interpreter):
                 except _Fallback as fb:
                     plan = fb.reason
                 cache.plans[key] = plan
-            if bound is not None and root in bound.top:
-                bound.selected[root] = plan
+        if isinstance(plan, str):
+            reason: Optional[str] = plan
+        else:
+            reason = None if proven else plan.check_channels(self)
+        if not proven and bound is not None and root in bound.top and (
+                reason is None or reason is plan):
+            # a refusal, or a plan its channels could feed: the bound
+            # kernel's producers fill them alike on every run
+            bound.selected[root] = plan
         name = root.loop_var.name if isinstance(root, _s.For) else None
-        try:
-            if isinstance(plan, str):
-                raise _Fallback(plan)
-            plan.check_channels(self)
-        except _Fallback as fb:
+        if reason is not None:
             if name is not None:
                 self.events.append(
-                    BandEvent("fallback", name, fb.reason, reused))
+                    BandEvent("fallback", name, reason, reused))
             return False
         plan.execute(self)  # phase B: cannot fail after phase A passed
         if name is not None:

@@ -9,8 +9,10 @@ Both entry points take one input or a batch stacked on a leading axis.
 A batch runs through each kernel invocation once: activations, arena
 slots and outputs are ``(N, numel)`` arrays (the folded arena is
 ``(N, arena_floats)``), weights stay 1-D and shared, and channels keep
-one FIFO stream per sample.  Each sample's output is bitwise its batch-1
-output; one input is a batch of one.
+one FIFO stream per sample, a chunk of all ``N`` streams passing from a
+vectorized producer to a vectorized consumer as one ``(N, k)`` array.
+Each sample's output is bitwise its batch-1 output; one input is a
+batch of one.
 
 Both bind each forward once, as the thesis's host runtime creates its
 kernels and argument bindings once and only re-enqueues them per image:
@@ -93,16 +95,20 @@ class BoundForward:
     strided views of these buffers on its first run.  A forward then
     copies the input into its slot, zeroes each slot a kernel defines
     just before that kernel runs (for an arena slot, the RM001 order),
-    and runs the interpreters, which re-check channel fill and run
-    phase B.  It returns a copy of the output slot.
+    and runs the interpreters, which run phase B.  A pipelined forward's
+    kernels share one channel map (:class:`ChannelState` per channel):
+    each vectorized producer writes its output chunk once, as one
+    ``(batch, k)`` array, and its vectorized consumer reads that array
+    back with no per-sample pop and no fill check, since the first
+    forward proved the fill.  It returns a copy of the output slot.
 
     Bound forwards live in the plan's memo (``plan.derived``, emptied by
     pickling), one per batch size and interpreter class.  One is bound
     again when the program, the fused graph or the arena differs, or
     when a params entry it read is missing or is another array: replace
     a parameter's array rather than writing into it.  Between forwards
-    it holds only what it bound: no band allocation, FIFO or other array
-    of the last run.  Its slots are shared by every forward of the plan
+    it holds only what it bound: no band allocation, channel chunk or
+    other array of the last run, even when the run raised.  Its slots are shared by every forward of the plan
     at that batch size, so two threads must not run one plan at once.
     """
 
@@ -182,7 +188,7 @@ class BoundForward:
                 _drain_events(it, kernel.name, events)
         finally:
             # drop what the run allocated: band allocations left in the
-            # buffer maps, and the FIFOs
+            # buffer maps, and the channels with any chunk left unread
             self.channels.clear()
             for bufs, bound in self.maps:
                 if len(bufs) != len(bound):

@@ -195,23 +195,39 @@ class _ScheduleLowerer:
                 per_site.setdefault(key, []).append(stage)
 
         stage_tensor = {stage: tensor for tensor, stage in zip(self.sch.tensors, self.sch.stages)}
-
-        def lower_stage(tensor: Tensor, stage: Stage, channel: Optional[Channel]) -> _s.Stmt:
-            attachments: Dict[IterVar, List[_s.Stmt]] = {}
-            for ax in stage.leaf_axes:
-                key = (id(stage), ax)
-                if key in per_site:
-                    attachments[ax] = [
-                        lower_stage(stage_tensor[child], child, None)
-                        for child in per_site[key]
-                    ]
-            return _StageLowerer(self, stage, tensor.buffer, channel).lower(attachments)
-
         parts: List[_s.Stmt] = []
         for i, (tensor, stage) in enumerate(roots):
             is_output = tensor is self.sch.output
-            parts.append(lower_stage(tensor, stage, output_channel if is_output else None))
+            parts.append(self.lower_stage(
+                tensor, stage, output_channel if is_output else None,
+                per_site, stage_tensor))
         return _s.seq(*parts)
+
+    def lower_stage(
+        self,
+        tensor: Tensor,
+        stage: Stage,
+        channel: Optional[Channel],
+        per_site: Dict[Tuple[int, IterVar], List[Stage]],
+        stage_tensor: Dict[Stage, Tensor],
+    ) -> _s.Stmt:
+        """Lower one stage, with the stages attached at its axes."""
+        attachments: Dict[IterVar, List[_s.Stmt]] = {}
+        for ax in stage.leaf_axes:
+            key = (id(stage), ax)
+            if key in per_site:
+                attachments[ax] = [
+                    self.lower_stage(stage_tensor[child], child, None,
+                                     per_site, stage_tensor)
+                    for child in per_site[key]
+                ]
+        return _StageLowerer(self, stage, tensor.buffer, channel).lower(attachments)
+
+
+def _loop_vars(s: _s.Stmt) -> Set[_e.Var]:
+    """Every loop variable a statement tree binds."""
+    found = {s.loop_var} if isinstance(s, _s.For) else set()
+    return found.union(*map(_loop_vars, s.children()))
 
 
 def lower_stage_body(sch: Schedule) -> _s.Stmt:
@@ -306,14 +322,7 @@ def lower(
     args.extend(lowerer.global_scratch)
 
     # scalar args: free vars that are not loop-bound (symbolic shapes/strides)
-    loop_vars: Set[_e.Var] = set()
-
-    class _L(StmtMutator):
-        def mutate_For(self, f: _s.For):
-            loop_vars.add(f.loop_var)
-            return self.generic_mutate_stmt(f)
-
-    _L().mutate_stmt(body)
+    loop_vars = _loop_vars(body)
     scalar_args = sorted(
         (v for v in stmt_free_vars(body) if v not in loop_vars),
         key=lambda v: v.name,

@@ -143,6 +143,28 @@ def _check_depth(name: str, depth: int, traffic: int, report: VerifyReport) -> N
 
 
 # ---------------------------------------------------------------------------
+def _wait_cycle(
+    k: str,
+    edges: Dict[str, List[Tuple[str, str]]],
+    state: Dict[str, int],
+    stack: List[Tuple[str, str]],
+) -> Optional[List[Tuple[str, str]]]:
+    """Depth-first from kernel ``k`` (the last of ``stack``, the path
+    so far): the path closing a wait cycle, or None."""
+    state[k] = 0
+    for nxt, ch in edges.get(k, ()):
+        if state.get(nxt) == 0:
+            return stack + [(nxt, ch)]
+        if nxt not in state:
+            stack.append((nxt, ch))
+            cycle = _wait_cycle(nxt, edges, state, stack)
+            stack.pop()
+            if cycle is not None:
+                return cycle
+    state[k] = 1
+    return None
+
+
 def _check_wait_cycles(
     program: Program,
     producers: Dict[str, List[Tuple[str, int, bool]]],
@@ -158,28 +180,10 @@ def _check_wait_cycles(
                 edges.setdefault(ck, []).append((pk, name))
 
     state: Dict[str, int] = {}  # 0 = visiting, 1 = done
-    stack: List[Tuple[str, str]] = []
-
-    def dfs(k: str) -> Optional[List[Tuple[str, str]]]:
-        state[k] = 0
-        for nxt, ch in edges.get(k, ()):
-            if state.get(nxt) == 0:
-                return stack + [(nxt, ch)]
-            if nxt not in state:
-                stack.append((nxt, ch))
-                cycle = dfs(nxt)
-                stack.pop()
-                if cycle is not None:
-                    return cycle
-        state[k] = 1
-        return None
-
     for k in sorted(edges):
         if k in state:
             continue
-        stack.clear()
-        stack.append((k, ""))
-        cycle = dfs(k)
+        cycle = _wait_cycle(k, edges, state, [(k, "")])
         if cycle is not None:
             culprit = cycle[-1][0]
             start = next(i for i, (kk, _) in enumerate(cycle) if kk == culprit)

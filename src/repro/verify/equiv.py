@@ -314,14 +314,12 @@ class _AccLoadNormalizer(ExprMutator):
 def _loads_on(e: _e.Expr, buffer) -> List[_e.Load]:
     """Every Load of ``buffer`` inside an expression."""
     found: List[_e.Load] = []
-
-    def walk(x: _e.Expr) -> None:
+    todo = [e]
+    while todo:  # pre-order, left to right
+        x = todo.pop()
         if isinstance(x, _e.Load) and x.buffer is buffer:
             found.append(x)
-        for c in x.children():
-            walk(c)
-
-    walk(e)
+        todo.extend(reversed(list(x.children())))
     return found
 
 

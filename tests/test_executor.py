@@ -317,3 +317,27 @@ class TestBoundForward:
                       key=lambda k: (k[0], k[1].__name__)) == [
             (1, Interpreter), (1, VectorizedInterpreter),
             (3, VectorizedInterpreter)]
+
+
+def test_a_forward_raised_mid_pipeline_leaves_no_chunk(monkeypatch):
+    run, prog, plan, fused, params = _bn_build("pipelined")
+    run(prog, plan, fused, _inputs(3, 0), params)
+    fwd = plan.derived[BoundForward][3, VectorizedInterpreter]
+    kernel, it, _ = fwd.steps[2]
+    queued = []
+
+    def raising(k):
+        # the first two kernels' output chunks are written, unread
+        queued.extend(len(st) for st in fwd.channels.values())
+        raise RuntimeSimError(f"{k.name} failed")
+
+    monkeypatch.setattr(it, "run", raising)
+    with pytest.raises(RuntimeSimError, match=f"{kernel.name} failed"):
+        run(prog, plan, fused, _inputs(3, 1), params)
+    assert sum(queued) > 0
+    assert fwd.channels == {}
+    monkeypatch.undo()
+    x = _inputs(3, 2)
+    got = run(prog, plan, fused, x, params)
+    assert plan.derived[BoundForward][3, VectorizedInterpreter] is fwd
+    assert got.tobytes() == run(prog, _fresh(plan), fused, x, params).tobytes()

@@ -150,7 +150,7 @@ class TestChannels:
             st.write(float(v))
         assert st.read() == 0.0
         # the first read packed the 100 scalar writes into one chunk
-        assert len(st._fifos[0].chunks) == 1
+        assert len(st._streams.chunks) == 1
         assert st.read_chunk(99).tolist() == [list(range(1, 100))]
 
     def test_streams_hold_float32_chunks_per_sample(self):

@@ -39,6 +39,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.ir as ir
+from repro import counters
 from repro.device import ALL_BOARDS, STRATIX10_SX
 from repro.errors import RuntimeSimError
 from repro.flow import FoldedConfig, build_folded, build_pipelined
@@ -783,6 +784,97 @@ class TestBatch:
             cls(bufs, channels=channels).run(kern)
         assert bufs["Y"].tolist() == [[1, 2, 3, 7, 8], [4, 5, 6, 9, 10]]
         assert len(channels["c"]) == 0 and channels["c"].lanes == 2
+
+
+def _channel_case(case):
+    """``(producer, consumer, band kinds, per-sample pops per sample)``
+    of a two-kernel pipeline over channel ``c``: X (8) in, Y (8) out."""
+    ch = ir.Channel("c")
+    x, y = ir.Buffer("X", (8,)), ir.Buffer("Y", (8,))
+    i, j = ir.Var("i"), ir.Var("j")
+    read = ir.ChannelRead(ch)
+
+    def loop(var, extent, body):
+        return ir.For(var, ir.IntImm(extent), body)
+
+    def branch(var, then, other):  # refused: data-dependent control flow
+        return ir.IfThenElse(ir.LT(var, ir.IntImm(4)), then, other)
+
+    whole = loop(i, 8, ir.ChannelWrite(ch, ir.Load(x, i) * 2.0 + 1.0))
+    drain = loop(i, 8, ir.Store(y, i, read * 3.0))
+    prod, cons = whole, drain
+    if case == "per-sample consumer":
+        cons = loop(i, 8, branch(i, ir.Store(y, i, read),
+                                 ir.Store(y, i, read * 3.0)))
+        kinds, pops = ["vectorized", "fallback"], 8
+    elif case == "per-sample producer":
+        prod = loop(i, 8, branch(i, ir.ChannelWrite(ch, ir.Load(x, i)),
+                                 ir.ChannelWrite(ch, ir.Load(x, i) + 1.0)))
+        kinds, pops = ["fallback", "vectorized"], 1
+    elif case == "one chunk read in two bands":
+        cons = ir.seq(loop(i, 3, ir.Store(y, i, read)),
+                      loop(j, 5, ir.Store(y, j + 3, read + 1.0)))
+        kinds, pops = ["vectorized"] * 3, 0
+    elif case == "per-sample band then vectorized band":
+        cons = ir.seq(loop(i, 3, branch(i, ir.Store(y, i, read),
+                                        ir.Store(y, i, read))),
+                      loop(j, 5, ir.Store(y, j + 3, read + 1.0)))
+        kinds, pops = ["vectorized", "fallback", "vectorized"], 3 + 1
+    else:
+        assert case == "two chunks written before the read"
+        prod = ir.seq(
+            loop(i, 5, ir.ChannelWrite(ch, ir.Load(x, i))),
+            loop(j, 3, ir.ChannelWrite(ch, ir.Load(x, j + 5) * 2.0)))
+        kinds, pops = ["vectorized"] * 3, 0
+    return (ir.Kernel("prod", [x], prod), ir.Kernel("cons", [y], cons),
+            kinds, pops)
+
+
+class TestChannelChunks:
+    """A chunk a vectorized band writes whole and a vectorized band reads
+    whole passes as one array, with no per-sample pop; every other
+    access keeps each sample's FIFO order, bitwise the scalar
+    interpreter's, at batch 1 and 3."""
+
+    CASES = ("per-sample consumer", "per-sample producer",
+             "one chunk read in two bands",
+             "per-sample band then vectorized band",
+             "two chunks written before the read")
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_the_scalar_interpreter(self, case, n):
+        prod, cons, kinds, pops = _channel_case(case)
+        data = np.random.default_rng(n).standard_normal((n, 8)).astype(
+            np.float32)
+
+        def run(cls):
+            bufs = {"X": data.copy(), "Y": np.zeros((n, 8), np.float32)}
+            channels, events = {}, []
+            with counters.delta() as counted:
+                for kern in (prod, cons):
+                    it = cls(bufs, channels=channels)
+                    it.run(kern)
+                    events += [ev.kind for ev in getattr(it, "events", ())]
+            assert len(channels["c"]) == 0 and channels["c"].lanes == n
+            return bufs["Y"], events, counted.get("fifo_pops", 0)
+
+        ref, _, _ = run(ir.Interpreter)
+        got, events, popped = run(VectorizedInterpreter)
+        assert got.tobytes() == ref.tobytes()
+        assert events == kinds
+        assert popped == pops * n
+
+    def test_a_whole_chunk_reaches_the_consumer_as_the_written_array(self):
+        st = ChannelState(ir.Channel("c"), lanes=3)
+        rows = np.arange(12, dtype=np.float32).reshape(3, 4)
+        st.write_chunk(rows)
+        with counters.delta() as counted:
+            head, rest = st.read_chunk(1), st.read_chunk(3)
+        # column slices of the one array the write stored
+        assert head.base is not None and head.base is rest.base
+        assert np.concatenate([head, rest], axis=1).tobytes() == rows.tobytes()
+        assert counted.get("fifo_pops", 0) == 0 and len(st) == 0
 
 
 class TestBlockedFold:

@@ -170,6 +170,7 @@ def check_architecture_coverage() -> list:
 #: no calibration, so each holds without a baseline entry
 EXACT_GATES = ("serve_forwards", "vinterp_fallbacks", "vinterp_replanned",
                "fold_temporaries", "fold_compactions", "plan_keys",
+               "fifo_pops",
                "sweep.serial_counts.scheduled",
                "sweep.serial_counts.plans_computed")
 
