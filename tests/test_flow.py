@@ -1,9 +1,12 @@
 """End-to-end flow tests: pipelined levels, folded grouping, deployments."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.device import ARRIA10, STRATIX10_MX, STRATIX10_SX
+from repro.codegen import generate_opencl
+from repro.device import ARRIA10, STRATIX10_MX, STRATIX10_SX, board_by_name
 from repro.errors import FitError, RoutingError, UnsupportedError
 from repro.flow import (
     FoldedConfig,
@@ -188,3 +191,69 @@ class TestDeployments:
         naive = deploy_folded("mobilenet_v1", STRATIX10_SX, naive=True).fps()
         opt = deploy_folded("mobilenet_v1", STRATIX10_SX).fps()
         assert 50 < opt / naive < 5000
+
+
+#: sha256 of each build's generated OpenCL: lenet5 at every level on every
+#: board, and the folded MobileNetV1/ResNet-18 builds at their thesis configs
+GOLDEN_SOURCE = {
+    "lenet5:A10:autorun":
+        "5dd1a23b1060594a4d2b981afd87ca78e0513c0815050c52566d5434c73f62da",
+    "lenet5:A10:base":
+        "5f2a0891321a985225387f184a94c8775f4ccf03c5129fb770b87b695c945ccb",
+    "lenet5:A10:channels":
+        "5f498b9c5b5449d0346f52902412323321d83021ca90d47bcdcaa8a4709a684b",
+    "lenet5:A10:tvm_autorun":
+        "6814919883036d02b33c860951a3c7eabd66848729678f06ce15418e999fdb33",
+    "lenet5:A10:unroll":
+        "3dc624ece169e73f4bef68275dc4e56e63b62be7e92c46e3487735da3b122790",
+    "lenet5:S10MX:autorun":
+        "5dd1a23b1060594a4d2b981afd87ca78e0513c0815050c52566d5434c73f62da",
+    "lenet5:S10MX:base":
+        "6b97fa39339623037cdc09b38afa3f287c6399cf74adbc65877c538193f5b777",
+    "lenet5:S10MX:channels":
+        "5f498b9c5b5449d0346f52902412323321d83021ca90d47bcdcaa8a4709a684b",
+    "lenet5:S10MX:tvm_autorun":
+        "6814919883036d02b33c860951a3c7eabd66848729678f06ce15418e999fdb33",
+    "lenet5:S10MX:unroll":
+        "3dc624ece169e73f4bef68275dc4e56e63b62be7e92c46e3487735da3b122790",
+    "lenet5:S10SX:autorun":
+        "5dd1a23b1060594a4d2b981afd87ca78e0513c0815050c52566d5434c73f62da",
+    "lenet5:S10SX:base":
+        "5f2a0891321a985225387f184a94c8775f4ccf03c5129fb770b87b695c945ccb",
+    "lenet5:S10SX:channels":
+        "5f498b9c5b5449d0346f52902412323321d83021ca90d47bcdcaa8a4709a684b",
+    "lenet5:S10SX:tvm_autorun":
+        "6814919883036d02b33c860951a3c7eabd66848729678f06ce15418e999fdb33",
+    "lenet5:S10SX:unroll":
+        "3dc624ece169e73f4bef68275dc4e56e63b62be7e92c46e3487735da3b122790",
+    "mobilenet_v1:A10":
+        "c215c04da64e8b0004adea23d6aa8f4081eda3d1a862b5ef81c31e988412d8a6",
+    "mobilenet_v1:S10MX":
+        "c4198cfa6b42237eb7041c7b883bc19cbb27822134182857a45ba0637f4da69c",
+    "mobilenet_v1:S10SX":
+        "917c2111d46fa666255c148f8bde6433ce0bdd64b4748614bde2900265cf35da",
+    "resnet18:A10":
+        "5dc37ef9b5bc6c630e402dd6d31992b360b26f3f6e30fe67994eae6e279acb31",
+    "resnet18:S10MX":
+        "5dc37ef9b5bc6c630e402dd6d31992b360b26f3f6e30fe67994eae6e279acb31",
+    "resnet18:S10SX":
+        "5dc37ef9b5bc6c630e402dd6d31992b360b26f3f6e30fe67994eae6e279acb31",
+}
+
+
+class TestGoldenSource:
+    """Refactors of the builders must emit byte-identical OpenCL."""
+
+    @pytest.mark.parametrize("spec", sorted(GOLDEN_SOURCE))
+    def test_source_digest(self, spec):
+        network, board_name, *level = spec.split(":")
+        board = board_by_name(board_name)
+        fused = fuse_operators({"lenet5": lenet5, "mobilenet_v1": mobilenet_v1,
+                                "resnet18": resnet18}[network]())
+        if level:
+            prog, _ = build_pipelined(fused, level[0], board)
+        else:
+            cfg = default_folded_config(network, board)
+            prog, _ = build_folded(fused, cfg, board)
+        digest = hashlib.sha256(generate_opencl(prog).encode()).hexdigest()
+        assert digest == GOLDEN_SOURCE[spec]
