@@ -98,9 +98,6 @@ class AOCConstants:
     fmax_dsp_slope: float = 0.45
     #: fmax drop per unit of (logic+RAM) congestion above the free level
     fmax_congestion_slope: float = 0.08
-    #: default congestion metric beyond which Quartus routing fails
-    #: (boards may override; Stratix 10 HyperFlex routes are strict)
-    routing_fail_threshold: float = 0.92
     #: fmax factor applied when any kernel carries a global-scratchpad
     #: accumulation feedback path (naive designs close timing worse)
     fmax_global_accum_factor: float = 0.82

@@ -6,6 +6,10 @@ lowered — which the ``lower`` stage turns into an :class:`ir.Program`
 and the ``plan`` stage into a runtime execution plan.  Keeping these as
 first-class artifacts lets the pipeline time, fingerprint and size each
 phase independently.
+
+:func:`tensor_call` is the one map from a fused node to the topi
+constructor of its tensors, shared by the pipelined and folded
+builders; each builder only picks the recipe that schedules them.
 """
 
 from __future__ import annotations
@@ -15,10 +19,24 @@ from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import repro.ir as ir
+from repro.errors import UnsupportedError
 from repro.pipeline import register_canonicalizer, register_describer
+from repro.relay.passes import FusedNode
 from repro.runtime.plan import Invocation
 from repro.schedule import Schedule, ScheduleRecipe
 from repro.schedule import lower as lower_schedule
+from repro.topi import (
+    ConvSpec,
+    DenseSpec,
+    PoolSpec,
+    conv2d_tensors,
+    dense_tensors,
+    depthwise_tensors,
+    flatten_tensors,
+    gap_tensors,
+    pad_tensors,
+    pool_tensors,
+)
 
 
 @dataclass
@@ -28,9 +46,14 @@ class ScheduledKernel:
     Either ``schedule`` (+ ``lower_options`` forwarded to
     :func:`repro.schedule.lower`) or a ``prebuilt`` kernel for ops whose
     builders emit IR directly (softmax).  ``recipe`` is the declarative
-    transform sequence the schedule was built from (None for prebuilt
-    kernels); its fingerprint enters the kernel's canonical form, so the
-    content-addressed compile cache keys on the recipe.
+    transform sequence the schedule was built from; its fingerprint
+    enters the kernel's canonical form, so the content-addressed compile
+    cache keys on the recipe.  It is None for prebuilt kernels and for
+    pipelined ones.  A pipelined schedule is built from a recipe too,
+    but ``flow.autofix`` rewrites it after the build and its channels
+    are per build, so the kernel stays outside the schedule memo and
+    lowers uncached; recording its recipe would also change lenet5's
+    certificate detail and ``--check`` output.
     """
 
     name: str
@@ -59,6 +82,49 @@ class ScheduledKernel:
         if self.prebuilt is not None:
             return self.prebuilt
         return lower_schedule(self.schedule, self.name, **self.lower_options)
+
+
+def tensor_call(fn: FusedNode) -> Tuple:
+    """The call ``(constructor, *args)`` that builds ``fn``'s tensors
+    as ``(inputs, output)``: the layer's spec or shapes, then its name.
+
+    A tuple of values, so the folded builder keys its schedule memo on
+    it.  Softmax, whose four stages form their own schedule, has no
+    entry here (:func:`repro.topi.softmax.softmax_schedule`).
+    """
+    a = fn.anchor.attrs
+    shape = fn.anchor.inputs[0].out_shape
+    if fn.op in ("conv2d", "depthwise_conv2d"):
+        if a.get("pad", 0) not in (0, (0, 0)):
+            raise UnsupportedError("conv kernels expect explicit pad nodes")
+        fn.check_canonical_epilogue()
+        c1, h, w = shape
+        dw = fn.op == "depthwise_conv2d"
+        spec = ConvSpec(
+            c1=c1, h=h, w=w, k=c1 if dw else a["filters"], f=a["field"],
+            s=a["stride"], bias=a.get("bias", True), activation=fn.activation,
+            residual=not dw and fn.has_residual, batchnorm=fn.has_batchnorm,
+        )
+        return (depthwise_tensors if dw else conv2d_tensors), spec, fn.name
+    if fn.op == "dense":
+        (n,) = shape
+        spec = DenseSpec(n=n, m=a["units"], bias=a.get("bias", True),
+                         activation=fn.activation)
+        return dense_tensors, spec, fn.name
+    if fn.op in ("maxpool", "avgpool"):
+        c, h, w = shape
+        spec = PoolSpec(
+            c=c, h=h, w=w, field=a["field"], stride=a["stride"],
+            kind="max" if fn.op == "maxpool" else "avg",
+        )
+        return pool_tensors, spec, fn.name
+    if fn.op == "global_avgpool":
+        return (gap_tensors, *shape, fn.name)
+    if fn.op == "flatten":
+        return (flatten_tensors, *shape, fn.name)
+    if fn.op == "pad":
+        return (pad_tensors, *shape, *a["pad"], fn.name)
+    raise UnsupportedError(f"no kernel builder for op {fn.op}")
 
 
 @dataclass

@@ -646,10 +646,10 @@ def autofix_pipelined(
 ) -> AutofixResult:
     """Advise -> rewrite loop over a pipelined (chain) build.
 
-    Pipelined builders construct schedules imperatively, so fixes are
-    recipe deltas applied *on top of* each freshly built schedule,
-    keyed by (kernel, stage) — multi-stage kernels like the channel-fed
-    softmax get per-stage deltas.  There is no tiling table to shrink:
+    Pipelined kernels record no recipe (their builds stay out of the
+    schedule memo), so fixes are recipe deltas applied *on top of*
+    each freshly built schedule, keyed by (kernel, stage) — multi-stage
+    kernels like the channel-fed softmax get per-stage deltas.  There is no tiling table to shrink:
     RP005/RP006 findings are blocking by construction (``pipelined
     schedules expose no shrink knob``) and the loop converges to clean
     or provably stuck.

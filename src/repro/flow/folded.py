@@ -19,7 +19,7 @@ import repro.ir as ir
 from repro import counters
 from repro.device.boards import Board
 from repro.errors import ScheduleError, UnsupportedError
-from repro.flow.artifacts import FoldedSchedule, ScheduledKernel
+from repro.flow.artifacts import FoldedSchedule, ScheduledKernel, tensor_call
 from repro.flow.incremental import (
     LOWER_COUNTS,
     SCHEDULE_COUNTS,
@@ -33,27 +33,18 @@ from repro.schedule import ScheduleRecipe, create_schedule
 from repro.topi import (
     ConvSpec,
     ConvTiling,
-    DenseSpec,
-    PoolSpec,
     conv1x1_opt_recipe,
     conv2d_naive_recipe,
     conv2d_opt_recipe,
     conv2d_symbolic,
-    conv2d_tensors,
     dense_naive_recipe,
     dense_opt_recipe,
-    dense_tensors,
     depthwise_naive_recipe,
     depthwise_opt_recipe,
     depthwise_symbolic,
-    depthwise_tensors,
-    flatten_tensors,
-    gap_tensors,
     pad_symbolic,
-    pad_tensors,
     pool_naive_recipe,
     pool_opt_recipe,
-    pool_tensors,
     softmax_kernel_licm,
     softmax_kernel_naive,
     symbolic_conv_recipe,
@@ -336,98 +327,52 @@ class _FoldedBuilder:
             )
             self.kernels.append(prebuilt_kernel(build, n, fn.name, kname))
             return kname
-        call, base = self._static_parts(fn)
-        rec = _final_recipe(self.config, kname, base)
+        call = tensor_call(fn)
+        rec = _final_recipe(self.config, kname, self._base_recipe(fn.op, call[1]))
         self.kernels.append(scheduled_kernel(
             ("static", fn.name, kname, call, rec),
             lambda: _scheduled(kname, fn.name, call[0](*call[1:])[1], rec),
         ))
         return kname
 
-    def _static_parts(self, fn: FusedNode):
-        """``(call, base)``: the call ``(constructor, *args)`` that
-        builds ``fn``'s tensors (the output second), and the kernel's
-        base recipe (``pool_opt_recipe`` itself where the recipe reads
-        the output tensor)."""
-        a = fn.anchor.attrs
+    def _base_recipe(self, op: str, spec):
+        """The base recipe of a static ``op`` kernel whose constructor's
+        first argument is ``spec`` (``pool_opt_recipe`` itself where the
+        recipe reads the output tensor)."""
         naive = self.config.naive
-        if fn.op == "conv2d":
-            fn.check_canonical_epilogue()
-            c1, h, w = fn.anchor.inputs[0].out_shape
-            spec = ConvSpec(
-                c1=c1, h=h, w=w, k=a["filters"], f=a["field"], s=a["stride"],
-                bias=a.get("bias", True), activation=fn.activation,
-                residual=fn.has_residual, batchnorm=fn.has_batchnorm,
-            )
+        if op == "conv2d":
             if naive:
-                base = conv2d_naive_recipe(
+                return conv2d_naive_recipe(
                     auto_unroll_ff=self.board.auto_unroll_small_loops
                 )
-            else:
-                tiling = self.config.tiling_for("conv", spec.f, spec.s)
-                tiling = self._legal_tiling(tiling, spec)
-                if spec.f == 1:
-                    base = conv1x1_opt_recipe(tiling)
-                else:
-                    if tiling.c2vec != 1:
-                        raise ScheduleError(
-                            "c2vec tiling applies to 1x1 convs only (use conv1x1)"
-                        )
-                    base = conv2d_opt_recipe(tiling)
-            return (conv2d_tensors, spec, fn.name), base
-        if fn.op == "depthwise_conv2d":
-            fn.check_canonical_epilogue()
-            c1, h, w = fn.anchor.inputs[0].out_shape
-            spec = ConvSpec(
-                c1=c1, h=h, w=w, k=c1, f=a["field"], s=a["stride"],
-                bias=a.get("bias", True), activation=fn.activation,
-                batchnorm=fn.has_batchnorm,
-            )
+            tiling = self.config.tiling_for("conv", spec.f, spec.s)
+            tiling = self._legal_tiling(tiling, spec)
+            if spec.f == 1:
+                return conv1x1_opt_recipe(tiling)
+            if tiling.c2vec != 1:
+                raise ScheduleError(
+                    "c2vec tiling applies to 1x1 convs only (use conv1x1)"
+                )
+            return conv2d_opt_recipe(tiling)
+        if op == "depthwise_conv2d":
             if naive:
-                base = depthwise_naive_recipe(
+                return depthwise_naive_recipe(
                     auto_unroll_ff=self.board.auto_unroll_small_loops
                 )
-            else:
-                tiling = self._legal_tiling(
-                    self.config.tiling_for("dw", spec.f, spec.s), spec
-                )
-                base = depthwise_opt_recipe(tiling)
-            return (depthwise_tensors, spec, fn.name), base
-        if fn.op == "pad":
-            before, after = a["pad"]
-            c, h, w = fn.anchor.inputs[0].out_shape
-            call = (pad_tensors, c, h, w, before, after, fn.name)
-            return call, transform_recipe()
-        if fn.op in ("maxpool", "avgpool", "global_avgpool"):
-            c, h, w = fn.anchor.inputs[0].out_shape
-            base = pool_naive_recipe() if naive else pool_opt_recipe
-            if fn.op == "global_avgpool":
-                return (gap_tensors, c, h, w, fn.name), base
-            spec = PoolSpec(
-                c=c, h=h, w=w, field=a["field"], stride=a["stride"],
-                kind="max" if fn.op == "maxpool" else "avg",
+            tiling = self._legal_tiling(
+                self.config.tiling_for("dw", spec.f, spec.s), spec
             )
-            return (pool_tensors, spec, fn.name), base
-        if fn.op == "flatten":
-            c, h, w = fn.anchor.inputs[0].out_shape
-            return (flatten_tensors, c, h, w, fn.name), transform_recipe()
-        if fn.op == "dense":
-            (n,) = fn.anchor.inputs[0].out_shape
-            spec = DenseSpec(
-                n=n, m=a["units"], bias=a.get("bias", True),
-                activation=fn.activation,
-            )
+            return depthwise_opt_recipe(tiling)
+        if op in ("maxpool", "avgpool", "global_avgpool"):
+            return pool_naive_recipe() if naive else pool_opt_recipe
+        if op == "dense":
             if naive:
-                base = dense_naive_recipe()
-            else:
-                factor = self.config.dense_unroll
-                while factor > 1 and n % factor != 0:
-                    factor //= 2
-                base = dense_opt_recipe(factor)
-            return (dense_tensors, spec, fn.name), base
-        raise UnsupportedError(  # pragma: no cover
-            f"folded builder: unsupported op {fn.op}"
-        )
+                return dense_naive_recipe()
+            factor = self.config.dense_unroll
+            while factor > 1 and spec.n % factor != 0:
+                factor //= 2
+            return dense_opt_recipe(factor)
+        return transform_recipe()  # pad, flatten
 
     @staticmethod
     def _legal_tiling(tiling: ConvTiling, spec: ConvSpec) -> ConvTiling:

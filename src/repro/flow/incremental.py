@@ -37,8 +37,9 @@ folded arena plan is memoized in the same LRU too (:func:`memoized`,
 used by :func:`repro.verify.memory.plan_memory`), so
 :func:`clear_lower_cache` empties all three and a cold compile stays
 cold.  The pipelined levels
-mutate schedules directly and construct their kernels outside the memo
-(their prebuilt softmax excepted).
+construct their kernels outside the memo (their prebuilt softmax
+excepted): ``flow.autofix`` rewrites their schedules after the build,
+and their channels are per build.
 
 Soundness rests on two facts.  First, a kernel's lowered form is a
 deterministic function of (tensor graph, recipe, lower options):
@@ -46,9 +47,10 @@ builders reset the IR name uniquifier per schedule build
 (:func:`repro.ir.reset_fresh_names`), so identical inputs produce
 identical names.  Second, the fingerprint only stands in for schedule
 *transform* state when that state is fully recorded as a
-:class:`~repro.schedule.ScheduleRecipe` — kernels without a recipe
-(the pipelined levels mutate schedules directly) are lowered
-unconditionally and counted as ``lower_uncached``.
+:class:`~repro.schedule.ScheduleRecipe` — kernels without a recorded
+recipe (the pipelined levels, whose schedules autofix may rewrite
+after the build) are lowered unconditionally and counted as
+``lower_uncached``.
 """
 
 from __future__ import annotations

@@ -20,6 +20,11 @@ optimization over the previous:
     also tile a little further (the thesis measures this marginally ahead
     of the hand-written variant).
 
+Every kernel is built like a folded one: the layer's tensors from
+:func:`~repro.flow.artifacts.tensor_call`, scheduled by the level's
+recipe from :mod:`repro.topi.recipes`.  The level adds only the channel
+wiring and autorun flag it lowers with.
+
 The builder is generic over *chain* graphs (every kernel feeds exactly
 the next one), which is all pipelined execution supports — residual
 topologies need folded execution.
@@ -33,7 +38,11 @@ import repro.ir as ir
 from repro import counters
 from repro.device.boards import Board
 from repro.errors import ReproError, UnsupportedError
-from repro.flow.artifacts import PipelinedSchedule, ScheduledKernel
+from repro.flow.artifacts import (
+    PipelinedSchedule,
+    ScheduledKernel,
+    tensor_call,
+)
 from repro.flow.incremental import (
     LOWER_COUNTS,
     SCHEDULE_COUNTS,
@@ -42,27 +51,19 @@ from repro.flow.incremental import (
 )
 from repro.relay.passes import FusedGraph, FusedNode
 from repro.runtime.plan import PipelinePlan, PipelineStage
-from repro.schedule import Schedule
+from repro.schedule import ScheduleRecipe, create_schedule
 from repro.topi import (
-    ConvSpec,
     ConvTiling,
-    DenseSpec,
-    PoolSpec,
-    conv2d_tensors,
-    dense_tensors,
-    flatten_tensors,
-    gap_tensors,
-    pad_tensors,
-    pool_tensors,
-    schedule_conv2d_naive,
-    schedule_conv2d_opt,
-    schedule_dense_naive,
-    schedule_dense_opt,
-    schedule_pool_naive,
-    schedule_pool_opt,
-    schedule_transform,
+    conv2d_naive_recipe,
+    conv2d_opt_recipe,
+    dense_naive_recipe,
+    dense_opt_recipe,
+    pool_naive_recipe,
+    pool_opt_recipe,
     softmax_kernel_licm,
     softmax_kernel_naive,
+    softmax_schedule,
+    transform_recipe,
 )
 
 LEVELS = ("base", "unroll", "channels", "autorun", "tvm_autorun")
@@ -73,27 +74,8 @@ DENSE_UNROLL = {"dense1": 40, "dense2": 40, "dense3": 4}
 #: extra tiling the TVM-scheduled variant applies (marginal gains)
 TVM_EXTRA_TILING = {"conv1": ConvTiling(w2vec=2), "conv2": ConvTiling(c1vec=3)}
 
-
-def _conv_spec(fn: FusedNode) -> ConvSpec:
-    a = fn.anchor.attrs
-    c1, h, w = fn.anchor.inputs[0].out_shape
-    if a.get("pad", 0) not in (0, (0, 0)):
-        raise UnsupportedError("conv kernels expect explicit pad nodes")
-    if fn.has_residual:
-        raise UnsupportedError("pipelined execution cannot fuse residuals")
-    fn.check_canonical_epilogue()
-    return ConvSpec(
-        c1=c1, h=h, w=w, k=a["filters"], f=a["field"], s=a["stride"],
-        bias=a.get("bias", True), activation=fn.activation, residual=False,
-        batchnorm=fn.has_batchnorm,
-    )
-
-
-def _dense_spec(fn: FusedNode) -> DenseSpec:
-    a = fn.anchor.attrs
-    (n,) = fn.anchor.inputs[0].out_shape
-    return DenseSpec(n=n, m=a["units"], bias=a.get("bias", True),
-                     activation=fn.activation)
+#: ops whose kernels take no weights: autorun when channel-fed both ways
+WEIGHT_FREE = ("maxpool", "avgpool", "global_avgpool", "flatten", "pad")
 
 
 class _ChainKernelBuilder:
@@ -108,43 +90,34 @@ class _ChainKernelBuilder:
         self.channel_depth_scale = channel_depth_scale
         self.use_channels = level in ("channels", "autorun", "tvm_autorun")
         self.use_autorun = level in ("autorun", "tvm_autorun")
-        self.optimized = level != "base"
+        #: base and unroll keep TVM's default (naive) schedule families
+        self.naive = level in ("base", "unroll")
 
-    # -- per-op schedule selection --------------------------------------
-    def conv_schedule(self, out: ir.Tensor, fn: FusedNode) -> Schedule:
-        if self.level == "base":
-            return schedule_conv2d_naive(
-                out, auto_unroll_ff=self.board.auto_unroll_small_loops
-            )
-        if self.level == "unroll":
-            sch = schedule_conv2d_naive(out, auto_unroll_ff=False)
-            st = sch.stages[0]
-            for ax in st.reduce_axes[-2:]:
-                st.unroll(ax)
-            return sch
-        tiling = ConvTiling()
-        if self.level == "tvm_autorun":
-            tiling = TVM_EXTRA_TILING.get(fn.name, tiling)
-        return schedule_conv2d_opt(out, tiling)
-
-    def dense_schedule(self, out: ir.Tensor, fn: FusedNode) -> Schedule:
-        if self.level == "base":
-            return schedule_dense_naive(out)
-        factor = DENSE_UNROLL.get(fn.name, 1)
-        if self.level == "unroll":
-            # unrolled but still accumulating through global memory
-            sch = schedule_dense_naive(out)
-            st = sch.stages[0]
-            if factor > 1:
-                _, ki = st.split(st.reduce_axes[0], factor)
-                st.unroll(ki)
-            return sch
-        return schedule_dense_opt(out, factor)
-
-    def pool_schedule(self, out: ir.Tensor) -> Schedule:
-        if self.level == "base":
-            return schedule_pool_naive(out)
-        return schedule_pool_opt(out)
+    def _recipe(self, fn: FusedNode, out: ir.Tensor) -> ScheduleRecipe:
+        """The recipe that schedules ``fn``'s output ``out`` at this level."""
+        op, level = fn.op, self.level
+        if op == "conv2d":
+            if level == "base":
+                return conv2d_naive_recipe(self.board.auto_unroll_small_loops)
+            if level == "unroll":
+                return conv2d_naive_recipe(auto_unroll_ff=True)
+            tiling = ConvTiling()
+            if level == "tvm_autorun":
+                tiling = TVM_EXTRA_TILING.get(fn.name, tiling)
+            return conv2d_opt_recipe(tiling)
+        if op == "dense":
+            factor = DENSE_UNROLL.get(fn.name, 1)
+            if level == "base" or (level == "unroll" and factor == 1):
+                return dense_naive_recipe()
+            if level == "unroll":
+                # unrolled but still accumulating through global memory
+                return dense_naive_recipe().split("k", factor).unroll("ki")
+            return dense_opt_recipe(factor)
+        if op in ("maxpool", "avgpool", "global_avgpool"):
+            return pool_naive_recipe() if level == "base" else pool_opt_recipe(out)
+        if op in ("flatten", "pad"):
+            return transform_recipe()
+        raise UnsupportedError(f"pipelined builder: unsupported op {op}")
 
     # ------------------------------------------------------------------
     def schedule_graph(self, fused: FusedGraph) -> PipelinedSchedule:
@@ -189,108 +162,31 @@ class _ChainKernelBuilder:
         ch_in: Optional[ir.Channel],
         ch_out: Optional[ir.Channel],
     ) -> ScheduledKernel:
-        op = fn.op
         kname = f"k_{fn.name}"
-        autorun = False
-
-        if op == "conv2d":
-            spec = _conv_spec(fn)
-            ins, out = conv2d_tensors(spec, fn.name)
-            sch = self.conv_schedule(out, fn)
-        elif op == "dense":
-            spec = _dense_spec(fn)
-            ins, out = dense_tensors(spec, fn.name)
-            sch = self.dense_schedule(out, fn)
-        elif op in ("maxpool", "avgpool"):
-            a = fn.anchor.attrs
-            c, h, w = fn.anchor.inputs[0].out_shape
-            pspec = PoolSpec(
-                c=c, h=h, w=w, field=a["field"], stride=a["stride"],
-                kind="max" if op == "maxpool" else "avg",
-            )
-            ins, out = pool_tensors(pspec, fn.name)
-            sch = self.pool_schedule(out)
-            autorun = self.use_autorun and ch_in is not None and ch_out is not None
-        elif op == "global_avgpool":
-            c, h, w = fn.anchor.inputs[0].out_shape
-            ins, out = gap_tensors(c, h, w, fn.name)
-            sch = self.pool_schedule(out)
-            autorun = self.use_autorun and ch_in is not None and ch_out is not None
-        elif op == "flatten":
-            c, h, w = fn.anchor.inputs[0].out_shape
-            ins, out = flatten_tensors(c, h, w, fn.name)
-            sch = schedule_transform(out)
-            autorun = self.use_autorun and ch_in is not None and ch_out is not None
-        elif op == "pad":
-            before, after = fn.anchor.attrs["pad"]
-            c, h, w = fn.anchor.inputs[0].out_shape
-            ins, out = pad_tensors(c, h, w, before, after, fn.name)
-            sch = schedule_transform(out)
-            autorun = self.use_autorun and ch_in is not None and ch_out is not None
-        elif op == "softmax":
+        options: Dict[str, object] = {
+            "output_channel": ch_out,
+            "input_channels": (
+                {f"{fn.name}_in": ch_in} if ch_in is not None else None
+            ),
+        }
+        if fn.op == "softmax":
             (n,) = fn.anchor.inputs[0].out_shape
-            # softmax is the terminal kernel: channel input supported via
-            # rebuild with lowering options below
-            if ch_in is not None or ch_out is not None:
-                return self._softmax_with_channels(fn, n, kname, ch_in, ch_out)
-            if self.optimized and self.level != "unroll":
-                build = softmax_kernel_licm
-            else:
-                build = softmax_kernel_naive
-            return prebuilt_kernel(build, n, fn.name, kname)
-        else:  # pragma: no cover - vocabulary guard
-            raise UnsupportedError(f"pipelined builder: unsupported op {op}")
-
-        input_channels = (
-            {f"{fn.name}_in": ch_in} if ch_in is not None else None
-        )
-        return ScheduledKernel(
-            name=kname,
-            layer=fn.name,
-            schedule=sch,
-            lower_options={
-                "output_channel": ch_out,
-                "input_channels": input_channels,
-                "autorun": autorun,
-            },
-        )
-
-    def _softmax_with_channels(
-        self,
-        fn: FusedNode,
-        n: int,
-        kname: str,
-        ch_in: Optional[ir.Channel],
-        ch_out: Optional[ir.Channel],
-    ) -> ScheduledKernel:
-        from repro.schedule import create_schedule
-        from repro.topi.softmax import softmax_tensors
-
-        _, tensors = softmax_tensors(n, fn.name)
-        sch = create_schedule(*tensors)
-        if not (self.optimized and self.level != "unroll"):
-            maxelem, exps, expsum, norm = tensors
-            norm_stage = sch[norm]
-            (i1,) = norm_stage.data_axes
-            attach = {
-                sch[maxelem]: (norm_stage, i1),
-                sch[exps]: (norm_stage, i1),
-                sch[expsum]: (norm_stage, i1),
-            }
+            if ch_in is None and ch_out is None:
+                build = softmax_kernel_naive if self.naive else softmax_kernel_licm
+                return prebuilt_kernel(build, n, fn.name, kname)
+            sch, options["compute_at"] = softmax_schedule(n, fn.name, self.naive)
         else:
-            attach = None
-        input_channels = (
-            {f"{fn.name}_in": ch_in} if ch_in is not None else None
-        )
+            if fn.has_residual:
+                raise UnsupportedError("pipelined execution cannot fuse residuals")
+            call = tensor_call(fn)
+            out = call[0](*call[1:])[1]
+            sch = self._recipe(fn, out).apply(create_schedule(out))
+            options["autorun"] = (
+                self.use_autorun and fn.op in WEIGHT_FREE
+                and ch_in is not None and ch_out is not None
+            )
         return ScheduledKernel(
-            name=kname,
-            layer=fn.name,
-            schedule=sch,
-            lower_options={
-                "output_channel": ch_out,
-                "input_channels": input_channels,
-                "compute_at": attach,
-            },
+            name=kname, layer=fn.name, schedule=sch, lower_options=options
         )
 
 

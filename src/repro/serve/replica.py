@@ -242,7 +242,6 @@ def provision_replicas(
     n: int,
     cache: CacheOption = None,
     constants: AOCConstants = DEFAULT_CONSTANTS,
-    start_id: int = 0,
 ) -> List[Replica]:
     """Build ``n`` replicas of ``network`` on ``board``.
 
@@ -262,9 +261,7 @@ def provision_replicas(
         )
     shared = resolve_cache(cache)
     replicas = [
-        _build_replica(
-            start_id + i, network, board, shared, constants, "build"
-        )
+        _build_replica(i, network, board, shared, constants, "build")
         for i in range(n)
     ]
     if replicas and all(r.rung == "cpu" for r in replicas):

@@ -90,8 +90,6 @@ class ServeConfig:
     #: compute per-request logits (memoized per distinct input); turn
     #: off for pure throughput studies
     compute_logits: bool = True
-    #: concurrent (one-queue-per-kernel) execution on pipelined replicas
-    concurrent: bool = True
     #: replica health policy (breaker/retry/refill/watchdog knobs);
     #: None uses the process-wide ``current_config().lifecycle``
     lifecycle: Optional[LifecycleConfig] = None

@@ -26,7 +26,12 @@ from repro.topi.pooling import (
     schedule_pool_naive,
     schedule_pool_opt,
 )
-from repro.topi.softmax import softmax_kernel_licm, softmax_kernel_naive, softmax_tensors
+from repro.topi.softmax import (
+    softmax_kernel_licm,
+    softmax_kernel_naive,
+    softmax_schedule,
+    softmax_tensors,
+)
 from repro.topi.pad import flatten_tensors, pad_tensors, schedule_transform
 from repro.topi.recipes import (
     conv1x1_opt_recipe,
@@ -64,5 +69,6 @@ __all__ = [
     "schedule_depthwise_naive", "schedule_depthwise_opt",
     "schedule_pool_naive", "schedule_pool_opt", "schedule_symbolic_conv",
     "schedule_transform", "softmax_kernel_licm", "softmax_kernel_naive",
-    "softmax_tensors", "symbolic_conv_recipe", "transform_recipe",
+    "softmax_schedule", "softmax_tensors", "symbolic_conv_recipe",
+    "transform_recipe",
 ]

@@ -9,12 +9,13 @@ output element; the **optimized** schedule (Listing 5.8) hoists them out
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import repro.ir as ir
-from repro.schedule import create_schedule
-from repro.schedule.lower import lower as _lower
 from repro.ir.kernel import Kernel
+from repro.ir.tensor import IterVar
+from repro.schedule import Schedule, Stage, create_schedule
+from repro.schedule.lower import lower as _lower
 
 
 def softmax_tensors(n: int, name: str) -> Tuple[Dict[str, ir.Tensor], Tuple[ir.Tensor, ...]]:
@@ -57,23 +58,31 @@ def softmax_tensors(n: int, name: str) -> Tuple[Dict[str, ir.Tensor], Tuple[ir.T
     return {"I": I}, (maxelem, exps, expsum, norm)
 
 
-def softmax_kernel_naive(n: int, name: str, kernel_name: str) -> Kernel:
-    """Listing 5.7: max/exp/sum recomputed inside the normalization loop."""
+def softmax_schedule(
+    n: int, name: str, naive: bool
+) -> Tuple[Schedule, Optional[Dict[Stage, Tuple[Stage, IterVar]]]]:
+    """The softmax schedule and its ``compute_at`` map for lowering.
+
+    ``naive`` attaches max/exp/sum inside the normalization loop
+    (Listing 5.7); otherwise the map is None and they stay hoisted.
+    """
     _, tensors = softmax_tensors(n, name)
-    maxelem, exps, expsum, norm = tensors
     sch = create_schedule(*tensors)
+    if not naive:
+        return sch, None
+    *invariant, norm = tensors
     norm_stage = sch[norm]
     (i1,) = norm_stage.data_axes
-    attach = {
-        sch[maxelem]: (norm_stage, i1),
-        sch[exps]: (norm_stage, i1),
-        sch[expsum]: (norm_stage, i1),
-    }
+    return sch, {sch[t]: (norm_stage, i1) for t in invariant}
+
+
+def softmax_kernel_naive(n: int, name: str, kernel_name: str) -> Kernel:
+    """Listing 5.7: max/exp/sum recomputed inside the normalization loop."""
+    sch, attach = softmax_schedule(n, name, naive=True)
     return _lower(sch, kernel_name, compute_at=attach)
 
 
 def softmax_kernel_licm(n: int, name: str, kernel_name: str) -> Kernel:
     """Listing 5.8: loop-invariant stages hoisted out (computed once)."""
-    _, tensors = softmax_tensors(n, name)
-    sch = create_schedule(*tensors)
+    sch, _ = softmax_schedule(n, name, naive=False)
     return _lower(sch, kernel_name)

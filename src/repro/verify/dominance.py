@@ -78,14 +78,9 @@ class StaticProfile:
 
 def group_members(fused: FusedGraph, group: GroupId) -> List[FusedNode]:
     """Fused nodes a conv group's parameterized kernels will serve."""
-    kind, f, s = group
-    op = "conv2d" if kind == "conv" else "depthwise_conv2d"
-    return [
-        fn for fn in fused
-        if fn.op == op
-        and fn.anchor.attrs["field"] == f
-        and fn.anchor.attrs["stride"] == s
-    ]
+    from repro.flow.search import group_of
+
+    return [fn for fn in fused if group_of(fn) == group]
 
 
 def profile_conv_tiling(
