@@ -374,7 +374,7 @@ def _fold_forwards() -> list:
 
 
 def _measure_folds() -> tuple:
-    """``(temporaries, compactions)`` over the forwards of
+    """``(temporaries, compactions, inner_loops)`` over the forwards of
     :func:`_fold_forwards` (exact counts, no timing).
 
     ``temporaries`` records every array :func:`repro.ir.vinterp._eval_block`
@@ -385,7 +385,10 @@ def _measure_folds() -> tuple:
     ``per_sample`` registry count (per-sample sub-interpreters built).
     ``compactions`` maps each forward to the operands its second run
     compacts before a reduction block's top op (the ``fold_compactions``
-    registry count, one per operand per block).
+    registry count, one per operand per block), and ``inner_loops`` to
+    the NumPy inner-loop calls those top ops make in that run (the
+    ``fold_inner_loops`` count: each block's elements over the inner run
+    its plan fixed).
     """
     out = {"elements": 0, "lanes": 0, "excess": -math.inf}
     eval_block, fold_blocks = vinterp._eval_block, vinterp._fold_blocks
@@ -423,12 +426,13 @@ def _measure_folds() -> tuple:
             forward()
     out["per_sample"] = counted.get("per_sample", 0)
     out["budget"] = vinterp.FOLD_BLOCK_LIMIT
-    compactions = {}
+    compactions, inner_loops = {}, {}
     for key, forward in forwards:
         with counters.delta() as counted:
             forward()
         compactions[key] = counted.get("fold_compactions", 0)
-    return out, compactions
+        inner_loops[key] = counted.get("fold_inner_loops", 0)
+    return out, compactions, inner_loops
 
 
 def _measure_plan_keys() -> dict:
@@ -772,7 +776,7 @@ def trajectory():
     for key, fn in _throughput_measurers(fallbacks, replanned).items():
         throughput[key] = fn()
         remeasure[key] = fn
-    temporaries, compactions = _measure_folds()
+    temporaries, compactions, inner_loops = _measure_folds()
     current = {
         "schema": 2,
         "cpus": _usable_cpus(),
@@ -782,6 +786,7 @@ def trajectory():
         "vinterp_replanned": replanned,
         "fold_temporaries": temporaries,
         "fold_compactions": compactions,
+        "fold_inner_loops": inner_loops,
         "plan_keys": _measure_plan_keys(),
         "fifo_pops": _measure_fifo_pops(),
         "lenet5": _measure_lenet_speedup(
@@ -881,6 +886,11 @@ def _save_report(current, baseline) -> None:
         rows.append([f"{key} second-forward operands compacted",
                      f"{current['fold_compactions'][key]}",
                      f"{baseline.get('fold_compactions', {}).get(key, '-')}",
+                     "== baseline exactly"])
+    for key in sorted(current["fold_inner_loops"]):
+        rows.append([f"{key} second-forward fold inner loops",
+                     f"{current['fold_inner_loops'][key]}",
+                     f"{baseline.get('fold_inner_loops', {}).get(key, '-')}",
                      "== baseline exactly"])
     for key in sorted(current["plan_keys"]):
         rows.append([f"{key} second-forward plan keys",
@@ -1057,6 +1067,17 @@ class TestPerfTrajectory:
             f"operands compacted per second forward {fc} differ from the "
             f"committed {base}: the compaction rule decided otherwise on a "
             "shipped reduction — an exact count, no band"
+        )
+
+    def test_fold_inner_loops_match_baseline(self, trajectory):
+        current, baseline, _ = trajectory
+        fl, base = current["fold_inner_loops"], baseline.get("fold_inner_loops")
+        assert sorted(fl) == sorted(current["fold_compactions"])
+        assert fl == base, (
+            f"NumPy inner loops of the fold's top ops per second forward "
+            f"{fl} differ from the committed {base}: the lane order or "
+            "the compaction rule laid a shipped reduction out otherwise — "
+            "an exact count, no band"
         )
 
     def test_no_statement_runs_per_sample(self, trajectory):

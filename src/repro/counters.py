@@ -22,9 +22,9 @@ __all__ = ["count", "read", "reset", "delta"]
 _COUNTS: Counter = Counter()
 
 
-def count(name: str) -> None:
-    """Count one ``name`` event."""
-    _COUNTS[name] += 1
+def count(name: str, n: int = 1) -> None:
+    """Count ``n`` ``name`` events (one by default)."""
+    _COUNTS[name] += n
 
 
 def read(prefix: str = "", names: Iterable[str] = ()) -> Dict[str, int]:

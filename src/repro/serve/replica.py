@@ -33,6 +33,7 @@ from repro.perf import tf_cpu_fps
 from repro.relay import fuse_operators, init_params, run_fused_graph
 from repro.resilience.config import configured
 from repro.resilience.events import record as _record
+from repro.resilience.faults import active_plan
 from repro.serve.request import input_fingerprint
 
 __all__ = [
@@ -121,14 +122,28 @@ class Replica:
     images: int = 0
     _cpu_fused: object = field(default=None, repr=False)
     _cpu_params: Optional[Dict[str, np.ndarray]] = field(default=None, repr=False)
+    #: batch size -> service time of the current deployment, costed
+    #: with no fault plan active
+    _service: Dict[int, float] = field(default_factory=dict, repr=False)
 
     # -- timing ----------------------------------------------------------
     def service_us(self, batch: int) -> float:
-        """Virtual service time for one dispatched batch."""
+        """Virtual service time for one dispatched batch.
+
+        Without a fault plan the timing model is a pure function of the
+        deployment and the batch size, so each size is costed once.
+        Under a plan every call runs the model, so the ``device`` and
+        ``enqueue.*`` probes fire as they would unmemoized.
+        """
         if self.rung == "cpu":
             return batch * cpu_service_us(self.network)
-        result = self.deployment.run_batch(batch)
-        return result.time_per_image_us * batch
+        memo = active_plan() is None
+        us = self._service.get(batch) if memo else None
+        if us is None:
+            us = self.deployment.run_batch(batch).time_per_image_us * batch
+            if memo:
+                self._service[batch] = us
+        return us
 
     # -- numerics --------------------------------------------------------
     def forward(self, xs: np.ndarray) -> np.ndarray:
@@ -307,6 +322,7 @@ def reprovision_replica(
         )
     replica.deployment = rebuilt.deployment
     replica.rung = rebuilt.rung
+    replica._service.clear()
     replica.bitstream_cache = rebuilt.bitstream_cache
     replica._cpu_fused = None
     replica._cpu_params = None

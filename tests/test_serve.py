@@ -487,6 +487,43 @@ class TestDeterminism:
         assert run_seed(0).fingerprint() != run_seed(1).fingerprint()
 
 
+class TestServiceMemo:
+    """A replica costs each batch size once while no fault plan is
+    active; under a plan it runs the timing model on every dispatch, so
+    the model's probes fire and the run is the unmemoized one."""
+
+    def test_warm_memo_leaves_a_fault_plans_run_alone(self, monkeypatch):
+        from repro.flow.deploy import Deployment
+
+        trace = RequestTrace.poisson("lenet5", 24, 3000.0, LENET_SHAPE, seed=11)
+
+        def crash():
+            return FaultPlan(Fault("run_batch", "crash", times=1, param=0.5,
+                                   match="replica0"), seed=0)
+
+        warm = lenet_server()
+        warm.run(trace)
+        memo = [dict(r._service) for r in warm.replicas]
+        assert any(memo)
+        run_batch, costed = Deployment.run_batch, []
+
+        def counted(self, batch, concurrent=True):
+            costed.append(batch)
+            return run_batch(self, batch, concurrent)
+
+        monkeypatch.setattr(Deployment, "run_batch", counted)
+        with crash() as plan:
+            got = warm.run(trace)
+        assert [site for site, _, _ in plan.fired] == ["run_batch"]
+        assert [b["outcome"] for b in got.batches].count("crash") == 1
+        # every dispatch ran the model; the memo was neither read nor written
+        assert len(costed) == len(got.batches)
+        assert [dict(r._service) for r in warm.replicas] == memo
+        with crash():
+            want = lenet_server().run(trace)
+        assert got.fingerprint() == want.fingerprint()
+
+
 # ---------------------------------------------------------------------------
 # report CLI
 

@@ -28,7 +28,11 @@ numerics change.  These tests pin that contract in these ways:
 * compaction tests: conv tilings, dense unrolls and hand-built windows
   whose blocks compact no, one or both operands equal the scalar
   interpreter at batch 1 and 8, strided buffers included, a replayed
-  plan decides nothing again, and the run the rule compares is NumPy's.
+  plan decides nothing again, and the run the rule compares is NumPy's;
+* lane-order tests: conv tilings whose lanes move, dense layers whose
+  lanes stay, a one-lane fold and hand-built reductions into a strided,
+  a gathered and a private target equal the scalar interpreter at batch
+  1, 3 and 8, and a replayed plan decides nothing again.
 """
 
 import math
@@ -1229,6 +1233,160 @@ class TestFoldCompaction:
             assert len(it[0]) == vinterp._inner_run(
                 shape, [vinterp._c_strides(shape, 4)] + operands), (
                     shape, operands)
+
+
+class TestLaneOrder:
+    """A reduction's lanes fold in the order that lengthens its top op.
+
+    Phase A groups a reduction's lane axes by which operand of the
+    update's top op steps them by 0, and keeps the order of the groups
+    whose first block gives the strictly longest inner run (loop order
+    on a tie); the reduction axes keep theirs.  The block buffer and the
+    carry hold the lanes in that order, and the store writes them back
+    in loop order to a strided view, a gather or a register-cache
+    private buffer.  Each lane meets the same values in the same order,
+    so every case equals the scalar interpreter bitwise at batch 1, 3
+    and 8, and a replayed plan decides nothing again.
+    """
+
+    BATCHES = (1, 3, 8)
+
+    @staticmethod
+    def _record(monkeypatch):
+        """Whether each call of ``_order_lanes`` moved a lane axis."""
+        moved = []
+        order = vinterp._order_lanes
+
+        def recorded(leaf, layouts):
+            changed = order(leaf, layouts)
+            moved.append(changed)
+            return changed
+
+        monkeypatch.setattr(vinterp, "_order_lanes", recorded)
+        return moved
+
+    def _check(self, kern, sizes, shared, bindings=None, seed=0):
+        """Vectorized equals scalar bitwise on every argument and sample
+        at each of :attr:`BATCHES` (batch 1 as 1-D arrays); returns the
+        batch-8 run's reduction leaves."""
+        for n in self.BATCHES:
+            data = TestFoldCompaction._data(
+                sizes, shared, seed + n, None if n == 1 else n)
+            wants = []
+            for i in range(n):
+                want = {k: (v if n == 1 or k not in sizes else v[i]).copy()
+                        for k, v in data.items()}
+                ir.run_kernel(kern, want, bindings=bindings)
+                wants.append(want)
+            got = {k: v.copy() for k, v in data.items()}
+            vi = run_kernel_vectorized(kern, got, bindings)
+            assert {ev.kind for ev in vi.events} == {"vectorized"}
+            for name in sizes:
+                want = np.stack([w[name] for w in wants])
+                assert got[name].tobytes() == want.tobytes(), (name, n)
+
+    def _lanes(self, target):
+        """``Y[j, k, x] += A[j * 7 + x + r] * B[k * 3 + r]``: A steps j
+        and x, B only k, so loop order (j, k, x) splits A's lanes around
+        k and (k, j, x) joins them.  ``target`` stores through a strided
+        view, a gather (a ``%`` index no stride proof covers) or a
+        private accumulator written out after the fold."""
+        a, b, y_ = ir.Buffer("A", (21,)), ir.Buffer("B", (12,)), ir.Buffer(
+            "Y", (60,))
+        j, k, x, r = (ir.Var(v) for v in "jkxr")
+        out = (j * 4 + k) * 5 + x
+        update = ir.Load(a, j * 7 + x + r) * ir.Load(b, k * 3 + r)
+        if target == "gather":
+            out = ir.Mod(out, ir.IntImm(60))
+
+        def fold(buf, index):
+            return ir.For(r, ir.IntImm(3), ir.Store(buf, index, ir.Add(
+                ir.Load(buf, index), update)))
+
+        if target == "private":
+            acc = ir.Buffer("acc", (1,), scope="local")
+            body = ir.Allocate(acc, ir.seq(
+                ir.Store(acc, 0, ir.FloatImm(0.25)),
+                fold(acc, ir.IntImm(0)),
+                ir.Store(y_, out, ir.Load(acc, 0))))
+        else:
+            body = fold(y_, out)
+        kern = ir.Kernel("k", [a, b, y_], ir.For(j, ir.IntImm(3), ir.For(
+            k, ir.IntImm(4), ir.For(x, ir.IntImm(5), body))))
+        return kern, {"A": 21, "Y": 60}, {"B": 12}
+
+    @pytest.mark.parametrize("target", ["strided", "gather", "private"])
+    def test_moved_lanes_store_back_in_loop_order(self, monkeypatch, target):
+        moved = self._record(monkeypatch)
+        kern, sizes, shared = self._lanes(target)
+        self._check(kern, sizes, shared)
+        assert moved == [True] * len(self.BATCHES)
+        data = TestFoldCompaction._data(sizes, shared, 0, 3)
+        plan = _BandPlan(VectorizedInterpreter(data), kern.body)
+        (leaf,) = [lf for lf in plan.leaves if lf.kind == "reduce"]
+        # (batch, j, x) joined inside k; the reduction axis stays first
+        assert leaf.perm == (4, 2, 0, 1, 3)
+        assert leaf.lane_shape == (4, 3, 3, 5)
+        gathered = not isinstance(leaf.access[id(leaf.stmt)], vinterp._Strided)
+        assert (leaf.target is None) == gathered == (target == "gather")
+
+    def test_conv_tilings_move_their_batch_lane(self, monkeypatch):
+        moved = self._record(monkeypatch)
+        for case in ((3, 9, 4, 3, 1, 1, 7), (4, 11, 2, 3, 2, 2, 1),
+                     (8, 7, 8, 1, 1, 4, 7)):
+            del moved[:]
+            self._check(*TestFoldCompaction()._conv(*case))
+            # batch 1 keeps loop order; at 3 and 8 the batch joins the
+            # output pixels inside the output channel
+            assert moved == [False, True, True], case
+
+    @pytest.mark.parametrize("depthwise", [False, True],
+                             ids=["conv", "depthwise"])
+    def test_register_cache_of_a_symbolic_conv(self, monkeypatch, depthwise):
+        moved = self._record(monkeypatch)
+        c1, k, h, f = 4, 3, 7, 3
+        wo = h - f + 1
+        if depthwise:
+            handle, _, out = depthwise_symbolic(f, 1, "c", bias=True,
+                                                activation="relu6")
+            n_out, n_w, bindings = c1, c1 * f * f, handle.bindings(c1, h, h)
+        else:
+            handle, _, out = conv2d_symbolic(f, 1, "c", bias=True,
+                                             activation="relu")
+            n_out, n_w = k, k * c1 * f * f
+            bindings = handle.bindings(c1, h, h, k)
+        kern = lower(schedule_symbolic_conv(
+            out, ConvTiling(w2vec=wo, c1vec=2), is_1x1=False), "k")
+        self._check(kern, {"c_in": c1 * h * h, "c": n_out * wo * wo},
+                    {"c_w": n_w, "c_b": n_out}, bindings)
+        assert moved == [False, True, True]
+
+    def test_dense_keeps_loop_order(self, monkeypatch):
+        # the output lane runs longer than the batch: loop order wins
+        moved = self._record(monkeypatch)
+        for case in ((24, 12, 4), (16, 9, 2), (8, 8, 1)):
+            self._check(*TestFoldCompaction()._dense(*case))
+        assert moved and not any(moved)
+
+    def test_one_lane_accumulates(self, monkeypatch):
+        # one lane at batch 1 folds by ``accumulate``; in a batch its
+        # only lane axis is the batch, which leaves nothing to order
+        moved = self._record(monkeypatch)
+        x, w, y = ir.Buffer("X", (16,)), ir.Buffer("W", (16,)), ir.Buffer(
+            "Y", (1,))
+        r = ir.Var("r")
+        kern = ir.Kernel("k", [x, w, y], ir.For(r, ir.IntImm(16), ir.Store(
+            y, 0, ir.Add(ir.Load(y, 0), ir.Load(x, r) * ir.Load(w, r)))))
+        self._check(kern, {"X": 16, "Y": 1}, {"W": 16})
+        assert moved == [False] * len(self.BATCHES)
+
+    def test_replayed_plan_decides_nothing_again(self, monkeypatch):
+        moved = self._record(monkeypatch)
+        kern, sizes, shared = self._lanes("strided")
+        self._check(kern, sizes, shared, seed=1)
+        assert moved == [True] * len(self.BATCHES)
+        self._check(kern, sizes, shared, seed=2)
+        assert len(moved) == len(self.BATCHES)
 
 
 class TestStaticStoreProof:

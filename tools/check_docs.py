@@ -169,8 +169,8 @@ def check_architecture_coverage() -> list:
 #: exact-count gates of ``benchmarks/test_perf_trajectory.py``: no band,
 #: no calibration, so each holds without a baseline entry
 EXACT_GATES = ("serve_forwards", "vinterp_fallbacks", "vinterp_replanned",
-               "fold_temporaries", "fold_compactions", "plan_keys",
-               "fifo_pops",
+               "fold_temporaries", "fold_compactions", "fold_inner_loops",
+               "plan_keys", "fifo_pops",
                "sweep.serial_counts.scheduled",
                "sweep.serial_counts.plans_computed")
 
