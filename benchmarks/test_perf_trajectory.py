@@ -50,6 +50,9 @@ in CI:
   the schedule memo's misses and the distinct kernels by content (a
   hit returns the kernel a profile or an earlier build made); and the
   builds' one invocation sequence must color exactly one memory plan;
+  and index decompositions (``affine_forms``) must equal the sites of
+  the access tables built whose form was read: one affine form per
+  site, none per binding set or per consumer;
 * the fingerprints of one more serial sweep (untimed): artifacts
   hashed by content must number exactly the distinct seeded objects
   plus the generated sources, and no plan, program, bitstream or
@@ -121,6 +124,7 @@ from repro.flow.incremental import (
 from repro.flow import stages as stages_module
 from repro.flow.stages import MODELS, folded_flow, pipelined_flow
 from repro.ir import Program, vinterp
+from repro.ir.analysis import AccessTable
 from repro.models.twins import TWINS
 from repro.pipeline import Pipeline
 from repro.pipeline.cache import CompileCache
@@ -532,6 +536,20 @@ def _collecting_kernels(kernels):
 
 
 @contextlib.contextmanager
+def _collecting_tables(tables):
+    """Append every :class:`AccessTable` built to ``tables``."""
+    init = AccessTable.__init__
+
+    def collected(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        tables.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(AccessTable, "__init__", collected)
+        yield
+
+
+@contextlib.contextmanager
 def _collecting_scheduled(kernels):
     """Append every :class:`ScheduledKernel` constructed to ``kernels``."""
     init = ScheduledKernel.__init__
@@ -571,11 +589,13 @@ def _measure_sweep() -> dict:
     # tables built against lower-cache misses, kernels bounds-checked
     # against the distinct kernels the builds lowered, recipes hashed
     # against distinct recipes, kernels scheduled against distinct ones,
-    # and memory plans computed (keys hashed)
+    # memory plans computed (keys hashed), and affine forms against the
+    # sites of the access tables built that hold one
     counts = {}
     distinct = set()
     built_kernels = {}
     scheduled = []
+    tables = []
     for repeat in range(SWEEP_REPEATS):
         for workers in (1, SWEEP_WORKERS):
             clear_lower_cache()
@@ -585,6 +605,7 @@ def _measure_sweep() -> dict:
                     stack.enter_context(_collecting_kernels(built_kernels))
                     stack.enter_context(_collecting_recipes(distinct))
                     stack.enter_context(_collecting_scheduled(scheduled))
+                    stack.enter_context(_collecting_tables(tables))
                 events = stack.enter_context(counters.delta())
                 t0 = time.perf_counter()
                 summary = sweep_conv1x1(
@@ -597,7 +618,14 @@ def _measure_sweep() -> dict:
                     tables=events.get("access_tables", 0),
                     bounds_checked=events.get("bounds_checked", 0),
                     recipes_hashed=events.get("recipes_hashed", 0),
-                    plans_computed=events.get("plans_computed", 0))
+                    plans_computed=events.get("plans_computed", 0),
+                    affine_forms=events.get("affine_forms", 0),
+                    interval_sites=events.get("bounds_interval_sites", 0))
+                # a site's form is a cached property, so it is in the
+                # site's __dict__ once read
+                counts["sites"] = sum(len(t.sites) for t in tables)
+                counts["decomposed_sites"] = sum(
+                    "form" in site.__dict__ for t in tables for site in t.sites)
                 counts.update(lower_cache_stats())
                 counts.update({f"schedule_{k}": v for k, v in
                                schedule_cache_stats().items()})
@@ -933,6 +961,11 @@ def _save_report(current, baseline) -> None:
                  f"({sc['schedule_hits']} hits)"])
     rows.append(["sweep serial memory plans computed",
                  f"{sc['plans_computed']}", "-", "== 1 (one sequence)"])
+    rows.append(["sweep serial affine forms",
+                 f"{sc['affine_forms']}", "-",
+                 f"== {sc['decomposed_sites']} sites read of "
+                 f"{sc['sites']} in the tables built "
+                 f"({sc['interval_sites']} site checks use intervals)"])
     fc = sweep["fingerprint_counts"]
     rows.append(["sweep serial content fingerprints",
                  f"{fc['content']}", "-",
@@ -1196,6 +1229,17 @@ class TestPerfTrajectory:
             f"serial sweep computed {sc['plans_computed']} memory plan(s) "
             "for its builds' one invocation sequence — an exact count, "
             "no band"
+        )
+
+    def test_serial_sweep_decomposes_each_site_once(self, trajectory):
+        current, _, _ = trajectory
+        sc = current["sweep"]["serial_counts"]
+        assert sc["decomposed_sites"] > 0, sc
+        assert sc["affine_forms"] == sc["decomposed_sites"], (
+            f"serial sweep decomposed {sc['affine_forms']} index(es) for "
+            f"{sc['decomposed_sites']} site(s) whose form was read, of the "
+            "access tables it built (one affine form per site, none per "
+            "binding set or consumer) — an exact count, no band"
         )
 
     def test_serial_sweep_hashes_only_sources(self, trajectory):

@@ -1,9 +1,10 @@
 """Static analyses over the IR used by the scheduler and the AOC model.
 
 Includes constant evaluation of integer expressions under variable
-bindings, free-variable collection, and affine stride extraction — the
-machinery AOC's model uses to decide whether accesses can be coalesced
-(compile-time-known stride 1) or not (symbolic strides, thesis §5.3).
+bindings, free-variable collection, and the affine form of an index
+(:class:`AffineForm`) — the machinery AOC's model uses to decide whether
+accesses can be coalesced (compile-time-known stride 1) or not (symbolic
+strides, thesis §5.3).
 
 :func:`access_table` is the one walk over a kernel body; every question
 about what the body touches reads it instead of re-walking the statement
@@ -14,6 +15,20 @@ statement's flops.  :class:`~repro.ir.Kernel` builds it at construction
 to validate itself and answers ``channels()``/``local_buffers()`` from
 it; the bounds checker, the race detector, the RC channel counts and
 the AOC model (its cost evaluators and advisor) read the same table.
+
+Each site decomposes its index once, on first use, into an
+:class:`AffineForm` over its enclosing loop variables: unmerged
+monomials ``scale * var * factors`` (the factors loop-free expressions
+over the symbolic arguments) plus an opaque remainder for what is not
+affine in the loop variables (``//``, ``%``, ``Min``/``Max`` clamps,
+``Select``, ``Cast``, products of loop variables).  Strides and ranges
+are sums over the monomials, evaluated in closed form under each
+binding set instead of re-walking the tree: the site's
+:attr:`AccessSite.strides`, the bounds checker's ranges, the race
+detector's unrolled-store strides and the RP reuse distances
+(:func:`reuse_distance`) all read it.  :func:`stride_of` and
+:func:`dependence_distance` decompose an expression that is not a
+site's (one call, one form).
 """
 
 from __future__ import annotations
@@ -21,7 +36,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple, Union
 
 from repro.counters import count
 from repro.ir import expr as _e
@@ -73,10 +88,17 @@ class AccessSite:
         )
 
     @cached_property
+    def form(self) -> "AffineForm":
+        """The index's affine form over the enclosing loop variables,
+        decomposed once, on first use."""
+        return affine_form(self.index, {f.loop_var for f in self.loops})
+
+    @cached_property
     def strides(self) -> Dict[_e.Var, Optional[int]]:
-        """The index's constant stride along each enclosing loop variable
-        (:func:`stride_of` without bindings, one call per loop)."""
-        return {f.loop_var: stride_of(self.index, f.loop_var) for f in self.loops}
+        """The index's constant stride along each enclosing loop variable,
+        without bindings (None where it is symbolic or not affine)."""
+        loop_vars = [f.loop_var for f in self.loops]
+        return dict(zip(loop_vars, self.form.strides(loop_vars)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,6 +272,115 @@ def stmt_free_vars(s: _s.Stmt) -> Set[_e.Var]:
     return set().union(*map(free_vars, exprs), *map(stmt_free_vars, s.children()))
 
 
+#: one monomial of an affine form: ``scale * var * factors``, ``var`` None
+#: for a loop-free term and each factor a loop-free expression
+Term = Tuple[int, Optional[_e.Var], Tuple[_e.Expr, ...]]
+#: one term of the remainder: ``scale * factors * expr``
+Rest = Tuple[int, Tuple[_e.Expr, ...], _e.Expr]
+
+
+class AffineForm(NamedTuple):
+    """An integer index as a sum over its loop variables, from one walk.
+
+    ``terms`` are the index's monomials in tree order, unmerged: ``i*W -
+    i`` keeps both of ``i``'s, so a range summed over them is the one
+    interval arithmetic computes over the tree.  ``rest`` holds what is
+    not affine in the loop variables (``//``, ``%``, ``Min``/``Max``,
+    ``Select``, ``Cast``, a product of loop variables, a load), each
+    term scaled like a monomial; ``opaque`` is the loop variables it
+    reads.  A loop-free subexpression, however built, is one factor.
+    """
+
+    terms: Tuple[Term, ...]
+    rest: Tuple[Rest, ...]
+    opaque: FrozenSet[_e.Var]
+
+    def strides(
+        self, loop_vars, bindings: Optional[Bindings] = None
+    ) -> List[Optional[int]]:
+        """The index's stride along each of ``loop_vars`` under
+        ``bindings``: the sum of its monomials' products, 0 when it
+        has none; None when the variable is in the remainder or a
+        factor does not evaluate."""
+        acc: Dict[_e.Var, Optional[int]] = dict.fromkeys(loop_vars, 0)
+        for scale, v, factors in self.terms:
+            if acc.get(v) is not None:
+                k = _product(scale, factors, bindings or {})
+                acc[v] = None if k is None else acc[v] + k
+        for v in self.opaque:
+            if v in acc:
+                acc[v] = None
+        return [acc[v] for v in loop_vars]
+
+
+def _product(scale: int, factors: Tuple[_e.Expr, ...],
+             bindings: Bindings) -> Optional[int]:
+    for f in factors:
+        v = bindings.get(f) if type(f) is _e.Var else eval_int(f, bindings)
+        if v is None:
+            return None
+        scale *= v
+    return scale
+
+
+def affine_form(index: _e.Expr, loop_vars) -> AffineForm:
+    """Decompose ``index`` over ``loop_vars`` (a container of ``Var``) in
+    one walk; every other variable is a loop-free symbol.  Counted as
+    ``affine_forms``, one per decomposition."""
+    count("affine_forms")
+    split = _split(index, loop_vars)
+    if split is None:
+        return AffineForm((_loop_free(index),), (), frozenset())
+    terms, rest = split
+    opaque: Set[_e.Var] = set()
+    for _, _, e in rest:
+        opaque.update(v for v in free_vars(e) if v in loop_vars)
+    return AffineForm(tuple(terms), tuple(rest), frozenset(opaque))
+
+
+def _loop_free(e: _e.Expr) -> Term:
+    return (e.value, None, ()) if type(e) is _e.IntImm else (1, None, (e,))
+
+
+def _split(e: _e.Expr, loop_vars) -> Optional[Tuple[List[Term], List[Rest]]]:
+    """``(terms, rest)`` of an expression that reads a loop variable;
+    None for a loop-free one."""
+    t = type(e)
+    if t is _e.Var:
+        return ([(1, e, ())], []) if e in loop_vars else None
+    if t is _e.IntImm:
+        return None
+    if t is _e.Add or t is _e.Sub or t is _e.Mul:
+        a, b = _split(e.a, loop_vars), _split(e.b, loop_vars)
+        if a is None and b is None:
+            return None
+        if t is _e.Mul:
+            if a is None:
+                return _scaled(b, e.a)
+            if b is None:
+                return _scaled(a, e.b)
+            return [], [(1, (), e)]
+        terms, rest = a if a is not None else ([_loop_free(e.a)], [])
+        tb, rb = b if b is not None else ([_loop_free(e.b)], [])
+        if t is _e.Sub:
+            tb = [(-s, v, f) for s, v, f in tb]
+            rb = [(-s, f, x) for s, f, x in rb]
+        return terms + tb, rest + rb
+    if any(_split(c, loop_vars) is not None for c in e.children()):
+        return [], [(1, (), e)]
+    return None
+
+
+def _scaled(split: Tuple[List[Term], List[Rest]], factor: _e.Expr):
+    terms, rest = split
+    if type(factor) is _e.IntImm:
+        c = factor.value
+        return ([(s * c, v, f) for s, v, f in terms],
+                [(s * c, f, x) for s, f, x in rest])
+    return ([(s, v, f + (factor,)) for s, v, f in terms],
+            [(s, f + (factor,), x) for s, f, x in rest])
+
+
 def stride_of(
     index: _e.Expr, var: _e.Var, bindings: Optional[Bindings] = None
 ) -> Optional[int]:
@@ -260,47 +391,10 @@ def stride_of(
     stride is not a compile-time constant (symbolic strides).  A var that
     does not appear at all has stride 0.  ``bindings`` lets symbolic
     coefficients (shape/stride arguments of folded kernels) fold to
-    constants.
+    constants.  An access site reads its :attr:`AccessSite.form`
+    instead of calling this.
     """
-    if isinstance(index, _e.Var):
-        return 1 if index is var else 0
-    if isinstance(index, (_e.IntImm, _e.FloatImm)):
-        return 0
-    if isinstance(index, _e.Add):
-        a = stride_of(index.a, var, bindings)
-        b = stride_of(index.b, var, bindings)
-        if a is None or b is None:
-            return None
-        return a + b
-    if isinstance(index, _e.Sub):
-        a = stride_of(index.a, var, bindings)
-        b = stride_of(index.b, var, bindings)
-        if a is None or b is None:
-            return None
-        return a - b
-    if isinstance(index, _e.Mul):
-        sa = stride_of(index.a, var, bindings)
-        sb = stride_of(index.b, var, bindings)
-        if sa is None or sb is None:
-            return None
-        if sa == 0 and sb == 0:
-            return 0
-        if sa == 0:
-            # a is constant w.r.t. var; stride = const(a) * sb
-            ca = eval_int(index.a, bindings)
-            return None if ca is None else ca * sb
-        if sb == 0:
-            cb = eval_int(index.b, bindings)
-            return None if cb is None else cb * sa
-        return None  # quadratic in var
-    if isinstance(index, (_e.FloorDiv, _e.Mod)):
-        a = stride_of(index.a, var, bindings)
-        b = stride_of(index.b, var, bindings)
-        if a == 0 and b == 0:
-            return 0
-        return None  # non-affine in var
-    # conservative default: unknown if var occurs, else 0
-    return 0 if var not in free_vars(index) else None
+    return affine_form(index, (var,)).strides((var,), bindings)[0]
 
 
 def dependence_distance(
@@ -338,34 +432,34 @@ def dependence_distance(
 
 
 def reuse_distance(
-    index: _e.Expr,
+    index: Union[_e.Expr, AffineForm],
     loops,
     bindings: Optional[Bindings] = None,
 ) -> Optional[int]:
     """Iteration distance between successive touches of one address.
 
-    ``loops`` is the enclosing serial loop nest as ``(var, extent)``
-    pairs, outermost first (the shape of ``AccessSite.serial``).  The
-    innermost loop whose variable does not advance the address carries
-    the temporal reuse; the distance is the product of the trip counts
-    of the loops nested *inside* it that do advance it — i.e. how many
-    distinct addresses stream past before the same one returns.  This
-    is the working-set size a cache must hold to convert the re-reads
-    into hits.  Returns None when no enclosing loop carries reuse, or
-    when a stride or extent cannot be resolved under ``bindings``.
+    ``index`` is the index expression or its :class:`AffineForm` over
+    (at least) the loop variables; ``loops`` is the enclosing serial
+    loop nest as ``(var, extent)`` pairs, outermost first (the shape of
+    ``AccessSite.serial``).  The innermost loop whose variable does not
+    advance the address carries the temporal reuse; the distance is the
+    product of the trip counts of the loops nested *inside* it that do
+    advance it — i.e. how many distinct addresses stream past before the
+    same one returns.  This is the working-set size a cache must hold to
+    convert the re-reads into hits.  Returns None when no enclosing loop
+    carries reuse, or when a stride or extent cannot be resolved under
+    ``bindings``.
     """
-    carrier = None
-    for depth, (var, _extent) in enumerate(loops):
-        s = stride_of(index, var, bindings)
-        if s is None:
-            return None
-        if s == 0:
-            carrier = depth
-    if carrier is None:
+    loop_vars = [var for var, _ in loops]
+    if not isinstance(index, AffineForm):
+        index = affine_form(index, loop_vars)
+    strides = index.strides(loop_vars, bindings)
+    if None in strides or 0 not in strides:
         return None
+    carrier = len(strides) - 1 - strides[::-1].index(0)
     distance = 1
-    for var, extent in loops[carrier + 1:]:
-        if stride_of(index, var, bindings) == 0:
+    for (_var, extent), s in zip(loops[carrier + 1:], strides[carrier + 1:]):
+        if s == 0:
             continue
         e = extent if isinstance(extent, _e.Expr) else _e.IntImm(extent)
         n = eval_int(e, bindings)

@@ -49,13 +49,14 @@ which is only sound under the dependence rules checked in phase A:
 Phase A (planning) checks every index expression — these are pure
 functions of loop variables and scalar bindings — for bounds, zero
 divisors, address distinctness and channel budgets, and raises
-:class:`_Fallback` on any violation.  An index that
-:func:`~repro.ir.analysis.stride_of` proves affine in the band's loop
-variables under the bindings is kept as an ``(offset, strides)``
-descriptor: its bounds follow in closed form, and a store's addresses
-are distinct when its strides, sorted by magnitude over the loops of
-extent > 1, each reach at least the span of the loops inside them (the
-disjointness proof ``verify/races.py`` makes for unrolled stores).  Only
+:class:`_Fallback` on any violation.  An index whose affine form
+(:func:`~repro.ir.analysis.affine_form` over the band's loop variables,
+one walk per access) is affine in them under the bindings is kept as an
+``(offset, strides)`` descriptor: its bounds follow in closed form, and
+a store's addresses are distinct when its strides, sorted by magnitude
+over the loops of extent > 1, each reach at least the span of the loops
+inside them (the disjointness proof ``verify/races.py`` makes for
+unrolled stores).  Only
 indices outside that fragment — the clamped padding loads, the flatten's
 ``//`` and ``%`` — are evaluated to index arrays, and only a store
 outside it is checked with ``np.unique``; :attr:`_BandPlan.unique_stores`
@@ -171,7 +172,7 @@ from repro.counters import count
 from repro.errors import RuntimeSimError
 from repro.ir import expr as _e
 from repro.ir import stmt as _s
-from repro.ir.analysis import eval_int, stride_of
+from repro.ir.analysis import affine_form, eval_int
 from repro.ir.interp import _INTRINSICS, ChannelState, Interpreter, _F32
 from repro.ir.kernel import Kernel
 
@@ -947,23 +948,21 @@ class _LeafChecker:
 
     def _affine(self, index: _e.Expr) -> Optional[Tuple[int, List[int]]]:
         """``(offset, strides)`` of ``index`` over the leaf's axes, or None
-        when :func:`stride_of` cannot prove it affine under the bindings."""
+        when its affine form is not affine in them under the bindings."""
         env = self.it.env
         loops = self.leaf.path[1:]  # no index reads the batch axis
         if any(ax.var in env for ax in loops):
             return None
-        strides = [0]
-        for ax in loops:
-            s = stride_of(index, ax.var, env)
-            if s is None:
-                return None
-            strides.append(s)
+        loop_vars = [ax.var for ax in loops]
+        strides = affine_form(index, loop_vars).strides(loop_vars, env)
+        if None in strides:
+            return None
         at_zero = dict(env)
         at_zero.update((ax.var, 0) for ax in loops)
         offset = eval_int(index, at_zero)
         if offset is None:
             return None
-        return offset, strides
+        return offset, [0] + strides
 
     def _check_gather(
         self, node, index: _e.Expr, pb: Optional[_Private], size: int

@@ -17,6 +17,19 @@ Folded kernels are verified once per binding set: the caller passes the
 concrete shape/stride values of each layer invocation, so a kernel
 shared by many layers gets one verdict per distinct parameterization —
 one table, evaluated once per binding set.
+
+Within a binding set each loop's trip range is evaluated once (its
+extent reads only its enclosing loops, the same under every site), and
+a site's range is taken in closed form from its index's affine form
+(:attr:`repro.ir.analysis.AccessSite.form`): the sum of its monomials'
+ranges, each ``scale * factors`` times its loop variable's trip range,
+with same-variable monomials left unmerged.  Over trees of ``Add``,
+``Sub`` and multiplication by a point, that is exactly what interval
+arithmetic computes, so every range and verdict is the one
+:func:`~repro.verify.interval.interval_of` gives.  A site with a
+non-affine remainder (clamps, ``//``/``%``) or a factor other than a
+bound symbol keeps :func:`~repro.verify.interval.interval_of` over its
+whole index.
 """
 
 from __future__ import annotations
@@ -26,7 +39,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.counters import count
 from repro.ir import expr as _e
 from repro.ir import stmt as _s
-from repro.ir.analysis import AccessSite, access_table
+from repro.ir.analysis import AccessSite, AffineForm, access_table
 from repro.ir.kernel import Kernel
 from repro.verify.diagnostics import Diagnostic, VerifyReport
 from repro.verify.interval import Env, Interval, interval_of
@@ -37,26 +50,71 @@ RULES = ("RB001", "RB002")
 Bindings = Dict[_e.Var, int]
 
 
+#: each loop's variable range (None when unbounded) and whether it
+#: surely iterates, under one binding set
+Trips = Dict[_s.For, Tuple[Optional[Interval], bool]]
+
+
 def _loop_scope(
-    loops: Tuple[_s.For, ...], bindings: Bindings
+    loops: Tuple[_s.For, ...], points: Env, trips: Trips,
 ) -> Tuple[Env, bool]:
     """Interval env inside ``loops`` and whether their body surely runs.
 
     The body is definite while every enclosing loop provably has at
     least one iteration; a loop whose trip count is unknown or possibly
-    zero leaves its variable unbounded.
+    zero leaves its variable unbounded.  ``trips`` memoizes each loop's
+    trip for the binding set ``points`` holds.
     """
-    env: Env = {v: Interval.point(c) for v, c in bindings.items()}
+    env = dict(points)
     definite = True
     for loop in loops:
-        ext = interval_of(loop.extent, env)
-        if ext is not None and ext.hi >= 1:
-            env[loop.loop_var] = Interval.extent(ext.hi)
-            definite = definite and ext.lo >= 1
-        else:
+        if loop not in trips:
+            ext = interval_of(loop.extent, env)
+            trips[loop] = (
+                (Interval.extent(ext.hi), ext.lo >= 1)
+                if ext is not None and ext.hi >= 1 else (None, False)
+            )
+        rng, surely = trips[loop]
+        if rng is None:
             env.pop(loop.loop_var, None)
-            definite = False
+        else:
+            env[loop.loop_var] = rng
+        definite = definite and surely
     return env, definite
+
+
+def _closed_range(form: AffineForm, env: Env, bindings: Bindings):
+    """The site's range summed over its monomials; None when a loop
+    variable is unbounded (as :func:`interval_of` gives), ``_INTERVAL``
+    when the closed form does not apply: a remainder, or a factor other
+    than a bound symbol."""
+    if form.rest:
+        return _INTERVAL
+    lo = hi = 0
+    for scale, var, factors in form.terms:
+        for f in factors:
+            v = bindings.get(f) if type(f) is _e.Var else None
+            if v is None:
+                return _INTERVAL
+            scale *= v
+        if var is None:
+            lo += scale
+            hi += scale
+            continue
+        iv = env.get(var)
+        if iv is None:
+            return None
+        if scale >= 0:
+            lo += scale * iv.lo
+            hi += scale * iv.hi
+        else:
+            lo += scale * iv.hi
+            hi += scale * iv.lo
+    return Interval(lo, hi)
+
+
+#: :func:`_closed_range`'s answer for a site that keeps :func:`interval_of`
+_INTERVAL = object()
 
 
 def _finding(
@@ -111,17 +169,22 @@ def check_bounds(
     for bindings in binding_sets or [{}]:
         by_name = sorted((v.name, c) for v, c in bindings.items())
         label = ",".join(f"{n}={c}" for n, c in by_name)
+        points: Env = {v: Interval.point(c) for v, c in bindings.items()}
+        trips: Trips = {}
         scopes: Dict[Tuple[_s.For, ...], Tuple[Env, bool]] = {}
         seen: set = set()
         for site in sites:
             if site.loops not in scopes:
-                scopes[site.loops] = _loop_scope(site.loops, bindings)
+                scopes[site.loops] = _loop_scope(site.loops, points, trips)
             env, definite = scopes[site.loops]
             report.bump("accesses_checked")
+            rng = _closed_range(site.form, env, bindings)
+            if rng is _INTERVAL:
+                count("bounds_interval_sites")
+                rng = interval_of(site.index, env)
             found = _finding(
-                site, site.buffer.num_elements(bindings),
-                interval_of(site.index, env), definite and not site.guarded,
-                label,
+                site, site.buffer.num_elements(bindings), rng,
+                definite and not site.guarded, label,
             )
             if found is None:
                 report.bump("accesses_proven")

@@ -182,7 +182,7 @@ def _check_reuse(
             unique = n * 4
             if unique <= constants.lsu_cache_bytes:
                 continue
-            dist = reuse_distance(site.index, site.serial, b)
+            dist = reuse_distance(site.form, site.serial, b)
             shown = (
                 f" (reuse distance {dist} elements)" if dist is not None else ""
             )

@@ -5,8 +5,9 @@ hardware (thesis §5): all unrolled iterations execute concurrently.  Two
 iterations may therefore race when a ``Store`` under an unrolled loop
 targets the *same* address in different iterations.  Both passes read
 the kernel's access table (:func:`repro.ir.analysis.access_table`); the
-detector reasons with :func:`repro.ir.analysis.stride_of` on the index
-of each store site an unrolled loop encloses:
+detector reads the stride of each store site an unrolled loop encloses
+along that loop's variable from the site's affine form
+(:attr:`repro.ir.analysis.AccessSite.form`), under each binding set:
 
 * a non-zero constant stride means distinct iterations write distinct
   addresses — disjoint, proven race-free;
@@ -29,9 +30,7 @@ from typing import Dict, List, Optional, Set
 
 from repro.ir import expr as _e
 from repro.ir import stmt as _s
-from repro.ir.analysis import (
-    AccessSite, AccessTable, access_table, free_vars, stride_of,
-)
+from repro.ir.analysis import AccessSite, AccessTable, access_table, free_vars
 from repro.ir.kernel import Kernel
 from repro.verify.diagnostics import Diagnostic, VerifyReport
 
@@ -96,7 +95,7 @@ def _check_one_unrolled(
 
     for store in stores:
         report.bump("unrolled_stores_checked")
-        stride = stride_of(store.index, var, bindings)
+        (stride,) = store.form.strides((var,), bindings)
         if stride is None:
             diag(
                 "RR003", "warn",

@@ -172,7 +172,8 @@ EXACT_GATES = ("serve_forwards", "vinterp_fallbacks", "vinterp_replanned",
                "fold_temporaries", "fold_compactions", "fold_inner_loops",
                "plan_keys", "fifo_pops",
                "sweep.serial_counts.scheduled",
-               "sweep.serial_counts.plans_computed")
+               "sweep.serial_counts.plans_computed",
+               "sweep.serial_counts.affine_forms")
 
 
 def check_performance_coverage() -> list:
