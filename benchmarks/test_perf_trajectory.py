@@ -52,7 +52,10 @@ in CI:
   builds' one invocation sequence must color exactly one memory plan;
   and index decompositions (``affine_forms``) must equal the sites of
   the access tables built whose form was read: one affine form per
-  site, none per binding set or per consumer;
+  site, none per binding set or per consumer; kernel functions linted
+  afresh (``kernels_linted_fresh``) must equal the distinct kernel
+  texts in the sources linted; and binding tables built must equal the
+  plans built (``verify_build`` and ``certify_build`` share one);
 * the fingerprints of one more serial sweep (untimed): artifacts
   hashed by content must number exactly the distinct seeded objects
   plus the generated sources, and no plan, program, bitstream or
@@ -136,6 +139,8 @@ from repro.serve.replica import replicas_per_board
 from repro.serve.request import input_fingerprint
 from repro.verify import certify_build, clear_equiv_cache, dynamic_equiv_check
 from repro.verify.memory import weights_bytes
+from repro.runtime.plan import FoldedPlan
+from repro.verify import cllint
 from repro.verify.verifier import binding_sets_of
 
 #: the modules themselves: ``repro.pipeline`` re-exports a function
@@ -143,6 +148,7 @@ from repro.verify.verifier import binding_sets_of
 fingerprint_module = importlib.import_module("repro.pipeline.fingerprint")
 pipeline_module = importlib.import_module("repro.pipeline.pipeline")
 transforms_module = importlib.import_module("repro.schedule.transforms")
+verifier_module = importlib.import_module("repro.verify.verifier")
 
 BASELINE_PATH = os.path.join(RESULTS_DIR, "perf_trajectory.json")
 UPDATE = os.environ.get("REPRO_PERF_UPDATE") == "1"
@@ -563,6 +569,36 @@ def _collecting_scheduled(kernels):
         yield
 
 
+@contextlib.contextmanager
+def _collecting_plans(plans):
+    """Append every :class:`FoldedPlan` constructed to ``plans``."""
+    init = FoldedPlan.__init__
+
+    def collected(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        plans.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FoldedPlan, "__init__", collected)
+        yield
+
+
+@contextlib.contextmanager
+def _collecting_linted(texts):
+    """Add every kernel function of every source ``verify_build`` lints
+    to ``texts``, as the linter splits it: (name, parameters, body)."""
+    lint_source = verifier_module.lint_source
+
+    def collected(source, *args, **kwargs):
+        texts.update((name, tuple(params), body) for name, params, body, _
+                     in cllint._kernels(source.splitlines()))
+        return lint_source(source, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verifier_module, "lint_source", collected)
+        yield
+
+
 def _scheduled_content(sk):
     """A scheduled kernel by value: its lower key, or a prebuilt kernel's
     name and emitted source."""
@@ -589,13 +625,17 @@ def _measure_sweep() -> dict:
     # tables built against lower-cache misses, kernels bounds-checked
     # against the distinct kernels the builds lowered, recipes hashed
     # against distinct recipes, kernels scheduled against distinct ones,
-    # memory plans computed (keys hashed), and affine forms against the
-    # sites of the access tables built that hold one
+    # memory plans computed (keys hashed), affine forms against the
+    # sites of the access tables built that hold one, kernels linted
+    # afresh against the distinct kernel texts linted, and binding
+    # tables against the plans built
     counts = {}
     distinct = set()
     built_kernels = {}
     scheduled = []
     tables = []
+    plans = []
+    linted = set()
     for repeat in range(SWEEP_REPEATS):
         for workers in (1, SWEEP_WORKERS):
             clear_lower_cache()
@@ -606,6 +646,8 @@ def _measure_sweep() -> dict:
                     stack.enter_context(_collecting_recipes(distinct))
                     stack.enter_context(_collecting_scheduled(scheduled))
                     stack.enter_context(_collecting_tables(tables))
+                    stack.enter_context(_collecting_plans(plans))
+                    stack.enter_context(_collecting_linted(linted))
                 events = stack.enter_context(counters.delta())
                 t0 = time.perf_counter()
                 summary = sweep_conv1x1(
@@ -620,7 +662,11 @@ def _measure_sweep() -> dict:
                     recipes_hashed=events.get("recipes_hashed", 0),
                     plans_computed=events.get("plans_computed", 0),
                     affine_forms=events.get("affine_forms", 0),
-                    interval_sites=events.get("bounds_interval_sites", 0))
+                    interval_sites=events.get("bounds_interval_sites", 0),
+                    kernels_linted_fresh=events.get("kernels_linted_fresh", 0),
+                    linted_texts=len(linted),
+                    binding_tables=events.get("binding_tables", 0),
+                    plans=len(plans))
                 # a site's form is a cached property, so it is in the
                 # site's __dict__ once read
                 counts["sites"] = sum(len(t.sites) for t in tables)
@@ -966,6 +1012,12 @@ def _save_report(current, baseline) -> None:
                  f"== {sc['decomposed_sites']} sites read of "
                  f"{sc['sites']} in the tables built "
                  f"({sc['interval_sites']} site checks use intervals)"])
+    rows.append(["sweep serial kernels linted afresh",
+                 f"{sc['kernels_linted_fresh']}", "-",
+                 f"== {sc['linted_texts']} distinct kernel texts linted"])
+    rows.append(["sweep serial binding tables",
+                 f"{sc['binding_tables']}", "-",
+                 f"== {sc['plans']} plans built"])
     fc = sweep["fingerprint_counts"]
     rows.append(["sweep serial content fingerprints",
                  f"{fc['content']}", "-",
@@ -1240,6 +1292,27 @@ class TestPerfTrajectory:
             f"{sc['decomposed_sites']} site(s) whose form was read, of the "
             "access tables it built (one affine form per site, none per "
             "binding set or consumer) — an exact count, no band"
+        )
+
+    def test_serial_sweep_lints_each_kernel_text_once(self, trajectory):
+        current, _, _ = trajectory
+        sc = current["sweep"]["serial_counts"]
+        assert sc["linted_texts"] > 0, sc
+        assert sc["kernels_linted_fresh"] == sc["linted_texts"], (
+            f"serial sweep linted {sc['kernels_linted_fresh']} kernel "
+            f"function(s) afresh for {sc['linted_texts']} distinct kernel "
+            "text(s) in the sources it verified (a replayed kernel keeps "
+            "its lint verdict) — an exact count, no band"
+        )
+
+    def test_serial_sweep_builds_one_binding_table_per_plan(self, trajectory):
+        current, _, _ = trajectory
+        sc = current["sweep"]["serial_counts"]
+        assert sc["plans"] > 0, sc
+        assert sc["binding_tables"] == sc["plans"], (
+            f"serial sweep built {sc['binding_tables']} binding table(s) "
+            f"for {sc['plans']} plan(s) (verify and certify read one per "
+            "plan) — an exact count, no band"
         )
 
     def test_serial_sweep_hashes_only_sources(self, trajectory):

@@ -34,7 +34,6 @@ from repro.ir.analysis import (
     Bindings,
     access_table,
     eval_int,
-    free_vars,
     fully_unrolled,
 )
 from repro.ir.kernel import Kernel
@@ -190,7 +189,7 @@ class KernelAnalysis:
             replicas *= math.ceil(span / self.c.max_lsu_width_elems)
             span = self.c.max_lsu_width_elems
         # symbolic strides in the index defeat compile-time alignment
-        if free_vars(site.index) & self._scalar_args:
+        if site.form.reads(self._scalar_args):
             aligned = False
         # AOC infers a cache when the access pattern "seems repetitive"
         # (Section 2.4.3): a read re-issued across serial loops that do

@@ -13,7 +13,7 @@ machine with the real Intel toolchain — handed to ``aoc``.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from repro.errors import CodegenError
 from repro.ir import expr as _e
@@ -185,6 +185,12 @@ class OpenCLCodegen:
             lines.append(text)
             lines.append("")
         return "\n".join(lines)
+
+
+def emitted_text(kernel: Kernel) -> Optional[str]:
+    """The function text :meth:`OpenCLCodegen.program` emitted for
+    ``kernel`` (kept in ``Kernel.derived``), or None if it emitted none."""
+    return kernel.derived.get(OpenCLCodegen)
 
 
 def generate_opencl(obj) -> str:

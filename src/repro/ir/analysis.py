@@ -312,6 +312,20 @@ class AffineForm(NamedTuple):
                 acc[v] = None
         return [acc[v] for v in loop_vars]
 
+    def reads(self, symbols: Set[_e.Var]) -> bool:
+        """Whether a loop-free factor or the remainder reads one of
+        ``symbols``: the index reads it, unless it is a monomial's loop
+        variable."""
+        exprs = [f for _, _, factors in self.terms for f in factors]
+        for _, factors, e in self.rest:
+            exprs += factors
+            exprs.append(e)
+        return any(
+            e in symbols if type(e) is _e.Var
+            else not symbols.isdisjoint(free_vars(e))
+            for e in exprs
+        )
+
 
 def _product(scale: int, factors: Tuple[_e.Expr, ...],
              bindings: Bindings) -> Optional[int]:

@@ -40,9 +40,9 @@ from repro.ir.buffer import Channel
 from repro.ir.kernel import Program
 from repro.pipeline.cache import CachedFailure, CompileCache
 from repro.pipeline.fingerprint import (
+    config_fingerprint,
     content_fingerprint,
     derived_fingerprint,
-    fingerprint,
     register_canonicalizer,
 )
 from repro.pipeline.trace import StageRecord, Trace
@@ -73,7 +73,9 @@ class Stage:
 
     ``config`` is every value ``fn`` closes over that can change what
     it returns (a board, a tiling configuration, cost-model constants),
-    or ``()`` when there is none; it is fingerprinted once, here.  Pass
+    or ``()`` when there is none; it is fingerprinted once, here, and a
+    ``(board, constants)`` pair once per pair of objects
+    (:func:`~repro.pipeline.fingerprint.config_fingerprint`).  Pass
     :data:`BY_CONTENT` to fingerprint the stage's artifact by content.
     """
 
@@ -91,7 +93,7 @@ class Stage:
         self.cache_key = cache_key
         #: None for a stage whose artifact is fingerprinted by content
         self.config_fingerprint: Optional[str] = (
-            None if config is BY_CONTENT else fingerprint(config)
+            None if config is BY_CONTENT else config_fingerprint(config)
         )
 
     def artifact_fingerprint(self, ctx: "Context", value: object) -> str:

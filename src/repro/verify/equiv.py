@@ -72,12 +72,12 @@ from repro.ir.functor import ExprMutator, substitute
 from repro.ir.printer import expr_str
 from repro.ir.tensor import IterVar
 from repro.pipeline.cache import MISS, MemoryBackend
-from repro.pipeline.fingerprint import fingerprint
+from repro.pipeline.fingerprint import plain_fingerprint
 from repro.runtime.plan import FoldedPlan
 from repro.schedule.lower import lower_stage_body
 from repro.schedule.schedule import Schedule, Stage, create_schedule
 from repro.verify.diagnostics import Diagnostic, VerifyReport
-from repro.verify.verifier import binding_sets_of
+from repro.verify.verifier import binding_table, bindings_key
 
 __all__ = [
     "RULES",
@@ -216,10 +216,11 @@ def _uncertifiable_reason(sk) -> Optional[str]:
     return None
 
 
-def _cert_key(sk, binding_sets: Sequence[Bindings]) -> Optional[tuple]:
+def _cert_key(sk, bindings: tuple) -> Optional[tuple]:
     """``(lower key, sorted binding tuples, pin tuples)``: the LRU key,
-    and (tuples canonicalize like lists) what the certificate's
-    fingerprint hashes, on a miss only."""
+    and what the certificate's fingerprint hashes, on a miss only.
+    ``bindings`` is :func:`~repro.verify.verifier.bindings_key` of the
+    kernel's binding sets."""
     base = sk.lower_key
     if base is None:
         return None
@@ -227,11 +228,7 @@ def _cert_key(sk, binding_sets: Sequence[Bindings]) -> Optional[tuple]:
         (name, s.name if isinstance(s, _e.Var) else expr_str(s))
         for name, s in sk.schedule.pinned_strides
     )
-    bsets = tuple(sorted(
-        tuple(sorted((v.name, int(c)) for v, c in bs.items()))
-        for bs in binding_sets
-    ))
-    return base, bsets, pins
+    return base, bindings, pins
 
 
 def _leaf_expansion(stage: Stage) -> List[Tuple[IterVar, List[IterVar]]]:
@@ -737,15 +734,19 @@ def certify_kernel(
     sk,
     binding_sets: Optional[Sequence[Bindings]] = None,
     dynamic_fallback: bool = True,
+    bindings: Optional[tuple] = None,
 ) -> Tuple[EquivCertificate, List[Diagnostic]]:
     """Certify one scheduled kernel against its naive lowering.
 
     ``binding_sets`` are the per-kernel shape/stride bindings of a
     folded plan (see :func:`repro.verify.verifier.binding_sets_of`);
     symbolic obligations (RE004/RE005, symbolic extents) quantify over
-    them.  With ``dynamic_fallback`` (the default), an ``unknown``
-    verdict triggers exactly one interpreter cross-check on the first
-    binding set; pass ``False`` for a purely static run.
+    them.  ``bindings``, when given, is their
+    :func:`~repro.verify.verifier.bindings_key` (a plan's
+    :class:`~repro.verify.verifier.BindingTable` holds it).  With
+    ``dynamic_fallback`` (the default), an ``unknown`` verdict triggers
+    exactly one interpreter cross-check on the first binding set; pass
+    ``False`` for a purely static run.
     """
     bsets = [dict(b) for b in (binding_sets or [])]
     reason = _uncertifiable_reason(sk)
@@ -756,7 +757,9 @@ def certify_kernel(
         )
         return cert, []
 
-    key = _cert_key(sk, bsets)
+    if bindings is None:
+        bindings = bindings_key(bsets)
+    key = _cert_key(sk, bindings)
     if key is not None:
         hit = _CACHE.get(key)
         if hit is not MISS:
@@ -824,7 +827,8 @@ def certify_kernel(
     cert = EquivCertificate(
         kernel=sk.name,
         status=status,
-        fingerprint="" if key is None else fingerprint(("equiv-cert", *key)),
+        fingerprint="" if key is None else plain_fingerprint(
+            ("equiv-cert", *key)),
         rules=tuple(sorted({d.rule for d in diags})),
         reassociated=reassociated,
         binding_sets=len(bsets),
@@ -857,12 +861,14 @@ def certify_build(
     )
     for c in COUNTERS:
         report.bump(c, 0)
-    bsets = binding_sets_of(plan) if isinstance(plan, FoldedPlan) else {}
+    table = binding_table(plan) if isinstance(plan, FoldedPlan) else None
     certs: Dict[str, EquivCertificate] = {}
     with counters.delta("equiv_", EQUIV_COUNTS) as stats:
         for sk in scheduled.kernels:
             cert, diags = certify_kernel(
-                sk, bsets.get(sk.name), dynamic_fallback=dynamic_fallback
+                sk, table.sets.get(sk.name) if table else None,
+                dynamic_fallback=dynamic_fallback,
+                bindings=table.cert_keys.get(sk.name, ()) if table else (),
             )
             report.extend(diags)
             report.bump("equiv_" + cert.status)

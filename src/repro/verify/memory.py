@@ -551,7 +551,11 @@ class MemoryCertificate:
 def _check_slots(
     memory: MemoryPlan, lives: List[BufferLife], report: VerifyReport
 ) -> int:
-    """RM001/RM004 core: recompute liveness, prove every slot sound."""
+    """RM001/RM004 core: prove every slot sound against the liveness.
+
+    Returns the checks made: one per live value and stale slot, and
+    n*(n-1)/2 for the pairs of the n slotted values, which the offset
+    sweep decides all at once."""
     checks = 0
     by_name = {l.name: l for l in lives}
 
@@ -598,22 +602,36 @@ def _check_slots(
             )])
 
     # -- soundness: overlapping slots need disjoint live ranges --------
+    # a sweep in offset order meets each pair of slots that share bytes
+    # once, so every pair is decided; clashes are reported in by-name
+    # pair order
     ls = sorted((l for l in lives if l.name in memory.offsets),
                 key=lambda l: l.name)
-    for i, a in enumerate(ls):
-        for b in ls[i + 1:]:
-            checks += 1
-            a0, a1 = memory.offsets[a.name], memory.offsets[a.name] + a.size_bytes
-            b0, b1 = memory.offsets[b.name], memory.offsets[b.name] + b.size_bytes
-            if a0 < b1 and b0 < a1 and a.overlaps(b):
-                report.extend([Diagnostic(
-                    "RM001", "error",
-                    f"values {a.name!r} (live [{a.first}, {a.last}]) and "
-                    f"{b.name!r} (live [{b.first}, {b.last}]) share arena "
-                    f"bytes [{max(a0, b0)}, {min(a1, b1)}) while both live "
-                    "— the reuse would clobber a needed activation",
-                    location=f"{a.layer}/{b.layer}",
-                )])
+    checks += len(ls) * (len(ls) - 1) // 2
+    slots = sorted(
+        (memory.offsets[l.name], memory.offsets[l.name] + l.size_bytes, i)
+        for i, l in enumerate(ls)
+    )
+    clobbers = []
+    active: List[Tuple[int, int, int]] = []
+    for b0, b1, j in slots:
+        active = [slot for slot in active if slot[1] > b0]
+        for a0, _, i in active:
+            if a0 < b1 and ls[i].overlaps(ls[j]):
+                clobbers.append((min(i, j), max(i, j)))
+        active.append((b0, b1, j))
+    for i, j in sorted(clobbers):
+        a, b = ls[i], ls[j]
+        a0, b0 = memory.offsets[a.name], memory.offsets[b.name]
+        a1, b1 = a0 + a.size_bytes, b0 + b.size_bytes
+        report.extend([Diagnostic(
+            "RM001", "error",
+            f"values {a.name!r} (live [{a.first}, {a.last}]) and "
+            f"{b.name!r} (live [{b.first}, {b.last}]) share arena "
+            f"bytes [{max(a0, b0)}, {min(a1, b1)}) while both live "
+            "— the reuse would clobber a needed activation",
+            location=f"{a.layer}/{b.layer}",
+        )])
     return checks
 
 
@@ -627,13 +645,16 @@ def check_memory(
 ) -> Tuple[VerifyReport, Optional[MemoryPlan], MemoryCertificate]:
     """Certify a deployment plan's memory behaviour.
 
-    Recomputes liveness from ``fused``+``plan``, then proves the
+    Takes liveness from ``fused``+``plan`` (a folded sequence's is
+    derived once and replayed, see :func:`_derived`), then proves the
     :class:`MemoryPlan` (the one attached to the plan, or a freshly
-    colored one) sound: RM001 overlapping live reuse, RM002 unbounded
-    sizes, RM003 board DDR capacity, RM004 drift/slot escapes, RM005
-    advice when safe reuse is left on the table.  Returns ``(report,
-    memory_plan, certificate)``; the report is mergeable into the
-    pipeline's verify-stage report.
+    colored one) sound on every call: RM001 overlapping live reuse (a
+    sweep over the slots in offset order compares only the slots that
+    share bytes; every pair is counted among the ``checks``), RM002
+    unbounded sizes, RM003 board DDR capacity, RM004 drift/slot
+    escapes, RM005 advice when safe reuse is left on the table.
+    Returns ``(report, memory_plan, certificate)``; the report is
+    mergeable into the pipeline's verify-stage report.
     """
     report = VerifyReport(subject=subject or "memory")
     checks = 0

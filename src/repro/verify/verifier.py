@@ -22,10 +22,13 @@ all read the kernel's one access table
 nothing else: each kernel is checked into its own report, kept in the
 kernel's lifetime memo (``Kernel.derived``) under the ordered binding
 sets (the RP rules report the first set that triggers them), the board
-and the AOC constants, all by value.  A kernel that the lower cache
-replays into another build is therefore checked once per distinct key;
-the channel checks and the source lint read the whole build and run on
-every call.  :func:`assert_clean`
+and the AOC constants, all by value.  The binding sets come from the
+plan's :class:`BindingTable`, built once per plan and shared with the
+equivalence certifier.  A kernel that the lower cache replays into
+another build is therefore checked once per distinct key, and the
+source lint replays its verdict too, linting only the file-scope lines
+and the kernels new to the build; the channel checks read the whole
+program and run on every call.  :func:`assert_clean`
 turns a dirty report into a :class:`~repro.errors.VerificationError`
 whose message carries the formatted findings — this is what makes the
 ``verify`` stage fail a deploy.
@@ -36,6 +39,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Union
 
 from repro.aoc.constants import AOCConstants, DEFAULT_CONSTANTS
+from repro.counters import count
 from repro.device.boards import Board
 from repro.errors import VerificationError
 from repro.ir.kernel import Program
@@ -50,25 +54,66 @@ from repro.verify.races import check_races
 Plan = Union[PipelinePlan, FoldedPlan]
 
 
-def binding_sets_of(plan: FoldedPlan) -> Dict[str, List[Bindings]]:
-    """Distinct per-kernel shape/stride binding sets of a folded plan.
+class BindingTable:
+    """The distinct shape/stride binding sets of a folded plan's kernels.
 
     A folded kernel is shared by many layers; each invocation carries the
     concrete values of its symbolic shape and stride arguments.  The
-    bounds checker verifies the kernel once per *distinct* binding set,
-    not once per invocation.
+    checkers verify a kernel once per *distinct* binding set (by name and
+    value), not once per invocation.  Per kernel name the table holds the
+    sets in invocation order (:attr:`sets`), the key of
+    :func:`verify_build`'s per-kernel verdict (:attr:`verdict_keys`) and
+    the sorted ``(name, value)`` tuples the equivalence certificate is
+    keyed by (:attr:`cert_keys`).  :func:`binding_table` builds it once
+    per plan, counted as ``binding_tables``.
     """
-    out: Dict[str, List[Bindings]] = {}
-    seen: Dict[str, set] = {}
-    for inv in plan.invocations:
-        if not inv.bindings:
-            continue
-        key = tuple(sorted((v.name, c) for v, c in inv.bindings.items()))
-        if key in seen.setdefault(inv.kernel_name, set()):
-            continue
-        seen[inv.kernel_name].add(key)
-        out.setdefault(inv.kernel_name, []).append(inv.bindings)
-    return out
+
+    def __init__(self, plan: FoldedPlan) -> None:
+        count("binding_tables")
+        self.sets: Dict[str, List[Bindings]] = {}
+        seen: Dict[str, set] = {}
+        for inv in plan.invocations:
+            if not inv.bindings:
+                continue
+            key = tuple(sorted((v.name, int(c)) for v, c in inv.bindings.items()))
+            if key in seen.setdefault(inv.kernel_name, set()):
+                continue
+            seen[inv.kernel_name].add(key)
+            self.sets.setdefault(inv.kernel_name, []).append(inv.bindings)
+        self.verdict_keys: Dict[str, tuple] = {
+            name: tuple(frozenset(b.items()) for b in sets)
+            for name, sets in self.sets.items()
+        }
+        # the deduplication keys are the certificate's tuples already
+        self.cert_keys: Dict[str, tuple] = {
+            name: tuple(sorted(keys)) for name, keys in seen.items()
+        }
+
+
+def bindings_key(binding_sets: Iterable[Bindings]) -> tuple:
+    """Binding sets as one sorted tuple of sorted ``(name, value)``
+    tuples: what an equivalence certificate is keyed by, whatever the
+    order of the sets."""
+    return tuple(sorted(
+        tuple(sorted((v.name, int(c)) for v, c in bs.items()))
+        for bs in binding_sets
+    ))
+
+
+def binding_table(plan: FoldedPlan) -> BindingTable:
+    """The plan's :class:`BindingTable`, built on first use and kept in
+    ``plan.derived`` (a plan is not edited once built)."""
+    table = plan.derived.get(BindingTable)
+    if table is None:
+        table = plan.derived[BindingTable] = BindingTable(plan)
+    return table
+
+
+def binding_sets_of(plan: FoldedPlan) -> Dict[str, List[Bindings]]:
+    """Distinct per-kernel shape/stride binding sets of a folded plan,
+    in invocation order (:attr:`BindingTable.sets`; shared, not to be
+    edited)."""
+    return binding_table(plan).sets
 
 
 def verify_build(
@@ -98,10 +143,11 @@ def verify_build(
         raise ValueError(f"unknown rule ID(s) in suppress: {sorted(unknown)}")
 
     report = VerifyReport(subject=subject or program.name)
-    bindings = binding_sets_of(plan) if isinstance(plan, FoldedPlan) else {}
+    table = binding_table(plan) if isinstance(plan, FoldedPlan) else None
     for kernel in program.kernels:
-        sets = bindings.get(kernel.name, [])
-        key = (VerifyReport, tuple(frozenset(b.items()) for b in sets),
+        sets = table.sets.get(kernel.name, []) if table else []
+        key = (VerifyReport,
+               table.verdict_keys.get(kernel.name, ()) if table else (),
                board, constants)
         verdict = kernel.derived.get(key)
         if verdict is None:
@@ -115,7 +161,7 @@ def verify_build(
         program, plan if isinstance(plan, PipelinePlan) else None, report
     )
     if source is not None:
-        lint_source(source, report)
+        lint_source(source, report, program.kernels)
 
     if suppress:
         kept = [d for d in report.diagnostics if d.rule not in suppress]

@@ -173,7 +173,9 @@ EXACT_GATES = ("serve_forwards", "vinterp_fallbacks", "vinterp_replanned",
                "plan_keys", "fifo_pops",
                "sweep.serial_counts.scheduled",
                "sweep.serial_counts.plans_computed",
-               "sweep.serial_counts.affine_forms")
+               "sweep.serial_counts.affine_forms",
+               "sweep.serial_counts.kernels_linted_fresh",
+               "sweep.serial_counts.binding_tables")
 
 
 def check_performance_coverage() -> list:
