@@ -61,6 +61,10 @@ in CI:
   plus the generated sources, and no plan, program, bitstream or
   verify report may be canonicalized — every other artifact's
   fingerprint is derived, not hashed from its content;
+* the ``lower`` stage counters of a warm pipelined LeNet-5 rebuild (the
+  same level built twice in one process): every kernel comes back from
+  the lower cache, so ``lower_hits == 9`` and no kernel misses or
+  lowers uncached — exact counts, no timing;
 * static equivalence certification of the whole folded LeNet-5 build vs
   one interpreter cross-check of a single kernel — the certificate path
   must stay strictly faster, or removing interpreter runs from the
@@ -120,6 +124,7 @@ from repro.flow.dse import sweep_conv1x1
 from repro.flow.folded import FoldedConfig, plan_folded, schedule_folded
 from repro.flow.artifacts import ScheduledKernel
 from repro.flow.incremental import (
+    LOWER_COUNTS,
     clear_lower_cache,
     lower_cache_stats,
     schedule_cache_stats,
@@ -761,6 +766,17 @@ def _count_sweep_fingerprints() -> dict:
             "canonicalized": sorted(canonicalized)}
 
 
+def _measure_lenet_rebuild() -> dict:
+    """The ``lower`` stage counters of the second of two pipelined
+    LeNet-5 builds in one process (exact counts, no timing)."""
+    clear_lower_cache()
+    for _ in range(2):
+        trace = pipelined_flow("lenet5", board_by_name("S10SX"),
+                               cache=False).run().trace
+    row = trace.stage("lower").counters
+    return {n: row["lower_" + n] for n in LOWER_COUNTS}
+
+
 def _measure_certify() -> dict:
     """Static whole-build certification vs one interpreter cross-check.
 
@@ -867,6 +883,7 @@ def trajectory():
             throughput["lenet5@pipelined"]["value"]),
         "serve_forwards": _measure_serve_forwards(),
         "sweep": _measure_sweep(),
+        "lenet_rebuild": _measure_lenet_rebuild(),
         "certify": _measure_certify(),
         "memory": _measure_memory(),
     }
@@ -933,6 +950,10 @@ def _save_report(current, baseline) -> None:
         rows.append([key, f"{cur['value']:.2f} ips",
                      f"{base['value']:.2f} ips",
                      f"{_calibrated(cur, base, 'ips'):.2f} ips"])
+    lr = current["lenet_rebuild"]
+    rows.append(["lenet5@pipelined warm rebuild lower hits/misses/uncached",
+                 f"{lr['hits']}/{lr['misses']}/{lr['uncached']}", "-",
+                 "== 9/0/0 exactly"])
     sf = current["serve_forwards"]
     rows.append(["lenet5@serve interpreter forwards", f"{sf['forwards']}",
                  "-", f"== {sf['batches_with_miss']} of {sf['batches']} "
@@ -1097,6 +1118,15 @@ class TestPerfTrajectory:
                     f"{(1 - THROUGHPUT_BAND) * 100:.0f}% after "
                     f"{RETRIES} retries"
                 )
+
+    def test_warm_pipelined_rebuild_replays_every_kernel(self, trajectory):
+        current, _, _ = trajectory
+        assert current["lenet_rebuild"] == {
+            "hits": 9, "misses": 0, "uncached": 0}, (
+            f"a warm pipelined LeNet-5 rebuild lowered "
+            f"{current['lenet_rebuild']} (hits/misses/uncached): every "
+            f"kernel must replay from the lower cache — an exact count"
+        )
 
     def test_one_forward_per_batch_with_a_memo_miss(self, trajectory):
         current, _, _ = trajectory

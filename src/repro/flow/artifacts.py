@@ -9,7 +9,8 @@ phase independently.
 
 :func:`tensor_call` is the one map from a fused node to the topi
 constructor of its tensors, shared by the pipelined and folded
-builders; each builder only picks the recipe that schedules them.
+builders; each builder only picks the base recipe that schedules them
+(:func:`final_recipe` and :func:`scheduled` resolve and apply it).
 """
 
 from __future__ import annotations
@@ -46,14 +47,12 @@ class ScheduledKernel:
     Either ``schedule`` (+ ``lower_options`` forwarded to
     :func:`repro.schedule.lower`) or a ``prebuilt`` kernel for ops whose
     builders emit IR directly (softmax).  ``recipe`` is the declarative
-    transform sequence the schedule was built from; its fingerprint
-    enters the kernel's canonical form, so the content-addressed compile
-    cache keys on the recipe.  It is None for prebuilt kernels and for
-    pipelined ones.  A pipelined schedule is built from a recipe too,
-    but ``flow.autofix`` rewrites it after the build and its channels
-    are per build, so the kernel stays outside the schedule memo and
-    lowers uncached; recording its recipe would also change lenet5's
-    certificate detail and ``--check`` output.
+    transform sequence the schedule was built from (:func:`scheduled`);
+    its fingerprint enters the kernel's canonical form, so the
+    content-addressed compile cache keys on the recipe.  It is None for
+    prebuilt kernels only.  Both builders memoize scheduled kernels
+    (:func:`repro.flow.incremental.scheduled_kernel`), so nothing
+    mutates one after it is built.
     """
 
     name: str
@@ -79,9 +78,40 @@ class ScheduledKernel:
         return kernel_lower_key(self)
 
     def lower(self) -> ir.Kernel:
-        if self.prebuilt is not None:
-            return self.prebuilt
         return lower_schedule(self.schedule, self.name, **self.lower_options)
+
+
+def final_recipe(
+    kname: str,
+    base,
+    overrides: Dict[str, ScheduleRecipe],
+    deltas: Optional[Dict[str, ScheduleRecipe]] = None,
+):
+    """Kernel ``kname``'s final recipe: its entry in ``overrides`` wins,
+    else ``base`` + its entry in ``deltas``.  A ``base`` that reads the
+    kernel's output tensor (``pool_opt_recipe``) resolves to the pair
+    ``(base, delta)``, which :func:`scheduled` finishes once the tensor
+    exists.  A value either way, so builders key their memo on it."""
+    rec = overrides.get(kname)
+    if rec is not None:
+        return rec
+    delta = deltas.get(kname) if deltas else None
+    if callable(base):
+        return base, delta
+    return base + delta if delta else base
+
+
+def scheduled(
+    kname: str, layer: str, sch: Schedule, rec, **lower_options: object
+) -> ScheduledKernel:
+    """``sch`` scheduled by ``rec``, a :func:`final_recipe`."""
+    if isinstance(rec, tuple):
+        base, delta = rec
+        rec = base(sch.output) + delta if delta else base(sch.output)
+    return ScheduledKernel(
+        name=kname, layer=layer, schedule=rec.apply(sch),
+        lower_options=lower_options, recipe=rec,
+    )
 
 
 def tensor_call(fn: FusedNode) -> Tuple:

@@ -134,7 +134,7 @@ class AutofixResult(CertCounters):
     remaining: List[Diagnostic] = field(default_factory=list)
     #: kernel name -> final recipe fingerprint
     recipes: Dict[str, str] = field(default_factory=dict)
-    #: kernel name -> final recipe serialized to JSON (folded mode)
+    #: kernel name -> final recipe serialized to JSON
     recipes_json: Dict[str, str] = field(default_factory=dict)
     #: final folded configuration (None in pipelined mode)
     config: Optional[FoldedConfig] = None
@@ -222,6 +222,8 @@ class _Plan:
 
 #: plan_fix(finding, its scheduled kernel, iteration, plan)
 _PlanFix = Callable[[Diagnostic, Optional[ScheduledKernel], int, _Plan], None]
+#: edit(kernel, delta): append ``delta`` to the kernel's recipe
+_Edit = Callable[[ScheduledKernel, ScheduleRecipe], None]
 
 
 def _plan_all(
@@ -236,25 +238,16 @@ def _plan_all(
     return plan
 
 
-def _config_state(config: FoldedConfig) -> str:
-    """Fingerprint of the lattice position, for cycle detection."""
-    return fingerprint([
-        sorted(
-            (k, (t.w2vec, t.c2vec, t.c1vec, t.unroll_ff))
-            for k, t in config.conv_tilings.items()
-        ),
-        config.dense_unroll,
-        config.pin_unit_stride,
-        sorted((k, r.fingerprint()) for k, r in config.recipe_deltas.items()),
-        sorted(
-            (k, r.fingerprint()) for k, r in config.recipe_overrides.items()
-        ),
-    ])
+def _append_to(table: Dict[str, ScheduleRecipe], whole: bool = False) -> _Edit:
+    """Append each fix to its kernel's entry in ``table``: a delta on the
+    base recipe (``FoldedConfig.recipe_deltas``) or, ``whole``, the
+    kernel's whole recipe (recipe overrides)."""
 
+    def edit(sk: ScheduledKernel, delta: ScheduleRecipe) -> None:
+        existing = table.get(sk.name, sk.recipe if whole else None)
+        table[sk.name] = existing + delta if existing else delta
 
-def _append_delta(table: Dict, key: object, delta: ScheduleRecipe) -> None:
-    existing = table.get(key)
-    table[key] = existing + delta if existing else delta
+    return edit
 
 
 def _next_factor(current: int, extents: List[int]) -> Optional[int]:
@@ -284,20 +277,63 @@ def _unfixable(d: Diagnostic, sk: Optional[ScheduledKernel], plan: _Plan) -> boo
     return True
 
 
-def _plan_recipe_fix(
+def _stage_for_finding(sk: ScheduledKernel, d: Diagnostic) -> int:
+    """Schedule stage a finding points at (multi-stage kernels).
+
+    RP001/RP002 locate a loop variable, RP003/RP004 a buffer; the stage
+    whose axes or inputs carry that name is the one to rewrite.
+    """
+    for i, st in enumerate(sk.schedule.stages):
+        if any(ax.name == d.location for ax in st.leaf_axes):
+            return i
+        if any(t.name == d.location for t in st.op.inputs):
+            return i
+    return 0
+
+
+#: why a build without a ``FoldedConfig`` (pipelined) blocks a config move
+_NO_CONFIG = {
+    "pin_unit_stride": "pipelined kernels have static strides; nothing to pin",
+    "shrink": "pipelined schedules expose no shrink knob",
+}
+
+
+def _plan_fix(
     d: Diagnostic,
-    sk: ScheduledKernel,
-    idx: int,
-    append: Callable[[ScheduleRecipe], None],
-    recipe: str,
+    sk: Optional[ScheduledKernel],
+    edit: _Edit,
     iteration: int,
     plan: _Plan,
-) -> bool:
-    """Plan a ``cache_write``/``cache_read`` fix — the moves both modes
-    share — as a recipe delta on stage ``idx`` of ``sk``, described as
-    the kernel's ``recipe``.  False when the fix is another transform."""
+    config: Optional[FoldedConfig] = None,
+    fused: Optional[FusedGraph] = None,
+    extents: Optional[Dict[GroupId, Dict[str, List[int]]]] = None,
+    allow_shrink: bool = True,
+) -> None:
+    """Map one finding to a move; record it (or why it is blocked).
+
+    ``cache_write``/``cache_read`` fixes go through ``edit`` as a recipe
+    delta on the stage of ``sk`` the finding points at (a multi-stage
+    kernel's delta selects it with ``stage(index)``); pin and shrink
+    change ``config`` (a pipelined build has none, so it blocks them).
+    """
+    if _unfixable(d, sk, plan):
+        return
     transform = d.fix.get("transform")
+    idx = _stage_for_finding(sk, d)
     stage = sk.schedule.stages[idx]
+    head = ScheduleRecipe()
+    if len(sk.schedule.stages) > 1:
+        head = head.stage(idx)
+
+    def recipe_fix(move: str, delta: ScheduleRecipe) -> None:
+        where = f"stage({idx})." if head else ""
+        plan.add(
+            _step(d, iteration, f"{where}{move} appended to the kernel's "
+                                f"recipe"),
+            ("recipe", sk.name, idx),
+            lambda: edit(sk, delta),
+        )
+
     if transform == "cache_write":
         scope = d.fix.get("args", {}).get("scope", "register")
         if stage.scratch_scope != "global":
@@ -306,14 +342,8 @@ def _plan_recipe_fix(
                    f"'{stage.scratch_scope}' scope"
             )
         else:
-            plan.add(
-                _step(d, iteration, f"cache_write('{scope}') appended to "
-                                    f"the kernel's {recipe}"),
-                ("recipe", sk.name, idx),
-                lambda: append(ScheduleRecipe().cache_write(scope)),
-            )
-        return True
-    if transform == "cache_read":
+            recipe_fix(f"cache_write('{scope}')", head.cache_write(scope))
+    elif transform == "cache_read":
         name = d.fix.get("input")
         if name in stage.cached_reads:
             plan.block(
@@ -324,37 +354,10 @@ def _plan_recipe_fix(
         elif name not in [t.name for t in stage.op.inputs]:
             plan.block(d, f"'{name}' is not an input of this kernel")
         else:
-            plan.add(
-                _step(d, iteration, f"cache_read('{name}') appended to the "
-                                    f"kernel's {recipe}"),
-                ("recipe", sk.name, idx),
-                lambda: append(ScheduleRecipe().cache_read(tensor=name)),
-            )
-        return True
-    return False
-
-
-def _plan_folded_fix(
-    d: Diagnostic,
-    sk: Optional[ScheduledKernel],
-    config: FoldedConfig,
-    fused: FusedGraph,
-    extents: Dict[GroupId, Dict[str, List[int]]],
-    iteration: int,
-    plan: _Plan,
-    allow_shrink: bool = True,
-) -> None:
-    """Map one finding to a config move; record it (or why it is blocked)."""
-    if _unfixable(d, sk, plan):
-        return
-
-    def append(delta: ScheduleRecipe) -> None:
-        _append_delta(config.recipe_deltas, sk.name, delta)
-
-    if _plan_recipe_fix(d, sk, 0, append, "recipe", iteration, plan):
-        return
-    transform = d.fix.get("transform")
-    if transform == "pin_unit_stride":
+            recipe_fix(f"cache_read('{name}')", head.cache_read(tensor=name))
+    elif config is None and transform in _NO_CONFIG:
+        plan.block(d, _NO_CONFIG[transform])
+    elif transform == "pin_unit_stride":
         if config.pin_unit_stride:
             plan.block(d, "innermost strides are already pinned "
                           "(pin_unit_stride=True)")
@@ -438,34 +441,41 @@ def _plan_shrink(
 def _fixpoint(
     result: AutofixResult,
     max_iterations: int,
-    verify: Callable[[], Tuple[VerifyReport, Dict[str, ScheduledKernel]]],
+    verify: Callable[[], Tuple[VerifyReport, object, str]],
     plan_fix: _PlanFix,
-    state: Callable[[], str],
+    state: object,
+    rebuild: Callable[[Dict[str, ScheduleRecipe]], str],
 ) -> None:
     """Iterate verify -> plan -> apply to a fixpoint, a stuck state or
     the iteration bound, recording the outcome on ``result``.
 
     ``verify`` re-verifies the current configuration and returns the
-    report plus the build's scheduled kernels by name; ``plan_fix``
-    maps one advice finding onto the iteration's plan; ``state``
-    fingerprints the lattice position for cycle detection.
+    report, the build's schedule and its source; ``plan_fix`` maps one
+    advice finding onto the iteration's plan; ``state`` is the lattice
+    position the fixes mutate (the folded config or the recipe table),
+    fingerprinted for cycle detection.  The last build's recipes are
+    recorded on ``result``, and their JSON form replayed as recipe
+    overrides through ``rebuild``, which must generate a bit-identical
+    source (``roundtrip_ok``).
     """
-    seen = {state()}
+    seen = {fingerprint(state)}
+    sched = None
     for it in range(1, max_iterations + 1):
         result.iterations = it
-        report, kernels = verify()
+        report, sched, source = verify()
         if report.errors:
             result.status, result.stuck_reason = "stuck", "verify-error"
             result.log.append(
                 f"iteration {it}: {len(report.errors)} error finding(s) — "
                 f"aborting"
             )
-            return
+            break
         advice = report.advice
         if not advice:
             result.status = "clean"
             result.log.append(f"iteration {it}: advice-clean")
-            return
+            break
+        kernels = {sk.name: sk for sk in sched.kernels}
         plan = _plan_all(advice, kernels, plan_fix, it)
         if not plan.steps:
             result.status, result.stuck_reason = "stuck", "blocked"
@@ -475,7 +485,7 @@ def _fixpoint(
                 f"iteration {it}: {len(advice)} finding(s), none applicable "
                 f"— provably stuck"
             )
-            return
+            break
         for step, thunk in plan.steps:
             thunk()
             result.applied.append(step)
@@ -483,17 +493,28 @@ def _fixpoint(
             f"iteration {it}: {len(advice)} finding(s), "
             f"{len(plan.steps)} fix(es) applied"
         )
-        position = state()
+        position = fingerprint(state)
         if position in seen:
             result.status, result.stuck_reason = "stuck", "cycle"
             result.remaining = list(advice)
             result.log.append(
                 f"iteration {it}: configuration repeated — cycle detected"
             )
-            return
+            break
         seen.add(position)
-    result.status, result.stuck_reason = "stuck", "iteration-limit"
-    result.log.append(f"no fixpoint within {max_iterations} iterations")
+    else:
+        result.status, result.stuck_reason = "stuck", "iteration-limit"
+        result.log.append(f"no fixpoint within {max_iterations} iterations")
+    if sched is None:
+        return
+    recipes = [sk for sk in sched.kernels if sk.recipe is not None]
+    result.recipes = {sk.name: sk.recipe.fingerprint() for sk in recipes}
+    result.recipes_json = {sk.name: sk.recipe.to_json() for sk in recipes}
+    if result.stuck_reason != "verify-error":
+        result.roundtrip_ok = rebuild({
+            k: ScheduleRecipe.from_json(v)
+            for k, v in result.recipes_json.items()
+        }) == source
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +569,7 @@ def autofix_folded(
         config=config,
     )
     extents = group_extents(fused)
-    last: Dict[str, object] = {}
+    edit = _append_to(config.recipe_deltas)
 
     def verify():
         sched, plan, source, report = _verify_folded(
@@ -565,40 +586,23 @@ def autofix_folded(
         )
         report.merge(equiv_report)
         result.count_certificates(report.counters)
-        last.update(sched=sched, source=source)
-        return report, {sk.name: sk for sk in sched.kernels}
+        return report, sched, source
 
-    def plan_fix(d, sk, it, plan):
-        _plan_folded_fix(d, sk, config, fused, extents, it, plan)
+    def rebuild(overrides: Dict[str, ScheduleRecipe]) -> str:
+        replay = config.copy()
+        replay.recipe_deltas, replay.recipe_overrides = {}, overrides
+        return generate_opencl(
+            lower_folded(schedule_folded(fused, replay, board))
+        )
 
-    _fixpoint(result, max_iterations, verify, plan_fix,
-              lambda: _config_state(config))
-    if last:
-        recipes = [sk for sk in last["sched"].kernels if sk.recipe is not None]
-        result.recipes = {sk.name: sk.recipe.fingerprint() for sk in recipes}
-        result.recipes_json = {sk.name: sk.recipe.to_json() for sk in recipes}
-        if result.stuck_reason != "verify-error":
-            result.roundtrip_ok = _roundtrip_folded(
-                fused, board, config, result.recipes_json, last["source"]
-            )
+    _fixpoint(
+        result, max_iterations, verify,
+        lambda d, sk, it, plan: _plan_fix(
+            d, sk, edit, it, plan, config, fused, extents
+        ),
+        config, rebuild,
+    )
     return result
-
-
-def _roundtrip_folded(
-    fused: FusedGraph,
-    board: Board,
-    config: FoldedConfig,
-    recipes_json: Dict[str, str],
-    source: str,
-) -> bool:
-    """Replay the serialized recipes and compare generated source."""
-    replay = config.copy()
-    replay.recipe_deltas = {}
-    replay.recipe_overrides = {
-        k: ScheduleRecipe.from_json(v) for k, v in recipes_json.items()
-    }
-    sched = schedule_folded(fused, replay, board)
-    return generate_opencl(lower_folded(sched)) == source
 
 
 def plan_recipe_fixes(
@@ -619,13 +623,13 @@ def plan_recipe_fixes(
     sched, _, _, report = _verify_folded(
         fused, board, config, constants, fused.graph.name
     )
-
-    def plan_fix(d, sk, it, plan):
-        _plan_folded_fix(d, sk, config, fused, {}, it, plan,
-                         allow_shrink=False)
-
+    edit = _append_to(config.recipe_deltas)
     plan = _plan_all(
-        report.advice, {sk.name: sk for sk in sched.kernels}, plan_fix, 1
+        report.advice, {sk.name: sk for sk in sched.kernels},
+        lambda d, sk, it, plan: _plan_fix(
+            d, sk, edit, it, plan, config, fused, {}, allow_shrink=False
+        ),
+        1,
     )
     for _, thunk in plan.steps:
         thunk()
@@ -646,92 +650,41 @@ def autofix_pipelined(
 ) -> AutofixResult:
     """Advise -> rewrite loop over a pipelined (chain) build.
 
-    Pipelined kernels record no recipe (their builds stay out of the
-    schedule memo), so fixes are recipe deltas applied *on top of*
-    each freshly built schedule, keyed by (kernel, stage) — multi-stage
-    kernels like the channel-fed softmax get per-stage deltas.  There is no tiling table to shrink:
-    RP005/RP006 findings are blocking by construction (``pipelined
-    schedules expose no shrink knob``) and the loop converges to clean
-    or provably stuck.
+    A fix appends to the kernel's recipe, which the next build takes as
+    a ``recipe_overrides`` entry of :func:`schedule_pipelined` — the
+    same edit the folded loop makes through ``FoldedConfig``; a
+    multi-stage kernel like the channel-fed softmax gets one
+    ``stage(index)`` delta per stage.  There is no configuration to pin
+    or shrink: those findings are blocking by construction and the loop
+    converges to clean or provably stuck.
     """
-    deltas: Dict[Tuple[str, int], ScheduleRecipe] = {}
+    overrides: Dict[str, ScheduleRecipe] = {}
     result = AutofixResult(
         subject=subject or f"{fused.graph.name}:{board.name}:{level}",
         mode="pipelined",
     )
+    edit = _append_to(overrides, whole=True)
+
+    def build(recipes: Dict[str, ScheduleRecipe]):
+        sched = schedule_pipelined(fused, level, board, 1.0, recipes)
+        program = lower_pipelined(sched)
+        return sched, program, generate_opencl(program)
 
     def verify():
-        sched = schedule_pipelined(fused, level, board, 1.0)
-        kernels = {sk.name: sk for sk in sched.kernels}
-        for (kname, idx), delta in deltas.items():
-            delta.apply(kernels[kname].schedule, stage_index=idx)
-        program = lower_pipelined(sched)
+        sched, program, source = build(overrides)
         report = verify_build(
-            program, source=generate_opencl(program),
+            program, source=source,
             plan=plan_pipelined(fused, sched), subject=result.subject,
             board=board, constants=constants,
         )
-        return report, kernels
+        return report, sched, source
 
-    def plan_fix(d, sk, it, plan):
-        _plan_pipelined_fix(d, sk, deltas, it, plan)
-
-    def state() -> str:
-        return fingerprint(
-            sorted((k, i, r.fingerprint()) for (k, i), r in deltas.items())
-        )
-
-    _fixpoint(result, max_iterations, verify, plan_fix, state)
-
-    def label(k: str, i: int) -> str:
-        return k if i == 0 else f"{k}#{i}"
-
-    result.recipes = {
-        label(k, i): r.fingerprint() for (k, i), r in deltas.items()
-    }
-    result.recipes_json = {
-        label(k, i): r.to_json() for (k, i), r in deltas.items()
-    }
+    _fixpoint(
+        result, max_iterations, verify,
+        lambda d, sk, it, plan: _plan_fix(d, sk, edit, it, plan),
+        overrides, lambda recipes: build(recipes)[2],
+    )
     return result
-
-
-def _stage_for_finding(sk: ScheduledKernel, d: Diagnostic) -> int:
-    """Schedule stage a finding points at (multi-stage kernels).
-
-    RP001/RP002 locate a loop variable, RP003/RP004 a buffer; the stage
-    whose axes or inputs carry that name is the one to rewrite.
-    """
-    for i, st in enumerate(sk.schedule.stages):
-        if any(ax.name == d.location for ax in st.leaf_axes):
-            return i
-        if any(t.name == d.location for t in st.op.inputs):
-            return i
-    return 0
-
-
-def _plan_pipelined_fix(
-    d: Diagnostic,
-    sk: Optional[ScheduledKernel],
-    deltas: Dict[Tuple[str, int], ScheduleRecipe],
-    iteration: int,
-    plan: _Plan,
-) -> None:
-    if _unfixable(d, sk, plan):
-        return
-    idx = _stage_for_finding(sk, d)
-
-    def append(delta: ScheduleRecipe) -> None:
-        _append_delta(deltas, (sk.name, idx), delta)
-
-    if _plan_recipe_fix(d, sk, idx, append, f"stage-{idx} recipe",
-                        iteration, plan):
-        return
-    transform = d.fix.get("transform")
-    plan.block(d, {
-        "pin_unit_stride": "pipelined kernels have static strides; "
-                           "nothing to pin",
-        "shrink": "pipelined schedules expose no shrink knob",
-    }.get(transform, f"unknown fix transform {transform!r}"))
 
 
 # ---------------------------------------------------------------------------

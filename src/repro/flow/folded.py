@@ -19,12 +19,16 @@ import repro.ir as ir
 from repro import counters
 from repro.device.boards import Board
 from repro.errors import ScheduleError, UnsupportedError
-from repro.flow.artifacts import FoldedSchedule, ScheduledKernel, tensor_call
+from repro.flow.artifacts import (
+    FoldedSchedule,
+    ScheduledKernel,
+    final_recipe,
+    scheduled,
+    tensor_call,
+)
 from repro.flow.incremental import (
-    LOWER_COUNTS,
     SCHEDULE_COUNTS,
-    lower_kernels,
-    prebuilt_kernel,
+    lower_program,
     scheduled_kernel,
 )
 from repro.relay.passes import FusedGraph, FusedNode
@@ -128,31 +132,6 @@ def group_key(fn: FusedNode) -> GroupKey:
     return ("static", fn.name)
 
 
-def _final_recipe(config: FoldedConfig, kname: str, base):
-    """The kernel's final recipe: its override in ``config`` wins, else
-    ``base`` + its delta.  A ``base`` that reads the kernel's output
-    tensor (``pool_opt_recipe``) resolves to the pair ``(base, delta)``,
-    which :func:`_scheduled` finishes once the tensor exists."""
-    rec = config.recipe_overrides.get(kname)
-    if rec is not None:
-        return rec
-    delta = config.recipe_deltas.get(kname)
-    if callable(base):
-        return base, delta
-    return base + delta if delta else base
-
-
-def _scheduled(kname: str, layer: str, out: ir.Tensor, rec) -> ScheduledKernel:
-    """``out`` scheduled by ``rec``, a :func:`_final_recipe`."""
-    if isinstance(rec, tuple):
-        base, delta = rec
-        rec = base(out) + delta if delta else base(out)
-    return ScheduledKernel(
-        name=kname, layer=layer, schedule=rec.apply(create_schedule(out)),
-        recipe=rec,
-    )
-
-
 def group_kernel(
     fn: FusedNode,
     key: GroupKey,
@@ -199,11 +178,13 @@ def group_kernel(
         base_recipe = transform_recipe()
     else:  # pragma: no cover
         raise UnsupportedError(f"cannot parameterize {fn.op}")
-    rec = _final_recipe(config, kname, base_recipe)
+    rec = final_recipe(
+        kname, base_recipe, config.recipe_overrides, config.recipe_deltas
+    )
 
     def construct():
         handle, _, out = call[0](*call[1:])
-        return _scheduled(kname, fn.name, out, rec), handle
+        return scheduled(kname, fn.name, create_schedule(out), rec), handle
 
     return scheduled_kernel(("group", fn.name, kname, call, rec), construct)
 
@@ -320,18 +301,28 @@ class _FoldedBuilder:
         like a group kernel (:func:`group_kernel`)."""
         kname = f"k_{fn.name}"
         if fn.op == "softmax":
+            # prebuilt IR: the builder, its arguments and the uniquifier
+            # (its loop-variable names) determine the kernel
             (n,) = fn.anchor.inputs[0].out_shape
-            build = (
-                softmax_kernel_naive if self.config.naive
-                else softmax_kernel_licm
-            )
-            self.kernels.append(prebuilt_kernel(build, n, fn.name, kname))
+            naive = self.config.naive
+            build = softmax_kernel_naive if naive else softmax_kernel_licm
+            self.kernels.append(scheduled_kernel(
+                ("prebuilt", build, n, fn.name, kname),
+                lambda: ScheduledKernel(
+                    kname, fn.name, prebuilt=build(n, fn.name, kname)
+                ),
+            ))
             return kname
         call = tensor_call(fn)
-        rec = _final_recipe(self.config, kname, self._base_recipe(fn.op, call[1]))
+        rec = final_recipe(
+            kname, self._base_recipe(fn.op, call[1]),
+            self.config.recipe_overrides, self.config.recipe_deltas,
+        )
         self.kernels.append(scheduled_kernel(
             ("static", fn.name, kname, call, rec),
-            lambda: _scheduled(kname, fn.name, call[0](*call[1:])[1], rec),
+            lambda: scheduled(
+                kname, fn.name, create_schedule(call[0](*call[1:])[1]), rec
+            ),
         ))
         return kname
 
@@ -409,19 +400,10 @@ def schedule_folded(
     return sched
 
 
-def lower_folded(sched: FoldedSchedule) -> ir.Program:
-    """``lower`` stage: lower every scheduled kernel to statement IR.
-
-    Lowering is incremental (:mod:`repro.flow.incremental`): a kernel
-    whose schedule fingerprint was lowered before — e.g. every untouched
-    group when a DSE step changes one tiling — replays its IR from the
-    per-kernel cache; this run's hit/miss/uncached deltas land on the
-    program for the ``lower`` stage trace counters.
-    """
-    with counters.delta("lower_", LOWER_COUNTS) as memo:
-        program = ir.Program(lower_kernels(sched.kernels), sched.program_name)
-    program.lower_cache = memo
-    return program
+#: ``lower`` stage: a kernel whose schedule was lowered before — e.g.
+#: every untouched group when a DSE step changes one tiling — replays
+#: its IR from the per-kernel cache
+lower_folded = lower_program
 
 
 def plan_folded(fused: FusedGraph, sched: FoldedSchedule) -> FoldedPlan:

@@ -5,23 +5,25 @@ run, even though a DSE/autotune iteration touches exactly one group's
 tiling — every *other* kernel re-lowers to a byte-identical
 :class:`~repro.ir.Kernel`.  This module memoizes lowering per kernel,
 keyed on a content fingerprint of the scheduled kernel: its resolved
-transform recipe plus the tensor-expression graph the schedule was
-built from (shapes, axis extents, compute bodies, fused epilogues,
-buffer scopes).  Touching one layer's schedule then re-lowers only that
+transform recipe and lowering options (autorun, channel wiring, stage
+attachment) plus the tensor-expression graph the schedule was built
+from (shapes, axis extents, compute bodies, fused epilogues, buffer
+scopes).  Touching one layer's schedule then re-lowers only that
 kernel's IR; the rest replay from the cache.  The per-run hit/miss
 counts surface as ``lower_hits``/``lower_misses`` counters on the
 ``lower`` stage of the compile trace.
 
 The same LRU memoizes the step before lowering (:func:`scheduled_kernel`):
-every scheduled kernel of a folded build — group kernels, static
-kernels and prebuilt softmax — is constructed once per key.  The key is
-built from values, never hashed: the layer and kernel names, the call
-that constructs the kernel's tensors (constructor and arguments: the
-layer's shapes and epilogue flags, and ``pin_unit_stride`` where the
-tensors read it), the resolved recipe (which carries ``naive``, the
-tiling, deltas and overrides) and the IR name uniquifier's value at the
-start.  So two graphs that share layer names but not shapes (a network
-and its twin) share no kernel.  A hit returns the very object and moves
+every scheduled kernel of a folded or pipelined build — group kernels,
+static kernels, chain kernels and the folded prebuilt softmax — is
+constructed once per key.  The key is built from values, never hashed:
+the layer and kernel names, the call that constructs the kernel's
+tensors (constructor and arguments: the layer's shapes and epilogue
+flags, and ``pin_unit_stride`` where the tensors read it), the resolved
+recipe (which carries ``naive``, the tiling, deltas and overrides), a
+chain kernel's channels and autorun flag, and the IR name uniquifier's
+value at the start.  So two graphs that share layer names but not
+shapes (a network and its twin) share no kernel.  A hit returns the very object and moves
 the uniquifier to where construction left it, so a DSE build constructs
 only the kernel its tiling changes, each kernel's
 :attr:`~repro.flow.artifacts.ScheduledKernel.lower_key` is computed
@@ -36,10 +38,8 @@ counts as a ``lower_hits``/``lower_misses`` event in the registry
 folded arena plan is memoized in the same LRU too (:func:`memoized`,
 used by :func:`repro.verify.memory.plan_memory`), so
 :func:`clear_lower_cache` empties all three and a cold compile stays
-cold.  The pipelined levels
-construct their kernels outside the memo (their prebuilt softmax
-excepted): ``flow.autofix`` rewrites their schedules after the build,
-and their channels are per build.
+cold.  A hit shares the object, so nothing mutates a scheduled kernel
+after it is built (``flow.autofix`` edits recipes, never schedules).
 
 Soundness rests on two facts.  First, a kernel's lowered form is a
 deterministic function of (tensor graph, recipe, lower options):
@@ -47,10 +47,10 @@ builders reset the IR name uniquifier per schedule build
 (:func:`repro.ir.reset_fresh_names`), so identical inputs produce
 identical names.  Second, the fingerprint only stands in for schedule
 *transform* state when that state is fully recorded as a
-:class:`~repro.schedule.ScheduleRecipe` — kernels without a recorded
-recipe (the pipelined levels, whose schedules autofix may rewrite
-after the build) are lowered unconditionally and counted as
-``lower_uncached``.
+:class:`~repro.schedule.ScheduleRecipe` — a kernel without a recorded
+recipe, or with a lowering option outside the key's vocabulary, is
+lowered unconditionally and counted as ``lower_uncached`` (no shipped
+build has one).
 """
 
 from __future__ import annotations
@@ -64,14 +64,13 @@ from repro.ir import expr as _e
 from repro.ir.printer import expr_str
 from repro.ir.tensor import IterVar, Tensor
 from repro.pipeline.cache import MISS, MemoryBackend
-from repro.pipeline.fingerprint import fingerprint
+from repro.pipeline.fingerprint import plain_fingerprint
 
 __all__ = [
     "kernel_lower_key",
     "lower_kernel",
-    "lower_kernels",
+    "lower_program",
     "scheduled_kernel",
-    "prebuilt_kernel",
     "memoized",
     "cached_kernels",
     "lower_cache_stats",
@@ -81,9 +80,24 @@ __all__ = [
     "SCHEDULE_COUNTS",
 ]
 
-#: lowering options that do not invalidate the fingerprint scheme
-#: (anything else — channels, compute_at attachments — bypasses caching)
-_CACHEABLE_OPTIONS = {"autorun"}
+
+def _channel(ch: Optional[ir.Channel]) -> Optional[List[object]]:
+    return None if ch is None else [ch.name, ch.dtype, ch.depth]
+
+
+#: lowering options the fingerprint covers, each with its plain form
+#: (any other option bypasses caching)
+_OPTION_CANONICAL: Dict[str, Callable[[object], object]] = {
+    "autorun": bool,
+    "output_channel": _channel,
+    "input_channels": lambda chans: None if chans is None else sorted(
+        [name, _channel(ch)] for name, ch in chans.items()
+    ),
+    # stage -> (consumer stage, its axis), by tensor and axis names
+    "compute_at": lambda attach: None if attach is None else sorted(
+        [st.op.name, at.op.name, ax.name] for st, (at, ax) in attach.items()
+    ),
+}
 
 #: process-wide memo (LRU, bounded): lower key -> lowered kernel,
 #: schedule-memo key -> (scheduled kernel, uniquifier end), and
@@ -150,13 +164,14 @@ def kernel_lower_key(sk) -> Optional[str]:
     """Content fingerprint of one scheduled kernel, or ``None``.
 
     ``None`` means the kernel is not lowered through the cache: prebuilt
-    IR (see :func:`prebuilt_kernel`), a schedule whose transforms are not
-    recorded as a recipe, or lowering options (channel wiring, stage
-    attachment) outside the fingerprint's vocabulary.
+    IR (the folded softmax), a schedule whose transforms are not
+    recorded as a recipe, or a lowering option outside the
+    fingerprint's vocabulary (autorun, channel wiring by channel value,
+    stage attachment by tensor and axis names).
     """
     if sk.prebuilt is not None or sk.recipe is None or sk.schedule is None:
         return None
-    if not set(sk.lower_options) <= _CACHEABLE_OPTIONS:
+    if not set(sk.lower_options) <= set(_OPTION_CANONICAL):
         return None
     sch = sk.schedule
     try:
@@ -165,12 +180,16 @@ def kernel_lower_key(sk) -> Optional[str]:
         # a compute body or epilogue the canonicalizer cannot render is
         # never worth a wrong hit — lower it directly
         return None
-    return fingerprint(
+    # every part is plain (str/int/None lists), so no canonical walk
+    return plain_fingerprint(
         [
             "lower-kernel",
             sk.name,
             sk.recipe.fingerprint(),
-            sorted((k, bool(v)) for k, v in sk.lower_options.items()),
+            sorted(
+                (k, _OPTION_CANONICAL[k](v))
+                for k, v in sk.lower_options.items()
+            ),
             tensors,
             sch.output.name,
         ]
@@ -199,9 +218,16 @@ def lower_kernel(sk) -> ir.Kernel:
     return kernel
 
 
-def lower_kernels(scheduled) -> List[ir.Kernel]:
-    """Lower a list of scheduled kernels through the per-kernel cache."""
-    return [lower_kernel(sk) for sk in scheduled]
+def lower_program(sched) -> ir.Program:
+    """The ``lower`` stage of both builders: ``sched``'s kernels lowered
+    through the per-kernel cache into one program, which carries this
+    run's hit/miss/uncached deltas for the stage's trace counters."""
+    with counters.delta("lower_", LOWER_COUNTS) as memo:
+        program = ir.Program(
+            [lower_kernel(sk) for sk in sched.kernels], sched.program_name
+        )
+    program.lower_cache = memo
+    return program
 
 
 def scheduled_kernel(key: tuple, construct: Callable[[], T]) -> T:
@@ -227,22 +253,6 @@ def scheduled_kernel(key: tuple, construct: Callable[[], T]) -> T:
     if getattr(value, "prebuilt", None) is not None:
         count("lower_hits" if hit else "lower_misses")
     return value
-
-
-def prebuilt_kernel(build: Callable[..., ir.Kernel], n: int, layer: str,
-                    kname: str):
-    """The scheduled form of ``build(n, layer, kname)``, for kernels
-    whose builder emits IR directly (softmax), through
-    :func:`scheduled_kernel`: the arguments and the uniquifier (which
-    sets its loop-variable names) determine the kernel."""
-    from repro.flow.artifacts import ScheduledKernel
-
-    return scheduled_kernel(
-        ("prebuilt", build, n, layer, kname),
-        lambda: ScheduledKernel(
-            name=kname, layer=layer, prebuilt=build(n, layer, kname)
-        ),
-    )
 
 
 def memoized(key: Hashable, compute: Callable[[], T]) -> T:

@@ -22,7 +22,8 @@ optimization over the previous:
 
 Every kernel is built like a folded one: the layer's tensors from
 :func:`~repro.flow.artifacts.tensor_call`, scheduled by the level's
-recipe from :mod:`repro.topi.recipes`.  The level adds only the channel
+recipe from :mod:`repro.topi.recipes` (or its override), through the
+schedule memo and the lower cache.  The level adds only the channel
 wiring and autorun flag it lowers with.
 
 The builder is generic over *chain* graphs (every kernel feeds exactly
@@ -41,13 +42,14 @@ from repro.errors import ReproError, UnsupportedError
 from repro.flow.artifacts import (
     PipelinedSchedule,
     ScheduledKernel,
+    final_recipe,
+    scheduled,
     tensor_call,
 )
 from repro.flow.incremental import (
-    LOWER_COUNTS,
     SCHEDULE_COUNTS,
-    lower_kernels,
-    prebuilt_kernel,
+    lower_program,
+    scheduled_kernel,
 )
 from repro.relay.passes import FusedGraph, FusedNode
 from repro.runtime.plan import PipelinePlan, PipelineStage
@@ -60,8 +62,6 @@ from repro.topi import (
     dense_opt_recipe,
     pool_naive_recipe,
     pool_opt_recipe,
-    softmax_kernel_licm,
-    softmax_kernel_naive,
     softmax_schedule,
     transform_recipe,
 )
@@ -81,20 +81,24 @@ WEIGHT_FREE = ("maxpool", "avgpool", "global_avgpool", "flatten", "pad")
 class _ChainKernelBuilder:
     """Build one kernel per fused node of a chain graph at a given level."""
 
-    def __init__(self, level: str, board: Board,
-                 channel_depth_scale: float = 1.0) -> None:
+    def __init__(
+        self, level: str, board: Board, channel_depth_scale: float = 1.0,
+        recipe_overrides: Optional[Dict[str, ScheduleRecipe]] = None,
+    ) -> None:
         if level not in LEVELS:
             raise ReproError(f"unknown optimization level {level!r}")
         self.level = level
         self.board = board
         self.channel_depth_scale = channel_depth_scale
+        self.recipe_overrides = recipe_overrides or {}
         self.use_channels = level in ("channels", "autorun", "tvm_autorun")
         self.use_autorun = level in ("autorun", "tvm_autorun")
         #: base and unroll keep TVM's default (naive) schedule families
         self.naive = level in ("base", "unroll")
 
-    def _recipe(self, fn: FusedNode, out: ir.Tensor) -> ScheduleRecipe:
-        """The recipe that schedules ``fn``'s output ``out`` at this level."""
+    def _base_recipe(self, fn: FusedNode):
+        """The recipe that schedules ``fn`` at this level (as in the
+        folded builder, ``pool_opt_recipe`` itself reads the output)."""
         op, level = fn.op, self.level
         if op == "conv2d":
             if level == "base":
@@ -114,8 +118,8 @@ class _ChainKernelBuilder:
                 return dense_naive_recipe().split("k", factor).unroll("ki")
             return dense_opt_recipe(factor)
         if op in ("maxpool", "avgpool", "global_avgpool"):
-            return pool_naive_recipe() if level == "base" else pool_opt_recipe(out)
-        if op in ("flatten", "pad"):
+            return pool_naive_recipe() if level == "base" else pool_opt_recipe
+        if op in ("flatten", "pad", "softmax"):
             return transform_recipe()
         raise UnsupportedError(f"pipelined builder: unsupported op {op}")
 
@@ -163,63 +167,65 @@ class _ChainKernelBuilder:
         ch_out: Optional[ir.Channel],
     ) -> ScheduledKernel:
         kname = f"k_{fn.name}"
-        options: Dict[str, object] = {
-            "output_channel": ch_out,
-            "input_channels": (
-                {f"{fn.name}_in": ch_in} if ch_in is not None else None
-            ),
-        }
+        inputs = {f"{fn.name}_in": ch_in} if ch_in is not None else None
         if fn.op == "softmax":
             (n,) = fn.anchor.inputs[0].out_shape
-            if ch_in is None and ch_out is None:
-                build = softmax_kernel_naive if self.naive else softmax_kernel_licm
-                return prebuilt_kernel(build, n, fn.name, kname)
-            sch, options["compute_at"] = softmax_schedule(n, fn.name, self.naive)
+            call = (softmax_schedule, n, fn.name, self.naive)
+            autorun = None
         else:
             if fn.has_residual:
                 raise UnsupportedError("pipelined execution cannot fuse residuals")
             call = tensor_call(fn)
-            out = call[0](*call[1:])[1]
-            sch = self._recipe(fn, out).apply(create_schedule(out))
-            options["autorun"] = (
+            autorun = (
                 self.use_autorun and fn.op in WEIGHT_FREE
                 and ch_in is not None and ch_out is not None
             )
-        return ScheduledKernel(
-            name=kname, layer=fn.name, schedule=sch, lower_options=options
+        rec = final_recipe(kname, self._base_recipe(fn), self.recipe_overrides)
+
+        def construct() -> ScheduledKernel:
+            if fn.op == "softmax":  # four stages, maybe attached
+                sch, attach = call[0](*call[1:])
+                options = {"compute_at": attach}
+            else:
+                sch = create_schedule(call[0](*call[1:])[1])
+                options = {"autorun": autorun}
+            return scheduled(
+                kname, fn.name, sch, rec, output_channel=ch_out,
+                input_channels=inputs, **options,
+            )
+
+        return scheduled_kernel(
+            ("pipelined", fn.name, kname, call, rec, ch_in, ch_out, autorun),
+            construct,
         )
 
 
 def schedule_pipelined(
     fused: FusedGraph, level: str, board: Board,
     channel_depth_scale: float = 1.0,
+    recipe_overrides: Optional[Dict[str, ScheduleRecipe]] = None,
 ) -> PipelinedSchedule:
     """``schedule`` stage: pick per-kernel schedules + channel wiring.
 
     ``channel_depth_scale`` scales every channel FIFO relative to the
     thesis's rule (depth = producer OFM size); values below 1 model the
     under-buffered channels whose stalls Section 4.6 warns about.
+    ``recipe_overrides`` maps a kernel name to a whole recipe that
+    replaces its level's, as ``FoldedConfig.recipe_overrides`` does.
     """
     ir.reset_fresh_names()
-    builder = _ChainKernelBuilder(level, board, channel_depth_scale)
+    builder = _ChainKernelBuilder(
+        level, board, channel_depth_scale, recipe_overrides
+    )
     with counters.delta("schedule_", SCHEDULE_COUNTS) as memo:
         sched = builder.schedule_graph(fused)
     sched.schedule_cache = memo
     return sched
 
 
-def lower_pipelined(sched: PipelinedSchedule) -> ir.Program:
-    """``lower`` stage: lower every scheduled kernel to statement IR.
-
-    Runs through the per-kernel lower cache of
-    :mod:`repro.flow.incremental`; pipelined kernels carry channel
-    wiring in their lowering options, so most lower uncached today and
-    are counted as such in the ``lower`` stage trace counters.
-    """
-    with counters.delta("lower_", LOWER_COUNTS) as memo:
-        program = ir.Program(lower_kernels(sched.kernels), sched.program_name)
-    program.lower_cache = memo
-    return program
+#: ``lower`` stage: the lower key covers the channel wiring, so a
+#: rebuilt level replays every kernel
+lower_pipelined = lower_program
 
 
 def plan_pipelined(fused: FusedGraph, sched: PipelinedSchedule) -> PipelinePlan:

@@ -19,6 +19,7 @@ dimensions are how parameterized kernels (Section 5.3) are expressed.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.errors import IRError
@@ -163,22 +164,26 @@ class Buffer:
         return f"Buffer({self.name}: {self.dtype}[{dims}] @{self.scope})"
 
 
+@dataclass(frozen=True)
 class Channel:
     """An Intel OpenCL channel: a FIFO datapath between two kernels.
 
     ``depth`` is the buffered-FIFO capacity in elements; the thesis sizes it
     to hold the producer's output feature map so producers never stall
     (Section 4.11).  Depth 0 models an unbuffered (register) channel.
+
+    Channels are values, ``(name, dtype, depth)``, so a kernel replayed
+    from the lower cache pairs with one built fresh beside it
+    (:meth:`~repro.ir.kernel.Program.validate_channels`).
     """
 
-    __slots__ = ("name", "dtype", "depth")
+    name: str
+    dtype: str = _e.FLOAT32
+    depth: int = 0
 
-    def __init__(self, name: str, dtype: str = _e.FLOAT32, depth: int = 0) -> None:
-        if depth < 0:
+    def __post_init__(self) -> None:
+        if self.depth < 0:
             raise IRError("channel depth must be >= 0")
-        self.name = name
-        self.dtype = dtype
-        self.depth = depth
 
     def read(self) -> _e.ChannelRead:
         return _e.ChannelRead(self)

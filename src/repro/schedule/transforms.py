@@ -41,6 +41,7 @@ CATALOG: Dict[str, str] = {
     "cache_read": "cache one input tensor's reads on-chip (BRAM)",
     "writeback_at": "choose the data axis whose body holds init/accumulate/writeback",
     "pin_unit_stride": "pin symbolic innermost buffer strides to the literal 1",
+    "stage": "select the schedule stage that later steps apply to (multi-stage kernels)",
 }
 
 _UNIQ_SUFFIX = re.compile(r"_\d+")
@@ -146,17 +147,24 @@ class ScheduleRecipe:
     def pin_unit_stride(self) -> "ScheduleRecipe":
         return self.then(step("pin_unit_stride"))
 
+    def stage(self, index: int) -> "ScheduleRecipe":
+        return self.then(step("stage", index=index))
+
     # -- application ---------------------------------------------------
-    def apply(self, sch, stage_index: int = 0):
-        """Apply every step to ``sch.stages[stage_index]``; returns ``sch``.
+    def apply(self, sch):
+        """Apply every step to ``sch``'s first stage, or to the stage the
+        last ``stage(index)`` step selected; returns ``sch``.
 
         Axis arguments are resolved by canonical name against the
         stage's *current* leaf axes, so later steps see the children of
         earlier splits (``xxo``/``xxi`` after ``split('xx', ...)``).
         """
-        st = sch.stages[stage_index]
+        st = sch.stages[0]
         for s in self.steps:
-            self._apply_step(sch, st, s)
+            if s.op == "stage":
+                st = sch.stages[int(s.kwargs["index"])]
+            else:
+                self._apply_step(sch, st, s)
         return sch
 
     def _apply_step(self, sch, st, s: TransformStep) -> None:

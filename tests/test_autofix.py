@@ -17,9 +17,13 @@ from repro.flow import (
     plan_recipe_fixes,
     sweep_conv1x1,
 )
+from repro.flow import incremental
+from repro.flow.artifacts import ScheduledKernel
+from repro.flow.pipelined import schedule_pipelined
 from repro.models import lenet5, mobilenet_v1
 from repro.relay import fuse_operators
 from repro.report import autofix_deployment
+from repro.schedule import ScheduleRecipe
 
 
 @pytest.fixture(scope="module")
@@ -101,12 +105,33 @@ class TestPipelinedAutofix:
 
     def test_softmax_stages_fixed_independently(self, lenet_fused):
         # the LICM softmax carries two RP001 reductions in *different*
-        # stages (max over k, sum over k1) — each gets its own delta
+        # stages (max over k, sum over k1) — each gets its own delta,
+        # which names its stage in the kernel's one recipe
         r = autofix_pipelined(lenet_fused, STRATIX10_SX)
         rp001 = [s for s in r.applied if s.rule == "RP001"]
         assert len(rp001) == 2
         assert {s.location for s in rp001} == {"k", "k1"}
-        assert set(r.recipes) == {"k_softmax", "k_softmax#2"}
+        final = ScheduleRecipe.from_json(r.recipes_json["k_softmax"])
+        assert final == (ScheduleRecipe().stage(0).cache_write("register")
+                         .stage(2).cache_write("register"))
+        assert r.roundtrip_ok is True
+
+    def test_fix_leaves_memoized_kernels_untouched(self, lenet_fused):
+        # a fix edits recipes only: every scheduled kernel the memo
+        # holds keeps the recipe it was built from, and its schedule
+        def state(sk):
+            return sk.recipe.fingerprint(), [
+                st.scratch_scope for st in sk.schedule.stages]
+
+        incremental.clear_lower_cache()
+        schedule_pipelined(lenet_fused, "tvm_autorun", STRATIX10_SX)
+        memo = [sk for sk in (v[0] for v in incremental._CACHE.values()
+                              if isinstance(v, tuple))
+                if isinstance(sk, ScheduledKernel) and sk.recipe is not None]
+        before = [state(sk) for sk in memo]
+        assert any(sk.name == "k_softmax" for sk in memo)
+        autofix_pipelined(lenet_fused, STRATIX10_SX)
+        assert [state(sk) for sk in memo] == before
 
 
 class TestNetworkDispatch:

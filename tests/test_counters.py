@@ -35,19 +35,19 @@ def _check(flow):
             with counters.delta() as deltas[name]:
                 return fn(ctx)
         stage.fn = run
-    trace = Pipeline(flow.name, stages).run().trace
+    result = Pipeline(flow.name, stages).run()
     for stage, (prefix, family) in FAMILIES.items():
-        row = trace.stage(stage).counters
+        row = result.trace.stage(stage).counters
         assert {n: row[prefix + n] for n in family} == {
             n: deltas[stage].get(prefix + n, 0) for n in family}, stage
-    return trace
+    return result
 
 
 def test_folded_build_cold_then_memoized():
     clear_lower_cache()
     config = default_folded_config("mobilenet_v1", ARRIA10)
     cold, warm = (_check(folded_flow("mobilenet_v1", ARRIA10, config,
-                                     cache=False)) for _ in range(2))
+                                     cache=False)).trace for _ in range(2))
     assert cold.stage("lower").counters["lower_misses"] > 0
     assert warm.stage("lower").counters["lower_hits"] > 0
     assert warm.stage("schedule").counters["schedule_hits"] > 0
@@ -55,5 +55,14 @@ def test_folded_build_cold_then_memoized():
 
 @pytest.mark.parametrize("level", ["base", "tvm_autorun"])
 def test_pipelined_build(level):
-    trace = _check(pipelined_flow("lenet5", ARRIA10, level, cache=False))
-    assert trace.stage("lower").counters["lower_uncached"] > 0
+    # every kernel lowers through the cache, so a second build in one
+    # process replays every kernel object
+    first, again = (_check(pipelined_flow("lenet5", ARRIA10, level,
+                                          cache=False)) for _ in range(2))
+    assert first.trace.stage("lower").counters["lower_uncached"] == 0
+    row = again.trace.stage("lower").counters
+    assert {n: row["lower_" + n] for n in LOWER_COUNTS} == {
+        "hits": 9, "misses": 0, "uncached": 0}
+    assert again.trace.stage("schedule").counters["schedule_misses"] == 0
+    old, new = (r.value("program").kernels for r in (first, again))
+    assert len(new) == 9 and all(a is b for a, b in zip(old, new))

@@ -207,6 +207,7 @@ class TestLintReplay:
         assert _lint(closed, program.kernels) == _lint(closed)
 
     def test_each_text_is_linted_once(self):
+        clear_lower_cache()  # fresh kernels, with no lint verdict yet
         program, source = _lenet_channels()
         with counters.delta("", ("kernels_linted_fresh",)) as first:
             _lint(source, program.kernels)

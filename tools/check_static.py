@@ -18,8 +18,8 @@ board (``lenet5:BOARD:LEVEL``).  For each build it
 * asserts, once per ``network:board``, the auto-scheduler's contract
   (``repro.flow.autofix``): an advice-clean fixpoint, or a
   provably-stuck report whose every blocking finding carries a reason — never a cycle, an iteration-limit
-  bail or a verify error — and, for folded builds, serialized recipes
-  that rebuild a bit-identical source (``roundtrip_ok``).
+  bail or a verify error — and serialized recipes that rebuild a
+  bit-identical source (``roundtrip_ok``), in both runtime modes.
 
 Usage::
 
@@ -119,7 +119,7 @@ def autofix_problems(spec: str) -> List[str]:
             f"autofix did not converge: status={result.status} "
             f"stuck_reason={result.stuck_reason}"
         )
-    if result.mode == "folded" and result.roundtrip_ok is not True:
+    if result.roundtrip_ok is not True:
         problems.append(
             f"serialized recipes did not rebuild a bit-identical source "
             f"(roundtrip_ok={result.roundtrip_ok})"
